@@ -43,8 +43,6 @@ from .spectra import (
 )
 from .svgplot import emit_svg, resample_to_union_grid
 
-ENV_THREADS = "IFSDIM_THREADS"
-
 
 @dataclass
 class RunConfig:

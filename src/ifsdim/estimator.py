@@ -5,6 +5,22 @@ minimal cover of a finite point set by closed intervals.  In the plane,
 occupied mesh squares stand in for balls; the substitution changes
 counts by a bounded factor and therefore no exponent.
 
+Batched greedy counts.  On sorted points the greedy step is the
+next-pointer nxt(i) = first index with x > x_i + 2r, and the count of a
+window [lo, hi) is the number of positions lo, nxt(lo), nxt(nxt(lo)), ...
+below hi.  nxt is strictly increasing along a chain and the same for
+every window, so many windows step together.  Long chains (small r
+against R) jump instead: J = nxt^S is built by squaring the next-pointer
+table of the points the windows still span, with one terminal slot past
+them that maps to itself and lies at or past every hi.  A window at i
+takes the jump only when J(i) < hi.  Positions increase along the chain,
+so i and the S - 1 positions skipped lie below J(i) < hi: they are S
+counted steps, and the window adds exactly S.  Once J(i) >= hi, at most
+S counted steps remain and are taken singly.  The stride S, near the
+square root of the longest possible count, only trades rounds against
+table passes; the counts equal the scalar sweep of cover_count_1d
+whatever it is.
+
 Scale policy.  For the spectrum at theta the two scales are tied by
 r = R^(1/theta), and a scale is admissible when r stays a fixed factor
 above the cloud resolution (below that, discreteness flattens every
@@ -169,25 +185,91 @@ def exhaustive_cover_count_1d(points: np.ndarray, r: float) -> int:
     return best(0) if n else 0
 
 
-def _counts_lockstep_1d(pts: np.ndarray, centers: np.ndarray, R: float, r: float) -> np.ndarray:
-    """Greedy counts for many centers at once; iterations = max count."""
-    lo = np.searchsorted(pts, centers - R, side="left")
-    hi = np.searchsorted(pts, centers + R, side="right")
-    counts = np.zeros(len(centers), dtype=np.int64)
-    cur = lo.copy()
-    active = cur < hi
-    while np.any(active):
-        counts[active] += 1
-        nxt = np.searchsorted(pts, pts[cur[active]] + 2.0 * r, side="right")
-        cur[active] = nxt
-        active = cur < hi
+#: a lockstep round (a few numpy calls on the live windows, 7-18 us)
+#: costs about as much as a searchsorted pass over this many points of
+#: the segment (about 70 ns a point), measured with numpy 2.4 on x86-64
+_ROUND_POINTS = 256
+
+
+def _counts_lockstep_1d(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, r: float) -> np.ndarray:
+    """Greedy counts of the windows pts[lo[k]:hi[k]] by closed intervals
+    of length 2r, equal to cover_count_1d window by window.
+
+    All windows take single greedy steps in lockstep, finished ones
+    dropped, until the rounds spent cost as much as one pass over the
+    points still spanned.  If the steps left may cost more than that, the
+    rest jump S steps at a time through a squared next-pointer table and
+    finish with at most S single steps; see the module notes.
+    """
+    two_r = 2.0 * r
+    counts = np.zeros(len(lo), dtype=np.int64)
+    live = np.flatnonzero(lo < hi)
+    # sorted by start, the positions stay sorted: every live window has
+    # taken the same number of steps and the greedy step is monotone
+    live = live[np.argsort(lo[live], kind="stable")]
+    cur, end = lo[live], hi[live]
+    stop = int(end.max()) if len(live) else 0
+    steps, may_jump = 0, True
+    while len(live):
+        if may_jump and steps * _ROUND_POINTS >= stop - cur[0]:
+            # most steps one window can still take: it holds end - cur
+            # points, and each step advances past 2r
+            longest = int(np.minimum(end - cur, (pts[end - 1] - pts[cur]) // two_r + 1).max())
+            if longest * _ROUND_POINTS > stop - cur[0]:
+                break
+            may_jump = False
+        steps += 1
+        cur = np.searchsorted(pts, pts[cur] + two_r, side="right")
+        keep = cur < end
+        if not keep.all():
+            counts[live[~keep]] = steps
+            live, cur, end = live[keep], cur[keep], end[keep]
+            stop = int(end.max()) if len(live) else 0
+    if not len(live):
+        return counts
+
+    start = int(cur[0])
+    seg = pts[start:stop]
+    cur, end = cur - start, end - start
+    squarings = max(1, round(math.log2(longest) / 2))
+    # next-pointer table with a terminal slot, squared to stride 2^squarings;
+    # no more than two such arrays are alive at once
+    jump = np.append(np.searchsorted(seg, seg + two_r, side="right"), len(seg))
+    for _ in range(squarings):
+        jump = jump[jump]
+    stride = 1 << squarings
+    parked = []
+    while len(live):
+        land = jump[cur]
+        keep = land < end
+        if not keep.all():
+            out = ~keep
+            counts[live[out]] = steps
+            parked.append((live[out], cur[out], end[out]))
+            live, land, end = live[keep], land[keep], end[keep]
+        cur = land
+        steps += stride
+
+    live, cur, end = (np.concatenate(part) for part in zip(*parked))
+    steps = 0
+    while len(live):
+        steps += 1
+        cur = np.searchsorted(seg, seg[cur] + two_r, side="right")
+        keep = cur < end
+        if not keep.all():
+            counts[live[~keep]] += steps
+            live, cur, end = live[keep], cur[keep], end[keep]
     return counts
 
 
 def _net_centers_1d(pts: np.ndarray, step: float) -> np.ndarray:
+    """First point of every occupied step-cell; pts is sorted, so the
+    cell ids are non-decreasing and a new cell starts where they change."""
     cells = np.floor(pts / step).astype(np.int64)
-    _, first = np.unique(cells, return_index=True)
-    return pts[np.sort(first)]
+    first = np.empty(len(cells), dtype=bool)
+    first[:1] = True
+    np.not_equal(cells[1:], cells[:-1], out=first[1:])
+    return pts[first]
 
 
 def _net_centers_2d(pts: np.ndarray, step: float) -> np.ndarray:
@@ -264,7 +346,9 @@ def _count_at_scale(cloud: PointCloud, R: float, r: float) -> tuple[np.ndarray, 
     pts = cloud.points
     if cloud.ambient_dim == 1:
         centers = _net_centers_1d(pts, R / 2.0)
-        return centers, _counts_lockstep_1d(pts, centers, R, r)
+        lo = np.searchsorted(pts, centers - R, side="left")
+        hi = np.searchsorted(pts, centers + R, side="right")
+        return centers, _counts_lockstep_1d(pts, lo, hi, r)
     centers = _net_centers_2d(pts, R / 2.0)
     return centers, _counts_2d(pts, centers, R, r)
 
@@ -327,8 +411,10 @@ def _estimate_node(cloud: PointCloud, theta: float, policy: ScalePolicy, lower: 
 def _estimate_curve(cloud: PointCloud, thetas, policy: ScalePolicy, lower: bool):
     if len(cloud) == 0:
         raise DomainError("cannot estimate dimensions of an empty cloud")
-    hull = cloud.hull_diameter()
     thetas = np.asarray(thetas, dtype=float)
+    if thetas.size == 0:
+        raise DomainError("the theta grid is empty")
+    hull = cloud.hull_diameter()
     workers = _thread_count()
     if workers > 1 and len(thetas) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -369,12 +455,7 @@ class BoxDimensionEstimate:
 def _global_count(cloud: PointCloud, r: float) -> int:
     pts = cloud.points
     if cloud.ambient_dim == 1:
-        i, n = 0, len(pts)
-        count = 0
-        while i < n:
-            count += 1
-            i = int(np.searchsorted(pts, pts[i] + 2.0 * r, side="right"))
-        return count
+        return int(_counts_lockstep_1d(pts, np.array([0]), np.array([len(pts)]), r)[0])
     cells = np.floor(pts / r).astype(np.int64)
     return len(np.unique(cells, axis=0))
 

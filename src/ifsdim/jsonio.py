@@ -62,6 +62,13 @@ def _polynomial_tail(doc: dict) -> CifsSpec:
     return build_sharp_family(p, t, h)
 
 
+def _is_integral(value) -> bool:
+    # JSON numbers arrive as int or float; bool is an int subclass but no digit
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
 def _gauss_digits(doc: dict) -> CifsSpec:
     digits = _require(doc, "digits")
     if isinstance(digits, dict):
@@ -75,9 +82,9 @@ def _gauss_digits(doc: dict) -> CifsSpec:
         else:
             raise ConfigurationError(f"unknown digit set kind {kind!r}")
         return CifsSpec(1, (0.0, 1.0), (), tail, meta={"family": "gauss", "digits": dict(digits)})
+    if not isinstance(digits, (list, tuple)) or not all(_is_integral(b) and b >= 1 for b in digits):
+        raise ConfigurationError(f"continued-fraction digits are positive integers, got {digits!r}")
     digits = sorted(set(int(b) for b in digits))
-    if any(b < 1 for b in digits):
-        raise ConfigurationError("continued-fraction digits are positive integers")
     explicit = []
     if 1 in digits:
         # recode: the raw digit-1 branch is not uniformly contracting, so

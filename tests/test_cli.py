@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -75,6 +76,32 @@ def test_compare_reproducible_byte_for_byte(tmp_path):
             for name in ("cloud.bin", "curves.csv", "overlay.svg", "summary.json")
         })
     assert outs[0] == outs[1]
+
+
+# sha256 of the artifacts of `compare --family fp --params p=1.0 --delta 1e-5
+# --grid 10`, recorded with the earlier one-step-per-round counting kernel; any
+# change to the cloud, the estimate or the summary shows here
+GOLDEN_FP = {
+    "cloud.bin": "ed3445e7f1215b450c751e4c73eeaadbe6beb14bb7ed78e7a3c7e9751272911b",
+    "curves.csv": "26c07c817c0a809dbf724b65e2cf8a530233da8bd630a82472695f53e4ac160d",
+    "summary.json": "94c5777ffec748728fd2330eafd6d88c9f5cf5a6191e7da3801ce4c75f0b1592",
+}
+
+
+def test_compare_golden_digests(tmp_path, capsys):
+    rc = main(["compare", "--family", "fp", "--params", "p=1.0", "--delta", "1e-5", "--grid", "10",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_FP}
+    assert digests == GOLDEN_FP
+
+
+def test_bad_gauss_digits_exit_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    for digits in ([2.5, 3], "abc"):
+        spec.write_text(json.dumps({"kind": "gauss_digits", "digits": digits}))
+        assert main(["dimension", "--spec", str(spec)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_spectrum_estimate_subcommand(tmp_path, capsys):

@@ -5,6 +5,9 @@ from ifsdim import CifsSpec, PointCloud, Similarity, build_fixed_point_cloud, bu
 from ifsdim.estimator import (
     DEFAULT_POLICY,
     ScalePolicy,
+    _counts_lockstep_1d,
+    _global_count,
+    _net_centers_1d,
     assouad_dimension_estimate,
     assouad_spectrum_estimate,
     box_dimension_estimate,
@@ -13,6 +16,7 @@ from ifsdim.estimator import (
     exhaustive_cover_count_1d,
     lower_spectrum_estimate,
 )
+from ifsdim.errors import DomainError
 from ifsdim.spectra import fp_spectrum
 from ifsdim.tails import GeometricRule, PowerRule, SimilarityTail
 
@@ -57,6 +61,54 @@ class TestCoverCount1D:
         assert all(a <= b for a, b in zip(counts_R, counts_R[1:]))
 
 
+def _dyadic_cloud(rng, n):
+    """Sorted distinct multiples of 2^-10 in [0, 64), so that x + 2r and
+    center +- R are exact for dyadic r and R, and interval ends land on
+    cloud points."""
+    return cloud_of(np.unique(rng.integers(0, 1 << 16, n)) / 1024.0)
+
+
+class TestBatchedCounts1D:
+    """The estimator's batched kernel against the scalar greedy sweep."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_kernel_equals_scalar_sweep(self, seed):
+        # R from a few points to the whole cloud and r from one grid step
+        # to a sixteenth of the cloud: windows that end within the lockstep
+        # budget, chains far past it, and chains of many points per step
+        rng = np.random.default_rng(seed)
+        cloud = _dyadic_cloud(rng, int(rng.integers(200, 4000)))
+        pts = cloud.points
+        for _ in range(6):
+            R = 2.0 ** int(rng.integers(-5, 7))
+            r = int(2.0 ** rng.uniform(0, 12)) / 2048.0
+            centers = rng.choice(pts, size=int(rng.integers(1, 12)))
+            lo = np.searchsorted(pts, centers - R, side="left")
+            hi = np.searchsorted(pts, centers + R, side="right")
+            counts = _counts_lockstep_1d(pts, lo, hi, r)
+            assert counts.tolist() == [cover_count_1d(cloud, c, R, r) for c in centers]
+
+    def test_empty_and_whole_windows(self):
+        cloud = _dyadic_cloud(np.random.default_rng(7), 3000)
+        pts = cloud.points
+        n = len(pts)
+        r = 3 / 2048.0
+        lo = np.array([5, 0, 0, n - 1, 40])
+        hi = np.array([5, n, 1, n, 20])
+        whole = cover_count_1d(cloud, float(pts[0]), float(pts[-1] - pts[0]), r)
+        assert _counts_lockstep_1d(pts, lo, hi, r).tolist() == [0, whole, 1, 1, 0]
+        assert _global_count(cloud, r) == whole
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_net_centers_match_unique_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = np.unique(rng.normal(0.0, 1.0, int(rng.integers(0, 3000))))
+        for step in (1e-4, 0.01, 0.3, 5.0):
+            cells = np.floor(pts / step).astype(np.int64)
+            _, first = np.unique(cells, return_index=True)
+            assert np.array_equal(_net_centers_1d(pts, step), pts[np.sort(first)])
+
+
 class TestCoverCount2D:
     def test_single_point(self):
         cloud = cloud_of([[0.3, 0.4]], dim=2)
@@ -77,6 +129,13 @@ class TestCoverCount2D:
 
 
 class TestSpectrumEstimate:
+    def test_empty_theta_grid_is_domain_error(self):
+        cloud = cloud_of(np.linspace(0.0, 1.0, 101), delta=1e-3)
+        with pytest.raises(DomainError):
+            assouad_spectrum_estimate(cloud, [])
+        with pytest.raises(DomainError):
+            lower_spectrum_estimate(cloud, [])
+
     def test_reciprocal_sequence_matches_formula(self):
         pts = 1.0 / np.arange(1, 1_000_001, dtype=float)
         cloud = cloud_of(pts, delta=1e-6)

@@ -68,6 +68,17 @@ def test_errors():
         spec_from_dict({"kind": "complex_gauss", "digits": [[1, 0]]})
 
 
+@pytest.mark.parametrize("digits", [[2.5, 3], "abc", ["2", 3], [True, 2], [0, 2], [float("nan")], None])
+def test_gauss_digit_list_rejects_non_integers(digits):
+    with pytest.raises(ConfigurationError):
+        spec_from_dict({"kind": "gauss_digits", "digits": digits})
+
+
+def test_integral_float_digits_are_accepted():
+    spec = spec_from_dict({"kind": "gauss_digits", "digits": [2.0, 3]})
+    assert spec.meta["digits"] == [2, 3]
+
+
 def test_load_from_file(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"kind": "gauss_digits", "digits": [2, 3]}))
