@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .errors import ConfigurationError
-from .maps import MapKind, RenyiBranch, apply_map
+from .maps import MapKind, RenyiBranch, Similarity, apply_map
 from .mobius import (
     Disc,
     Interval,
@@ -28,7 +28,7 @@ from .mobius import (
     disc_image,
     interval_image,
 )
-from .tails import InducedParabolicTail, Label, TailRule
+from .tails import InducedParabolicTail, Label, SimilarityTail, TailRule
 
 Region = Union[Interval, Disc]
 
@@ -124,11 +124,19 @@ class CifsSpec:
         """Explicit branches followed by a finite tail prefix."""
         out = list(self.explicit)
         if self.tail is not None:
-            gens = self.tail.generations()
+            g = 0
             while len(out) < len(self.explicit) + sample:
-                batch, _ = next(gens)
-                out.extend(batch)
+                out.extend(self.tail.generation_maps(g))
+                g += 1
         return out
+
+    def is_similarity(self) -> bool:
+        """A line family of similarities only, tail included."""
+        return (
+            self.ambient_dim == 1
+            and all(isinstance(m, Similarity) for _, m in self.explicit)
+            and (self.tail is None or isinstance(self.tail, SimilarityTail))
+        )
 
     # -- geometry ------------------------------------------------------
 

@@ -11,8 +11,6 @@ accumulation point, is replaced by a single representative.
 
 from __future__ import annotations
 
-import io
-import math
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -21,20 +19,27 @@ import numpy as np
 
 from .cifs import CifsSpec, Region
 from .errors import CloudSizeError, ConfigurationError
-from .maps import Similarity
 from .mobius import (
+    IDENTITY,
     Mobius,
-    deriv_range_disc,
-    deriv_range_interval,
-    disc_image,
-    interval_image,
+    concat_arrays,
+    concat_mobius,
+    deriv_sups_disc,
+    deriv_sups_interval,
+    disc_images,
+    interval_images,
+    stack_mobius,
+    take_mobius,
 )
-from .tails import SimilarityTail
+from .tails import SimilarityTail, ragged_arange
 
 DEFAULT_CAP = 5_000_000
 
 _MAGIC = b"IFSC"
 _VERSION = 1
+
+#: points formatted per block in PointCloud.to_csv
+_CSV_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -96,34 +101,23 @@ class PointCloud:
             return cls.from_bytes(fh.read())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        if self.ambient_dim == 1:
-            buf.write("x\n")
-            for x in self.points:
-                buf.write(f"{x!r}\n")
-        else:
-            buf.write("x,y\n")
-            for x, y in self.points:
-                buf.write(f"{x!r},{y!r}\n")
-        return buf.getvalue()
+        """Header line, then one point per line as the shortest round-trip repr.
+
+        Lines are joined a block of points at a time, so that only one
+        block's line strings are alive besides the result.
+        """
+        parts = ["x\n" if self.ambient_dim == 1 else "x,y\n"]
+        for start in range(0, len(self.points), _CSV_BLOCK):
+            block = self.points[start : start + _CSV_BLOCK].tolist()
+            if self.ambient_dim == 1:
+                parts.append("\n".join(map(repr, block)) + "\n")
+            else:
+                parts.append("\n".join(f"{x!r},{y!r}" for x, y in block) + "\n")
+        return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
 # geometry helpers
-
-
-def _intersects_window(dim: int, region: Region, window: Region | None) -> bool:
-    if window is None:
-        return True
-    if dim == 1:
-        return region[1] >= window[0] and region[0] <= window[1]
-    return region.intersects(window)
-
-
-def _region_diam(dim: int, region: Region) -> float:
-    if dim == 1:
-        return region[1] - region[0]
-    return 2.0 * region.radius
 
 
 def _grid_net_1d(positions: np.ndarray, step: float) -> np.ndarray:
@@ -282,170 +276,336 @@ def _build_similarity_1d(spec: CifsSpec, delta, window, cap, fixed_points_only):
 
 
 # ---------------------------------------------------------------------------
-# generic path: arbitrary Moebius branches, 1-D or 2-D
+# generic path: arbitrary Moebius branches, 1-D or 2-D, one level at a time
 
 
-def _reach(dim: int, region: Region, accum) -> float:
-    """Largest distance from the accumulation point to the region."""
-    if dim == 1:
-        return max(abs(region[0] - accum), abs(region[1] - accum))
-    return abs(region.center - accum) + region.radius
+class _Line:
+    """Array geometry of the line: intervals, windows and cells."""
+
+    planar = False
+
+    def __init__(self, spec: CifsSpec, window):
+        self.domain = spec.domain
+        self.window = window
+
+    def regions(self, m: Mobius):
+        return interval_images(m, self.domain)
+
+    def diameters(self, region) -> np.ndarray:
+        lo, hi = region
+        return hi - lo
+
+    def meets_window(self, region) -> np.ndarray:
+        lo, hi = region
+        if self.window is None:
+            return np.ones(len(lo), dtype=bool)
+        return (hi >= self.window[0]) & (lo <= self.window[1])
+
+    def rows(self, region, mask) -> np.ndarray:
+        lo, hi = region
+        return np.column_stack((lo[mask], hi[mask]))
+
+    def deriv_sups(self, m: Mobius) -> np.ndarray:
+        return deriv_sups_interval(m, self.domain)
+
+    def near_window(self, p, slack: float):
+        """The points within slack of the window (all of them without one)."""
+        if self.window is None:
+            return p
+        return p[(self.window[0] - slack <= p) & (p <= self.window[1] + slack)]
+
+    def cells(self, pos, width) -> tuple[np.ndarray, ...]:
+        return (np.floor(pos / width).astype(np.int64),)
+
+    def coords(self, p) -> np.ndarray:
+        return p
 
 
-def _deriv_sup(dim: int, m: Mobius, domain: Region) -> float:
-    if dim == 1:
-        return deriv_range_interval(m, domain)[1]
-    return deriv_range_disc(m, domain)[1]
+class _Plane(_Line):
+    """Array geometry of the plane: discs, windows and mesh cells."""
+
+    planar = True
+
+    def regions(self, m: Mobius):
+        return disc_images(m, self.domain)
+
+    def diameters(self, region) -> np.ndarray:
+        return 2.0 * region[1]
+
+    def meets_window(self, region) -> np.ndarray:
+        center, radius = region
+        if self.window is None:
+            return np.ones(len(radius), dtype=bool)
+        return abs(self.window.center - center) <= radius + self.window.radius
+
+    def rows(self, region, mask) -> np.ndarray:
+        center, radius = region
+        return np.column_stack((center.re[mask], center.im[mask], radius[mask]))
+
+    def deriv_sups(self, m: Mobius) -> np.ndarray:
+        return deriv_sups_disc(m, self.domain)
+
+    def near_window(self, p, slack: float):
+        if self.window is None:
+            return p
+        return p[abs(p - self.window.center) <= self.window.radius + slack]
+
+    def cells(self, pos, width) -> tuple[np.ndarray, ...]:
+        return np.floor(pos.re / width).astype(np.int64), np.floor(pos.im / width).astype(np.int64)
+
+    def coords(self, p) -> np.ndarray:
+        return np.column_stack((p.re, p.im))
 
 
-def _generation_mobius(tail, g: int):
-    direct = getattr(tail, "generation_mobius", None)
-    if direct is not None:
-        return direct(g)
-    return [(lab, m.mobius()) for lab, m in tail.generation_maps(g)]
+class _ExpansionTable:
+    """The first generations of a tail as one flat batch of maps.
+
+    The size of generation g is the largest diameter of its children;
+    an empty generation has infinite size, so that it never ends the
+    expansion sweep.  ``run_min`` holds the running minimum of the
+    sizes, which is non-increasing.  The table reaches a generation
+    whose children fall below delta under every node of the level, so
+    it grows like the number of tail children the root expands.
+    """
+
+    def __init__(self, tail, geo, dom_diam: float, anchor):
+        self.tail, self.geo, self.dom_diam, self.anchor = tail, geo, dom_diam, anchor
+        self.run_min = np.empty(0)
+
+    def cover(self, sup_max: float, delta: float) -> None:
+        n = len(self.run_min)
+        while n == 0 or not self.run_min[-1] * sup_max < delta:
+            n = max(64, 2 * n)
+            owner, self.maps = self.tail.generation_arrays(np.arange(n))
+            best = np.full(n, -np.inf)
+            np.maximum.at(best, owner, self.geo.deriv_sups(self.maps))
+            sizes = np.where(best == -np.inf, np.inf, best * self.dom_diam)
+            self.run_min = np.minimum.accumulate(sizes)
+            self.starts = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
+            self.positions = self.maps(self.anchor)
+
+    def first_small(self, node_sup: np.ndarray, delta: float) -> np.ndarray:
+        """Per node, the first generation g with sizes[g] * node_sup < delta.
+
+        Rounding is monotone, so the test on the running minimum is
+        monotone in g and first true where the test on sizes is.
+        """
+        lo = np.zeros(len(node_sup), dtype=np.int64)
+        hi = np.full(len(node_sup), len(self.run_min) - 1)
+        while np.any(lo < hi):
+            mid = (lo + hi) // 2
+            small = self.run_min[mid] * node_sup < delta
+            hi = np.where(small, mid, hi)
+            lo = np.where(small, lo, mid + 1)
+        return lo
+
+
+#: most generations one node proposes in one round of the netting walk
+_MAX_PROPOSALS = 1024
+
+
+def _netting_walk(tail, anchor, accum, base_step: np.ndarray, g: np.ndarray):
+    """Netting sweep of every node of a level, in lockstep.
+
+    The walk of one node visits generation g, then moves on to the
+    generation that reaches below the base-step cell holding the closest
+    map of g, or to g + 1 when that is later (always for an empty
+    generation).  It stops at the first generation whose envelope lies
+    within base_step of the accumulation point.
+
+    Each round, every active node proposes a block of generations: its
+    current one g, then as the j-th after it the later of g + j and the
+    generation reaching below the lower edge of g's envelope cell moved
+    down j - 1 cells.
+    In sparse stretches (one map per cell) and dense ones (many
+    generations per cell) these are the generations the walk visits.
+    All proposals are evaluated at once, and each node keeps the prefix
+    of its block that the walk rule confirms, so the visited generations
+    are exactly those of the sequential walk.  Blocks double while they
+    are confirmed whole and shrink to twice the confirmed prefix when not.
+
+    Returns the owning node and tail-space position of every visited
+    map, as per-round lists, each node's maps in walk order.
+    """
+    owners, positions = [], []
+    active = np.arange(len(base_step))
+    width = np.ones(len(active), dtype=np.int64)
+    while len(active):
+        row = np.repeat(np.arange(len(active)), width)
+        slot = ragged_arange(width)
+        first = np.cumsum(width) - width
+        step = base_step[active][row]
+        env = tail.envelope_reach(g)
+        h = g[row] + slot
+        below = (np.floor(env / base_step[active]) * base_step[active])[row] - (slot - 1) * step
+        guess = (slot > 0) & (below > 0.0)
+        h[guess] = np.maximum(h[guess], tail.generation_reaching(below[guess]))
+
+        own, maps = tail.generation_arrays(h)
+        pos = maps(anchor)
+        min_reach = np.full(len(h), np.inf)
+        np.minimum.at(min_reach, own, abs(pos - accum))
+        with np.errstate(invalid="ignore"):
+            target = np.floor(min_reach / step) * step
+        jump = (target > 0.0) & np.isfinite(target)
+        nxt = h + 1
+        if jump.any():
+            nxt[jump] = np.maximum(nxt[jump], tail.generation_reaching(target[jump]))
+
+        # confirmed prefix: stop before an envelope within base_step, or
+        # before a proposal the previous generation does not move on to
+        ends = tail.envelope_reach(h) < step
+        broken = np.zeros(len(h), dtype=bool)
+        broken[1:] = (slot[1:] > 0) & (nxt[:-1] != h[1:])
+        taken = np.minimum.reduceat(np.where(ends | broken, slot, width[row]), first)
+        keep = (slot < taken[row])[own]
+        owners.append(active[row[own[keep]]])
+        positions.append(pos[keep])
+
+        at = first + np.minimum(taken, width - 1)
+        finished = (taken == 0) | ((taken < width) & ends[at] & ~broken[at])
+        go = ~finished
+        active = active[go]
+        g = nxt[first[go] + taken[go] - 1]
+        width = np.minimum(2 * taken[go], _MAX_PROPOSALS)
+    return owners, positions
+
+
+def _first_per_cell(owner: np.ndarray, cells: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Index of the first entry of every (owner, cell) key, by a stable sort."""
+    order = np.lexsort(cells[::-1] + (owner,))
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for key in (owner,) + cells:
+        key = key[order]
+        first[1:] |= key[1:] != key[:-1]
+    return order[first]
+
+
+class _Points:
+    """Point batches with a running total held under the cap."""
+
+    def __init__(self, geo, cap: int):
+        self.geo, self.cap = geo, cap
+        self.chunks: list[np.ndarray] = []
+        self.total = 0
+
+    def push(self, p) -> None:
+        if len(p):
+            self.total += len(p)
+            if self.total > self.cap:
+                raise CloudSizeError(self.total, self.cap)
+            self.chunks.append(self.geo.coords(p))
 
 
 def _build_generic(spec: CifsSpec, delta, window, cap, fixed_points_only):
-    dim = spec.ambient_dim
+    geo = (_Plane if spec.ambient_dim == 2 else _Line)(spec, window)
     anchor = spec.anchor
     tail = spec.tail
-    dom_diam = spec.domain_diameter()
     step = delta / 2.0
+    points = _Points(geo, cap)
+    expanded: list[np.ndarray] = []
 
-    points: list = []
-    expanded: list[Region] = []
+    def split(children: Mobius):
+        """Window and size tests; records the expanded regions, returns (big, small)."""
+        region = geo.regions(children)
+        meets = geo.meets_window(region)
+        big = meets & (geo.diameters(region) >= delta) & (not fixed_points_only)
+        expanded.append(geo.rows(region, big))
+        return big, meets & ~big
 
-    def push(p):
-        points.append(p)
-        if len(points) > cap:
-            raise CloudSizeError(len(points), cap)
+    explicit = stack_mobius([m.mobius() for _, m in spec.explicit], geo.planar)
+    if tail is not None:
+        table = _ExpansionTable(tail, geo, spec.domain_diameter(), anchor)
+        accum = tail.accumulation_point()
 
-    def child_region(child: Mobius) -> Region:
-        if dim == 1:
-            return interval_image(child, spec.domain)
-        return disc_image(child, spec.domain)
+    nodes = stack_mobius([IDENTITY], geo.planar)
+    while True:
+        k = len(nodes.a)
+        grown: list[Mobius] = []
 
-    def cell_of(pos, width: float):
-        if dim == 1:
-            return (int(np.floor(pos / width)),)
-        return (int(np.floor(pos.real / width)), int(np.floor(pos.imag / width)))
-
-    def point_in_window(p, slack: float) -> bool:
-        if window is None:
-            return True
-        if dim == 1:
-            return window[0] - slack <= p <= window[1] + slack
-        return abs(p - window.center) <= window.radius + slack
-
-    queue = deque([Mobius(1, 0, 0, 1)])
-    while queue:
-        node = queue.popleft()
-
-        for _, branch in spec.explicit:
-            child = node.compose(branch.mobius())
-            region = child_region(child)
-            if not _intersects_window(dim, region, window):
-                continue
-            if not fixed_points_only and _region_diam(dim, region) >= delta:
-                queue.append(child)
-                expanded.append(region)
-            else:
-                push(child(anchor))
+        if len(explicit.a):
+            per = len(explicit.a)
+            child = take_mobius(nodes, np.repeat(np.arange(k), per)).compose(
+                take_mobius(explicit, np.tile(np.arange(per), k)))
+            big, small = split(child)
+            grown.append(take_mobius(child, big))
+            points.push(take_mobius(child, small)(anchor))
 
         if tail is not None:
-            node_sup = _deriv_sup(dim, node, spec.domain)
+            node_sup = geo.deriv_sups(nodes)
             base_step = step / node_sup
-            accum = tail.accumulation_point()
-            kept_cells: set = set()
-            g = 0
 
-            # expansion sweep: generation child sizes shrink, so stop
-            # once even the largest child stays below the resolution
-            while True:
-                mats = _generation_mobius(tail, g)
-                size = max(_deriv_sup(dim, mat, spec.domain) for _, mat in mats) * dom_diam
-                if size * node_sup < delta:
-                    break
-                for _, mat in mats:
-                    child = node.compose(mat)
-                    region = child_region(child)
-                    if not _intersects_window(dim, region, window):
-                        continue
-                    if not fixed_points_only and _region_diam(dim, region) >= delta:
-                        queue.append(child)
-                        expanded.append(region)
-                    else:
-                        pos = mat(anchor)
-                        cell = cell_of(pos, base_step)
-                        if cell not in kept_cells:
-                            kept_cells.add(cell)
-                            push(child(anchor))
-                g += 1
+            # expansion sweep: the generations whose largest child under
+            # the node still reaches delta
+            table.cover(float(node_sup.max()), delta)
+            g_exp = table.first_small(node_sup, delta)
+            counts = table.starts[g_exp]
+            owner = np.repeat(np.arange(k), counts)
+            idx = ragged_arange(counts)
+            child = take_mobius(nodes, owner).compose(take_mobius(table.maps, idx))
+            big, small = split(child)
+            grown.append(take_mobius(child, big))
+            swept = child(anchor)[small]
+            n_swept = len(swept)
 
-            # netting sweep: one representative per base-step cell, with
-            # jumps straight to the generation entering the next cell
-            while True:
-                env = tail.envelope_at(g)
-                reach_env = _reach(dim, env, accum)
-                if reach_env < base_step:
-                    break
-                min_reach = math.inf
-                for _, mat in _generation_mobius(tail, g):
-                    pos = mat(anchor)
-                    reach = abs(pos - accum)
-                    min_reach = min(min_reach, reach)
-                    cell = cell_of(pos, base_step)
-                    if cell in kept_cells:
-                        continue
-                    kept_cells.add(cell)
-                    p_amb = node(pos)
-                    if point_in_window(p_amb, delta):
-                        push(p_amb)
-                target = math.floor(min_reach / base_step) * base_step
-                if target <= 0.0 or not math.isfinite(target):
-                    g += 1
-                else:
-                    g = max(g + 1, tail.generation_reaching(target))
+            # netting sweep from the generation where expansion stopped;
+            # every node keeps the first map it reaches in each of its
+            # base-step cells, small swept children first
+            net_owner, net_pos = _netting_walk(tail, anchor, accum, base_step, g_exp)
+            owner = np.concatenate([owner[small]] + net_owner)
+            pos = concat_arrays([table.positions[idx[small]]] + net_pos)
+            kept = _first_per_cell(owner, geo.cells(pos, base_step[owner]))
+            points.push(swept[kept[kept < n_swept]])
+            kept = kept[kept >= n_swept]
+            points.push(geo.near_window(take_mobius(nodes, owner[kept])(pos[kept]), delta))
+            # the rest of the tail stays near the accumulation point
+            points.push(geo.near_window(nodes(accum), delta))
 
-            p_acc = node(accum)
-            if point_in_window(p_acc, delta):
-                push(p_acc)
-
-        if fixed_points_only:
+        nodes = concat_mobius(grown)
+        if fixed_points_only or not len(nodes.a):
             break
 
-    if dim == 1:
-        pts = np.unique(np.array(points, dtype=float))
-    else:
-        arr = np.array([(p.real, p.imag) for p in points], dtype=float)
-        pts = np.unique(arr, axis=0) if len(arr) else arr.reshape(0, 2)
-    return pts, expanded
+    expanded_rows = np.concatenate(expanded)
+    if not points.chunks:
+        return np.empty((0, 2) if geo.planar else 0), expanded_rows
+    pts = np.concatenate(points.chunks)
+    return (np.unique(pts, axis=0) if geo.planar else np.unique(pts)), expanded_rows
 
 
 # ---------------------------------------------------------------------------
 # public builders
 
 
-def _check_complete(dim: int, pts: np.ndarray, expanded) -> bool:
-    if dim == 1:
-        for lo, hi in expanded:
-            i = np.searchsorted(pts, lo, side="left")
-            if i >= len(pts) or pts[i] > hi:
-                return False
+def _check_complete(dim: int, pts: np.ndarray, expanded: np.ndarray) -> bool:
+    """Every expanded region holds a cloud point.
+
+    ``expanded`` has rows (lo, hi) on the line and (centre x, centre y,
+    radius) in the plane; ``pts`` is sorted, in the plane by x first.
+    """
+    if len(expanded) == 0:
         return True
-    for disc in expanded:
-        d = np.hypot(pts[:, 0] - disc.center.real, pts[:, 1] - disc.center.imag)
-        if not np.any(d <= disc.radius + 1e-12):
-            return False
-    return True
-
-
-def _is_similarity_spec(spec: CifsSpec) -> bool:
-    if spec.ambient_dim != 1:
+    if len(pts) == 0:
         return False
-    if not all(isinstance(m, Similarity) for _, m in spec.explicit):
-        return False
-    return spec.tail is None or isinstance(spec.tail, SimilarityTail)
+    if dim == 1:
+        i = np.minimum(np.searchsorted(pts, expanded[:, 0], side="left"), len(pts) - 1)
+        return bool(np.all((pts[i] >= expanded[:, 0]) & (pts[i] <= expanded[:, 1])))
+    # a disc only needs the points of its x-strip; the (disc, point)
+    # pairs are tested in chunks of about a million
+    cx, cy, reach = expanded[:, 0], expanded[:, 1], expanded[:, 2] + 1e-12
+    first = np.searchsorted(pts[:, 0], cx - 2.0 * reach, side="left")
+    counts = np.searchsorted(pts[:, 0], cx + 2.0 * reach, side="right") - first
+    ends = np.cumsum(counts)
+    hit = np.zeros(len(expanded), dtype=bool)
+    lo = 0
+    while lo < len(expanded):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + 1_000_000, side="right")))
+        disc = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        pt = np.repeat(first[lo:hi], counts[lo:hi]) + ragged_arange(counts[lo:hi])
+        near = np.hypot(pts[pt, 0] - cx[disc], pts[pt, 1] - cy[disc]) <= reach[disc]
+        hit[disc[near]] = True
+        lo = hi
+    return bool(hit.all())
 
 
 def build_limit_cloud(spec: CifsSpec, delta: float, window: Region | None = None,
@@ -455,8 +615,9 @@ def build_limit_cloud(spec: CifsSpec, delta: float, window: Region | None = None
         raise ConfigurationError(f"resolution delta must be positive, got {delta}")
     if delta >= spec.domain_diameter():
         raise ConfigurationError("resolution delta must be below the seed-domain size")
-    if _is_similarity_spec(spec):
+    if spec.is_similarity():
         pts, expanded = _build_similarity_1d(spec, delta, window, cap, False)
+        expanded = np.array(expanded, dtype=float).reshape(-1, 2)
     else:
         pts, expanded = _build_generic(spec, delta, window, cap, False)
     complete = _check_complete(spec.ambient_dim, pts, expanded)
@@ -467,7 +628,7 @@ def build_fixed_point_cloud(spec: CifsSpec, delta: float, cap: int = DEFAULT_CAP
     """One anchor image per first-level branch, tail truncated as usual."""
     if delta <= 0:
         raise ConfigurationError(f"resolution delta must be positive, got {delta}")
-    if _is_similarity_spec(spec):
+    if spec.is_similarity():
         pts, _ = _build_similarity_1d(spec, delta, None, cap, True)
     else:
         pts, _ = _build_generic(spec, delta, None, cap, True)

@@ -11,7 +11,9 @@ Five document kinds are supported:
 * ``renyi_parabolic`` -- backwards continued fractions; digit 2 is
   parabolic and triggers the induced system.
 
-The schema ships in docs/cifs_spec.schema.json.
+The schema ships in docs/cifs_spec.schema.json.  Documents are checked
+against its types and ranges here, without a schema library, so that a
+malformed document raises ConfigurationError naming the bad field.
 """
 
 from __future__ import annotations
@@ -40,33 +42,48 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _is_number(value) -> bool:
+    # JSON numbers arrive as int or float; bool is an int subclass but no number
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integral(value) -> bool:
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _number(value, what: str) -> float:
+    if not _is_number(value):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _array(value, what: str, length: int | None = None) -> list:
+    if not isinstance(value, (list, tuple)) or not value or (length is not None and len(value) != length):
+        size = "a non-empty array" if length is None else f"an array of {length}"
+        raise ConfigurationError(f"{what} must be {size}, got {value!r}")
+    return list(value)
+
+
 def _similarity_list(doc: dict) -> CifsSpec:
-    maps = _require(doc, "maps")
-    if not maps:
-        raise ConfigurationError("similarity_list needs at least one map")
     explicit = []
-    for k, m in enumerate(maps, start=1):
-        explicit.append((k, Similarity(float(m["ratio"]), float(m["offset"]))))
-    lo, hi = doc.get("domain", (0.0, 1.0))
+    for k, m in enumerate(_array(_require(doc, "maps"), "similarity_list maps"), start=1):
+        if not isinstance(m, dict):
+            raise ConfigurationError(f"similarity map {k} must be an object, got {m!r}")
+        ratio = _number(_require(m, "ratio"), f"similarity map {k} ratio")
+        explicit.append((k, Similarity(ratio, _number(_require(m, "offset"), f"similarity map {k} offset"))))
+    lo, hi = (_number(v, "domain end") for v in _array(doc.get("domain", [0.0, 1.0]), "domain", 2))
     anchor = doc.get("anchor")
-    return CifsSpec(1, (float(lo), float(hi)), tuple(explicit), anchor=anchor,
+    if anchor is not None:
+        _number(anchor, "anchor")
+    return CifsSpec(1, (lo, hi), tuple(explicit), anchor=anchor,
                     meta={"family": "similarity_list"})
 
 
 def _polynomial_tail(doc: dict) -> CifsSpec:
     from .pressure import build_sharp_family
 
-    p = float(_require(doc, "p"))
-    t = float(_require(doc, "t"))
-    h = float(_require(doc, "h"))
+    p, t, h = (_number(_require(doc, key), f"polynomial_tail {key}") for key in ("p", "t", "h"))
     return build_sharp_family(p, t, h)
-
-
-def _is_integral(value) -> bool:
-    # JSON numbers arrive as int or float; bool is an int subclass but no digit
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
 
 
 def _gauss_digits(doc: dict) -> CifsSpec:
@@ -74,15 +91,18 @@ def _gauss_digits(doc: dict) -> CifsSpec:
     if isinstance(digits, dict):
         kind = _require(digits, "set")
         if kind == "spaced":
-            tail = GaussDigitTail(SpacedDigits(float(_require(digits, "p"))))
+            tail = GaussDigitTail(SpacedDigits(_number(_require(digits, "p"), "spaced digit exponent p")))
         elif kind == "clustered":
-            tail = GaussDigitTail(ClusteredDigits(float(_require(digits, "alpha"))))
+            tail = GaussDigitTail(ClusteredDigits(_number(_require(digits, "alpha"), "clustered digit alpha")))
         elif kind == "full":
-            tail = GaussDigitTail(FullDigits(int(digits.get("start", 2))))
+            start = digits.get("start", 2)
+            if not _is_integral(start):
+                raise ConfigurationError(f"full digit set start must be an integer, got {start!r}")
+            tail = GaussDigitTail(FullDigits(int(start)))
         else:
             raise ConfigurationError(f"unknown digit set kind {kind!r}")
         return CifsSpec(1, (0.0, 1.0), (), tail, meta={"family": "gauss", "digits": dict(digits)})
-    if not isinstance(digits, (list, tuple)) or not all(_is_integral(b) and b >= 1 for b in digits):
+    if not isinstance(digits, (list, tuple)) or not digits or not all(_is_integral(b) and b >= 1 for b in digits):
         raise ConfigurationError(f"continued-fraction digits are positive integers, got {digits!r}")
     digits = sorted(set(int(b) for b in digits))
     explicit = []
@@ -105,7 +125,10 @@ def _complex_gauss(doc: dict) -> CifsSpec:
     if digits == "full":
         return CifsSpec(2, domain, (), ComplexGaussTail(), meta={"family": "complex_gauss"})
     explicit = []
-    for m, n in digits:
+    for pair in _array(digits, "complex digits"):
+        m, n = _array(pair, "complex digit", 2)
+        if not (_is_integral(m) and _is_integral(n)):
+            raise ConfigurationError(f"complex digits are pairs of integers, got {pair!r}")
         if (m, n) == (1, 0):
             raise ConfigurationError("complex digit 1 needs the recoded full system")
         explicit.append(((int(m), int(n)), ComplexGaussBranch(complex(int(m), int(n)))))
@@ -113,7 +136,10 @@ def _complex_gauss(doc: dict) -> CifsSpec:
 
 
 def _renyi_parabolic(doc: dict) -> CifsSpec:
-    return renyi_parabolic_spec([int(b) for b in _require(doc, "digits")])
+    digits = _array(_require(doc, "digits"), "backwards continued-fraction digits")
+    if not all(_is_integral(b) for b in digits):
+        raise ConfigurationError(f"backwards continued-fraction digits are integers, got {digits!r}")
+    return renyi_parabolic_spec([int(b) for b in digits])
 
 
 _LOADERS = {
@@ -127,7 +153,7 @@ _LOADERS = {
 
 def spec_from_dict(doc: dict) -> CifsSpec:
     kind = _require(doc, "kind")
-    loader = _LOADERS.get(kind)
+    loader = _LOADERS.get(kind) if isinstance(kind, str) else None
     if loader is None:
         raise ConfigurationError(f"unknown spec kind {kind!r}; expected one of {KINDS}")
     return loader(doc)

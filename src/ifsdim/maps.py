@@ -117,11 +117,3 @@ def _mobius_of(m: "MapKind") -> Mobius:
 def apply_map(m: MapKind, x):
     """Apply a branch to a point (float in 1-D, complex in 2-D)."""
     return m.mobius()(x)
-
-
-def is_planar(m: MapKind) -> bool:
-    if isinstance(m, ComplexGaussBranch):
-        return True
-    if isinstance(m, Composite):
-        return any(is_planar(p) for p in m.parts)
-    return False

@@ -6,12 +6,23 @@ and complex coefficients in two.  Compositions are 2x2 matrix products,
 so cylinder images, derivative ranges and fixed points stay in closed
 form at every word depth.  Integer coefficients (continued-fraction
 branches) remain exact integers under composition.
+
+The cloud builder handles whole batches of maps at once: a ``Mobius``
+whose entries are float64 arrays (one dimension) or :class:`CArray`
+values (two dimensions) composes and evaluates elementwise, and the
+``*_images`` / ``deriv_sups_*`` functions below are the array forms of
+the scalar region functions.  Every array form repeats the scalar
+arithmetic operation for operation, so it returns the scalar result bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 Interval = tuple[float, float]
 
@@ -61,6 +72,120 @@ class Mobius:
 
 
 IDENTITY = Mobius(1, 0, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# batches of maps
+
+
+class CArray:
+    """Complex numbers held as separate real and imaginary float64 arrays.
+
+    The operators repeat CPython's complex arithmetic (four real
+    products for a multiply, Smith's scaling for a divide as in
+    ``_Py_c_quot``, ``hypot`` for the modulus) and promote real operands
+    to a zero imaginary part as CPython does, so results equal the
+    scalar ``complex`` ones bit for bit.  numpy's complex128 kernels
+    round differently in the last bit on many inputs.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = np.asarray(re, dtype=float)
+        self.im = np.asarray(im, dtype=float)
+
+    @classmethod
+    def of(cls, z) -> "CArray":
+        if isinstance(z, CArray):
+            return z
+        z = np.asarray(z, dtype=complex)
+        return cls(z.real, z.imag)
+
+    def __len__(self) -> int:
+        return len(self.re)
+
+    def __getitem__(self, idx) -> "CArray":
+        return CArray(self.re[idx], self.im[idx])
+
+    def __add__(self, other) -> "CArray":
+        o = CArray.of(other)
+        return CArray(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "CArray":
+        o = CArray.of(other)
+        return CArray(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other) -> "CArray":
+        return CArray.of(other) - self
+
+    def __mul__(self, other) -> "CArray":
+        o = CArray.of(other)
+        return CArray(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "CArray":
+        return _quotient(self, CArray.of(other))
+
+    def __rtruediv__(self, other) -> "CArray":
+        return _quotient(CArray.of(other), self)
+
+    def __abs__(self) -> np.ndarray:
+        return np.hypot(self.re, self.im)
+
+    def conjugate(self) -> "CArray":
+        return CArray(self.re, -self.im)
+
+    def is_zero(self) -> np.ndarray:
+        return (self.re == 0.0) & (self.im == 0.0)
+
+
+def _quotient(a: CArray, b: CArray) -> CArray:
+    # divide top and bottom by whichever part of b has the larger magnitude
+    by_real = np.abs(b.re) >= np.abs(b.im)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = b.im / b.re
+        denom = b.re + b.im * ratio
+        re1 = (a.re + a.im * ratio) / denom
+        im1 = (a.im - a.re * ratio) / denom
+        ratio = b.re / b.im
+        denom = b.re * ratio + b.im
+        re2 = (a.re * ratio + a.im) / denom
+        im2 = (a.im * ratio - a.re) / denom
+    return CArray(np.where(by_real, re1, re2), np.where(by_real, im1, im2))
+
+
+def concat_arrays(parts):
+    """np.concatenate for float64 arrays or CArray values."""
+    if isinstance(parts[0], CArray):
+        return CArray(np.concatenate([p.re for p in parts]), np.concatenate([p.im for p in parts]))
+    return np.concatenate(parts)
+
+
+def stack_mobius(maps: Sequence[Mobius], planar: bool) -> Mobius:
+    """One Moebius batch from scalar maps; entries become float64 or CArray."""
+    def column(name):
+        values = [getattr(m, name) for m in maps]
+        return CArray.of(values) if planar else np.array(values, dtype=float)
+
+    return Mobius(column("a"), column("b"), column("c"), column("d"))
+
+
+def take_mobius(m: Mobius, idx) -> Mobius:
+    return Mobius(m.a[idx], m.b[idx], m.c[idx], m.d[idx])
+
+
+def concat_mobius(batches: Sequence[Mobius]) -> Mobius:
+    return Mobius(*(concat_arrays([getattr(m, name) for m in batches]) for name in "abcd"))
+
+
+def _square(x):
+    # x ** 2 on Python floats goes through libm pow, which numpy's power
+    # and square kernels do not always match; float_power does
+    return np.float_power(x, 2.0)
 
 
 def interval_image(m: Mobius, iv: Interval) -> Interval:
@@ -125,6 +250,61 @@ def deriv_range_disc(m: Mobius, disc: Disc) -> Interval:
     qmax = u + spread
     det = abs(m.det)
     return det / qmax**2, det / qmin**2
+
+
+def interval_images(m: Mobius, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
+    """interval_image of every map of a batch, as arrays of lower and upper ends."""
+    lo, hi = iv
+    qlo = m.c * lo + m.d
+    qhi = m.c * hi + m.d
+    if np.any((qlo == 0) | (qhi == 0) | ((qlo > 0) != (qhi > 0))):
+        raise ZeroDivisionError("Moebius denominator vanishes on the interval")
+    u = (m.a * lo + m.b) / qlo
+    v = (m.a * hi + m.b) / qhi
+    ordered = u <= v
+    return np.where(ordered, u, v), np.where(ordered, v, u)
+
+
+def deriv_sups_interval(m: Mobius, iv: Interval) -> np.ndarray:
+    """Upper end of deriv_range_interval for every map of a batch."""
+    lo, hi = iv
+    qlo = np.abs(m.c * lo + m.d)
+    qhi = np.abs(m.c * hi + m.d)
+    if np.any((qlo == 0.0) | (qhi == 0.0)):
+        raise ZeroDivisionError("Moebius denominator vanishes on the interval")
+    return np.abs(m.det) / _square(np.where(qlo <= qhi, qlo, qhi))
+
+
+def disc_images(m: Mobius, disc: Disc) -> tuple[CArray, np.ndarray]:
+    """disc_image of every map of a batch, as centres and radii."""
+    flat = m.c.is_zero()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = m.a / m.d
+        flat_center = scale * disc.center + m.b / m.d
+        flat_radius = abs(scale) * disc.radius
+        u_center = m.c * disc.center + m.d
+        u_radius = abs(m.c) * disc.radius
+        mod2 = _square(abs(u_center)) - _square(u_radius)
+        if np.any(~flat & (mod2 <= 0.0)):
+            raise ZeroDivisionError("Moebius pole lies inside the disc")
+        inv_center = u_center.conjugate() / mod2
+        inv_radius = u_radius / mod2
+        coeff = m.b - m.a * m.d / m.c
+        center = m.a / m.c + coeff * inv_center
+        radius = abs(coeff) * inv_radius
+    return (CArray(np.where(flat, flat_center.re, center.re), np.where(flat, flat_center.im, center.im)),
+            np.where(flat, flat_radius, radius))
+
+
+def deriv_sups_disc(m: Mobius, disc: Disc) -> np.ndarray:
+    """Upper end of deriv_range_disc for every map of a batch."""
+    flat = m.c.is_zero()
+    det = abs(m.det)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qmin = abs(m.c * disc.center + m.d) - abs(m.c) * disc.radius
+        if np.any(~flat & (qmin <= 0.0)):
+            raise ZeroDivisionError("Moebius pole lies inside the disc")
+        return np.where(flat, det / _square(abs(m.d)), det / _square(qmin))
 
 
 def fixed_point_in(m: Mobius, iv: Interval) -> float:

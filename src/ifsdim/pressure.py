@@ -64,14 +64,6 @@ class DimensionResult:
 # branch tables
 
 
-def _is_similarity(spec: CifsSpec) -> bool:
-    return (
-        spec.ambient_dim == 1
-        and all(isinstance(m, Similarity) for _, m in spec.explicit)
-        and (spec.tail is None or isinstance(spec.tail, SimilarityTail))
-    )
-
-
 def _branch_matrices(spec: CifsSpec, maps: list[MapKind]):
     a = np.array([m.mobius().a for m in maps], dtype=complex)
     b = np.array([m.mobius().b for m in maps], dtype=complex)
@@ -211,7 +203,7 @@ def psi(spec: CifsSpec, t: float, n: int = 1) -> PressureProfile:
         raise DomainError(f"pressure exponent t must be positive, got {t}")
     if n < 1:
         raise DomainError(f"depth must be at least 1, got {n}")
-    if _is_similarity(spec):
+    if spec.is_similarity():
         lo, hi = _psi1_bounds(spec, t)
         # multiplicative: (1/n) log psi_n = log psi_1 at every depth
         return PressureProfile(t, n, _safe_log(lo), _safe_log(hi))
@@ -236,11 +228,6 @@ def _safe_log(x: float) -> float:
     return math.log(x)
 
 
-def pressure_bounds(spec: CifsSpec, t: float, depth: int) -> tuple[float, float]:
-    prof = psi(spec, t, depth)
-    return prof.lower, prof.upper
-
-
 # ---------------------------------------------------------------------------
 # Hausdorff dimension
 
@@ -260,7 +247,7 @@ def _bisect_monotone(pred, lo: float, hi: float, iters: int = 200) -> tuple[floa
 
 def hausdorff_dimension(spec: CifsSpec, tol: float | None = None) -> DimensionResult:
     """Root of the pressure equation via bisection on certified signs."""
-    similarity = _is_similarity(spec)
+    similarity = spec.is_similarity()
     if tol is None:
         tol = SIMILARITY_TOL if similarity else CONFORMAL_TOL
     if tol <= 0:

@@ -1,18 +1,31 @@
 """Tail rules describing the infinite part of a contraction family.
 
 A tail rule enumerates countably many branches in a canonical order of
-decreasing size, organised into *generations*: finite batches whose
-images from any generation onwards are confined to a shrinking envelope
-around a single accumulation point.  That envelope is what lets the
-cloud builder truncate an infinite alphabet at a chosen resolution
-without losing any cylinder above it.
+decreasing size, organised into *generations*: finite batches (possibly
+empty) whose images from any generation onwards are confined to a
+shrinking envelope around a single accumulation point.  That envelope
+is what lets the cloud builder truncate an infinite alphabet at a
+chosen resolution without losing any cylinder above it.
+
+Besides the scalar ``generation_maps``, every rule answers three array
+queries for the builder, each in closed form with no table that grows
+with the resolution:
+
+* ``generation_arrays(gs)`` -- the Moebius maps of the generations
+  ``gs`` as one batch, with the position in ``gs`` that owns each map;
+* ``envelope_reach(gs)`` -- the largest distance from the accumulation
+  point to the envelope of each generation;
+* ``generation_reaching(xs)`` -- per threshold x > 0, a generation
+  from which on every envelope lies within distance x.
+
+The maps match ``generation_maps(g)[i][1].mobius()`` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Union
 
 import numpy as np
@@ -20,6 +33,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .maps import Composite, ComplexGaussBranch, GaussBranch, MapKind, Similarity
 from .mobius import (
+    CArray,
     Disc,
     Interval,
     Mobius,
@@ -27,11 +41,26 @@ from .mobius import (
     deriv_range_interval,
     disc_image,
     interval_image,
+    interval_images,
+    stack_mobius,
+    take_mobius,
 )
 from .series import geometric_tail_bounds, power_sum_bounds, power_tail_bounds
 
 Label = Union[int, tuple]
-Generation = tuple[list[tuple[Label, MapKind]], Union[Interval, Disc]]
+
+
+def _positive(xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
+    if np.any(xs <= 0.0):
+        raise ConfigurationError("threshold must be positive")
+    return xs
+
+
+def ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """0..counts[i]-1 for every i, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +86,10 @@ class PowerRule:
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         return self.coef * np.asarray(idx, dtype=float) ** (-self.exponent)
+
+    def exact_values_at(self, idx: np.ndarray) -> np.ndarray:
+        """value(i) per index, bit for bit: float_power uses libm pow, as ** in value does."""
+        return self.coef * np.float_power(np.asarray(idx, dtype=float), -self.exponent)
 
     def first_indices_below(self, thresholds: np.ndarray) -> np.ndarray:
         """Smallest index with value(i) < threshold, per threshold (> 0)."""
@@ -91,6 +124,10 @@ class GeometricRule:
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
         return self.coef * self.base ** np.asarray(idx, dtype=float)
+
+    def exact_values_at(self, idx: np.ndarray) -> np.ndarray:
+        """value(i) per index, bit for bit: float_power uses libm pow, as ** in value does."""
+        return self.coef * np.float_power(self.base, np.asarray(idx, dtype=float))
 
     def first_indices_below(self, thresholds: np.ndarray) -> np.ndarray:
         t = np.asarray(thresholds, dtype=float)
@@ -131,23 +168,25 @@ class SimilarityTail:
         i = self.start + g
         return [(i, Similarity(self.ratios.value(i), self.offsets.value(i)))]
 
-    def envelope_at(self, g: int) -> Interval:
-        i = self.start + g
-        return (0.0, self.offsets.value(i) + self.ratios.value(i))
+    def generation_arrays(self, gs: np.ndarray) -> tuple[np.ndarray, Mobius]:
+        i = self.start + np.asarray(gs)
+        ratio = self.ratios.exact_values_at(i)
+        offset = self.offsets.exact_values_at(i)
+        return np.arange(len(i)), Mobius(ratio, offset, np.zeros_like(ratio), np.ones_like(ratio))
 
-    def generation_reaching(self, x: float) -> int:
-        if x <= 0.0:
-            raise ConfigurationError("threshold must be positive")
-        i = int(self.offsets.first_indices_below(np.array([x * 0.5]))[0])
-        while self.envelope_at(max(i - self.start, 0))[1] >= x:
-            i += 1
-        return max(i - self.start, 0)
+    def envelope_reach(self, gs: np.ndarray) -> np.ndarray:
+        # envelope of generation g is [0, offset(i) + ratio(i)]
+        i = self.start + np.asarray(gs)
+        return self.offsets.exact_values_at(i) + self.ratios.exact_values_at(i)
 
-    def generations(self) -> Iterator[Generation]:
-        g = 0
+    def generation_reaching(self, xs: np.ndarray) -> np.ndarray:
+        xs = _positive(xs)
+        i = self.offsets.first_indices_below(xs * 0.5)
         while True:
-            yield self.generation_maps(g), self.envelope_at(g)
-            g += 1
+            above = self.envelope_reach(np.maximum(i - self.start, 0)) >= xs
+            if not above.any():
+                return np.maximum(i - self.start, 0)
+            i = i + above
 
     def accumulation_point(self) -> float:
         return 0.0
@@ -198,14 +237,19 @@ class SpacedDigits:
         n = round(b ** (1.0 / self.p))
         return any(math.floor(m**self.p) == b for m in (n - 1, n, n + 1) if m >= 2)
 
-    def digit_at(self, g: int) -> int:
-        return math.floor((2 + g) ** self.p)
+    def digits_at(self, gs: np.ndarray) -> np.ndarray:
+        # float_power rounds as Python's ** does; numpy's power may not
+        return np.floor(np.float_power(2.0 + np.asarray(gs), self.p)).astype(np.int64)
 
-    def index_of_first_digit_above(self, x: float) -> int:
-        n = max(2, math.ceil(max(x, 1.0) ** (1.0 / self.p)) - 1)
-        while math.floor(n**self.p) <= x:
-            n += 1
-        return n - 2
+    def indices_above(self, xs: np.ndarray) -> np.ndarray:
+        """Per x, the index of the first digit above x."""
+        xs = np.asarray(xs, dtype=float)
+        n = np.maximum(2, np.ceil(np.float_power(np.maximum(xs, 1.0), 1.0 / self.p)).astype(np.int64) - 1)
+        while True:
+            low = self.digits_at(n - 2) <= xs
+            if not low.any():
+                return n - 2
+            n = n + low
 
     def sup_sum_bounds(self, s: float, shift: int) -> tuple[float, float]:
         """Bracket of sum over digits b of (b + shift)^(-s)."""
@@ -258,26 +302,33 @@ class ClusteredDigits:
         lo, hi = self._block(k)
         return lo <= b <= hi
 
-    def digit_at(self, g: int) -> int:
-        k = 1
-        rest = g
-        while True:
-            lo, hi = self._block(k)
-            size = hi - lo + 1
-            if rest < size:
-                return lo + rest
-            rest -= size
-            k += 1
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Block ends and the index of each block's first digit, k = 1..60."""
+        ends = [self._block(k) for k in range(1, 61)]
+        lo = np.array([b[0] for b in ends], dtype=np.int64)
+        hi = np.array([b[1] for b in ends], dtype=np.int64)
+        first = np.concatenate(([0], np.cumsum(hi - lo + 1)[:-1]))
+        return lo, hi, first
 
-    def index_of_first_digit_above(self, x: float) -> int:
-        g = 0
-        k = 1
-        while True:
-            lo, hi = self._block(k)
-            if hi > x:
-                return g + max(0, math.floor(min(x, hi)) + 1 - lo) if lo <= x else g
-            g += hi - lo + 1
-            k += 1
+    def digits_at(self, gs: np.ndarray) -> np.ndarray:
+        lo, hi, first = self._blocks
+        gs = np.asarray(gs, dtype=np.int64)
+        k = np.searchsorted(first, gs, side="right") - 1
+        digits = lo[k] + (gs - first[k])
+        if np.any(digits > hi[k]):
+            raise ConfigurationError("clustered digit index beyond the last tabulated block (2^60)")
+        return digits
+
+    def indices_above(self, xs: np.ndarray) -> np.ndarray:
+        """Per x, the index of the first digit above x."""
+        lo, hi, first = self._blocks
+        xs = np.asarray(xs, dtype=float)
+        k = np.searchsorted(hi, xs, side="right")  # first block reaching above x
+        if np.any(k >= len(hi)):
+            raise ConfigurationError("clustered digit threshold beyond the last tabulated block (2^60)")
+        inside = np.maximum(0, np.floor(xs) + 1 - lo[k]).astype(np.int64)
+        return first[k] + np.where(lo[k] <= xs, inside, 0)
 
     def sup_sum_bounds(self, s: float, shift: int) -> tuple[float, float]:
         if s <= self.alpha:
@@ -322,11 +373,12 @@ class FullDigits:
     def contains(self, b: int) -> bool:
         return b >= self.start
 
-    def digit_at(self, g: int) -> int:
-        return self.start + g
+    def digits_at(self, gs: np.ndarray) -> np.ndarray:
+        return self.start + np.asarray(gs, dtype=np.int64)
 
-    def index_of_first_digit_above(self, x: float) -> int:
-        return max(0, math.floor(x) + 1 - self.start)
+    def indices_above(self, xs: np.ndarray) -> np.ndarray:
+        """Per x, the index of the first digit above x."""
+        return np.maximum(0, np.floor(xs) + 1 - self.start).astype(np.int64)
 
     def sup_sum_bounds(self, s: float, shift: int) -> tuple[float, float]:
         return power_sum_bounds(s, self.start + shift)
@@ -353,22 +405,19 @@ class GaussDigitTail:
         return None
 
     def generation_maps(self, g: int) -> list[tuple[Label, MapKind]]:
-        b = self.digits.digit_at(g)
+        b = int(self.digits.digits_at(np.array([g]))[0])
         return [(b, GaussBranch(b))]
 
-    def envelope_at(self, g: int) -> Interval:
-        return (0.0, 1.0 / self.digits.digit_at(g))
+    def generation_arrays(self, gs: np.ndarray) -> tuple[np.ndarray, Mobius]:
+        b = self.digits.digits_at(gs).astype(float)
+        return np.arange(len(b)), Mobius(np.zeros_like(b), np.ones_like(b), np.ones_like(b), b)
 
-    def generation_reaching(self, x: float) -> int:
-        if x <= 0.0:
-            raise ConfigurationError("threshold must be positive")
-        return self.digits.index_of_first_digit_above(1.0 / x)
+    def envelope_reach(self, gs: np.ndarray) -> np.ndarray:
+        # envelope of generation g is [0, 1/b]
+        return 1.0 / self.digits.digits_at(gs)
 
-    def generations(self) -> Iterator[Generation]:
-        g = 0
-        while True:
-            yield self.generation_maps(g), self.envelope_at(g)
-            g += 1
+    def generation_reaching(self, xs: np.ndarray) -> np.ndarray:
+        return self.digits.indices_above(1.0 / _positive(xs))
 
     def accumulation_point(self) -> float:
         return 0.0
@@ -437,22 +486,38 @@ class ComplexGaussTail:
             )
         return batch
 
-    def envelope_at(self, g: int) -> Disc:
-        r = math.sqrt(g + 1)
-        return Disc(0j, 1.0 / max(r - 1.0, 1.0))
+    def generation_arrays(self, gs: np.ndarray) -> tuple[np.ndarray, Mobius]:
+        # shell of norm g+1: every (m, n) with m >= 1 and m^2 + n^2 = g+1,
+        # in _shell's order (m ascending, then -n before n)
+        norms = np.asarray(gs, dtype=np.int64) + 1
+        tops = _isqrt(norms)
+        owner = np.repeat(np.arange(len(norms)), tops)
+        m = ragged_arange(tops) + 1
+        rest = norms[owner] - m * m
+        n = _isqrt(rest)
+        on_shell = n * n == rest
+        owner, m, n = owner[on_shell], m[on_shell], n[on_shell]
+        twice = 1 + (n > 0)
+        owner, m, n = np.repeat(owner, twice), np.repeat(m, twice), np.repeat(n, twice)
+        n = np.where(ragged_arange(twice) < twice.repeat(twice) - 1, -n, n)
+        # per digit: the plain branch (not for digit 1), then S_1 o S_b
+        kinds = 1 + ((m != 1) | (n != 0))
+        owner, m, n = np.repeat(owner, kinds), np.repeat(m, kinds), np.repeat(n, kinds)
+        composite = ragged_arange(kinds) == kinds.repeat(kinds) - 1
+        zero, one = np.zeros(len(m)), np.ones(len(m))
+        # plain: (0, 1, 1, b); composite, as Composite.mobius composes it: (1, b, 1, 1 + b)
+        a = CArray(np.where(composite, one, zero), zero)
+        b = CArray(np.where(composite, m, one), np.where(composite, n, zero))
+        d = CArray(np.where(composite, 1.0 + m, m), n)
+        return owner, Mobius(a, b, CArray(one, zero), d)
 
-    def generation_reaching(self, x: float) -> int:
-        if x <= 0.0:
-            raise ConfigurationError("threshold must be positive")
-        return max(0, math.ceil((1.0 / x + 1.0) ** 2) - 1)
+    def envelope_reach(self, gs: np.ndarray) -> np.ndarray:
+        # envelope of generation g is the disc about 0 of radius 1/max(sqrt(g+1) - 1, 1)
+        return 1.0 / np.maximum(np.sqrt(np.asarray(gs, dtype=float) + 1.0) - 1.0, 1.0)
 
-    def generations(self) -> Iterator[Generation]:
-        g = 0
-        while True:
-            batch = self.generation_maps(g)
-            if batch:
-                yield batch, self.envelope_at(g)
-            g += 1
+    def generation_reaching(self, xs: np.ndarray) -> np.ndarray:
+        g = np.ceil(np.float_power(1.0 / _positive(xs) + 1.0, 2.0)) - 1
+        return np.maximum(0, g).astype(np.int64)
 
     def accumulation_point(self) -> complex:
         return 0j
@@ -526,38 +591,45 @@ class InducedParabolicTail:
                     return self._composite(int(n), branch)
         return None
 
-    def _power_matrix(self, n: int) -> Mobius:
+    def _power_matrix(self, n) -> Mobius:
         # for a Moebius parabolic fixing 0 with unit multiplier, powers
-        # stay in the family: [[a, 0], [c, a]]^n is [[a, 0], [n c, a]]
+        # stay in the family: [[a, 0], [c, a]]^n is [[a, 0], [n c, a]];
+        # n may be an array of powers
         pm = self.parabolic.mobius()
-        return Mobius(pm.a, 0.0, n * pm.c, pm.a)
+        n = np.asarray(n, dtype=float)
+        one = np.ones_like(n)
+        return Mobius(pm.a * one, 0.0 * one, n * pm.c, pm.a * one)
 
     def generation_maps(self, g: int) -> list[tuple[Label, MapKind]]:
         return [((g, lab), self._composite(g, branch)) for lab, branch in self.branches]
 
-    def generation_mobius(self, g: int) -> list[tuple[Label, Mobius]]:
-        power = self._power_matrix(g)
-        return [((g, lab), power.compose(branch.mobius())) for lab, branch in self.branches]
+    @cached_property
+    def _branch_batch(self) -> Mobius:
+        return stack_mobius([branch.mobius() for _, branch in self.branches], planar=False)
 
-    def envelope_at(self, g: int) -> Interval:
-        return interval_image(self._power_matrix(g), self.domain)
+    def generation_arrays(self, gs: np.ndarray) -> tuple[np.ndarray, Mobius]:
+        # P^g o S_j: the closed-form power composed with each base branch
+        per = len(self.branches)
+        owner = np.repeat(np.arange(len(gs)), per)
+        branch = take_mobius(self._branch_batch, np.tile(np.arange(per), len(gs)))
+        return owner, take_mobius(self._power_matrix(gs), owner).compose(branch)
 
-    def generation_reaching(self, x: float) -> int:
-        if x <= 0.0:
-            raise ConfigurationError("threshold must be positive")
+    def envelope_reach(self, gs: np.ndarray) -> np.ndarray:
+        # envelope of generation g is P^g of the seed interval
+        lo, hi = interval_images(self._power_matrix(gs), self.domain)
+        return np.maximum(np.abs(lo), np.abs(hi))
+
+    def generation_reaching(self, xs: np.ndarray) -> np.ndarray:
+        xs = _positive(xs)
         pm = self.parabolic.mobius()
         kappa = abs(pm.c / pm.a)
         top = max(abs(self.domain[0]), abs(self.domain[1]))
-        n = max(0, math.floor((1.0 / x - 1.0 / top) / kappa) + 1)
-        while self.envelope_at(n)[1] >= x:
-            n += 1
-        return n
-
-    def generations(self) -> Iterator[Generation]:
-        g = 0
+        n = np.maximum(0, np.floor((1.0 / xs - 1.0 / top) / kappa) + 1).astype(np.int64)
         while True:
-            yield self.generation_maps(g), self.envelope_at(g)
-            g += 1
+            above = interval_images(self._power_matrix(n), self.domain)[1] >= xs
+            if not above.any():
+                return n
+            n = n + above
 
     def accumulation_point(self) -> float:
         return 0.0
@@ -610,6 +682,14 @@ def _induced_deriv_table(tail: InducedParabolicTail, domain: Interval):
         d_hi = deriv_range_interval(branch.mobius(), domain)[1]
         rem.append(d_hi / (kappa * x_lo) ** 2)
     return np.array(lo), np.array(hi), np.array(rem), n_explicit
+
+
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """Elementwise math.isqrt of non-negative integers below 2^52."""
+    r = np.floor(np.sqrt(v.astype(float))).astype(np.int64)
+    r -= r * r > v
+    r += (r + 1) * (r + 1) <= v
+    return r
 
 
 TailRule = Union[SimilarityTail, GaussDigitTail, ComplexGaussTail, InducedParabolicTail]

@@ -37,6 +37,38 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+MALFORMED_SPECS = [
+    {"kind": ["gauss_digits"]},
+    {"kind": "similarity_list", "maps": [{"ratio": 0.5}]},
+    {"kind": "similarity_list", "maps": [{"ratio": 0.5, "offset": 0.0}], "domain": [0, 1, 2]},
+    {"kind": "similarity_list", "maps": [0.5]},
+    {"kind": "similarity_list", "maps": []},
+    {"kind": "similarity_list", "maps": [{"ratio": "0.5", "offset": 0.0}]},
+    {"kind": "similarity_list", "maps": [{"ratio": 0.5, "offset": 0.0}], "anchor": "left"},
+    {"kind": "polynomial_tail", "p": 1.8, "t": 2.8},
+    {"kind": "polynomial_tail", "p": "x", "t": 2.8, "h": 0.5},
+    {"kind": "gauss_digits", "digits": []},
+    {"kind": "gauss_digits", "digits": {"set": "spaced"}},
+    {"kind": "gauss_digits", "digits": {"set": "full", "start": "two"}},
+    {"kind": "gauss_digits", "digits": {"set": "clustered", "alpha": [0.5]}},
+    {"kind": "complex_gauss", "digits": [[2, 0, 1]]},
+    {"kind": "complex_gauss", "digits": [2]},
+    {"kind": "complex_gauss", "digits": [[2.5, 0]]},
+    {"kind": "complex_gauss", "digits": "some"},
+    {"kind": "renyi_parabolic", "digits": ["two"]},
+    {"kind": "renyi_parabolic", "digits": 3},
+    [1, 2],
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_SPECS, ids=lambda d: json.dumps(d)[:60])
+def test_malformed_spec_document_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["build", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_missing_system_exits_2(capsys):
     assert main(["compare", "--out", "/tmp/x-ifs"]) == 2
     assert main(["build", "--family", "definitely-not-a-family"]) == 2
@@ -49,6 +81,20 @@ def test_build_writes_cloud(tmp_path, capsys):
     cloud = PointCloud.load(tmp_path / "cloud.bin")
     assert len(cloud) > 50
     assert (tmp_path / "cloud.csv").read_text().startswith("x\n")
+
+
+def test_build_full_complex_system(tmp_path, capsys):
+    from ifsdim import build_limit_cloud
+    from ifsdim.jsonio import load_spec
+
+    spec = tmp_path / "full.json"
+    spec.write_text(json.dumps({"kind": "complex_gauss", "digits": "full"}))
+    rc = main(["build", "--spec", str(spec), "--delta", "0.05", "--out", str(tmp_path)])
+    assert rc == 0
+    cloud = PointCloud.load(tmp_path / "cloud.bin")
+    assert len(cloud) == 598
+    assert np.all(np.hypot(cloud.points[:, 0] - 0.5, cloud.points[:, 1]) <= 0.5 + 1e-12)
+    assert build_limit_cloud(load_spec(spec), 0.05).complete
 
 
 def test_compare_pipeline_artifacts_and_schema(tmp_path):

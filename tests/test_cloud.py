@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -13,6 +14,8 @@ from ifsdim import (
     build_fixed_point_cloud,
     build_limit_cloud,
 )
+from ifsdim.families import make_family
+from ifsdim.jsonio import spec_from_dict
 from ifsdim.tails import ClusteredDigits, GaussDigitTail, PowerRule, SimilarityTail
 
 
@@ -136,9 +139,59 @@ class TestPersistence:
         assert text.splitlines()[0] == "x"
         assert len(text.splitlines()) == 3
 
+    def test_csv_holds_plain_numbers_equal_to_the_binary(self):
+        line = build_limit_cloud(make_family("dense-cf").spec, 1e-3)
+        rows = line.to_csv().splitlines()
+        assert rows[0] == "x"
+        assert [float(r) for r in rows[1:]] == line.points.tolist()
+        plane = build_limit_cloud(spec_from_dict(COMPLEX_FINITE), 1e-3)
+        rows = plane.to_csv().splitlines()
+        assert rows[0] == "x,y"
+        assert [[float(v) for v in r.split(",")] for r in rows[1:]] == plane.points.tolist()
+        assert PointCloud.from_points([], 1e-3, 1).to_csv() == "x\n"
+
     def test_points_are_distinct_and_sorted(self):
         cloud = PointCloud.from_points([0.5, 0.1, 0.5], 1e-3, 1)
         assert np.array_equal(cloud.points, [0.1, 0.5])
+
+
+# sha256 of cloud.bin, recorded with the per-node scalar walk that the
+# array builder replaced; the builder must reproduce it bit for bit
+COMPLEX_FINITE = {"kind": "complex_gauss", "digits": [[2, 0], [2, 1], [2, -1], [3, 0]]}
+GOLDEN_CLOUDS = {
+    "ctd-spaced": (lambda: build_limit_cloud(make_family("ctd-spaced").spec, 1e-6),
+                   "bcf9f1eeebf6b1be40b55e6b575a6f2c18f1ce8fbeaad5fd0eb0827e927d0597"),
+    "dense-cf": (lambda: build_limit_cloud(make_family("dense-cf").spec, 1e-4),
+                 "303dda2f9701f1f5ca9fd0ac59001f1439be5ccaeb2708a83706005cac11f6cf"),
+    "ctd-clustered": (lambda: build_limit_cloud(make_family("ctd-clustered").spec, 3e-6),
+                      "fa5722120099a59dc5725ce6a60e8e906c6ca081cc5604f7cc83b7460cde7f08"),
+    "parabolic": (lambda: build_limit_cloud(make_family("parabolic").spec, 3e-5),
+                  "f97e62353b90dbc0e788c24598918a07a957c36a9ff4fae08d87f96af73e19a2"),
+    "parabolic-window": (lambda: build_limit_cloud(make_family("parabolic").spec, 1e-5, window=(0.1, 0.3)),
+                         "daca922cd0d233f18de6189a192428fa076514ccebe40ea323a28a23f0b5bf79"),
+    "clustered-fixed-points": (lambda: build_fixed_point_cloud(make_family("ctd-clustered").spec, 1e-6),
+                               "9f33f743a356cbb12c38d82244cff7519a9d13702153fa2177d109cb67e1a95b"),
+    "complex-finite": (lambda: build_limit_cloud(spec_from_dict(COMPLEX_FINITE), 1e-5),
+                       "5bbe3d4e0cb79a0138cfac16f5a3b7f15fe28760028ce7c2f9b24c592283d0e6"),
+    # the scalar walk failed on the empty generations of this tail; the
+    # digest is that walk's output once it steps over empty generations
+    "complex-full": (lambda: build_limit_cloud(spec_from_dict({"kind": "complex_gauss", "digits": "full"}), 0.05),
+                     "dd4c48d05781ff76526de942a827f911d452796f9ad6c5774a8b824b81d6496e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLOUDS))
+def test_golden_cloud_digest(name):
+    build, digest = GOLDEN_CLOUDS[name]
+    cloud = build()
+    assert cloud.complete
+    assert hashlib.sha256(cloud.to_bytes()).hexdigest() == digest
+
+
+def test_cap_is_enforced_on_generic_path():
+    with pytest.raises(CloudSizeError) as err:
+        build_limit_cloud(make_family("ctd-clustered").spec, 1e-6, cap=1000)
+    assert "1000" in str(err.value)
 
 
 def test_bad_magic_rejected():

@@ -1,16 +1,23 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ifsdim.mobius import (
+    CArray,
     Disc,
     Mobius,
     deriv_range_disc,
     deriv_range_interval,
+    deriv_sups_disc,
+    deriv_sups_interval,
     disc_image,
+    disc_images,
     fixed_point_in,
     interval_image,
+    interval_images,
+    stack_mobius,
 )
 
 
@@ -70,3 +77,59 @@ def test_fixed_point_similarity_and_gauss():
     # x = 1/(2+x): golden-ratio-like root sqrt(2) - 1 for digit 2
     x = fixed_point_in(Mobius(0, 1, 1, 2), (0.0, 1.0))
     assert x == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
+
+
+# -- batches: the array forms must equal the scalar forms bit for bit --------
+
+
+def _random_complex(rng, n):
+    scale = 10.0 ** rng.uniform(-3, 3, n)
+    return [complex(x, y) for x, y in zip(rng.normal(size=n) * scale, rng.normal(size=n) * scale)]
+
+
+def test_carray_repeats_cpython_complex_arithmetic():
+    rng = np.random.default_rng(7)
+    a, b = _random_complex(rng, 20_000), _random_complex(rng, 20_000)
+    ca, cb = CArray.of(a), CArray.of(b)
+    for got, want in ((ca * cb, [x * y for x, y in zip(a, b)]),
+                      (ca / cb, [x / y for x, y in zip(a, b)]),
+                      (ca - 2, [x - 2 for x in a]),
+                      (0.5 / ca, [0.5 / x for x in a]),
+                      (ca.conjugate() / 3.0, [x.conjugate() / 3.0 for x in a])):
+        assert got.re.tolist() == [z.real for z in want]
+        assert got.im.tolist() == [z.imag for z in want]
+    assert abs(ca).tolist() == [abs(x) for x in a]
+
+
+def _same(array_value, scalar_values):
+    return np.asarray(array_value).tolist() == [float(v) for v in scalar_values]
+
+
+def test_interval_batches_match_scalar_forms():
+    rng = np.random.default_rng(3)
+    maps = [Mobius(*(float(v) for v in rng.uniform(0.1, 3.0, 4))) for _ in range(500)]
+    maps += [Mobius(0, 1, 1, b) for b in range(2, 60)]
+    batch = stack_mobius(maps, planar=False)
+    lo, hi = interval_images(batch, (0.0, 1.0))
+    assert _same(lo, [interval_image(m, (0.0, 1.0))[0] for m in maps])
+    assert _same(hi, [interval_image(m, (0.0, 1.0))[1] for m in maps])
+    sups = deriv_sups_interval(batch, (0.0, 1.0))
+    assert _same(sups, [deriv_range_interval(m, (0.0, 1.0))[1] for m in maps])
+    assert _same(batch.compose(batch)(0.3), [m.compose(m)(0.3) for m in maps])
+
+
+def test_disc_batches_match_scalar_forms():
+    disc = Disc(0.5 + 0j, 0.5)
+    maps = [Mobius(1, 0, 0, 1), Mobius(2.0 + 1j, 0.5j, 0, 1.5 - 0.25j)]
+    maps += [Mobius(0, 1, 1, complex(m, n)) for m in range(1, 7) for n in range(-4, 5) if (m, n) != (1, 0)]
+    maps += [Mobius(0, 1, 1, complex(m, n)).compose(Mobius(0, 1, 1, 2 - 1j)) for m in range(2, 5) for n in (-1, 0, 1)]
+    batch = stack_mobius(maps, planar=True)
+    center, radius = disc_images(batch, disc)
+    want = [disc_image(m, disc) for m in maps]
+    assert _same(center.re, [w.center.real for w in want])
+    assert _same(center.im, [w.center.imag for w in want])
+    assert _same(radius, [w.radius for w in want])
+    assert _same(deriv_sups_disc(batch, disc), [deriv_range_disc(m, disc)[1] for m in maps])
+    image = batch(0.5 + 0j)
+    assert _same(image.re, [m(0.5 + 0j).real for m in maps])
+    assert _same(image.im, [m(0.5 + 0j).imag for m in maps])
