@@ -8,18 +8,37 @@ counts by a bounded factor and therefore no exponent.
 Batched greedy counts.  On sorted points the greedy step is the
 next-pointer nxt(i) = first index with x > x_i + 2r, and the count of a
 window [lo, hi) is the number of positions lo, nxt(lo), nxt(nxt(lo)), ...
-below hi.  nxt is strictly increasing along a chain and the same for
-every window, so many windows step together.  Long chains (small r
-against R) jump instead: J = nxt^S is built by squaring the next-pointer
-table of the points the windows still span, with one terminal slot past
-them that maps to itself and lies at or past every hi.  A window at i
-takes the jump only when J(i) < hi.  Positions increase along the chain,
-so i and the S - 1 positions skipped lie below J(i) < hi: they are S
-counted steps, and the window adds exactly S.  Once J(i) >= hi, at most
-S counted steps remain and are taken singly.  The stride S, near the
-square root of the longest possible count, only trades rounds against
-table passes; the counts equal the scalar sweep of cover_count_1d
-whatever it is.
+below hi.  A barrier of the width 2r is an index b with x_b > x_(b-1) + 2r
+in the float arithmetic of the step.  From any i < b the reach x_i + 2r
+stays below x_b, so nxt(i) <= b; positions increase, so every chain that
+starts below b lands exactly on b.  The chain from index 0, the canonical
+chain, passes through every barrier, and the barriers cut the cloud into
+blocks whose chains are walked independently, all blocks of all widths in
+lockstep.  A window's chain that lands on a canonical position m follows
+the canonical chain from there on, so its count is the s steps taken
+before m plus rank(hi) - rank(m), with rank(x) the number of canonical
+positions below x.  The canonical positions of every width are held as
+sorted keys width * (n + 1) + index, so membership and rank are two
+searchsorted calls.  A window meets the canonical chain at the next
+barrier at the latest, so on clouds with gaps it finishes in few rounds.
+
+Where barriers are rare (a uniform grid has none), chains never need to
+meet, and long walks jump instead.  A block whose chain is still long
+once the lockstep rounds have cost a table pass is listed only up to its
+current position, a break; a window that follows the listed chain to a
+break, or whose own walk stays long, jumps on from there.  J = nxt^S is
+built by squaring the next-pointer table of the points the windows span,
+with one terminal slot past them that maps to itself and lies at or past
+every hi.  A window at i takes the jump only when J(i) < hi.  Positions
+increase along the chain, so i and the S - 1 positions skipped lie below
+J(i) < hi: they are S counted steps, and the window adds exactly S.  Once
+J(i) >= hi, at most S counted steps remain and are taken singly.  The
+stride S, near the square root of the longest possible count, only
+trades rounds against table passes; the counts equal the scalar sweep of
+cover_count_1d whatever it is.  The (R, r) pairs of a call are counted in
+batches bounded by their windows plus, per width, a bound on the
+canonical chain's length from the sorted gaps, which keeps the transient
+arrays within a fixed multiple of the cloud.
 
 Scale policy.  For the spectrum at theta the two scales are tied by
 r = R^(1/theta), and a scale is admissible when r stays a fixed factor
@@ -39,8 +58,6 @@ supremum over scales are kept in the diagnostics.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,17 +65,6 @@ import numpy as np
 from .cloud import PointCloud
 from .errors import DomainError
 from .spectra import SpectrumCurve
-
-#: number of worker threads for per-theta estimation; counts at each
-#: theta are independent, so the result does not depend on it
-ENV_THREADS = "IFSDIM_THREADS"
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(ENV_THREADS, "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -185,91 +191,271 @@ def exhaustive_cover_count_1d(points: np.ndarray, r: float) -> int:
     return best(0) if n else 0
 
 
-#: a lockstep round (a few numpy calls on the live windows, 7-18 us)
-#: costs about as much as a searchsorted pass over this many points of
-#: the segment (about 70 ns a point), measured with numpy 2.4 on x86-64
+#: a lockstep round (a few numpy calls on the live chains, 7-18 us) costs
+#: about as much as a searchsorted pass over this many points (about 70 ns
+#: a point), measured with numpy 2.4 on x86-64
 _ROUND_POINTS = 256
 
 
-def _counts_lockstep_1d(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, r: float) -> np.ndarray:
-    """Greedy counts of the windows pts[lo[k]:hi[k]] by closed intervals
-    of length 2r, equal to cover_count_1d window by window.
+class _Gaps:
+    """The gaps of one sorted cloud at least as wide as the narrowest width
+    asked for, sorted once.  The barriers of a width 2r are the indices b
+    with pts[b] > pts[b - 1] + 2r; such a gap is at least 2r, so they are
+    among the gaps of a suffix of the sorted ones."""
 
-    All windows take single greedy steps in lockstep, finished ones
-    dropped, until the rounds spent cost as much as one pass over the
-    points still spanned.  If the steps left may cost more than that, the
-    rest jump S steps at a time through a squared next-pointer table and
-    finish with at most S single steps; see the module notes.
+    def __init__(self, pts: np.ndarray, least: float):
+        self.pts = pts
+        gaps = np.diff(pts)
+        wide = np.flatnonzero(gaps >= least)
+        order = np.argsort(gaps[wide])
+        self.index = wide[order] + 1
+        self.sorted = gaps[self.index - 1]
+        # the span of the cloud outside the sorted gaps from position k on
+        span = float(pts[-1] - pts[0]) if len(pts) else 0.0
+        self.inner = span - np.append(np.cumsum(self.sorted[::-1])[::-1], 0.0)
+
+    def barriers(self, two_r: float) -> np.ndarray:
+        """Sorted barrier indices of the width two_r, tested in the float
+        arithmetic of the greedy step."""
+        pts = self.pts
+        b = self.index[np.searchsorted(self.sorted, two_r, side="left"):]
+        b = b[pts[b] > pts[b - 1] + two_r]
+        b.sort()
+        return b
+
+    def chain_bound(self, two_r: float) -> int:
+        """About the longest the chain from index 0 can be: one position
+        per block between barriers plus the blocks' spans over 2r."""
+        k = int(np.searchsorted(self.sorted, two_r, side="left"))
+        blocks = len(self.sorted) - k + 1
+        return min(len(self.pts), blocks + int(max(float(self.inner[k]), 0.0) / two_r))
+
+
+def _chain_runs(chain: np.ndarray) -> np.ndarray:
+    """Start of every run of equal chain ids (the items are sorted by chain)."""
+    return np.flatnonzero(np.r_[True, chain[1:] != chain[:-1]])
+
+
+def _longest(pts, two_r, cur, end) -> np.ndarray:
+    """Most steps each item can still take: it holds end - cur points, and
+    each step advances past 2r."""
+    return np.minimum(end - cur, (pts[end - 1] - pts[cur]) // two_r + 1)
+
+
+def _by_chain(items, chain, longest) -> list:
+    """(items, squaring count) per chain for a jump, with the stride S near
+    the square root of the chain's longest possible count."""
+    runs = _chain_runs(chain)
+    top = np.maximum.reduceat(longest, runs)
+    return [(items[a:b], max(1, round(math.log2(m) / 2)))
+            for a, b, m in zip(runs, np.r_[runs[1:], len(items)], top)]
+
+
+def _jump_groups(pts, two_r, chain, cur, end, rounds):
+    """Chains due for a jump after some lockstep rounds, and the rounds
+    cost at which the next one falls due (None when none is left).
+
+    A chain falls due once the rounds spent cost as much as its table pass,
+    which covers the points its items span.  A due chain jumps if its
+    single steps may still cost more than that pass.
     """
-    two_r = 2.0 * r
-    counts = np.zeros(len(lo), dtype=np.int64)
-    live = np.flatnonzero(lo < hi)
-    # sorted by start, the positions stay sorted: every live window has
-    # taken the same number of steps and the greedy step is monotone
-    live = live[np.argsort(lo[live], kind="stable")]
-    cur, end = lo[live], hi[live]
-    stop = int(end.max()) if len(live) else 0
-    steps, may_jump = 0, True
-    while len(live):
-        if may_jump and steps * _ROUND_POINTS >= stop - cur[0]:
-            # most steps one window can still take: it holds end - cur
-            # points, and each step advances past 2r
-            longest = int(np.minimum(end - cur, (pts[end - 1] - pts[cur]) // two_r + 1).max())
-            if longest * _ROUND_POINTS > stop - cur[0]:
-                break
-            may_jump = False
-        steps += 1
-        cur = np.searchsorted(pts, pts[cur] + two_r, side="right")
-        keep = cur < end
-        if not keep.all():
-            counts[live[~keep]] = steps
-            live, cur, end = live[keep], cur[keep], end[keep]
-            stop = int(end.max()) if len(live) else 0
-    if not len(live):
-        return counts
+    runs = _chain_runs(chain)
+    span = np.maximum.reduceat(end, runs) - np.minimum.reduceat(cur, runs)
+    spent = rounds * _ROUND_POINTS
+    later = span[span > spent]
+    next_check = int(later.min()) if len(later) else None
+    if len(later) == len(span):
+        return next_check, []
+    longest = _longest(pts, two_r, cur, end)
+    due = (span <= spent) & (np.maximum.reduceat(longest, runs) * _ROUND_POINTS > span)
+    items = np.flatnonzero(np.repeat(due, np.diff(np.r_[runs, len(chain)])))
+    return next_check, _by_chain(items, chain[items], longest[items]) if len(items) else []
 
-    start = int(cur[0])
-    seg = pts[start:stop]
-    cur, end = cur - start, end - start
-    squarings = max(1, round(math.log2(longest) / 2))
-    # next-pointer table with a terminal slot, squared to stride 2^squarings;
-    # no more than two such arrays are alive at once
-    jump = np.append(np.searchsorted(seg, seg + two_r, side="right"), len(seg))
+
+def _jump_table(pts, two_r: float, cur, end, squarings: int):
+    """The next-pointer table of the points from cur.min() to end.max() at
+    width two_r, with one terminal slot past them that maps to itself,
+    raised to the power S = 2^squarings; indices relative to cur.min()."""
+    a, b = int(cur.min()), int(end.max())
+    seg = pts[a:b]
+    jump = np.append(np.searchsorted(seg, seg + two_r, side="right"), b - a)
     for _ in range(squarings):
         jump = jump[jump]
-    stride = 1 << squarings
-    parked = []
-    while len(live):
-        land = jump[cur]
-        keep = land < end
-        if not keep.all():
-            out = ~keep
-            counts[live[out]] = steps
-            parked.append((live[out], cur[out], end[out]))
-            live, land, end = live[keep], land[keep], end[keep]
-        cur = land
-        steps += stride
+    return a, jump
 
-    live, cur, end = (np.concatenate(part) for part in zip(*parked))
-    steps = 0
+
+def _canonical_keys(gaps: _Gaps, widths: np.ndarray):
+    """Keys c * (n + 1) + i of the positions i on the greedy chain from
+    index 0 at width widths[c], for every chain c, and the keys where the
+    listed positions break off; both sorted.
+
+    The barriers cut the cloud into blocks whose chains land exactly on the
+    next block's start, so all blocks of all chains are walked in lockstep.
+    A chain whose blocks are still long once the rounds have cost a table
+    pass stops listing them: the rest of each such block, from its current
+    position (a break) to its end, is left out, and windows that reach the
+    break jump through it."""
+    pts = gaps.pts
+    n = len(pts)
+    starts = [np.r_[0, gaps.barriers(w)] for w in widths]
+    sizes = [len(s) for s in starts]
+    chain = np.repeat(np.arange(len(widths)) * (n + 1), sizes)
+    cur = np.concatenate(starts)
+    end = np.append(cur[1:], n)
+    end[np.cumsum(sizes) - 1] = n
+    two_r = np.repeat(widths, sizes)
+    last = pts[end - 1]
+    runs, breaks = [], [np.array([np.iinfo(np.int64).max])]
+    rounds, next_check = 0, 1
+    while len(cur):
+        if next_check is not None and rounds * _ROUND_POINTS >= next_check:
+            next_check, groups = _jump_groups(pts, two_r, chain, cur, end, rounds)
+            if groups:
+                keep = np.ones(len(cur), dtype=bool)
+                for items, _ in groups:
+                    keep[items] = False
+                breaks.append(chain[~keep] + cur[~keep])
+                chain, cur, end, two_r, last = (v[keep] for v in (chain, cur, end, two_r, last))
+                continue
+        runs.append(chain + cur)
+        rounds += 1
+        # the step from cur leaves the block exactly when its last point
+        # is within reach
+        reach = pts[cur] + two_r
+        keep = reach < last
+        if not keep.all():
+            chain, end, two_r, last, reach = (v[keep] for v in (chain, end, two_r, last, reach))
+        cur = np.searchsorted(pts, reach, side="right")
+    keys, breaks = np.concatenate(runs), np.concatenate(breaks)
+    del runs
+    keys.sort()
+    breaks.sort()
+    return keys, breaks
+
+
+def _walk_windows(pts, keys, breaks, counts, live, key0, cur, end, two_r, may_jump: bool):
+    """Step the windows live (chain key offset key0, position cur, end,
+    width two_r; sorted by chain) until each passes its end, adding their
+    counts.  A window on a listed canonical position follows the canonical
+    chain up to its end or the chain's next break.  Windows at a break, and
+    with may_jump those of chains due for a jump, move S steps at a time
+    while the landing stays below end, and then leave the walk: they are
+    returned, parked, to finish in another walk."""
+    last = pts[end - 1]
+    parked = []
+
+    def park(groups):
+        nonlocal live, key0, cur, end, two_r, last
+        out = np.zeros(len(live), dtype=bool)
+        for items, squarings in groups:
+            a, jump = _jump_table(pts, two_r[items[0]], cur[items], end[items], squarings)
+            x, stop = cur[items] - a, end[items] - a
+            while True:
+                x = jump[x]
+                keep = x < stop
+                if not keep.any():
+                    break
+                items, x, stop = items[keep], x[keep], stop[keep]
+                counts[live[items]] += 1 << squarings
+                cur[items] = x + a
+            out[items] = True
+        counts[live[out]] += steps
+        parked.append([v[out] for v in (live, key0, cur, end, two_r)])
+        live, key0, cur, end, two_r, last = (v[~out] for v in (live, key0, cur, end, two_r, last))
+
+    steps, next_check = 0, 1 if may_jump else None
     while len(live):
+        if next_check is not None and steps * _ROUND_POINTS >= next_check:
+            next_check, groups = _jump_groups(pts, two_r, key0, cur, end, steps)
+            if groups:
+                park(groups)
+        key = key0 + cur
+        at = np.searchsorted(keys, key)
+        hit = np.flatnonzero(keys[np.minimum(at, len(keys) - 1)] == key)
+        if len(hit):
+            # the canonical positions from here to the end, or to the
+            # chain's next break, are the window's next steps
+            stop = np.minimum(breaks[np.searchsorted(breaks, key[hit])], key0[hit] + end[hit])
+            counts[live[hit]] += np.searchsorted(keys, stop) - at[hit]
+            cur[hit] = stop - key0[hit]
+            done, broke = np.zeros(len(live), dtype=bool), np.zeros(len(live), dtype=bool)
+            done[hit] = cur[hit] == end[hit]
+            broke[hit] = ~done[hit]
+            counts[live[done]] += steps
+            live, key0, cur, end, two_r, last, broke = (
+                v[~done] for v in (live, key0, cur, end, two_r, last, broke))
+            broke = np.flatnonzero(broke)
+            if len(broke):
+                # a break starts a block too long to list: jump through it
+                park(_by_chain(broke, key0[broke], _longest(pts, two_r[broke], cur[broke], end[broke])))
         steps += 1
-        cur = np.searchsorted(seg, seg[cur] + two_r, side="right")
-        keep = cur < end
+        # the step from cur passes the end exactly when the window's last
+        # point is within reach
+        reach = pts[cur] + two_r
+        keep = reach < last
         if not keep.all():
             counts[live[~keep]] += steps
-            live, cur, end = live[keep], cur[keep], end[keep]
+            live, key0, end, two_r, last, reach = (v[keep] for v in (live, key0, end, two_r, last, reach))
+        cur = np.searchsorted(pts, reach, side="right")
+    return [np.concatenate(part) for part in zip(*parked)]
+
+
+def _greedy_counts_1d(gaps: _Gaps, widths: np.ndarray, chain: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray) -> np.ndarray:
+    """Greedy counts of the windows pts[lo[k]:hi[k]] by closed intervals of
+    length widths[chain[k]], equal to cover_count_1d window by window.
+
+    A window steps until it lands on its width's canonical chain or passes
+    hi.  From a canonical position m on it follows that chain, so its count
+    is the steps taken plus rank(hi) - rank(m), up to the chain's next
+    break.  Windows at a break, and windows still apart once the rounds
+    have cost a table pass, jump S steps at a time and finish with at most
+    S single steps; see the module notes.
+    """
+    pts = gaps.pts
+    base = len(pts) + 1
+    counts = np.zeros(len(lo), dtype=np.int64)
+    live = np.flatnonzero(lo < hi)
+    if not len(live):
+        return counts
+    keys, breaks = _canonical_keys(gaps, widths)
+    # sorted by chain, so that each chain's windows are one run
+    live = live[np.argsort(chain[live], kind="stable")]
+    windows, may_jump = [live, chain[live] * base, lo[live], hi[live], widths[chain[live]]], True
+    while windows:
+        windows, may_jump = _walk_windows(pts, keys, breaks, counts, *windows, may_jump), False
     return counts
 
 
 def _net_centers_1d(pts: np.ndarray, step: float) -> np.ndarray:
-    """First point of every occupied step-cell; pts is sorted, so the
-    cell ids are non-decreasing and a new cell starts where they change."""
-    cells = np.floor(pts / step).astype(np.int64)
-    first = np.empty(len(cells), dtype=bool)
-    first[:1] = True
-    np.not_equal(cells[1:], cells[:-1], out=first[1:])
-    return pts[first]
+    """First point of every occupied step-cell.  pts is sorted, so the cell
+    id floor(x / step) is non-decreasing in the index and a new cell starts
+    where it changes.  When the cloud spans few cells, the starts are found
+    by searchsorted on the cell edges k * step instead of dividing every
+    point, then moved to where floor(x / step) reaches k: next to an edge
+    the rounded product and the rounded quotient can disagree."""
+    n = len(pts)
+    if not n:
+        return pts
+    k0, k1 = math.floor(pts[0] / step), math.floor(pts[-1] / step)
+    if k1 - k0 > n // 8:
+        cells = np.floor(pts / step)
+        first = np.empty(n, dtype=bool)
+        first[:1] = True
+        np.not_equal(cells[1:], cells[:-1], out=first[1:])
+        return pts[first]
+    ks = np.arange(k0 + 1, k1 + 1, dtype=float)
+    start = np.searchsorted(pts, ks * step, side="left")
+    while True:
+        back = (start > 0) & (np.floor(pts[start - 1] / step) >= ks)
+        ahead = (start < n) & (np.floor(pts[np.minimum(start, n - 1)] / step) < ks)
+        if not (back.any() or ahead.any()):
+            break
+        start += ahead.astype(np.int64) - back
+    # cells before an empty run share its end as their start; the last
+    # cell holds pts[-1], so every start is a point
+    start = np.r_[0, start]
+    return pts[start[np.r_[True, start[1:] != start[:-1]]]]
 
 
 def _net_centers_2d(pts: np.ndarray, step: float) -> np.ndarray:
@@ -341,28 +527,89 @@ def _spectrum_scales(theta: float, delta: float, hull: float, policy: ScalePolic
     return out
 
 
-def _count_at_scale(cloud: PointCloud, R: float, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Covering counts over an (R/2)-net of centers; returns (centers, counts)."""
+#: a batch of 1-D jobs closes before its positions pass one per cloud
+#: point, or _BATCH_FLOOR on small clouds.  Its positions are the chain
+#: bounds of its distinct widths plus _WINDOW_POSITIONS per window, since
+#: the kernel keeps about four times as many arrays per window as per
+#: chain position.  The estimate's arrays then peak at 30-40 bytes a
+#: cloud point on the compare clouds of 86-254k points, and near 1.2 MB
+#: on clouds of 3k points (tracemalloc, numpy 2.4)
+_BATCH_FLOOR = 1 << 15
+_WINDOW_POSITIONS = 4
+
+
+def _batched_counts_1d(pts: np.ndarray, jobs, least: float):
+    """Greedy counts for jobs (tag, two_r, lo, hi) of window arrays, none
+    narrower than least, yielded as (tag, counts).  Jobs are counted
+    together in batches of bounded size; see _BATCH_FLOOR."""
+    gaps = _Gaps(pts, least)
+    budget = max(len(pts), _BATCH_FLOOR)
+    batch, widths, size = [], {}, 0
+    for job in jobs:
+        two_r, lo = job[1], job[2]
+        cost = _WINDOW_POSITIONS * len(lo) + (0 if two_r in widths else gaps.chain_bound(two_r))
+        if batch and size + cost > budget:
+            yield from _count_batch(gaps, batch, widths)
+            batch, widths, size = [], {}, 0
+            cost = _WINDOW_POSITIONS * len(lo) + gaps.chain_bound(two_r)
+        widths.setdefault(two_r, len(widths))
+        batch.append(job)
+        size += cost
+    if batch:
+        yield from _count_batch(gaps, batch, widths)
+
+
+def _count_batch(gaps: _Gaps, batch, widths: dict):
+    sizes = [len(lo) for _, _, lo, _ in batch]
+    chain = np.repeat([widths[two_r] for _, two_r, _, _ in batch], sizes)
+    counts = _greedy_counts_1d(gaps, np.array(list(widths)), chain,
+                               np.concatenate([lo for _, _, lo, _ in batch]),
+                               np.concatenate([hi for _, _, _, hi in batch]))
+    for (tag, _, _, _), part in zip(batch, np.split(counts, np.cumsum(sizes)[:-1])):
+        yield tag, part
+
+
+def _extreme_counts(cloud: PointCloud, pairs, lower: bool) -> list[tuple[int, object]]:
+    """(count, center) of the least (lower) or largest covering count over
+    an (R/2)-net of centers, for every (R, r) of pairs."""
+    pick = np.argmin if lower else np.argmax
     pts = cloud.points
-    if cloud.ambient_dim == 1:
-        centers = _net_centers_1d(pts, R / 2.0)
-        lo = np.searchsorted(pts, centers - R, side="left")
-        hi = np.searchsorted(pts, centers + R, side="right")
-        return centers, _counts_lockstep_1d(pts, lo, hi, r)
-    centers = _net_centers_2d(pts, R / 2.0)
-    return centers, _counts_2d(pts, centers, R, r)
+    out = [None] * len(pairs)
+    if cloud.ambient_dim == 2:
+        for i, (R, r) in enumerate(pairs):
+            centers = _net_centers_2d(pts, R / 2.0)
+            counts = _counts_2d(pts, centers, R, r)
+            k = int(pick(counts))
+            out[i] = int(counts[k]), tuple(centers[k])
+        return out
+
+    def jobs():
+        # sorted by r, the pairs of one width share a batch and its chain
+        for i in sorted(range(len(pairs)), key=lambda i: pairs[i][1]):
+            R, r = pairs[i]
+            centers = _net_centers_1d(pts, R / 2.0)
+            lo = np.searchsorted(pts, centers - R, side="left")
+            hi = np.searchsorted(pts, centers + R, side="right")
+            yield (i, centers), 2.0 * r, lo, hi
+
+    if pairs:
+        for (i, centers), counts in _batched_counts_1d(pts, jobs(), 2.0 * min(r for _, r in pairs)):
+            k = int(pick(counts))
+            out[i] = int(counts[k]), centers[k]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # spectrum estimators
 
 
-def _estimate_node(cloud: PointCloud, theta: float, policy: ScalePolicy, lower: bool,
-                   hull: float) -> tuple[float, ThetaDiagnostic]:
+def _estimate_node(cloud: PointCloud, theta: float, scales, policy: ScalePolicy, lower: bool,
+                   hull: float, extremes) -> tuple[float, ThetaDiagnostic]:
+    """Combine the extreme counts over a node's ladder of (R, r) pairs into
+    its estimate; a valid node takes its counts from the extremes iterator."""
     d = float(cloud.ambient_dim)
     if hull <= 0.0:
         return 0.0, ThetaDiagnostic(theta, (), True, "single point")
-    scales = _spectrum_scales(theta, cloud.delta, hull, policy)
     if len(scales) < policy.min_scales:
         note = f"only {len(scales)} admissible scales (need {policy.min_scales})"
         return math.nan, ThetaDiagnostic(theta, (), False, note)
@@ -370,12 +617,8 @@ def _estimate_node(cloud: PointCloud, theta: float, policy: ScalePolicy, lower: 
     exponents = []
     log_ratios = []
     log_counts = []
-    for R in scales:
-        r = R ** (1.0 / theta)
-        centers, counts = _count_at_scale(cloud, R, r)
-        k = int(np.argmin(counts)) if lower else int(np.argmax(counts))
-        count = int(counts[k])
-        center = centers[k] if cloud.ambient_dim == 1 else tuple(centers[k])
+    for R, r in scales:
+        count, center = next(extremes)
         e = math.log(max(count, 1)) / math.log(R / r)
         per_scale.append(ScaleDiagnostic(R, r, count, e, center))
         exponents.append(e)
@@ -403,7 +646,7 @@ def _estimate_node(cloud: PointCloud, theta: float, policy: ScalePolicy, lower: 
             value = max(deepest, slope_value) if lower else min(deepest, slope_value)
     value = min(max(value, 0.0), d)
     note = ""
-    if max(scales) > hull / policy.r0_divisor * (1.0 + 1e-9):
+    if max(R for R, _ in scales) > hull / policy.r0_divisor * (1.0 + 1e-9):
         note = "stretched beyond the local window; tied scales leave no room at this resolution"
     return value, ThetaDiagnostic(theta, tuple(per_scale), True, note, sup_value, slope_value)
 
@@ -415,12 +658,14 @@ def _estimate_curve(cloud: PointCloud, thetas, policy: ScalePolicy, lower: bool)
     if thetas.size == 0:
         raise DomainError("the theta grid is empty")
     hull = cloud.hull_diameter()
-    workers = _thread_count()
-    if workers > 1 and len(thetas) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _estimate_node(cloud, t, policy, lower, hull), thetas))
-    else:
-        results = [_estimate_node(cloud, t, policy, lower, hull) for t in thetas]
+    # every node's ladder, then the (R, r) pairs of all valid nodes counted
+    # together, then the per-node combination rule
+    ladders = [[(R, R ** (1.0 / theta)) for R in _spectrum_scales(theta, cloud.delta, hull, policy)]
+               for theta in thetas]
+    counted = [ladder for ladder in ladders if len(ladder) >= policy.min_scales]
+    extremes = iter(_extreme_counts(cloud, [pair for ladder in counted for pair in ladder], lower))
+    results = [_estimate_node(cloud, theta, ladder, policy, lower, hull, extremes)
+               for theta, ladder in zip(thetas, ladders)]
     values = np.array([v for v, _ in results])
     diags = tuple(d for _, d in results)
     curve = SpectrumCurve(thetas, values, "estimate", {"lower": lower, "delta": cloud.delta})
@@ -452,12 +697,17 @@ class BoxDimensionEstimate:
         return self.value
 
 
-def _global_count(cloud: PointCloud, r: float) -> int:
+def _global_counts(cloud: PointCloud, radii) -> list[int]:
+    """Covering counts of the whole cloud at every radius."""
     pts = cloud.points
     if cloud.ambient_dim == 1:
-        return int(_counts_lockstep_1d(pts, np.array([0]), np.array([len(pts)]), r)[0])
-    cells = np.floor(pts / r).astype(np.int64)
-    return len(np.unique(cells, axis=0))
+        whole = (np.array([0]), np.array([len(pts)]))
+        counts = [0] * len(radii)
+        jobs = ((i, 2.0 * r, *whole) for i, r in enumerate(radii))
+        for i, part in _batched_counts_1d(pts, jobs, 2.0 * min(radii)):
+            counts[i] = int(part[0])
+        return counts
+    return [len(np.unique(np.floor(pts / r).astype(np.int64), axis=0)) for r in radii]
 
 
 def box_dimension_estimate(cloud: PointCloud, radii=None, policy: ScalePolicy = DEFAULT_POLICY) -> BoxDimensionEstimate:
@@ -476,7 +726,7 @@ def box_dimension_estimate(cloud: PointCloud, radii=None, policy: ScalePolicy = 
             r /= policy.ladder_base
         if len(radii) < policy.min_scales:
             radii = list(np.geomspace(hull / policy.r0_divisor, r_min, policy.min_scales))
-    counts = [_global_count(cloud, r) for r in radii]
+    counts = _global_counts(cloud, radii)
     slope = np.polyfit(-np.log(radii), np.log(np.maximum(counts, 1)), 1)[0]
     return BoxDimensionEstimate(float(max(slope, 0.0)), tuple(radii), tuple(counts))
 
@@ -508,20 +758,16 @@ def assouad_dimension_estimate(cloud: PointCloud, policy: ScalePolicy = DEFAULT_
     while R >= r_min and len(ladder) < 60:
         ladder.append(R)
         R /= policy.ladder_base
+    pairs = [(R, r) for i, R in enumerate(ladder) for r in ladder[i + 1:]
+             if R / r >= min_pair_ratio and r >= r_min]
     best_val = 0.0
     best_query = None
     d = float(cloud.ambient_dim)
-    for i, R in enumerate(ladder):
-        for r in ladder[i + 1 :]:
-            if R / r < min_pair_ratio or r < r_min:
-                continue
-            centers, counts = _count_at_scale(cloud, R, r)
-            k = int(np.argmax(counts))
-            e = math.log(max(int(counts[k]), 1)) / math.log(R / r)
-            if e > best_val or best_query is None:
-                center = centers[k] if cloud.ambient_dim == 1 else tuple(centers[k])
-                best_val = e
-                best_query = CoverQuery(center, R, r, int(counts[k]))
+    for (R, r), (count, center) in zip(pairs, _extreme_counts(cloud, pairs, lower=False)):
+        e = math.log(max(count, 1)) / math.log(R / r)
+        if e > best_val or best_query is None:
+            best_val = e
+            best_query = CoverQuery(center, R, r, count)
     if best_query is None:
         raise DomainError("no admissible scale pair; the cloud is too coarse for R/r >= 16")
     return AssouadDimensionEstimate(min(max(best_val, 0.0), d), best_query)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -221,16 +221,6 @@ class SpacedDigits:
         if self.p < 1.0:
             raise ConfigurationError("spaced digit sets need p >= 1")
 
-    def digits(self) -> Iterator[int]:
-        n = 2
-        last = 1
-        while True:
-            b = math.floor(n**self.p)
-            if b > last:
-                yield b
-                last = b
-            n += 1
-
     def contains(self, b: int) -> bool:
         if b < 2:
             return False
@@ -287,13 +277,6 @@ class ClusteredDigits:
         lo = 2**k
         hi = math.floor(2**k + 2 ** (k * self.alpha))
         return lo, hi
-
-    def digits(self) -> Iterator[int]:
-        k = 1
-        while True:
-            lo, hi = self._block(k)
-            yield from range(lo, hi + 1)
-            k += 1
 
     def contains(self, b: int) -> bool:
         if b < 2:
@@ -363,12 +346,6 @@ class FullDigits:
     def __post_init__(self):
         if self.start < 2:
             raise ConfigurationError("full digit sets start at 2; digit 1 needs the recoded system")
-
-    def digits(self) -> Iterator[int]:
-        b = self.start
-        while True:
-            yield b
-            b += 1
 
     def contains(self, b: int) -> bool:
         return b >= self.start

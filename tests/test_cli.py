@@ -134,12 +134,28 @@ GOLDEN_FP = {
 }
 
 
+# sha256 of the estimate's artifacts of `compare --family ctd-spaced --grid 16`,
+# recorded with the per-call jump-table counting kernel: a cloud of the
+# generic Moebius builder, where fp pins the similarity builder's
+GOLDEN_CTD_SPACED = {
+    "curves.csv": "6d45c346704ec39b980a76e29e0ba5ee16a350cb17fbf2bb4830762a039d0d0b",
+    "summary.json": "2edf393c4dd67de2f49010d2ad07611fd29e290d92dcf0919090f60de08033d6",
+}
+
+
 def test_compare_golden_digests(tmp_path, capsys):
     rc = main(["compare", "--family", "fp", "--params", "p=1.0", "--delta", "1e-5", "--grid", "10",
                "--out", str(tmp_path)])
     assert rc == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_FP}
     assert digests == GOLDEN_FP
+
+
+def test_compare_golden_digests_ctd_spaced(tmp_path, capsys):
+    rc = main(["compare", "--family", "ctd-spaced", "--grid", "16", "--out", str(tmp_path)])
+    assert rc == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_CTD_SPACED}
+    assert digests == GOLDEN_CTD_SPACED
 
 
 def test_bad_gauss_digits_exit_2(tmp_path, capsys):

@@ -5,8 +5,9 @@ from ifsdim import CifsSpec, PointCloud, Similarity, build_fixed_point_cloud, bu
 from ifsdim.estimator import (
     DEFAULT_POLICY,
     ScalePolicy,
-    _counts_lockstep_1d,
-    _global_count,
+    _Gaps,
+    _batched_counts_1d,
+    _global_counts,
     _net_centers_1d,
     assouad_dimension_estimate,
     assouad_spectrum_estimate,
@@ -68,25 +69,82 @@ def _dyadic_cloud(rng, n):
     return cloud_of(np.unique(rng.integers(0, 1 << 16, n)) / 1024.0)
 
 
+def _batched(pts, jobs):
+    """Counts of the jobs (two_r, lo, hi), all passed to the batched kernel
+    at once."""
+    least = min(two_r for two_r, _, _ in jobs)
+    got = dict(_batched_counts_1d(pts, ((i, *job) for i, job in enumerate(jobs)), least))
+    return [got[i].tolist() for i in range(len(jobs))]
+
+
+def _windows(pts, centers, R):
+    return np.searchsorted(pts, centers - R, side="left"), np.searchsorted(pts, centers + R, side="right")
+
+
 class TestBatchedCounts1D:
     """The estimator's batched kernel against the scalar greedy sweep."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_kernel_equals_scalar_sweep(self, seed):
         # R from a few points to the whole cloud and r from one grid step
-        # to a sixteenth of the cloud: windows that end within the lockstep
-        # budget, chains far past it, and chains of many points per step
+        # to a sixteenth of the cloud, all pairs in one batch: windows that
+        # merge at once, chains far past the lockstep budget, and chains of
+        # many points per step
         rng = np.random.default_rng(seed)
         cloud = _dyadic_cloud(rng, int(rng.integers(200, 4000)))
         pts = cloud.points
+        jobs, expected = [], []
         for _ in range(6):
             R = 2.0 ** int(rng.integers(-5, 7))
             r = int(2.0 ** rng.uniform(0, 12)) / 2048.0
             centers = rng.choice(pts, size=int(rng.integers(1, 12)))
-            lo = np.searchsorted(pts, centers - R, side="left")
-            hi = np.searchsorted(pts, centers + R, side="right")
-            counts = _counts_lockstep_1d(pts, lo, hi, r)
-            assert counts.tolist() == [cover_count_1d(cloud, c, R, r) for c in centers]
+            jobs.append((2.0 * r, *_windows(pts, centers, R)))
+            expected.append([cover_count_1d(cloud, c, R, r) for c in centers])
+        assert _batched(pts, jobs) == expected
+
+    def test_widths_one_ulp_apart(self):
+        # the deepest rungs of a spectrum ladder share r up to the last bit.
+        # On a grid of 2^-10 steps, 2r is three steps: the interval of the
+        # exact width from 0 reaches the point at 2r, the one an ulp
+        # narrower stops short of it, so the chains from 0 differ
+        cloud = cloud_of(np.arange(4000) / 1024.0)
+        pts = cloud.points
+        r0 = 3 / 2048.0
+        rs = [r0, np.nextafter(r0, np.inf), np.nextafter(r0, -np.inf), r0, np.nextafter(r0, -np.inf)]
+        centers = np.r_[0.0, np.random.default_rng(5).choice(pts, 30)]
+        jobs = [(2.0 * r, *_windows(pts, centers, R)) for r in rs for R in (0.05, 0.75)]
+        expected = [[cover_count_1d(cloud, c, R, r) for c in centers] for r in rs for R in (0.05, 0.75)]
+        assert _batched(pts, jobs) == expected
+        assert expected[0][0] != expected[4][0]
+
+    def test_gaps_of_exactly_two_r_are_not_barriers(self):
+        # gaps of 1, 2 and 3 units with 2r = 2 units: the greedy interval
+        # from a point reaches a point exactly 2r away, so only 3-unit gaps
+        # cut the chains
+        rng = np.random.default_rng(11)
+        cloud = cloud_of(np.cumsum(rng.integers(1, 4, 2000)) / 1024.0)
+        pts = cloud.points
+        r = 1 / 1024.0
+        assert len(_Gaps(pts, 2.0 * r).barriers(2.0 * r)) == np.count_nonzero(np.diff(pts) == 3 / 1024.0)
+        centers = rng.choice(pts, 40)
+        for R in (0.01, 0.2, 4.0):
+            jobs = [(2.0 * r, *_windows(pts, centers, R))]
+            assert _batched(pts, jobs) == [[cover_count_1d(cloud, c, R, r) for c in centers]]
+
+    def test_barrier_free_grid_closed_form(self):
+        # a uniform grid has no gap wider than 2r, so no chain meets the
+        # canonical one by a barrier: with 2r = m steps the greedy step is
+        # m + 1 points, the long chains jump, and windows off the canonical
+        # residue never merge
+        n = 20000
+        pts = np.arange(n) / 1024.0
+        ms = (1, 3, 10, 300)
+        lo = np.array([0, 1, 2, 5, 7, 0])
+        hi = np.array([n, n, n - 3, 9000, 8, 1])
+        jobs = [(m / 1024.0, lo, hi) for m in ms]
+        expected = [[-(-(b - a) // (m + 1)) for a, b in zip(lo, hi)] for m in ms]
+        assert _batched(pts, jobs) == expected
+        assert _global_counts(cloud_of(pts), [m / 2048.0 for m in ms]) == [-(-n // (m + 1)) for m in ms]
 
     def test_empty_and_whole_windows(self):
         cloud = _dyadic_cloud(np.random.default_rng(7), 3000)
@@ -96,14 +154,19 @@ class TestBatchedCounts1D:
         lo = np.array([5, 0, 0, n - 1, 40])
         hi = np.array([5, n, 1, n, 20])
         whole = cover_count_1d(cloud, float(pts[0]), float(pts[-1] - pts[0]), r)
-        assert _counts_lockstep_1d(pts, lo, hi, r).tolist() == [0, whole, 1, 1, 0]
-        assert _global_count(cloud, r) == whole
+        assert _batched(pts, [(2.0 * r, lo, hi), (4.0 * r, lo[:1], hi[:1])]) == [[0, whole, 1, 1, 0], [0]]
+        assert _global_counts(cloud, [r]) == [whole]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_net_centers_match_unique_reference(self, seed):
         rng = np.random.default_rng(seed)
-        pts = np.unique(rng.normal(0.0, 1.0, int(rng.integers(0, 3000))))
-        for step in (1e-4, 0.01, 0.3, 5.0):
+        steps = (1e-4, 0.01, 0.3, 5.0)
+        # points on cell edges k * step and the floats on either side,
+        # where the rounded product and quotient can disagree
+        edges = np.array([k * s for s in steps for k in range(-7, 8)])
+        near = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+        pts = np.unique(np.concatenate([rng.normal(0.0, 1.0, int(rng.integers(0, 3000))), near]))
+        for step in steps:
             cells = np.floor(pts / step).astype(np.int64)
             _, first = np.unique(cells, return_index=True)
             assert np.array_equal(_net_centers_1d(pts, step), pts[np.sort(first)])
@@ -238,6 +301,19 @@ class TestLowerSpectrum:
         rep = lower_spectrum_estimate(cloud_of([0.2]), [0.5])
         assert rep.curve.values[0] == 0.0
 
+    def test_counts_are_least_scalar_counts(self):
+        # every scale of the lower spectrum reports the least greedy count
+        # over the (R/2)-net and the first center reaching it
+        cloud = cloud_of(1.0 / np.arange(1, 4001, dtype=float), delta=1e-5)
+        rep = lower_spectrum_estimate(cloud, [0.3, 0.5, 0.7])
+        assert sum(len(diag.scales) for diag in rep.diagnostics) >= 9
+        for diag in rep.diagnostics:
+            for sd in diag.scales:
+                centers = _net_centers_1d(cloud.points, sd.R / 2.0)
+                counts = [cover_count_1d(cloud, c, sd.R, sd.r) for c in centers]
+                assert sd.count == min(counts)
+                assert sd.center == centers[counts.index(sd.count)]
+
 
 class TestChainInequality:
     def test_box_spectrum_assouad_ordering(self):
@@ -282,15 +358,16 @@ class TestPlanarPath:
         assert 0.0 <= rep.curve.values[0] <= 2.0
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
+def test_nodes_are_estimated_independently():
+    # all nodes' scale pairs are counted together; a node's value and
+    # diagnostics must not depend on which other nodes are asked for, so
+    # that a saved cloud re-estimated at a few nodes reproduces curves.csv
     import ifsdim as F
-    from ifsdim.estimator import ENV_THREADS
 
-    spec = F.build_sharp_family(1.8, 3.6, 0.5)
-    cloud = F.build_limit_cloud(spec, 1e-6)
-    thetas = np.arange(0.2, 0.81, 0.1)
-    monkeypatch.delenv(ENV_THREADS, raising=False)
-    serial = assouad_spectrum_estimate(cloud, thetas).curve.values
-    monkeypatch.setenv(ENV_THREADS, "4")
-    threaded = assouad_spectrum_estimate(cloud, thetas).curve.values
-    assert np.array_equal(serial, threaded)
+    cloud = F.build_limit_cloud(F.build_sharp_family(1.8, 3.6, 0.5), 1e-6)
+    thetas = np.linspace(0.05, 0.9, 12)
+    full = assouad_spectrum_estimate(cloud, thetas)
+    for pick in ([0], [5], [3, 11], list(range(0, 12, 3)), [2, 7, 8]):
+        part = assouad_spectrum_estimate(cloud, thetas[pick])
+        assert np.array_equal(part.curve.values, full.curve.values[pick], equal_nan=True)
+        assert repr(part.diagnostics) == repr(tuple(full.diagnostics[i] for i in pick))
