@@ -1,18 +1,23 @@
 """Finite-resolution point clouds of limit sets and fixed-point sets.
 
-The builder expands cylinders breadth first: every cylinder of diameter
+One builder serves every spec, on the line or in the plane, with or
+without an infinite tail.  It expands cylinders breadth first, one
+level at a time over arrays of Moebius maps: every cylinder of diameter
 at least delta that meets the window is expanded, and each frontier
-cylinder below delta contributes the image of the anchor point.  An
-infinite tail is truncated metrically: representatives are kept on a
-delta/2 grid (points closer than that merge inside any delta-ball) and
-the remaining tail, confined to a shrinking envelope around the
-accumulation point, is replaced by a single representative.
+cylinder below delta contributes the image of the anchor point.
+
+An infinite tail is truncated metrically under every node S on a grid
+of its own: cells of width delta/2 over the largest derivative of S on
+the seed domain, laid in tail space (before S is applied).  Each node
+keeps the first tail child it reaches in each cell, whose image lies
+within delta/2 of the images of the dropped ones, and the rest of the
+tail, inside an envelope within one cell of the accumulation point, is
+replaced by the image of that point.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +36,7 @@ from .mobius import (
     stack_mobius,
     take_mobius,
 )
-from .tails import SimilarityTail, ragged_arange
+from .tails import ragged_arange
 
 DEFAULT_CAP = 5_000_000
 
@@ -117,166 +122,7 @@ class PointCloud:
 
 
 # ---------------------------------------------------------------------------
-# geometry helpers
-
-
-def _grid_net_1d(positions: np.ndarray, step: float) -> np.ndarray:
-    """First position per step-cell, deterministic in the walk order."""
-    if len(positions) == 0:
-        return positions
-    cells = np.floor(positions / step).astype(np.int64)
-    _, first = np.unique(cells, return_index=True)
-    return positions[np.sort(first)]
-
-
-# ---------------------------------------------------------------------------
-# fast path: purely similarity families on the line
-
-
-def _similarity_arrays(spec: CifsSpec):
-    ratios = np.array([m.ratio for _, m in spec.explicit], dtype=float)
-    offsets = np.array([m.offset for _, m in spec.explicit], dtype=float)
-    return ratios, offsets
-
-
-def _first_below(value_fn, lo: int, threshold: float) -> int:
-    """Smallest index >= lo whose (decreasing) value drops below threshold."""
-    if value_fn(lo) < threshold:
-        return lo
-    i = lo
-    step = 1
-    while value_fn(i) >= threshold:
-        i += step
-        step *= 2
-    a = max(lo, i - step // 2 + 1)
-    b = i
-    while a < b:
-        mid = (a + b) // 2
-        if value_fn(mid) < threshold:
-            b = mid
-        else:
-            a = mid + 1
-    return a
-
-
-def _tail_net_indices(tail: SimilarityTail, node_r: float, node_o: float, step: float,
-                      i_from: int, i_stop: int) -> np.ndarray:
-    """Indices of one representative per step-cell on [i_from, i_stop).
-
-    While consecutive anchor positions are more than step apart every
-    index is kept; past that the walk jumps straight to the first index
-    entering each occupied cell, so the cost is the number of kept
-    representatives rather than the number of tail indices.
-    """
-    if i_stop <= i_from:
-        return np.empty(0, dtype=np.int64)
-    offs = tail.offsets
-
-    def spacing(i: int) -> float:
-        return node_r * (offs.value(i) - offs.value(i + 1))
-
-    if spacing(i_from) < step:
-        i_dense = i_from
-    else:
-        i_dense = min(_first_below(spacing, i_from, step), i_stop)
-    sparse = np.arange(i_from, i_dense, dtype=np.int64)
-    if i_dense >= i_stop:
-        return sparse
-    top = node_o + node_r * offs.value(i_dense)
-    k_hi = int(np.floor(top / step))
-    k_lo = int(np.floor(node_o / step))
-    if k_hi <= k_lo:
-        return np.concatenate([sparse, np.array([i_dense], dtype=np.int64)])
-    cell_tops = (np.arange(k_hi, k_lo, -1, dtype=float) + 1.0) * step
-    thresholds = (cell_tops - node_o) / node_r
-    dense = offs.first_indices_below(thresholds)
-    dense = np.unique(np.clip(dense, i_dense, i_stop - 1))
-    return np.concatenate([sparse, dense])
-
-
-def _build_similarity_1d(spec: CifsSpec, delta, window, cap, fixed_points_only):
-    d0, d1 = spec.domain
-    dom_w = d1 - d0
-    anchor = float(spec.anchor)
-    exp_r, exp_o = _similarity_arrays(spec)
-    tail = spec.tail
-    step = delta / 2.0
-
-    chunks: list[np.ndarray] = []
-    expanded: list[tuple[float, float]] = []
-    total = 0
-
-    def push_points(arr: np.ndarray):
-        nonlocal total
-        if len(arr):
-            total += len(arr)
-            if total > cap:
-                raise CloudSizeError(total, cap)
-            chunks.append(arr)
-
-    def window_mask(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        if window is None:
-            return np.ones(len(lo), dtype=bool)
-        return (hi >= window[0]) & (lo <= window[1])
-
-    queue = deque([(1.0, 0.0)])
-    while queue:
-        node_r, node_o = queue.popleft()
-
-        # explicit children
-        if len(exp_r):
-            ch_r = node_r * exp_r
-            ch_o = node_o + node_r * exp_o
-            ok = window_mask(ch_o + ch_r * d0, ch_o + ch_r * d1)
-            big = ok & (ch_r * dom_w >= delta) & ~np.bool_(fixed_points_only)
-            for r, o in zip(ch_r[big], ch_o[big]):
-                queue.append((float(r), float(o)))
-                expanded.append((float(o + r * d0), float(o + r * d1)))
-            small = ok & ~big
-            push_points(ch_o[small] + ch_r[small] * anchor)
-
-        if tail is not None:
-            i0 = tail.start
-            i_stop = _first_below(
-                lambda j: node_r * (tail.offsets.value(j) + tail.ratios.value(j)), i0, step
-            )
-            if fixed_points_only:
-                i_exp = i0
-            else:
-                i_exp = _first_below(lambda j: node_r * tail.ratios.value(j) * dom_w, i0, delta)
-                i_exp = min(max(i_exp, i0), i_stop)
-                if i_exp > i0:
-                    t_r, t_o = tail.arrays(i0, i_exp)
-                    ch_r = node_r * t_r
-                    ch_o = node_o + node_r * t_o
-                    ok = window_mask(ch_o + ch_r * d0, ch_o + ch_r * d1)
-                    for r, o in zip(ch_r[ok], ch_o[ok]):
-                        queue.append((float(r), float(o)))
-                        expanded.append((float(o + r * d0), float(o + r * d1)))
-            # one representative per delta/2 cell for the sub-delta tail
-            idx = _tail_net_indices(tail, node_r, node_o, step, i_exp, i_stop)
-            if len(idx):
-                t_r, t_o = tail.arrays_at(idx)
-                ch_r = node_r * t_r
-                ch_o = node_o + node_r * t_o
-                ok = window_mask(ch_o + ch_r * d0, ch_o + ch_r * d1)
-                push_points(_grid_net_1d(ch_o[ok] + ch_r[ok] * anchor, step))
-            # single representative for the remaining tail envelope
-            accum = node_o + node_r * tail.accumulation_point()
-            env_hi = node_o + node_r * (tail.offsets.value(i_stop) + tail.ratios.value(i_stop))
-            lo_e, hi_e = min(accum, env_hi), max(accum, env_hi)
-            if window is None or (hi_e >= window[0] and lo_e <= window[1]):
-                push_points(np.array([accum]))
-
-        if fixed_points_only:
-            break
-
-    pts = np.unique(np.concatenate(chunks)) if chunks else np.array([], dtype=float)
-    return pts, expanded
-
-
-# ---------------------------------------------------------------------------
-# generic path: arbitrary Moebius branches, 1-D or 2-D, one level at a time
+# the builder: arbitrary Moebius branches, 1-D or 2-D, one level at a time
 
 
 class _Line:
@@ -498,7 +344,7 @@ class _Points:
             self.chunks.append(self.geo.coords(p))
 
 
-def _build_generic(spec: CifsSpec, delta, window, cap, fixed_points_only):
+def _build(spec: CifsSpec, delta, window, cap, fixed_points_only):
     geo = (_Plane if spec.ambient_dim == 2 else _Line)(spec, window)
     anchor = spec.anchor
     tail = spec.tail
@@ -615,11 +461,7 @@ def build_limit_cloud(spec: CifsSpec, delta: float, window: Region | None = None
         raise ConfigurationError(f"resolution delta must be positive, got {delta}")
     if delta >= spec.domain_diameter():
         raise ConfigurationError("resolution delta must be below the seed-domain size")
-    if spec.is_similarity():
-        pts, expanded = _build_similarity_1d(spec, delta, window, cap, False)
-        expanded = np.array(expanded, dtype=float).reshape(-1, 2)
-    else:
-        pts, expanded = _build_generic(spec, delta, window, cap, False)
+    pts, expanded = _build(spec, delta, window, cap, False)
     complete = _check_complete(spec.ambient_dim, pts, expanded)
     return PointCloud(pts, delta, spec.ambient_dim, "limit_set", spec.digest(), complete)
 
@@ -628,8 +470,5 @@ def build_fixed_point_cloud(spec: CifsSpec, delta: float, cap: int = DEFAULT_CAP
     """One anchor image per first-level branch, tail truncated as usual."""
     if delta <= 0:
         raise ConfigurationError(f"resolution delta must be positive, got {delta}")
-    if spec.is_similarity():
-        pts, _ = _build_similarity_1d(spec, delta, None, cap, True)
-    else:
-        pts, _ = _build_generic(spec, delta, None, cap, True)
+    pts, _ = _build(spec, delta, None, cap, True)
     return PointCloud(pts, delta, spec.ambient_dim, "fixed_points", spec.digest(), True)

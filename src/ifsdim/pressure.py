@@ -16,6 +16,7 @@ cross terms.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,63 +125,60 @@ class _DerivTables:
     """Per-system cache of word derivative extremes.
 
     The extremes of |S_w'| over the seed domain do not depend on the
-    pressure exponent, so bisection re-evaluates only power sums."""
+    pressure exponent, so bisection re-evaluates only power sums.  The
+    tables hold no reference to their spec, so that the spec can key
+    them weakly."""
 
-    def __init__(self, spec: CifsSpec):
-        self.spec = spec
+    def __init__(self):
         self.finite: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.pair: tuple[np.ndarray, np.ndarray] | None = None
         self.head_sup: np.ndarray | None = None
 
-    def finite_level(self, depth: int) -> tuple[np.ndarray, np.ndarray, int]:
-        maps = [m for _, m in self.spec.explicit]
+    def finite_level(self, spec: CifsSpec, depth: int) -> tuple[np.ndarray, np.ndarray, int]:
+        maps = [m for _, m in spec.explicit]
         k = max(len(maps), 1)
         while k**depth > WORD_BUDGET and depth > 1:
             depth -= 1
         if depth not in self.finite:
-            base = _branch_matrices(self.spec, maps)
+            base = _branch_matrices(spec, maps)
             mats = base
             for _ in range(depth - 1):
                 mats = _compose_arrays(mats, base)
-            self.finite[depth] = _deriv_bounds_arrays(self.spec, *mats)
+            self.finite[depth] = _deriv_bounds_arrays(spec, *mats)
         dlo, dhi = self.finite[depth]
         return dlo, dhi, depth
 
-    def head_pair(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def head_pair(self, spec: CifsSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.pair is None:
-            head = _head_branches(self.spec, HEAD_SIZE)
-            mats = _branch_matrices(self.spec, head)
-            _, hhi = _deriv_bounds_arrays(self.spec, *mats)
-            plo, phi = _deriv_bounds_arrays(self.spec, *_compose_arrays(mats, mats))
+            head = _head_branches(spec, HEAD_SIZE)
+            mats = _branch_matrices(spec, head)
+            _, hhi = _deriv_bounds_arrays(spec, *mats)
+            plo, phi = _deriv_bounds_arrays(spec, *_compose_arrays(mats, mats))
             self.head_sup = hhi
             self.pair = (plo, phi)
         return self.pair[0], self.pair[1], self.head_sup
 
 
-# keyed by object identity with a liveness re-check; bounded so a long
-# session sweeping many systems cannot hold every table alive
-_TABLES: dict[int, _DerivTables] = {}
+# specs compare by identity; a spec's tables go when the spec does
+_TABLES: weakref.WeakKeyDictionary[CifsSpec, _DerivTables] = weakref.WeakKeyDictionary()
 
 
 def _tables(spec: CifsSpec) -> _DerivTables:
-    tab = _TABLES.get(id(spec))
-    if tab is None or tab.spec is not spec:
-        tab = _DerivTables(spec)
-        if len(_TABLES) > 64:
-            _TABLES.clear()
-        _TABLES[id(spec)] = tab
+    tab = _TABLES.get(spec)
+    if tab is None:
+        tab = _TABLES[spec] = _DerivTables()
     return tab
 
 
 def _psi_n_finite(spec: CifsSpec, t: float, depth: int) -> tuple[float, float, int]:
     """Exact per-word bracket sums for a finite alphabet at a capped depth."""
-    dlo, dhi, depth = _tables(spec).finite_level(depth)
+    dlo, dhi, depth = _tables(spec).finite_level(spec, depth)
     return float(np.sum(dlo**t)), float(np.sum(dhi**t)), depth
 
 
 def _psi2_split(spec: CifsSpec, t: float) -> tuple[float, float]:
     """Depth-two bracket for infinite alphabets via a finite head."""
-    plo, phi, hhi = _tables(spec).head_pair()
+    plo, phi, hhi = _tables(spec).head_pair(spec)
     head_sup = float(np.sum(hhi**t))
     pair_lo = float(np.sum(plo**t))
     pair_hi = float(np.sum(phi**t))

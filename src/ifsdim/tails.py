@@ -15,8 +15,9 @@ with the resolution:
   ``gs`` as one batch, with the position in ``gs`` that owns each map;
 * ``envelope_reach(gs)`` -- the largest distance from the accumulation
   point to the envelope of each generation;
-* ``generation_reaching(xs)`` -- per threshold x > 0, a generation
-  from which on every envelope lies within distance x.
+* ``generation_reaching(xs)`` -- per threshold x > 0, the first
+  generation g with ``envelope_reach(g) < x``; envelopes shrink, so
+  every later envelope lies within distance x as well.
 
 The maps match ``generation_maps(g)[i][1].mobius()`` bit for bit.
 """
@@ -67,6 +68,22 @@ def ragged_arange(counts: np.ndarray) -> np.ndarray:
 # scalar rules for similarity tails
 
 
+def _settle_first_below(rule, guess: np.ndarray, t: np.ndarray, lowest: int) -> np.ndarray:
+    """Move closed-form guesses to the smallest index >= lowest whose
+    exact value is below t; the guesses are off by rounding only."""
+    i = np.maximum(guess, lowest)
+    while True:
+        high = rule.exact_values_at(i) >= t
+        if not high.any():
+            break
+        i = i + high
+    while True:
+        low = (i > lowest) & (rule.exact_values_at(np.maximum(i - 1, lowest)) < t)
+        if not low.any():
+            return i
+        i = i - low
+
+
 @dataclass(frozen=True)
 class PowerRule:
     """value(i) = coef * i**(-exponent)."""
@@ -81,20 +98,15 @@ class PowerRule:
     def value(self, i: int) -> float:
         return self.coef * float(i) ** (-self.exponent)
 
-    def values(self, i0: int, i1: int) -> np.ndarray:
-        return self.coef * np.arange(i0, i1, dtype=float) ** (-self.exponent)
-
-    def values_at(self, idx: np.ndarray) -> np.ndarray:
-        return self.coef * np.asarray(idx, dtype=float) ** (-self.exponent)
-
     def exact_values_at(self, idx: np.ndarray) -> np.ndarray:
         """value(i) per index, bit for bit: float_power uses libm pow, as ** in value does."""
         return self.coef * np.float_power(np.asarray(idx, dtype=float), -self.exponent)
 
     def first_indices_below(self, thresholds: np.ndarray) -> np.ndarray:
-        """Smallest index with value(i) < threshold, per threshold (> 0)."""
+        """Smallest index i >= 1 with value(i) < threshold, per threshold (> 0)."""
         t = np.asarray(thresholds, dtype=float)
-        return np.floor((self.coef / t) ** (1.0 / self.exponent)).astype(np.int64) + 1
+        guess = np.floor((self.coef / t) ** (1.0 / self.exponent)).astype(np.int64) + 1
+        return _settle_first_below(self, guess, t, 1)
 
     def sum_pow_bounds(self, t: float, start: int) -> tuple[float, float]:
         lo, hi = power_sum_bounds(self.exponent * t, start)
@@ -119,19 +131,15 @@ class GeometricRule:
     def value(self, i: int) -> float:
         return self.coef * self.base**i
 
-    def values(self, i0: int, i1: int) -> np.ndarray:
-        return self.coef * self.base ** np.arange(i0, i1, dtype=float)
-
-    def values_at(self, idx: np.ndarray) -> np.ndarray:
-        return self.coef * self.base ** np.asarray(idx, dtype=float)
-
     def exact_values_at(self, idx: np.ndarray) -> np.ndarray:
         """value(i) per index, bit for bit: float_power uses libm pow, as ** in value does."""
         return self.coef * np.float_power(self.base, np.asarray(idx, dtype=float))
 
     def first_indices_below(self, thresholds: np.ndarray) -> np.ndarray:
+        """Smallest index i >= 0 with value(i) < threshold, per threshold (> 0)."""
         t = np.asarray(thresholds, dtype=float)
-        return np.floor(np.log(t / self.coef) / math.log(self.base)).astype(np.int64) + 1
+        guess = np.floor(np.log(t / self.coef) / math.log(self.base)).astype(np.int64) + 1
+        return _settle_first_below(self, guess, t, 0)
 
     def sum_pow_bounds(self, t: float, start: int) -> tuple[float, float]:
         return geometric_tail_bounds(self.coef, self.base, t, start)
@@ -180,13 +188,15 @@ class SimilarityTail:
         return self.offsets.exact_values_at(i) + self.ratios.exact_values_at(i)
 
     def generation_reaching(self, xs: np.ndarray) -> np.ndarray:
+        # the first generation whose envelope is within x; an envelope is
+        # never below its offset, so the walk starts at the first offset below x
         xs = _positive(xs)
-        i = self.offsets.first_indices_below(xs * 0.5)
+        g = np.maximum(self.offsets.first_indices_below(xs) - self.start, 0)
         while True:
-            above = self.envelope_reach(np.maximum(i - self.start, 0)) >= xs
+            above = self.envelope_reach(g) >= xs
             if not above.any():
-                return np.maximum(i - self.start, 0)
-            i = i + above
+                return g
+            g = g + above
 
     def accumulation_point(self) -> float:
         return 0.0
@@ -199,12 +209,6 @@ class SimilarityTail:
 
     def finiteness_parameter(self) -> float:
         return self.ratios.finiteness()
-
-    def arrays(self, i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.ratios.values(i0, i1), self.offsets.values(i0, i1)
-
-    def arrays_at(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.ratios.values_at(idx), self.offsets.values_at(idx)
 
 
 # ---------------------------------------------------------------------------

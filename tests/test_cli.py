@@ -125,18 +125,21 @@ def test_compare_reproducible_byte_for_byte(tmp_path):
 
 
 # sha256 of the artifacts of `compare --family fp --params p=1.0 --delta 1e-5
-# --grid 10`, recorded with the earlier one-step-per-round counting kernel; any
-# change to the cloud, the estimate or the summary shows here
+# --grid 10`; any change to the cloud, the estimate or the summary shows here.
+# Recorded once the cloud held one point in every occupied delta/2 cell
+# (TestFixedPointCloud.test_one_point_per_occupied_cell): the earlier
+# similarity builder left the cells of 1/100001, 1/50001, 1/25001, ... empty,
+# 887 points where there are 893
 GOLDEN_FP = {
-    "cloud.bin": "ed3445e7f1215b450c751e4c73eeaadbe6beb14bb7ed78e7a3c7e9751272911b",
-    "curves.csv": "26c07c817c0a809dbf724b65e2cf8a530233da8bd630a82472695f53e4ac160d",
-    "summary.json": "94c5777ffec748728fd2330eafd6d88c9f5cf5a6191e7da3801ce4c75f0b1592",
+    "cloud.bin": "e9008cde1d0d2ebec8e516d54065d06699949d6441af8bf13e35bf5297c12155",
+    "curves.csv": "fe7282b838fcf1db55d85c7733ca4948501a2f754db6fe0493ddb4fc3252e841",
+    "summary.json": "3cce881f5e6c0da6c4f1ffcd937fc9d7d750c3dc89b2c242af693a8845f34e0f",
 }
 
 
 # sha256 of the estimate's artifacts of `compare --family ctd-spaced --grid 16`,
-# recorded with the per-call jump-table counting kernel: a cloud of the
-# generic Moebius builder, where fp pins the similarity builder's
+# recorded with the per-call jump-table counting kernel: a cloud of
+# continued-fraction branches, where fp pins one of similarities
 GOLDEN_CTD_SPACED = {
     "curves.csv": "6d45c346704ec39b980a76e29e0ba5ee16a350cb17fbf2bb4830762a039d0d0b",
     "summary.json": "2edf393c4dd67de2f49010d2ad07611fd29e290d92dcf0919090f60de08033d6",

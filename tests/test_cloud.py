@@ -90,13 +90,14 @@ class TestLimitCloud:
             build_limit_cloud(fp_spec(), 1e-7, cap=1000)
         assert "1000" in str(err.value)
 
-    def test_generic_path_matches_similarity_path_geometry(self):
-        # the same two-map system built via the generic Moebius walker
+    def test_added_gauss_branch_keeps_the_similarity_points(self):
+        # a tiny continued-fraction branch beside the two similarities
+        # adds points but moves none of theirs
         spec = two_map_spec()
-        via_sim = build_limit_cloud(spec, 1.0 / 16.0)
-        forced = CifsSpec(1, (0.0, 1.0), spec.explicit + ((3, GaussBranch(97)),))
-        cloud = build_limit_cloud(forced, 1.0 / 16.0)
-        for p in via_sim.points:
+        plain = build_limit_cloud(spec, 1.0 / 16.0)
+        mixed = CifsSpec(1, (0.0, 1.0), spec.explicit + ((3, GaussBranch(97)),))
+        cloud = build_limit_cloud(mixed, 1.0 / 16.0)
+        for p in plain.points:
             assert np.min(np.abs(cloud.points - p)) < 1e-12
 
 
@@ -106,6 +107,27 @@ class TestFixedPointCloud:
         cloud = build_fixed_point_cloud(spec, 1e-3)
         assert cloud.label == "fixed_points"
         assert np.allclose(cloud.points, [1.0 / 3.0, 1.0 / 2.0])
+
+    def test_one_point_per_occupied_cell(self):
+        # from the definition: the anchor images of every branch down to
+        # the first tail branch whose envelope falls within delta/2 of the
+        # accumulation point occupy a set of delta/2 cells; the cloud holds
+        # exactly one point in each of them, and 0 for the rest of the tail
+        spec = make_family("fp").spec
+        delta = 1e-5
+        step = delta / 2.0
+        tail = spec.tail
+        images = [m.ratio * spec.anchor + m.offset for _, m in spec.explicit]
+        i = tail.start
+        while tail.offsets.value(i) + tail.ratios.value(i) >= step:
+            images.append(tail.ratios.value(i) * spec.anchor + tail.offsets.value(i))
+            i += 1
+        want = np.unique(np.floor(np.array(images) / step).astype(np.int64))
+        pts = build_fixed_point_cloud(spec, delta).points
+        assert pts[0] == 0.0
+        cells = np.floor(pts[1:] / step).astype(np.int64)
+        assert len(np.unique(cells)) == len(cells)
+        assert np.array_equal(np.unique(cells), want)
 
     def test_clustered_digit_positions(self):
         spec = CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(ClusteredDigits(0.5)))

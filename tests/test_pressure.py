@@ -1,8 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from ifsdim import pressure
 from ifsdim import (
     CifsSpec,
     DomainError,
@@ -56,6 +59,14 @@ class TestPsi:
         # sup |S_b'| = b^-2, so the upper endpoint is log(1/4 + 1/9)
         assert prof.upper == pytest.approx(math.log(0.25 + 1.0 / 9.0), abs=1e-12)
         assert prof.lower <= math.log(0.25 + 1.0 / 9.0) <= prof.upper + 1e-12
+
+    def test_tables_are_freed_with_their_spec(self):
+        spec = gauss_spec([2, 3, 5])
+        psi(spec, 0.5, 4)
+        tables = weakref.ref(pressure._TABLES[spec])
+        del spec
+        gc.collect()
+        assert tables() is None
 
     def test_bracket_nesting_with_depth(self):
         spec = gauss_spec([2, 3])

@@ -1,8 +1,8 @@
 """Array queries of the tail rules against scalar reference loops.
 
 The references below are the per-generation loops the cloud builder used
-before it handled whole levels as arrays; the array forms must agree
-with them exactly.
+before it handled whole levels as arrays, or scans that follow a query's
+definition; the array forms must agree with them exactly.
 """
 
 import math
@@ -82,12 +82,15 @@ def _envelope_reach_loop(tail, g):
     return max(abs(float(lo)), abs(float(hi)))
 
 
+def _first_reaching_scan(tail, xs):
+    """Per x, the first generation g with envelope_reach(g) < x, by scanning g up from 0."""
+    envs = [_envelope_reach_loop(tail, 0)]
+    while envs[-1] >= min(xs):
+        envs.append(_envelope_reach_loop(tail, len(envs)))
+    return [next(g for g, e in enumerate(envs) if e < x) for x in xs]
+
+
 def _generation_reaching_loop(tail, x):
-    if isinstance(tail, SimilarityTail):
-        i = int(tail.offsets.first_indices_below(np.array([x * 0.5]))[0])
-        while _envelope_reach_loop(tail, max(i - tail.start, 0)) >= x:
-            i += 1
-        return max(i - tail.start, 0)
     if isinstance(tail, GaussDigitTail):
         return _first_digit_above_loop(tail.digits, 1.0 / x)
     if isinstance(tail, ComplexGaussTail):
@@ -135,7 +138,46 @@ def test_envelope_and_reaching_match_scalar_loops(tail):
     assert tail.envelope_reach(gs).tolist() == [_envelope_reach_loop(tail, int(g)) for g in gs]
     rng = np.random.default_rng(5)
     xs = 10.0 ** rng.uniform(-7, -0.5, 300)
-    assert tail.generation_reaching(xs).tolist() == [_generation_reaching_loop(tail, float(x)) for x in xs]
+    if isinstance(tail, SimilarityTail):
+        want = _first_reaching_scan(tail, xs.tolist())
+    else:
+        want = [_generation_reaching_loop(tail, float(x)) for x in xs]
+    g = tail.generation_reaching(xs)
+    assert g.tolist() == want
+    # the first generation whose envelope is within x
+    assert np.all(tail.envelope_reach(g) < xs)
+    assert np.all((g == 0) | (tail.envelope_reach(np.maximum(g - 1, 0)) >= xs))
+
+
+def _first_below_scan(rule, thresholds, lowest):
+    """Per threshold, the smallest index i >= lowest with rule.value(i) < t.
+
+    One scalar pass over the indices, visiting the thresholds from the
+    largest down, so each index is evaluated once.
+    """
+    first = {}
+    i = lowest
+    for t in sorted(set(thresholds), reverse=True):
+        while rule.value(i) >= t:
+            i += 1
+        first[t] = i
+    return [first[t] for t in thresholds]
+
+
+@pytest.mark.parametrize("rule", [PowerRule(1.0, 1.0), PowerRule(1.0, 1.8), PowerRule(0.7, 3.6),
+                                  GeometricRule(0.5, 0.7), GeometricRule(0.3, 0.6)], ids=repr)
+def test_first_indices_below_match_scalar_scan(rule):
+    # geometric values underflow after a few thousand indices
+    lowest, count = (1, 20000) if isinstance(rule, PowerRule) else (0, 600)
+    # the rule's own values, which the closed form misses by rounding,
+    # the tops of the cells of a 1e-5 net, and values in between
+    exact = [rule.value(i) for i in range(lowest, lowest + count)]
+    tops = [k * 5e-6 for k in range(1, 20001)]
+    rng = np.random.default_rng(3)
+    between = (10.0 ** rng.uniform(math.log10(exact[-1]), math.log10(2.0 * exact[0]), 12000)).tolist()
+    thresholds = exact + tops + between
+    got = rule.first_indices_below(np.array(thresholds))
+    assert got.tolist() == _first_below_scan(rule, thresholds, lowest)
 
 
 def test_complex_tail_has_empty_generations():
