@@ -40,6 +40,22 @@ batches bounded by their windows plus, per width, a bound on the
 canonical chain's length from the sorted gaps, which keeps the transient
 arrays within a fixed multiple of the cloud.
 
+Planar counts.  In the plane a window's count is the number of occupied
+r-mesh squares holding a cloud point within R of the centre, with the
+distance taken as hypot(px - cx, py - cy) in float arithmetic, as in
+cover_count_2d.  Each (R, r) pair is counted for all its centres at
+once.  Every point's r-square gets an id below n, numbered once per
+pair from one lexicographic sort of the squares.  The points are sorted
+by the key of their bucket on a grid of side a little above R; a point
+within R of a centre then lies in the 3 x 3 buckets around the centre's
+bucket, and the margin keeps that true through the rounding of the
+offsets and of the bucket division.  Those buckets are three runs of
+sorted keys, and their points are the centre's candidates, a superset
+of its disc.  The exact hypot test keeps the disc, and the distinct keys
+centre * n + square id, counted with one sort and a bincount, are the
+counts.  Centres are taken in chunks whose candidates stay within
+max(n, _CANDIDATE_FLOOR).
+
 Scale policy.  For the spectrum at theta the two scales are tied by
 r = R^(1/theta), and a scale is admissible when r stays a fixed factor
 above the cloud resolution (below that, discreteness flattens every
@@ -155,7 +171,8 @@ def cover_count_1d(cloud: PointCloud, center: float, R: float, r: float) -> int:
 
 
 def cover_count_2d(cloud: PointCloud, center: complex, R: float, r: float) -> int:
-    """Occupied axis-aligned r-mesh squares meeting the ball around center."""
+    """Occupied axis-aligned r-mesh squares holding a cloud point within R
+    of center; the scalar reference of the estimator's planar counts."""
     if cloud.ambient_dim != 2:
         raise DomainError("cover_count_2d needs a 2-D cloud")
     if r <= 0 or R <= 0:
@@ -458,20 +475,76 @@ def _net_centers_1d(pts: np.ndarray, step: float) -> np.ndarray:
     return pts[start[np.r_[True, start[1:] != start[:-1]]]]
 
 
-def _net_centers_2d(pts: np.ndarray, step: float) -> np.ndarray:
+def _cell_ids(pts: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Id of every point's step-cell floor(p / step), numbered below
+    len(pts) in the lexicographic order of the cells, and the index of the
+    first point of every cell, in id order."""
     cells = np.floor(pts / step).astype(np.int64)
-    _, first = np.unique(cells, axis=0, return_index=True)
-    return pts[np.sort(first)]
+    order = np.lexsort((cells[:, 1], cells[:, 0]))
+    cells = cells[order]
+    new = np.empty(len(pts), dtype=bool)
+    new[:1] = True
+    np.logical_or(cells[1:, 0] != cells[:-1, 0], cells[1:, 1] != cells[:-1, 1], out=new[1:])
+    ids = np.empty(len(pts), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
+def _net_centers_2d(pts: np.ndarray, step: float) -> np.ndarray:
+    """First point of every occupied step-cell, in cloud order."""
+    return pts[np.sort(_cell_ids(pts, step)[1])]
+
+
+#: the planar kernel gathers the candidates of its centres in chunks of at
+#: most max(len(pts), _CANDIDATE_FLOOR) points (a centre with more forms a
+#: chunk alone), about 70 bytes each across the chunk's arrays.  On the
+#: finite complex cloud of 7k points, chunks of the whole pair's
+#: candidates read no faster (numpy 2.4)
+_CANDIDATE_FLOOR = 1 << 13
 
 
 def _counts_2d(pts: np.ndarray, centers: np.ndarray, R: float, r: float) -> np.ndarray:
-    counts = np.zeros(len(centers), dtype=np.int64)
-    for k, (cx, cy) in enumerate(centers):
-        d = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
-        inside = pts[d <= R]
-        if len(inside):
-            cells = np.floor(inside / r).astype(np.int64)
-            counts[k] = len(np.unique(cells, axis=0))
+    """Occupied r-mesh squares holding a point within R of each centre,
+    equal to cover_count_2d centre by centre; see the module notes."""
+    n, m = len(pts), len(centers)
+    cell = _cell_ids(pts, r)[0]
+    # buckets wider than R by 2^-16 of it: a point that passes the hypot
+    # test is within R of the centre along each axis up to a few ulps, and
+    # the bucket division, of values up to 2^24, rounds by less than 2^-26
+    # of a side, so the point lies in the 3 x 3 buckets around the
+    # centre's.  At most 2^24 buckets to a side keep the keys in int64
+    lo = np.array([pts[:, 0].min(), pts[:, 1].min()])
+    span = max(pts[:, 0].max() - lo[0], pts[:, 1].max() - lo[1])
+    side = max(R * (1.0 + 2.0**-16), float(span) * 2.0**-24)
+    bucket = np.floor((pts - lo) / side).astype(np.int64)
+    # rows padded by one bucket on either side, so that the neighbours of
+    # every bucket have keys in the same row
+    width = int(bucket[:, 1].max()) + 3
+    key = (bucket[:, 0] + 1) * width + bucket[:, 1] + 1
+    order = np.argsort(key, kind="stable")
+    key, xs, ys, cell = key[order], pts[order, 0], pts[order, 1], cell[order]
+    # the candidates of a centre are the points of the 3 x 3 buckets
+    # around its own, three runs of sorted keys
+    cb = np.floor((centers - lo) / side).astype(np.int64)
+    row = (cb[:, :1] + np.arange(3)) * width + cb[:, 1:]
+    start = np.searchsorted(key, row, side="left")
+    runs = np.searchsorted(key, row + 2, side="right") - start
+    per_center = runs.sum(axis=1)
+    total = np.cumsum(per_center)
+    counts = np.empty(m, dtype=np.int64)
+    budget = max(n, _CANDIDATE_FLOOR)
+    a = 0
+    while a < m:
+        base = int(total[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(total, base + budget, side="right")))
+        lens = runs[a:b].ravel()
+        offset = np.cumsum(lens) - lens
+        idx = np.arange(int(total[b - 1]) - base) + np.repeat(start[a:b].ravel() - offset, lens)
+        owner = np.repeat(np.arange(b - a), per_center[a:b])
+        inside = np.hypot(xs[idx] - centers[a:b, 0][owner], ys[idx] - centers[a:b, 1][owner]) <= R
+        keys = np.unique(owner[inside] * n + cell[idx[inside]])
+        counts[a:b] = np.bincount(keys // n, minlength=b - a)
+        a = b
     return counts
 
 
@@ -707,7 +780,7 @@ def _global_counts(cloud: PointCloud, radii) -> list[int]:
         for i, part in _batched_counts_1d(pts, jobs, 2.0 * min(radii)):
             counts[i] = int(part[0])
         return counts
-    return [len(np.unique(np.floor(pts / r).astype(np.int64), axis=0)) for r in radii]
+    return [len(_cell_ids(pts, r)[1]) for r in radii]
 
 
 def box_dimension_estimate(cloud: PointCloud, radii=None, policy: ScalePolicy = DEFAULT_POLICY) -> BoxDimensionEstimate:

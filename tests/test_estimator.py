@@ -7,8 +7,10 @@ from ifsdim.estimator import (
     ScalePolicy,
     _Gaps,
     _batched_counts_1d,
+    _counts_2d,
     _global_counts,
     _net_centers_1d,
+    _net_centers_2d,
     assouad_dimension_estimate,
     assouad_spectrum_estimate,
     box_dimension_estimate,
@@ -17,6 +19,7 @@ from ifsdim.estimator import (
     exhaustive_cover_count_1d,
     lower_spectrum_estimate,
 )
+from ifsdim import estimator
 from ifsdim.errors import DomainError
 from ifsdim.spectra import fp_spectrum
 from ifsdim.tails import GeometricRule, PowerRule, SimilarityTail
@@ -189,6 +192,111 @@ class TestCoverCount2D:
         pts = np.array([(x, y) for x in xs for y in xs])
         cloud = cloud_of(pts, dim=2)
         assert cover_count_2d(cloud, complex(0.5, 0.5), 1.0, 1.0 / n) == n * n
+
+
+def _scalar_counts_2d(pts, centers, R, r):
+    cloud = cloud_of(pts, dim=2)
+    return [cover_count_2d(cloud, complex(*c), R, r) for c in centers]
+
+
+def _edge_points(steps, ks=range(-7, 8)):
+    """Mesh edges k * step and the floats on either side, where the
+    rounded quotient p / step can land on either side of k."""
+    edges = np.array([k * s for s in steps for k in ks])
+    return np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+
+
+class TestCounts2D:
+    """The estimator's batched planar kernel against cover_count_2d."""
+
+    @pytest.mark.parametrize("k", [0, 3, 9])
+    def test_points_exactly_at_distance_R(self, k):
+        # offsets (3, 4) * s and their turns and reflections have hypot
+        # exactly 5s = R, so the disc's boundary decides them
+        s = 2.0**-k
+        offsets = [(sx * a, sy * b) for a, b in ((3, 4), (4, 3), (5, 0), (0, 5))
+                   for sx in (1, -1) for sy in (1, -1)]
+        center = np.array([0.375, -0.625])
+        rng = np.random.default_rng(k)
+        pts = np.unique(np.vstack([center, center + s * np.array(offsets, dtype=float),
+                                   center + s * rng.uniform(-6, 6, (200, 2))]), axis=0)
+        for R in (5 * s, np.nextafter(5 * s, -np.inf), np.nextafter(5 * s, np.inf)):
+            for r in (s / 4, 0.3 * s, 2 * s):
+                assert _counts_2d(pts, pts, R, r).tolist() == _scalar_counts_2d(pts, pts, R, r)
+        at_r = _counts_2d(pts, center[None, :], 5 * s, s / 4)[0]
+        assert at_r > _counts_2d(pts, center[None, :], np.nextafter(5 * s, -np.inf), s / 4)[0]
+
+    @pytest.mark.parametrize("r", [2.0**-6, 0.01, 0.3])
+    def test_points_on_mesh_edges_with_negative_coordinates(self, r):
+        rng = np.random.default_rng(int(r * 1000))
+        near = _edge_points([r])
+        pts = np.unique(np.vstack([rng.choice(near, (600, 2)), rng.uniform(-7 * r, 7 * r, (300, 2))]), axis=0)
+        assert (pts < 0).any()
+        centers = pts[rng.choice(len(pts), 60, replace=False)]
+        for R in (r, 3.3 * r, 20 * r):
+            assert _counts_2d(pts, centers, R, r).tolist() == _scalar_counts_2d(pts, centers, R, r)
+
+    def test_one_point_cloud(self):
+        pts = np.array([[-0.3, 0.7]])
+        assert _counts_2d(pts, pts, 0.1, 0.01).tolist() == [1]
+        assert _counts_2d(pts, pts, 0.1, 0.01).tolist() == _scalar_counts_2d(pts, pts, 0.1, 0.01)
+
+    def test_centres_alone_in_their_disc(self):
+        # a unit grid with x jittered below 0.05: discs of radius 0.9 hold
+        # their centre only; one an ulp under 1 leaves out the neighbours
+        # exactly 1 away in y and takes some of the jittered ones in x
+        grid = np.array([(i, j) for i in range(-4, 5) for j in range(-3, 4)], dtype=float)
+        pts = grid + np.random.default_rng(2).uniform(0, 0.05, grid.shape) * [1, 0]
+        for R in (0.9, np.nextafter(1.0, 0.0)):
+            counts = _counts_2d(pts, pts, R, 0.01)
+            assert counts.tolist() == _scalar_counts_2d(pts, pts, R, 0.01)
+        assert set(_counts_2d(pts, pts, 0.9, 0.01).tolist()) == {1}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_centres_split_across_chunks(self, seed, monkeypatch):
+        # with the floor at 1 a chunk holds at most n candidates, so wide
+        # discs put one centre in a chunk and narrow ones several
+        rng = np.random.default_rng(seed)
+        pts = np.unique(rng.normal(0.0, 1.0, (int(rng.integers(300, 1500)), 2)), axis=0)
+        centers = _net_centers_2d(pts, 0.2)
+        expected = {R: _scalar_counts_2d(pts, centers, R, R / 8) for R in (0.05, 0.4, 10.0)}
+        monkeypatch.setattr(estimator, "_CANDIDATE_FLOOR", 1)
+        for R, counts in expected.items():
+            assert _counts_2d(pts, centers, R, R / 8).tolist() == counts
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_net_centers_match_unique_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        steps = (1e-4, 0.01, 0.3, 5.0)
+        near = _edge_points(steps)
+        pts = np.vstack([rng.normal(0.0, 1.0, (int(rng.integers(1, 3000)), 2)), rng.choice(near, (400, 2))])
+        for step in steps:
+            cells = np.floor(pts / step).astype(np.int64)
+            _, first = np.unique(cells, axis=0, return_index=True)
+            assert np.array_equal(_net_centers_2d(pts, step), pts[np.sort(first)])
+            assert _global_counts(cloud_of(pts, dim=2), [step]) == [len(first)]
+
+    def test_estimate_memory_stays_bounded(self):
+        # the chunks keep the estimate's transient arrays near the cloud's
+        # size: 0.74 MB on this cloud of 3.5k points against 1.86 MB with
+        # every pair counted in one chunk (tracemalloc, numpy 2.4)
+        import tracemalloc
+
+        import ifsdim as F
+        from ifsdim.jsonio import spec_from_dict
+
+        doc = {"kind": "complex_gauss", "digits": [[2, 0], [2, 1], [2, -1], [3, 0]]}
+        cloud = F.build_limit_cloud(spec_from_dict(doc), 3e-5)
+        assert 3000 < len(cloud) < 4000
+        thetas = np.linspace(0.05, 0.9, 8)
+        tracemalloc.start()
+        try:
+            assouad_spectrum_estimate(cloud, thetas)
+            lower_spectrum_estimate(cloud, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6
 
 
 class TestSpectrumEstimate:
@@ -371,3 +479,37 @@ def test_nodes_are_estimated_independently():
         part = assouad_spectrum_estimate(cloud, thetas[pick])
         assert np.array_equal(part.curve.values, full.curve.values[pick], equal_nan=True)
         assert repr(part.diagnostics) == repr(tuple(full.diagnostics[i] for i in pick))
+
+
+# sha256 of repr of the 2-D estimates of the finite complex system (digits
+# (2,0), (2,+-1), (3,0)) at delta 1e-4 on linspace(0.05, 0.9, 8): values
+# and diagnostics of both spectra, the Assouad estimate with its query,
+# and the box estimate's radii and counts.  Recorded with the per-centre
+# counting loop that the batched 2-D kernel replaced.
+GOLDEN_PLANAR = {
+    "assouad_spectrum": "b7938fa76ac8294a4ead307b392ddff9bced21f44ce6defd29cfea1098c5dec4",
+    "lower_spectrum": "310cefaf2c321421e9d5cb7a981f13d97a0cefb306dd4122e366d22258414f02",
+    "assouad_dimension": "fd70c9f2d45211bf67850c40423cb06f49587c3385f61eaec5dd95ccbff727ee",
+    "box_dimension": "7c0f4997487ff7bc5db21a2f72d3c6dd7914ae093b45c5e1d781c65e6db679bd",
+}
+
+
+def test_planar_golden_digests():
+    import hashlib
+
+    import ifsdim as F
+    from ifsdim.jsonio import spec_from_dict
+
+    doc = {"kind": "complex_gauss", "digits": [[2, 0], [2, 1], [2, -1], [3, 0]]}
+    cloud = F.build_limit_cloud(spec_from_dict(doc), 1e-4)
+    thetas = np.linspace(0.05, 0.9, 8)
+    up = assouad_spectrum_estimate(cloud, thetas)
+    low = lower_spectrum_estimate(cloud, thetas)
+    outputs = {
+        "assouad_spectrum": (up.curve.values.tolist(), up.diagnostics),
+        "lower_spectrum": (low.curve.values.tolist(), low.diagnostics),
+        "assouad_dimension": assouad_dimension_estimate(cloud),
+        "box_dimension": box_dimension_estimate(cloud),
+    }
+    digests = {name: hashlib.sha256(repr(out).encode()).hexdigest() for name, out in outputs.items()}
+    assert digests == GOLDEN_PLANAR
