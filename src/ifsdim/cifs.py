@@ -49,9 +49,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def extended(self, label: Label) -> "Word":
-        return Word(self.labels + (label,))
-
 
 @dataclass(frozen=True)
 class Cylinder:

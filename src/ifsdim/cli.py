@@ -43,6 +43,9 @@ from .spectra import (
 )
 from .svgplot import emit_svg, resample_to_union_grid
 
+#: characters (or bytes) per write in _atomic_write
+_WRITE_CHUNK = 1 << 20
+
 
 @dataclass
 class RunConfig:
@@ -92,7 +95,9 @@ def _atomic_write(path: Path, data: str | bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     mode = "wb" if isinstance(data, bytes) else "w"
     with open(tmp, mode) as fh:
-        fh.write(data)
+        # a slice at a time: writing text whole encodes a full copy of it
+        for start in range(0, len(data), _WRITE_CHUNK):
+            fh.write(data[start : start + _WRITE_CHUNK])
     os.replace(tmp, path)
 
 
@@ -382,7 +387,7 @@ def _config_from(args) -> RunConfig:
         params=_parse_params(getattr(args, "params", None)),
         delta=getattr(args, "delta", None),
         grid=getattr(args, "grid", 64),
-        tol=getattr(args, "tol", 0.07),
+        tol=RunConfig.tol if getattr(args, "tol", None) is None else args.tol,
         out_dir=getattr(args, "out", "out"),
         seed=getattr(args, "seed", 0),
     )
@@ -400,7 +405,8 @@ def _add_common(sub, cloud_arg=False):
     sub.add_argument("--params", help="family parameters as k=v,k=v")
     sub.add_argument("--delta", type=float, help="cloud resolution")
     sub.add_argument("--grid", type=int, default=64, help="theta grid size")
-    sub.add_argument("--tol", type=float, default=0.07, help="comparison tolerance")
+    sub.add_argument("--tol", type=float,
+                     help="comparison tolerance (default 0.07); for dimension, the enclosure width")
     sub.add_argument("--out", default="out", help="output directory")
     sub.add_argument("--seed", type=int, default=0, help="seed for oracle spot checks")
     if cloud_arg:

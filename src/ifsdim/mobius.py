@@ -37,9 +37,6 @@ class Disc:
     def contains(self, other: "Disc", slack: float = 0.0) -> bool:
         return abs(other.center - self.center) + other.radius <= self.radius * (1.0 + slack) + slack * 1e-12
 
-    def intersects(self, other: "Disc") -> bool:
-        return abs(other.center - self.center) <= self.radius + other.radius
-
 
 @dataclass(frozen=True)
 class Mobius:

@@ -6,11 +6,16 @@ submultiplicative and the sums of ``inf_w^t`` supermultiplicative, so
 
     (1/n) log sum inf_w^t  <=  pressure(t)  <=  (1/n) log sum sup_w^t
 
-at every depth, and the brackets are nested as n doubles.  Similarity
-families are multiplicative, so their pressure is pinned at depth one;
-finite conformal alphabets are enumerated to a depth budget; infinite
-alphabets get a depth-two refinement with the tail mass folded into the
-cross terms.
+at every depth.  One rule serves every family.  The head H is the
+explicit branches followed by a prefix of the tail, ``HEAD_SIZE`` maps
+in all for an infinite alphabet.  The depth D is the largest
+n <= ``MAX_DEPTH_FINITE`` with |H|^n <= ``WORD_BUDGET``, and D = 1 for
+similarity families, whose sums are multiplicative.  At depth n <= D
+the sums run over the head words H^n, and the mass the head leaves out
+of the depth-one sum, rho = psi_1 - S with S = sum over H of sup^t,
+enters the upper sum as (S + rho)^n - S^n; for a finite alphabet rho
+is zero.  The bracket returned is the intersection of the depth-one
+and depth-n brackets.
 """
 
 from __future__ import annotations
@@ -62,10 +67,10 @@ class DimensionResult:
 
 
 # ---------------------------------------------------------------------------
-# branch tables
+# word tables
 
 
-def _branch_matrices(spec: CifsSpec, maps: list[MapKind]):
+def _branch_matrices(maps: list[MapKind]):
     a = np.array([m.mobius().a for m in maps], dtype=complex)
     b = np.array([m.mobius().b for m in maps], dtype=complex)
     c = np.array([m.mobius().c for m in maps], dtype=complex)
@@ -92,20 +97,6 @@ def _deriv_bounds_arrays(spec: CifsSpec, a, b, c, d):
     return det / qmax**2, det / qmin**2
 
 
-def _psi1_bounds(spec: CifsSpec, t: float) -> tuple[float, float]:
-    lo = hi = 0.0
-    if spec.explicit:
-        a, b, c, d = _branch_matrices(spec, [m for _, m in spec.explicit])
-        dlo, dhi = _deriv_bounds_arrays(spec, a, b, c, d)
-        lo += float(np.sum(dlo**t))
-        hi += float(np.sum(dhi**t))
-    if spec.tail is not None:
-        tlo, thi = spec.tail.psi1_bounds(t, spec.domain)
-        lo += tlo
-        hi += thi
-    return lo, hi
-
-
 def _compose_arrays(first, second):
     a, b, c, d = first
     ba, bb, bc, bd = second
@@ -117,82 +108,76 @@ def _compose_arrays(first, second):
     )
 
 
-def _head_branches(spec: CifsSpec, size: int) -> list[MapKind]:
-    return [m for _, m in spec.first_level(sample=max(size - len(spec.explicit), 8))][:size]
+def _head_branches(spec: CifsSpec) -> list[MapKind]:
+    if spec.tail is None:
+        return [m for _, m in spec.explicit]
+    return [m for _, m in spec.first_level(sample=max(HEAD_SIZE - len(spec.explicit), 8))][:HEAD_SIZE]
 
 
-class _DerivTables:
-    """Per-system cache of word derivative extremes.
+class _Tables:
+    """Per-system cache: the head, the depth D and the word tables.
 
     The extremes of |S_w'| over the seed domain do not depend on the
     pressure exponent, so bisection re-evaluates only power sums.  The
     tables hold no reference to their spec, so that the spec can key
     them weakly."""
 
-    def __init__(self):
-        self.finite: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.pair: tuple[np.ndarray, np.ndarray] | None = None
-        self.head_sup: np.ndarray | None = None
+    def __init__(self, spec: CifsSpec):
+        self.explicit = _deriv_bounds_arrays(spec, *_branch_matrices([m for _, m in spec.explicit]))
+        head = _head_branches(spec)
+        self.head = _branch_matrices(head)
+        # similarity sums are multiplicative, so depth one is exact
+        self.depth = 1
+        while (not spec.is_similarity() and self.depth < MAX_DEPTH_FINITE
+               and len(head) ** (self.depth + 1) <= WORD_BUDGET):
+            self.depth += 1
+        self.words: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def finite_level(self, spec: CifsSpec, depth: int) -> tuple[np.ndarray, np.ndarray, int]:
-        maps = [m for _, m in spec.explicit]
-        k = max(len(maps), 1)
-        while k**depth > WORD_BUDGET and depth > 1:
-            depth -= 1
-        if depth not in self.finite:
-            base = _branch_matrices(spec, maps)
-            mats = base
-            for _ in range(depth - 1):
-                mats = _compose_arrays(mats, base)
-            self.finite[depth] = _deriv_bounds_arrays(spec, *mats)
-        dlo, dhi = self.finite[depth]
-        return dlo, dhi, depth
-
-    def head_pair(self, spec: CifsSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.pair is None:
-            head = _head_branches(spec, HEAD_SIZE)
-            mats = _branch_matrices(spec, head)
-            _, hhi = _deriv_bounds_arrays(spec, *mats)
-            plo, phi = _deriv_bounds_arrays(spec, *_compose_arrays(mats, mats))
-            self.head_sup = hhi
-            self.pair = (plo, phi)
-        return self.pair[0], self.pair[1], self.head_sup
+    def word_bounds(self, spec: CifsSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Derivative extremes over the head words of length n."""
+        if n not in self.words:
+            mats = self.head
+            for _ in range(n - 1):
+                mats = _compose_arrays(mats, self.head)
+            self.words[n] = _deriv_bounds_arrays(spec, *mats)
+        return self.words[n]
 
 
 # specs compare by identity; a spec's tables go when the spec does
-_TABLES: weakref.WeakKeyDictionary[CifsSpec, _DerivTables] = weakref.WeakKeyDictionary()
+_TABLES: weakref.WeakKeyDictionary[CifsSpec, _Tables] = weakref.WeakKeyDictionary()
 
 
-def _tables(spec: CifsSpec) -> _DerivTables:
+def _tables(spec: CifsSpec) -> _Tables:
     tab = _TABLES.get(spec)
     if tab is None:
-        tab = _TABLES[spec] = _DerivTables()
+        tab = _TABLES[spec] = _Tables(spec)
     return tab
 
 
-def _psi_n_finite(spec: CifsSpec, t: float, depth: int) -> tuple[float, float, int]:
-    """Exact per-word bracket sums for a finite alphabet at a capped depth."""
-    dlo, dhi, depth = _tables(spec).finite_level(spec, depth)
-    return float(np.sum(dlo**t)), float(np.sum(dhi**t)), depth
+# ---------------------------------------------------------------------------
+# pressure
 
 
-def _psi2_split(spec: CifsSpec, t: float) -> tuple[float, float]:
-    """Depth-two bracket for infinite alphabets via a finite head."""
-    plo, phi, hhi = _tables(spec).head_pair(spec)
-    head_sup = float(np.sum(hhi**t))
-    pair_lo = float(np.sum(plo**t))
-    pair_hi = float(np.sum(phi**t))
-    total_lo, total_hi = _psi1_bounds(spec, t)
-    if math.isinf(total_hi):
-        return math.inf, math.inf
-    rest_hi = max(total_hi - head_sup, 0.0)
-    psi2_hi = pair_hi + rest_hi * (2.0 * head_sup + rest_hi)
-    psi2_lo = pair_lo
-    return psi2_lo, psi2_hi
+def _psi1_bounds(spec: CifsSpec, tab: _Tables, t: float) -> tuple[float, float]:
+    dlo, dhi = tab.explicit
+    lo, hi = float(np.sum(dlo**t)), float(np.sum(dhi**t))
+    if spec.tail is not None:
+        tlo, thi = spec.tail.psi1_bounds(t, spec.domain)
+        lo += tlo
+        hi += thi
+    return lo, hi
+
+
+def _cross_terms(s: float, rho: float, n: int) -> float:
+    """(s + rho)^n - s^n by Horner in rho; rho * (2 s + rho) at n = 2."""
+    acc = 1.0
+    for k in range(n - 1, 0, -1):
+        acc = math.comb(n, k) * s ** (n - k) + rho * acc
+    return rho * acc
 
 
 def psi(spec: CifsSpec, t: float, n: int = 1) -> PressureProfile:
-    """Certified bracket for (1/n) log psi_n(t).
+    """Certified bracket for (1/n) log psi_n(t) at depth min(n, D).
 
     A divergent sum (infinite tail below its finiteness parameter)
     yields an infinite upper endpoint rather than an error.
@@ -201,21 +186,18 @@ def psi(spec: CifsSpec, t: float, n: int = 1) -> PressureProfile:
         raise DomainError(f"pressure exponent t must be positive, got {t}")
     if n < 1:
         raise DomainError(f"depth must be at least 1, got {n}")
-    if spec.is_similarity():
-        lo, hi = _psi1_bounds(spec, t)
-        # multiplicative: (1/n) log psi_n = log psi_1 at every depth
-        return PressureProfile(t, n, _safe_log(lo), _safe_log(hi))
-    if spec.tail is None:
-        lo, hi, used = _psi_n_finite(spec, t, n)
-        return PressureProfile(t, used, _safe_log(lo) / used, _safe_log(hi) / used)
-    if n == 1:
-        lo, hi = _psi1_bounds(spec, t)
-        return PressureProfile(t, 1, _safe_log(lo), _safe_log(hi))
-    lo1, hi1 = _psi1_bounds(spec, t)
-    lo2, hi2 = _psi2_split(spec, t)
-    lower = max(_safe_log(lo1), _safe_log(lo2) / 2.0)
-    upper = min(_safe_log(hi1), _safe_log(hi2) / 2.0)
-    return PressureProfile(t, 2, lower, upper)
+    tab = _tables(spec)
+    lo1, hi1 = _psi1_bounds(spec, tab, t)
+    lower, upper = _safe_log(lo1), _safe_log(hi1)
+    depth = min(n, tab.depth)
+    if depth > 1:
+        head_sup = float(np.sum(tab.word_bounds(spec, 1)[1] ** t))
+        rest = max(hi1 - head_sup, 0.0)
+        wlo, whi = tab.word_bounds(spec, depth)
+        hi_n = float(np.sum(whi**t)) + _cross_terms(head_sup, rest, depth)
+        lower = max(lower, _safe_log(float(np.sum(wlo**t))) / depth)
+        upper = min(upper, _safe_log(hi_n) / depth)
+    return PressureProfile(t, depth, lower, upper)
 
 
 def _safe_log(x: float) -> float:
@@ -243,59 +225,37 @@ def _bisect_monotone(pred, lo: float, hi: float, iters: int = 200) -> tuple[floa
     return lo, hi
 
 
+def _crossing(pred, lo: float, hi: float) -> tuple[float, float]:
+    """Where a monotone pred turns true on [lo, hi]; (0, lo) or (hi, hi) off the ends."""
+    if pred(lo):
+        return 0.0, lo
+    if not pred(hi):
+        return hi, hi
+    return _bisect_monotone(pred, lo, hi)
+
+
 def hausdorff_dimension(spec: CifsSpec, tol: float | None = None) -> DimensionResult:
-    """Root of the pressure equation via bisection on certified signs."""
+    """Root of the pressure equation via bisection on certified signs at depth D."""
     similarity = spec.is_similarity()
     if tol is None:
         tol = SIMILARITY_TOL if similarity else CONFORMAL_TOL
     if tol <= 0:
         raise DomainError("tolerance must be positive")
+    if not spec.explicit and spec.tail is None:
+        raise ConfigurationError("the family has no branches")
     d = float(spec.ambient_dim)
     t_min = 1e-12
-
+    depth = _tables(spec).depth
+    _, h_hi = _crossing(lambda t: psi(spec, t, depth).upper <= 0.0, t_min, d)
     if similarity and spec.tail is None:
-        ratios = np.array([m.ratio for _, m in spec.explicit], dtype=float)
-        if len(ratios) == 0:
-            raise ConfigurationError("the family has no branches")
-
-        def excess(t: float) -> float:
-            return float(np.sum(ratios**t)) - 1.0
-
-        if excess(d) > 0:
-            return DimensionResult(d, (d, d), "exact_similarity", True)
-        if excess(t_min) <= 0:
-            return DimensionResult(0.0, (0.0, 0.0), "exact_similarity", True)
-        _, root = _bisect_monotone(lambda t: excess(t) <= 0, t_min, d)
-        eps = 16.0 * np.finfo(float).eps * max(1.0, root)
+        # a finite sum of ratio powers errs by rounding only: pad its root
+        root = h_hi if h_hi > t_min else 0.0
+        eps = 16.0 * np.finfo(float).eps * max(1.0, root) if 0.0 < root < d else 0.0
         return DimensionResult(root, (max(root - eps, 0.0), root + eps), "exact_similarity", True)
-
-    depth_schedule = [1] if similarity else ([2] if spec.tail is not None else [1, 2, 4, 8, MAX_DEPTH_FINITE])
-    method = "exact_similarity" if similarity else "bracketed_conformal"
-    h_lo, h_hi = 0.0, d
-    for depth in depth_schedule:
-        def upper_nonpositive(t: float) -> bool:
-            return psi(spec, t, depth).upper <= 0.0
-
-        def lower_nonpositive(t: float) -> bool:
-            return psi(spec, t, depth).lower <= 0.0
-
-        if upper_nonpositive(t_min):
-            h_hi = t_min
-        elif not upper_nonpositive(d):
-            h_hi = d
-        else:
-            _, h_hi = _bisect_monotone(upper_nonpositive, t_min, d)
-        if lower_nonpositive(t_min):
-            h_lo = 0.0
-        elif not lower_nonpositive(d):
-            h_lo = d
-        else:
-            h_lo, _ = _bisect_monotone(lower_nonpositive, t_min, d)
-        if h_hi - h_lo <= tol:
-            break
+    h_lo, _ = _crossing(lambda t: psi(spec, t, depth).lower <= 0.0, t_min, d)
     h_lo = min(h_lo, h_hi)
-    converged = (h_hi - h_lo) <= tol
-    return DimensionResult(0.5 * (h_lo + h_hi), (h_lo, h_hi), method, converged)
+    method = "exact_similarity" if similarity else "bracketed_conformal"
+    return DimensionResult(0.5 * (h_lo + h_hi), (h_lo, h_hi), method, (h_hi - h_lo) <= tol)
 
 
 def finiteness_parameter(spec: CifsSpec) -> float:

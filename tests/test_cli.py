@@ -29,6 +29,29 @@ def test_dimension_from_spec_file(tmp_path, capsys):
     assert payload["enclosure"][0] <= payload["h"] <= payload["enclosure"][1]
 
 
+def test_dimension_uses_engine_tolerance_by_default(capsys):
+    # the 0.07 default of --tol is the compare tolerance; an enclosure
+    # 0.014 wide has not converged at the engine's default of 1e-4
+    assert main(["dimension", "--family", "ctd-spaced"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    lo, hi = payload["enclosure"]
+    assert hi - lo > 1e-2
+    assert payload["converged"] is False
+    assert main(["dimension", "--family", "ctd-spaced", "--tol", "0.07"]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"] is True
+
+
+def test_atomic_write_in_slices(tmp_path, monkeypatch):
+    from ifsdim import cli
+
+    monkeypatch.setattr(cli, "_WRITE_CHUNK", 3)
+    for name, data in (("a.txt", "x\n0.25\n0.5\n1e-07\n"), ("b.bin", bytes(range(10))), ("c.txt", "")):
+        cli._atomic_write(tmp_path / name, data)
+        written = (tmp_path / name).read_bytes()
+        assert written == (data if isinstance(data, bytes) else data.encode())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.bin", "c.txt"]
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

@@ -84,6 +84,20 @@ class TestPsi:
         assert all(a >= b - 1e-12 for a, b in zip(uppers, uppers[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(lowers, lowers[1:]))
 
+    def test_depth_two_evaluates_psi1_once(self, monkeypatch):
+        spec = CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(SpacedDigits(1.8)))
+        calls = []
+        psi1_bounds = GaussDigitTail.psi1_bounds
+
+        def counted(self, t, domain):
+            calls.append(t)
+            return psi1_bounds(self, t, domain)
+
+        monkeypatch.setattr(GaussDigitTail, "psi1_bounds", counted)
+        prof = psi(spec, 0.8, 2)
+        assert prof.depth == 2
+        assert calls == [0.8]
+
     def test_rejects_bad_arguments(self):
         spec = gauss_spec([2, 3])
         with pytest.raises(DomainError):
@@ -104,6 +118,11 @@ class TestHausdorffDimension:
         h = hausdorff_dimension(spec).value
         residual = abs(float(np.sum(ratios**h)) - 1.0)
         assert residual <= 10.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("ratios, h", [([0.5], 0.0), ([0.7, 0.7], 1.0)])
+    def test_similarity_root_at_an_end_is_exact(self, ratios, h):
+        result = hausdorff_dimension(similarity_spec(ratios, [0.0] * len(ratios)))
+        assert (result.value, result.enclosure, result.converged) == (h, (h, h), True)
 
     def test_infinite_geometric_family(self):
         spec = CifsSpec(1, (0.0, 1.0), (),
@@ -138,6 +157,50 @@ class TestHausdorffDimension:
             lo, hi = result.enclosure
             assert lo <= result.value <= hi
             assert finiteness_parameter(spec) <= lo + 1e-9
+
+
+# repr of (enclosure, method, converged), recorded before the word-sum
+# brackets were merged into one engine
+GOLDEN_ENCLOSURES = {
+    "e12": ("(0.5241153654598955, 0.5423510403540267)", "bracketed_conformal", False),
+    "e23": ("(0.33240242707871864, 0.3409504656305189)", "bracketed_conformal", False),
+    "e2345": ("(0.5505920880755405, 0.5647332813773556)", "bracketed_conformal", False),
+    "renyi23": ("(0.7131587415678787, 0.8323387297969398)", "bracketed_conformal", False),
+    "ctd-spaced": ("(0.4729186634750078, 0.48699581179689744)", "bracketed_conformal", False),
+    "ctd-clustered": ("(0.706752728934734, 0.7522087056686129)", "bracketed_conformal", False),
+    "dense-cf": ("(0.801677128633539, 0.8505938372636068)", "bracketed_conformal", False),
+    "complex-finite": ("(0.6927908035684098, 0.7189642201126839)", "bracketed_conformal", False),
+    "similarity": ("(0.7128683768732704, 0.7128683768732775)", "exact_similarity", True),
+}
+
+
+def golden_system(name):
+    from ifsdim.jsonio import spec_from_dict
+
+    docs = {
+        "e12": {"kind": "gauss_digits", "digits": [1, 2]},
+        "e23": {"kind": "gauss_digits", "digits": [2, 3]},
+        "e2345": {"kind": "gauss_digits", "digits": [2, 3, 4, 5]},
+        "renyi23": {"kind": "renyi_parabolic", "digits": [2, 3]},
+        "complex-finite": {"kind": "complex_gauss", "digits": [[2, 0], [2, 1], [2, -1], [3, 0]]},
+    }
+    tails = {
+        "ctd-spaced": GaussDigitTail(SpacedDigits(1.8)),
+        "ctd-clustered": GaussDigitTail(ClusteredDigits(0.5)),
+        "dense-cf": GaussDigitTail(FullDigits(2)),
+    }
+    if name in docs:
+        return spec_from_dict(docs[name])
+    if name in tails:
+        return CifsSpec(1, (0.0, 1.0), (), tails[name])
+    return similarity_spec([0.3, 0.2, 0.15], [0.0, 0.4, 0.7])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ENCLOSURES))
+def test_golden_enclosures(name):
+    result = hausdorff_dimension(golden_system(name))
+    enclosure = tuple(float(x) for x in result.enclosure)
+    assert (repr(enclosure), result.method, result.converged) == GOLDEN_ENCLOSURES[name]
 
 
 class TestFinitenessParameter:
