@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 
 from .estimator import (  # noqa: E402
     EstimateReport,
-    ScalePolicy,
     assouad_dimension_estimate,
     assouad_spectrum_estimate,
     box_dimension_estimate,

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from .cifs import CifsSpec, validate_cifs
 from .cloud import PointCloud, build_fixed_point_cloud, build_limit_cloud
 from .errors import ConfigurationError, DomainError
 from .estimator import (
-    DEFAULT_POLICY,
     assouad_dimension_estimate,
     assouad_spectrum_estimate,
     box_dimension_estimate,
@@ -91,13 +91,15 @@ class ComparisonTable:
     all_passed: bool
 
 
-def _atomic_write(path: Path, data: str | bytes) -> None:
+def _atomic_write(path: Path, data: str | bytes | Iterable[str]) -> None:
+    """Write text, bytes or text pieces to path through a temporary file."""
     tmp = path.with_name(path.name + ".tmp")
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode) as fh:
+    pieces = [data] if isinstance(data, (str, bytes)) else data
+    with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
         # a slice at a time: writing text whole encodes a full copy of it
-        for start in range(0, len(data), _WRITE_CHUNK):
-            fh.write(data[start : start + _WRITE_CHUNK])
+        for piece in pieces:
+            for start in range(0, len(piece), _WRITE_CHUNK):
+                fh.write(piece[start : start + _WRITE_CHUNK])
     os.replace(tmp, path)
 
 
@@ -232,7 +234,7 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
     table = ComparisonTable(tuple(rows), max_dev, tuple(transitions), all(r.passed for r in rows))
 
     cloud.save(out / "cloud.bin")
-    _atomic_write(out / "cloud.csv", cloud.to_csv())
+    _atomic_write(out / "cloud.csv", cloud.csv_blocks())
     curves = {"lower": lower, "upper": upper, "estimate": estimate}
     if formula is not None:
         curves = {"formula": formula, **curves}
@@ -283,7 +285,7 @@ def _cmd_build(args) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cloud.save(out / "cloud.bin")
-    _atomic_write(out / "cloud.csv", cloud.to_csv())
+    _atomic_write(out / "cloud.csv", cloud.csv_blocks())
     print(f"cloud: {len(cloud)} points at delta={delta:g} -> {out / 'cloud.bin'}")
     return 0
 
@@ -335,7 +337,7 @@ def _cmd_spectrum_estimate(args) -> int:
     config = _config_from(args)
     cloud = PointCloud.load(args.cloud)
     thetas = np.linspace(config.theta_min, config.theta_max, config.grid)
-    report = assouad_spectrum_estimate(cloud, thetas, DEFAULT_POLICY)
+    report = assouad_spectrum_estimate(cloud, thetas)
     box = box_dimension_estimate(cloud)
     assouad = assouad_dimension_estimate(cloud)
     lines = ["theta,value"] + [

@@ -29,8 +29,8 @@ from .mobius import (
     Mobius,
     concat_arrays,
     concat_mobius,
-    deriv_sups_disc,
-    deriv_sups_interval,
+    deriv_ranges_disc,
+    deriv_ranges_interval,
     disc_images,
     interval_images,
     stack_mobius,
@@ -43,7 +43,7 @@ DEFAULT_CAP = 5_000_000
 _MAGIC = b"IFSC"
 _VERSION = 1
 
-#: points formatted per block in PointCloud.to_csv
+#: points formatted per block in PointCloud.csv_blocks
 _CSV_BLOCK = 16384
 
 
@@ -105,20 +105,21 @@ class PointCloud:
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
 
-    def to_csv(self) -> str:
-        """Header line, then one point per line as the shortest round-trip repr.
-
-        Lines are joined a block of points at a time, so that only one
-        block's line strings are alive besides the result.
-        """
-        parts = ["x\n" if self.ambient_dim == 1 else "x,y\n"]
+    def csv_blocks(self):
+        """The CSV text in pieces: the header line, then one block of
+        points at a time, one point per line as the shortest round-trip
+        repr.  Writing the pieces keeps one block's strings alive at a time."""
+        yield "x\n" if self.ambient_dim == 1 else "x,y\n"
         for start in range(0, len(self.points), _CSV_BLOCK):
             block = self.points[start : start + _CSV_BLOCK].tolist()
             if self.ambient_dim == 1:
-                parts.append("\n".join(map(repr, block)) + "\n")
+                yield "\n".join(map(repr, block)) + "\n"
             else:
-                parts.append("\n".join(f"{x!r},{y!r}" for x, y in block) + "\n")
-        return "".join(parts)
+                yield "\n".join(f"{x!r},{y!r}" for x, y in block) + "\n"
+
+    def to_csv(self) -> str:
+        """The whole CSV text: the pieces of csv_blocks joined."""
+        return "".join(self.csv_blocks())
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,7 @@ class _Line:
         return np.column_stack((lo[mask], hi[mask]))
 
     def deriv_sups(self, m: Mobius) -> np.ndarray:
-        return deriv_sups_interval(m, self.domain)
+        return deriv_ranges_interval(m, self.domain)[1]
 
     def near_window(self, p, slack: float):
         """The points within slack of the window (all of them without one)."""
@@ -189,7 +190,7 @@ class _Plane(_Line):
         return np.column_stack((center.re[mask], center.im[mask], radius[mask]))
 
     def deriv_sups(self, m: Mobius) -> np.ndarray:
-        return deriv_sups_disc(m, self.domain)
+        return deriv_ranges_disc(m, self.domain)[1]
 
     def near_window(self, p, slack: float):
         if self.window is None:

@@ -57,18 +57,25 @@ counts.  Centres are taken in chunks whose candidates stay within
 max(n, _CANDIDATE_FLOOR).
 
 Scale policy.  For the spectrum at theta the two scales are tied by
-r = R^(1/theta), and a scale is admissible when r stays a fixed factor
-above the cloud resolution (below that, discreteness flattens every
-count) and R/r is large enough for the exponent to resolve.  Ladders
-are geometric in log(R/r), anchored at the deepest admissible scale;
-they prefer to stay below hull/4 but stretch towards the full set when
-small theta ties the scales so hard that no local window remains (a
-ball past the hull is still a legitimate scale pair under the
-definition's sup over all R).  The reported exponent is the one at the
-deepest scale, where the constant bias log C / log(R/r) is smallest,
-sharpened by the count-growth slope across the ladder whenever the
-counts follow a clean power law; the per-scale exponents and the raw
-supremum over scales are kept in the diagnostics.
+r = R^(1/theta), and a scale is admissible when r is at least
+_R_MIN_FACTOR times the cloud resolution (below that, discreteness
+flattens every count) and R/r is at least _MIN_RATIO, so that the
+exponent resolves.  Ladders hold at most _MAX_SCALES scales, geometric in
+log(R/r) and anchored at the deepest admissible scale, and a node with
+fewer than _MIN_SCALES is invalid.  The ladders prefer to stay below
+hull/_R0_DIVISOR but stretch towards the full set when small theta ties
+the scales so hard that no local window remains (a ball past the hull
+is still a legitimate scale pair under the definition's sup over all
+R).  The reported exponent is the one at the deepest scale, where the
+constant bias log C / log(R/r) is smallest, sharpened by the
+count-growth slope across the ladder whenever the ladder spans
+_SPAN_MIN in log(R/r) and the counts follow a clean power law (every
+count at least _COUNT_GATE, fit residual at most _RESIDUAL_MAX); the
+per-scale exponents and the raw supremum over scales are kept in the
+diagnostics.  The box and Assouad estimates share one dyadic ladder,
+hull/_R0_DIVISOR divided by _LADDER_BASE down to the resolution, and
+Assouad pairs need R/r >= _MIN_PAIR_RATIO.  These values are module
+constants, not options.
 """
 
 from __future__ import annotations
@@ -83,29 +90,31 @@ from .errors import DomainError
 from .spectra import SpectrumCurve
 
 
-@dataclass(frozen=True)
-class ScalePolicy:
-    r_min_factor: float = 4.0
-    ladder_base: float = 2.0
-    min_scales: int = 3
-    max_scales: int = 6
-    r0_divisor: float = 4.0
-    min_ratio: float = 2.0
-    # spectrum ladders are geometric in log(R/r); ratio_fraction fixes the
-    # shallow end as a fraction of the deepest attainable log-ratio, and
-    # span_min is the log-ratio span below which the count-growth slope
-    # is too noisy and the deepest single-scale exponent is used instead
-    ratio_fraction: float = 0.4
-    span_min: float = 2.5
-    # the slope only counts as reliable when every count is above the
-    # gate (integer effects drag small counts) and the per-scale counts
-    # follow a clean power law (lacunary sets produce count staircases
-    # whose fitted slope swings with the sampling phase)
-    count_gate: int = 24
-    residual_max: float = 0.2
-
-
-DEFAULT_POLICY = ScalePolicy()
+#: the deepest scale keeps r at least this many cloud resolutions
+_R_MIN_FACTOR = 4.0
+#: ladders prefer scales below hull / _R0_DIVISOR; box and Assouad ladders
+#: start there and divide by _LADDER_BASE
+_R0_DIVISOR = 4.0
+_LADDER_BASE = 2.0
+#: a spectrum node needs this many admissible scales; its ladder has at most _MAX_SCALES
+_MIN_SCALES = 3
+_MAX_SCALES = 6
+#: the least admissible R/r of a spectrum scale
+_MIN_RATIO = 2.0
+#: spectrum ladders are geometric in log(R/r); _RATIO_FRACTION fixes the
+#: shallow end as a fraction of the deepest attainable log-ratio, and
+#: _SPAN_MIN is the log-ratio span below which the count-growth slope is
+#: too noisy and the deepest single-scale exponent is used instead
+_RATIO_FRACTION = 0.4
+_SPAN_MIN = 2.5
+#: the slope only counts as reliable when every count is above the gate
+#: (integer effects drag small counts) and the per-scale counts follow a
+#: clean power law (lacunary sets produce count staircases whose fitted
+#: slope swings with the sampling phase)
+_COUNT_GATE = 24
+_RESIDUAL_MAX = 0.2
+#: the least R/r of an Assouad-dimension scale pair
+_MIN_PAIR_RATIO = 16.0
 
 
 @dataclass(frozen=True)
@@ -552,18 +561,18 @@ def _counts_2d(pts: np.ndarray, centers: np.ndarray, R: float, r: float) -> np.n
 # scale ladders
 
 
-def _spectrum_scales(theta: float, delta: float, hull: float, policy: ScalePolicy) -> list[float]:
+def _spectrum_scales(theta: float, delta: float, hull: float) -> list[float]:
     """Geometric ladder of R values for the tied scales r = R^(1/theta).
 
     Built in log(R/r) space so the informative range is sampled evenly
-    at every theta.  The deepest scale sits at r = r_min_factor * delta;
-    the shallow end prefers to stay below hull/r0_divisor but may climb
+    at every theta.  The deepest scale sits at r = _R_MIN_FACTOR * delta;
+    the shallow end prefers to stay below hull/_R0_DIVISOR but may climb
     towards the full set (a ball of radius past the hull is still a
     legitimate scale pair by the definition's sup) when the tied scales
     leave no local window, which happens for small theta at coarse
     resolution.
     """
-    r_min = policy.r_min_factor * delta
+    r_min = _R_MIN_FACTOR * delta
     if theta <= 0.0 or theta >= 1.0 or hull <= 0.0 or r_min >= 1.0:
         return []
     cap = 0.98 * max(1.0, hull)
@@ -579,23 +588,23 @@ def _spectrum_scales(theta: float, delta: float, hull: float, policy: ScalePolic
         return math.exp(-lr * theta / (1.0 - theta))
 
     lr_deep = log_ratio(r_deep)
-    if lr_deep < math.log(policy.min_ratio):
+    if lr_deep < math.log(_MIN_RATIO):
         return []
-    lr_shallow = min(max(math.log(policy.min_ratio), policy.ratio_fraction * lr_deep), lr_deep)
+    lr_shallow = min(max(math.log(_MIN_RATIO), _RATIO_FRACTION * lr_deep), lr_deep)
     r_shallow = radius_for(lr_shallow)
-    # stay local (below hull/r0_divisor) unless that starves the ladder
+    # stay local (below hull/_R0_DIVISOR) unless that starves the ladder
     # of ratio span; balls past the hull remain legitimate scale pairs
-    span_need = max(policy.span_min * 1.1, lr_deep - log_ratio(min(hull / policy.r0_divisor, cap)))
-    local_top = max(hull / policy.r0_divisor, radius_for(max(lr_deep - span_need, lr_shallow)))
+    span_need = max(_SPAN_MIN * 1.1, lr_deep - log_ratio(min(hull / _R0_DIVISOR, cap)))
+    local_top = max(hull / _R0_DIVISOR, radius_for(max(lr_deep - span_need, lr_shallow)))
     r_shallow = max(min(r_shallow, local_top, cap), r_deep)
     if r_shallow <= r_deep * (1.0 + 1e-12):
         scales = [r_deep]
     else:
-        scales = list(np.geomspace(r_shallow, r_deep, policy.max_scales))
+        scales = list(np.geomspace(r_shallow, r_deep, _MAX_SCALES))
     out = []
     for R in scales:
         r = R ** (1.0 / theta)
-        if r >= r_min * (1.0 - 1e-12) and R / r >= policy.min_ratio:
+        if r >= r_min * (1.0 - 1e-12) and R / r >= _MIN_RATIO:
             out.append(float(R))
     return out
 
@@ -676,15 +685,15 @@ def _extreme_counts(cloud: PointCloud, pairs, lower: bool) -> list[tuple[int, ob
 # spectrum estimators
 
 
-def _estimate_node(cloud: PointCloud, theta: float, scales, policy: ScalePolicy, lower: bool,
-                   hull: float, extremes) -> tuple[float, ThetaDiagnostic]:
+def _estimate_node(cloud: PointCloud, theta: float, scales, lower: bool, hull: float,
+                   extremes) -> tuple[float, ThetaDiagnostic]:
     """Combine the extreme counts over a node's ladder of (R, r) pairs into
     its estimate; a valid node takes its counts from the extremes iterator."""
     d = float(cloud.ambient_dim)
     if hull <= 0.0:
         return 0.0, ThetaDiagnostic(theta, (), True, "single point")
-    if len(scales) < policy.min_scales:
-        note = f"only {len(scales)} admissible scales (need {policy.min_scales})"
+    if len(scales) < _MIN_SCALES:
+        note = f"only {len(scales)} admissible scales (need {_MIN_SCALES})"
         return math.nan, ThetaDiagnostic(theta, (), False, note)
     per_scale = []
     exponents = []
@@ -710,21 +719,21 @@ def _estimate_node(cloud: PointCloud, theta: float, scales, policy: ScalePolicy,
     span = max(log_ratios) - min(log_ratios)
     slope_value = math.nan
     value = deepest
-    if span >= policy.span_min and len(scales) >= 2:
+    if span >= _SPAN_MIN and len(scales) >= 2:
         coeffs = np.polyfit(log_ratios, log_counts, 1)
         slope_value = float(coeffs[0])
         residual = float(np.max(np.abs(np.polyval(coeffs, log_ratios) - log_counts)))
-        counts_ok = lower or min(s.count for s in per_scale) >= policy.count_gate
-        if counts_ok and residual <= policy.residual_max:
+        counts_ok = lower or min(s.count for s in per_scale) >= _COUNT_GATE
+        if counts_ok and residual <= _RESIDUAL_MAX:
             value = max(deepest, slope_value) if lower else min(deepest, slope_value)
     value = min(max(value, 0.0), d)
     note = ""
-    if max(R for R, _ in scales) > hull / policy.r0_divisor * (1.0 + 1e-9):
+    if max(R for R, _ in scales) > hull / _R0_DIVISOR * (1.0 + 1e-9):
         note = "stretched beyond the local window; tied scales leave no room at this resolution"
     return value, ThetaDiagnostic(theta, tuple(per_scale), True, note, sup_value, slope_value)
 
 
-def _estimate_curve(cloud: PointCloud, thetas, policy: ScalePolicy, lower: bool):
+def _estimate_curve(cloud: PointCloud, thetas, lower: bool):
     if len(cloud) == 0:
         raise DomainError("cannot estimate dimensions of an empty cloud")
     thetas = np.asarray(thetas, dtype=float)
@@ -733,27 +742,27 @@ def _estimate_curve(cloud: PointCloud, thetas, policy: ScalePolicy, lower: bool)
     hull = cloud.hull_diameter()
     # every node's ladder, then the (R, r) pairs of all valid nodes counted
     # together, then the per-node combination rule
-    ladders = [[(R, R ** (1.0 / theta)) for R in _spectrum_scales(theta, cloud.delta, hull, policy)]
+    ladders = [[(R, R ** (1.0 / theta)) for R in _spectrum_scales(theta, cloud.delta, hull)]
                for theta in thetas]
-    counted = [ladder for ladder in ladders if len(ladder) >= policy.min_scales]
+    counted = [ladder for ladder in ladders if len(ladder) >= _MIN_SCALES]
     extremes = iter(_extreme_counts(cloud, [pair for ladder in counted for pair in ladder], lower))
-    results = [_estimate_node(cloud, theta, ladder, policy, lower, hull, extremes)
+    results = [_estimate_node(cloud, theta, ladder, lower, hull, extremes)
                for theta, ladder in zip(thetas, ladders)]
     values = np.array([v for v, _ in results])
     diags = tuple(d for _, d in results)
     curve = SpectrumCurve(thetas, values, "estimate", {"lower": lower, "delta": cloud.delta})
-    return EstimateReport(curve, diags, policy.r_min_factor)
+    return EstimateReport(curve, diags, _R_MIN_FACTOR)
 
 
-def assouad_spectrum_estimate(cloud: PointCloud, thetas, policy: ScalePolicy = DEFAULT_POLICY) -> EstimateReport:
+def assouad_spectrum_estimate(cloud: PointCloud, thetas) -> EstimateReport:
     """Spectrum estimate: sup over centers and admissible scales of the
     localized covering exponent at scales tied by r = R^(1/theta)."""
-    return _estimate_curve(cloud, thetas, policy, lower=False)
+    return _estimate_curve(cloud, thetas, lower=False)
 
 
-def lower_spectrum_estimate(cloud: PointCloud, thetas, policy: ScalePolicy = DEFAULT_POLICY) -> EstimateReport:
+def lower_spectrum_estimate(cloud: PointCloud, thetas) -> EstimateReport:
     """Lower-spectrum estimate: inf over centers, min over admissible scales."""
-    return _estimate_curve(cloud, thetas, policy, lower=True)
+    return _estimate_curve(cloud, thetas, lower=True)
 
 
 # ---------------------------------------------------------------------------
@@ -783,22 +792,27 @@ def _global_counts(cloud: PointCloud, radii) -> list[int]:
     return [len(_cell_ids(pts, r)[1]) for r in radii]
 
 
-def box_dimension_estimate(cloud: PointCloud, radii=None, policy: ScalePolicy = DEFAULT_POLICY) -> BoxDimensionEstimate:
+def _dyadic_ladder(hull: float, r_min: float) -> list[float]:
+    """hull / _R0_DIVISOR divided by _LADDER_BASE down to r_min, at most 60 scales."""
+    ladder = []
+    r = hull / _R0_DIVISOR
+    while r >= r_min and len(ladder) < 60:
+        ladder.append(r)
+        r /= _LADDER_BASE
+    return ladder
+
+
+def box_dimension_estimate(cloud: PointCloud) -> BoxDimensionEstimate:
     """Least-squares slope of log N_r against -log r over the ladder."""
     if len(cloud) == 0:
         raise DomainError("cannot estimate dimensions of an empty cloud")
     hull = cloud.hull_diameter()
     if hull <= 0.0:
         return BoxDimensionEstimate(0.0, (), ())
-    if radii is None:
-        r_min = policy.r_min_factor * cloud.delta
-        radii = []
-        r = hull / policy.r0_divisor
-        while r >= r_min and len(radii) < 60:
-            radii.append(r)
-            r /= policy.ladder_base
-        if len(radii) < policy.min_scales:
-            radii = list(np.geomspace(hull / policy.r0_divisor, r_min, policy.min_scales))
+    r_min = _R_MIN_FACTOR * cloud.delta
+    radii = _dyadic_ladder(hull, r_min)
+    if len(radii) < _MIN_SCALES:
+        radii = list(np.geomspace(hull / _R0_DIVISOR, r_min, _MIN_SCALES))
     counts = _global_counts(cloud, radii)
     slope = np.polyfit(-np.log(radii), np.log(np.maximum(counts, 1)), 1)[0]
     return BoxDimensionEstimate(float(max(slope, 0.0)), tuple(radii), tuple(counts))
@@ -813,11 +827,10 @@ class AssouadDimensionEstimate:
         return self.value
 
 
-def assouad_dimension_estimate(cloud: PointCloud, policy: ScalePolicy = DEFAULT_POLICY,
-                               min_pair_ratio: float = 16.0) -> AssouadDimensionEstimate:
+def assouad_dimension_estimate(cloud: PointCloud) -> AssouadDimensionEstimate:
     """Sup of localized covering exponents over admissible scale pairs.
 
-    Pairs run over the ladder with R/r at least min_pair_ratio; the
+    Pairs run over the ladder with R/r at least _MIN_PAIR_RATIO; the
     estimate is upward biased by design and reports the pair and center
     achieving the supremum."""
     if len(cloud) == 0:
@@ -825,14 +838,10 @@ def assouad_dimension_estimate(cloud: PointCloud, policy: ScalePolicy = DEFAULT_
     hull = cloud.hull_diameter()
     if hull <= 0.0:
         return AssouadDimensionEstimate(0.0, CoverQuery(float(np.ravel(cloud.points)[0]), 1.0, 1.0, 1))
-    r_min = policy.r_min_factor * cloud.delta
-    ladder = []
-    R = hull / policy.r0_divisor
-    while R >= r_min and len(ladder) < 60:
-        ladder.append(R)
-        R /= policy.ladder_base
+    r_min = _R_MIN_FACTOR * cloud.delta
+    ladder = _dyadic_ladder(hull, r_min)
     pairs = [(R, r) for i, R in enumerate(ladder) for r in ladder[i + 1:]
-             if R / r >= min_pair_ratio and r >= r_min]
+             if R / r >= _MIN_PAIR_RATIO and r >= r_min]
     best_val = 0.0
     best_query = None
     d = float(cloud.ambient_dim)

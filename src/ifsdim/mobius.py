@@ -3,22 +3,22 @@
 Every branch kind in this package acts as a Moebius map
 ``x -> (a x + b) / (c x + d)``, with real coefficients in one dimension
 and complex coefficients in two.  Compositions are 2x2 matrix products,
-so cylinder images, derivative ranges and fixed points stay in closed
-form at every word depth.  Integer coefficients (continued-fraction
-branches) remain exact integers under composition.
+so cylinder images and derivative ranges stay in closed form at every
+word depth.  Integer coefficients (continued-fraction branches) remain
+exact integers under composition.
 
-The cloud builder handles whole batches of maps at once: a ``Mobius``
-whose entries are float64 arrays (one dimension) or :class:`CArray`
-values (two dimensions) composes and evaluates elementwise, and the
-``*_images`` / ``deriv_sups_*`` functions below are the array forms of
-the scalar region functions.  Every array form repeats the scalar
-arithmetic operation for operation, so it returns the scalar result bit
-for bit.
+The cloud builder and the tail brackets handle whole batches of maps at
+once: a ``Mobius`` whose entries are float64 arrays (one dimension) or
+:class:`CArray` values (two dimensions) composes and evaluates
+elementwise, and ``interval_images``, ``disc_images``,
+``deriv_ranges_interval`` and ``deriv_ranges_disc`` are the array forms
+of the scalar region functions; ``deriv_ranges_disc`` also takes one
+disc per map.  Every array form repeats the scalar arithmetic operation
+for operation, so it returns the scalar result bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -262,14 +262,16 @@ def interval_images(m: Mobius, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ordered, u, v), np.where(ordered, v, u)
 
 
-def deriv_sups_interval(m: Mobius, iv: Interval) -> np.ndarray:
-    """Upper end of deriv_range_interval for every map of a batch."""
+def deriv_ranges_interval(m: Mobius, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
+    """deriv_range_interval of every map of a batch, as arrays of lower and upper ends."""
     lo, hi = iv
     qlo = np.abs(m.c * lo + m.d)
     qhi = np.abs(m.c * hi + m.d)
     if np.any((qlo == 0.0) | (qhi == 0.0)):
         raise ZeroDivisionError("Moebius denominator vanishes on the interval")
-    return np.abs(m.det) / _square(np.where(qlo <= qhi, qlo, qhi))
+    det = np.abs(m.det)
+    ordered = qlo <= qhi
+    return det / _square(np.where(ordered, qhi, qlo)), det / _square(np.where(ordered, qlo, qhi))
 
 
 def disc_images(m: Mobius, disc: Disc) -> tuple[CArray, np.ndarray]:
@@ -293,34 +295,19 @@ def disc_images(m: Mobius, disc: Disc) -> tuple[CArray, np.ndarray]:
             np.where(flat, flat_radius, radius))
 
 
-def deriv_sups_disc(m: Mobius, disc: Disc) -> np.ndarray:
-    """Upper end of deriv_range_disc for every map of a batch."""
+def deriv_ranges_disc(m: Mobius, disc: Disc) -> tuple[np.ndarray, np.ndarray]:
+    """deriv_range_disc of every map of a batch, as arrays of lower and upper ends.
+
+    The disc's centre and radius may be a CArray and an array, one disc
+    per map, as disc_images returns them.
+    """
     flat = m.c.is_zero()
     det = abs(m.det)
     with np.errstate(divide="ignore", invalid="ignore"):
-        qmin = abs(m.c * disc.center + m.d) - abs(m.c) * disc.radius
+        u = abs(m.c * disc.center + m.d)
+        spread = abs(m.c) * disc.radius
+        qmin = u - spread
         if np.any(~flat & (qmin <= 0.0)):
             raise ZeroDivisionError("Moebius pole lies inside the disc")
-        return np.where(flat, det / _square(abs(m.d)), det / _square(qmin))
-
-
-def fixed_point_in(m: Mobius, iv: Interval) -> float:
-    """Attracting fixed point of a real Moebius contraction inside iv."""
-    if m.c == 0:
-        ratio = m.a / m.d
-        if ratio == 1:
-            raise ZeroDivisionError("map has no finite fixed point")
-        x = (m.b / m.d) / (1 - ratio)
-        return float(x)
-    # c x^2 + (d - a) x - b = 0
-    disc = (m.d - m.a) ** 2 + 4 * m.c * m.b
-    if disc < 0:
-        raise ValueError("no real fixed point")
-    root = math.sqrt(disc)
-    lo, hi = iv
-    eps = 1e-12 * max(1.0, abs(hi), abs(lo))
-    for sign in (1.0, -1.0):
-        x = (m.a - m.d + sign * root) / (2 * m.c)
-        if lo - eps <= x <= hi + eps:
-            return float(min(max(x, lo), hi))
-    raise ValueError("no fixed point inside the interval")
+        level = det / _square(abs(m.d))
+        return np.where(flat, level, det / _square(u + spread)), np.where(flat, level, det / _square(qmin))

@@ -20,6 +20,15 @@ with the resolution:
   every later envelope lies within distance x as well.
 
 The maps match ``generation_maps(g)[i][1].mobius()`` bit for bit.
+
+The rules with a non-trivial ``psi1_bounds`` bracket (the complex
+continued-fraction alphabet and the induced parabolic family) read it
+from a table that does not depend on the pressure exponent.  A tail's
+bracket table is built once per seed region from ``generation_arrays``
+(or, for the complex alphabet, from the same shell enumeration
+``_shells``) with the array region functions of ``mobius``, never by a
+scalar loop over maps; each call only raises the table to the exponent
+and sums it.
 """
 
 from __future__ import annotations
@@ -38,10 +47,9 @@ from .mobius import (
     Disc,
     Interval,
     Mobius,
-    deriv_range_disc,
-    deriv_range_interval,
-    disc_image,
-    interval_image,
+    deriv_ranges_disc,
+    deriv_ranges_interval,
+    disc_images,
     interval_images,
     stack_mobius,
     take_mobius,
@@ -432,20 +440,6 @@ class ComplexGaussTail:
     for the composites.
     """
 
-    def _shell(self, norm: int) -> list[tuple[int, int]]:
-        out = []
-        m = 1
-        while m * m <= norm:
-            rest = norm - m * m
-            n = math.isqrt(rest)
-            if n * n == rest:
-                out.append((m, n))
-                if n > 0:
-                    out.append((m, -n))
-            m += 1
-        out.sort()
-        return out
-
     def resolve(self, label: Label) -> MapKind | None:
         if isinstance(label, tuple) and len(label) == 3 and label[0] == "1b":
             _, m, n = label
@@ -459,7 +453,8 @@ class ComplexGaussTail:
 
     def generation_maps(self, g: int) -> list[tuple[Label, MapKind]]:
         batch: list[tuple[Label, MapKind]] = []
-        for m, n in self._shell(g + 1):
+        _, ms, ns = _shells(np.array([g + 1]))
+        for m, n in zip(ms.tolist(), ns.tolist()):
             if (m, n) != (1, 0):
                 batch.append(((m, n), ComplexGaussBranch(complex(m, n))))
             batch.append(
@@ -468,19 +463,7 @@ class ComplexGaussTail:
         return batch
 
     def generation_arrays(self, gs: np.ndarray) -> tuple[np.ndarray, Mobius]:
-        # shell of norm g+1: every (m, n) with m >= 1 and m^2 + n^2 = g+1,
-        # in _shell's order (m ascending, then -n before n)
-        norms = np.asarray(gs, dtype=np.int64) + 1
-        tops = _isqrt(norms)
-        owner = np.repeat(np.arange(len(norms)), tops)
-        m = ragged_arange(tops) + 1
-        rest = norms[owner] - m * m
-        n = _isqrt(rest)
-        on_shell = n * n == rest
-        owner, m, n = owner[on_shell], m[on_shell], n[on_shell]
-        twice = 1 + (n > 0)
-        owner, m, n = np.repeat(owner, twice), np.repeat(m, twice), np.repeat(n, twice)
-        n = np.where(ragged_arange(twice) < twice.repeat(twice) - 1, -n, n)
+        owner, m, n = _shells(np.asarray(gs, dtype=np.int64) + 1)
         # per digit: the plain branch (not for digit 1), then S_1 o S_b
         kinds = 1 + ((m != 1) | (n != 0))
         owner, m, n = np.repeat(owner, kinds), np.repeat(m, kinds), np.repeat(n, kinds)
@@ -512,23 +495,17 @@ class ComplexGaussTail:
         if t <= 1.0:
             return math.inf, math.inf
         head_limit = 40
-        lo = hi = 0.0
-        one = ComplexGaussBranch(1 + 0j).mobius()
-        for norm in range(1, head_limit * head_limit + 1):
-            for m, n in self._shell(norm):
-                b = complex(m, n)
-                u = abs(b + domain.center)
-                sup_term = (u - domain.radius) ** (-2.0 * t)
-                inf_term = (u + domain.radius) ** (-2.0 * t)
-                if (m, n) != (1, 0):
-                    hi += sup_term
-                    lo += inf_term
-                # composite S_1 o S_b: outer derivative over the exact
-                # image disc of the inner branch
-                img = disc_image(ComplexGaussBranch(b).mobius(), domain)
-                d1_lo, d1_hi = deriv_range_disc(one, img)
-                hi += sup_term * d1_hi**t
-                lo += inf_term * d1_lo**t
+        sup_den, inf_den, outer_lo, outer_hi, plain = _complex_table(domain, head_limit)
+        # per digit: the plain term (none for digit 1), then the composite
+        # S_1 o S_b, whose outer derivative is taken over the exact image
+        # disc of the inner branch; cumsum adds left to right as the
+        # per-digit loop did, and adding the 0.0 of digit 1 is exact
+        sup_term = np.float_power(sup_den, -2.0 * t)
+        inf_term = np.float_power(inf_den, -2.0 * t)
+        hi_terms = np.column_stack((np.where(plain, sup_term, 0.0), sup_term * np.float_power(outer_hi, t)))
+        lo_terms = np.column_stack((np.where(plain, inf_term, 0.0), inf_term * np.float_power(outer_lo, t)))
+        lo = float(np.cumsum(lo_terms.ravel())[-1])
+        hi = float(np.cumsum(hi_terms.ravel())[-1])
         # remainder over |b| > head_limit: at most pi*(6k+3) Gaussian
         # integers with Re >= 1 in each annulus [k, k+1); each term,
         # plain or composite, is at most 1.06^t * (k - 1)^(-2t) since the
@@ -616,10 +593,7 @@ class InducedParabolicTail:
         return 0.0
 
     def sup_contraction(self) -> float:
-        worst = 0.0
-        for _, branch in self.branches:
-            worst = max(worst, deriv_range_interval(branch.mobius(), self.domain)[1])
-        return worst
+        return float(np.max(deriv_ranges_interval(self._branch_batch, self.domain)[1]))
 
     def psi1_bounds(self, t: float, domain: Interval) -> tuple[float, float]:
         q = self.exponent
@@ -642,27 +616,51 @@ def _induced_deriv_table(tail: InducedParabolicTail, domain: Interval):
     coefficients bounding the remainder.  These do not depend on the
     pressure exponent, so they are shared across all evaluations."""
     n_explicit = 512
-    pm = tail.parabolic.mobius()
+    _, words = tail.generation_arrays(np.arange(n_explicit))
+    lo, hi = deriv_ranges_interval(words, domain)
     # Moebius parabolic fixing 0 with unit multiplier: P^n(x) = x/(1 + kappa n x)
+    pm = tail.parabolic.mobius()
     kappa = abs(pm.c / pm.a)
-    lo = []
-    hi = []
-    rem = []
-    power = Mobius(1, 0, 0, 1)
-    for n in range(n_explicit):
-        for _, branch in tail.branches:
-            word = power.compose(branch.mobius())
-            dl, dh = deriv_range_interval(word, domain)
-            lo.append(dl)
-            hi.append(dh)
-        power = pm.compose(power)
-    for _, branch in tail.branches:
-        x_lo = interval_image(branch.mobius(), domain)[0]
-        if x_lo <= 0:
-            raise ConfigurationError("base branch image touches the parabolic fixed point")
-        d_hi = deriv_range_interval(branch.mobius(), domain)[1]
-        rem.append(d_hi / (kappa * x_lo) ** 2)
-    return np.array(lo), np.array(hi), np.array(rem), n_explicit
+    x_lo = interval_images(tail._branch_batch, domain)[0]
+    if np.any(x_lo <= 0):
+        raise ConfigurationError("base branch image touches the parabolic fixed point")
+    d_hi = deriv_ranges_interval(tail._branch_batch, domain)[1]
+    return lo, hi, d_hi / np.float_power(kappa * x_lo, 2.0), n_explicit
+
+
+@lru_cache(maxsize=64)
+def _complex_table(domain: Disc, head_limit: int):
+    """Per Gaussian digit b of norm up to head_limit^2, in _shells' order:
+    the plain branch's derivative denominators |b + c| -/+ r on the seed
+    disc, the range of S_1' over the plain image disc, and whether the
+    plain branch is in the alphabet (all but b = 1).  None of it depends
+    on the pressure exponent."""
+    _, m, n = _shells(np.arange(1, head_limit * head_limit + 1))
+    u = abs(CArray(m, n) + domain.center)
+    # S_1 as a batch of one, broadcast over the digits; S_b differs from it in d only
+    one = stack_mobius([ComplexGaussBranch(1).mobius()], planar=True)
+    plain = Mobius(one.a, one.b, one.c, CArray(m, n))
+    outer_lo, outer_hi = deriv_ranges_disc(one, Disc(*disc_images(plain, domain)))
+    return u - domain.radius, u + domain.radius, outer_lo, outer_hi, (m != 1) | (n != 0)
+
+
+def _shells(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every Gaussian integer m + ni with m >= 1 on the circles m^2 + n^2 = norm.
+
+    Returns owner (the position in norms), m and n, ordered by owner, then
+    m ascending, then -n before n."""
+    norms = np.asarray(norms, dtype=np.int64)
+    tops = _isqrt(norms)
+    owner = np.repeat(np.arange(len(norms)), tops)
+    m = ragged_arange(tops) + 1
+    rest = norms[owner] - m * m
+    n = _isqrt(rest)
+    on_shell = n * n == rest
+    owner, m, n = owner[on_shell], m[on_shell], n[on_shell]
+    twice = 1 + (n > 0)
+    owner, m, n = np.repeat(owner, twice), np.repeat(m, twice), np.repeat(n, twice)
+    n = np.where(ragged_arange(twice) < twice.repeat(twice) - 1, -n, n)
+    return owner, m, n
 
 
 def _isqrt(v: np.ndarray) -> np.ndarray:

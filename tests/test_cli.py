@@ -45,11 +45,12 @@ def test_atomic_write_in_slices(tmp_path, monkeypatch):
     from ifsdim import cli
 
     monkeypatch.setattr(cli, "_WRITE_CHUNK", 3)
-    for name, data in (("a.txt", "x\n0.25\n0.5\n1e-07\n"), ("b.bin", bytes(range(10))), ("c.txt", "")):
-        cli._atomic_write(tmp_path / name, data)
+    for name, data in (("a.txt", "x\n0.25\n0.5\n1e-07\n"), ("b.bin", bytes(range(10))), ("c.txt", ""),
+                       ("d.txt", ["x\n", "0.25\n0.5\n", "", "1e-07\n"])):
+        cli._atomic_write(tmp_path / name, iter(data) if isinstance(data, list) else data)
         written = (tmp_path / name).read_bytes()
-        assert written == (data if isinstance(data, bytes) else data.encode())
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.bin", "c.txt"]
+        assert written == (data if isinstance(data, bytes) else "".join(data).encode())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.bin", "c.txt", "d.txt"]
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -172,6 +172,16 @@ class TestPersistence:
         assert [[float(v) for v in r.split(",")] for r in rows[1:]] == plane.points.tolist()
         assert PointCloud.from_points([], 1e-3, 1).to_csv() == "x\n"
 
+    def test_csv_blocks_stream_the_same_text(self, monkeypatch):
+        from ifsdim import cloud as cloud_module
+
+        monkeypatch.setattr(cloud_module, "_CSV_BLOCK", 3)
+        line = PointCloud.from_points([0.1, 0.2, 0.3, 0.4, 1e-7], 1e-9, 1)
+        assert list(line.csv_blocks()) == ["x\n", "1e-07\n0.1\n0.2\n", "0.3\n0.4\n"]
+        plane = PointCloud.from_points([[0.5, -0.25], [0.0, 1.0]], 1e-9, 2)
+        assert list(plane.csv_blocks()) == ["x,y\n", "0.0,1.0\n0.5,-0.25\n"]
+        assert "".join(line.csv_blocks()) == line.to_csv()
+
     def test_points_are_distinct_and_sorted(self):
         cloud = PointCloud.from_points([0.5, 0.1, 0.5], 1e-3, 1)
         assert np.array_equal(cloud.points, [0.1, 0.5])

@@ -3,8 +3,7 @@ import pytest
 
 from ifsdim import CifsSpec, PointCloud, Similarity, build_fixed_point_cloud, build_limit_cloud
 from ifsdim.estimator import (
-    DEFAULT_POLICY,
-    ScalePolicy,
+    _MIN_SCALES,
     _Gaps,
     _batched_counts_1d,
     _counts_2d,
@@ -339,7 +338,7 @@ class TestSpectrumEstimate:
         rep = assouad_spectrum_estimate(cloud, np.arange(0.1, 0.9, 0.1))
         for diag in rep.diagnostics:
             if diag.valid and diag.scales:
-                assert len(diag.scales) >= DEFAULT_POLICY.min_scales
+                assert len(diag.scales) >= _MIN_SCALES
                 for sd in diag.scales:
                     assert sd.r >= rep.guard_ratio * cloud.delta * (1 - 1e-12)
 

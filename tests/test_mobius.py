@@ -10,11 +10,10 @@ from ifsdim.mobius import (
     Mobius,
     deriv_range_disc,
     deriv_range_interval,
-    deriv_sups_disc,
-    deriv_sups_interval,
+    deriv_ranges_disc,
+    deriv_ranges_interval,
     disc_image,
     disc_images,
-    fixed_point_in,
     interval_image,
     interval_images,
     stack_mobius,
@@ -72,13 +71,6 @@ def test_deriv_range_disc_brackets_samples():
         assert lo - 1e-12 <= d <= hi + 1e-12
 
 
-def test_fixed_point_similarity_and_gauss():
-    assert fixed_point_in(Mobius(0.5, 0.25, 0, 1), (0.0, 1.0)) == pytest.approx(0.5)
-    # x = 1/(2+x): golden-ratio-like root sqrt(2) - 1 for digit 2
-    x = fixed_point_in(Mobius(0, 1, 1, 2), (0.0, 1.0))
-    assert x == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
-
-
 # -- batches: the array forms must equal the scalar forms bit for bit --------
 
 
@@ -113,8 +105,10 @@ def test_interval_batches_match_scalar_forms():
     lo, hi = interval_images(batch, (0.0, 1.0))
     assert _same(lo, [interval_image(m, (0.0, 1.0))[0] for m in maps])
     assert _same(hi, [interval_image(m, (0.0, 1.0))[1] for m in maps])
-    sups = deriv_sups_interval(batch, (0.0, 1.0))
-    assert _same(sups, [deriv_range_interval(m, (0.0, 1.0))[1] for m in maps])
+    want = [deriv_range_interval(m, (0.0, 1.0)) for m in maps]
+    d_lo, d_hi = deriv_ranges_interval(batch, (0.0, 1.0))
+    assert _same(d_lo, [w[0] for w in want])
+    assert _same(d_hi, [w[1] for w in want])
     assert _same(batch.compose(batch)(0.3), [m.compose(m)(0.3) for m in maps])
 
 
@@ -129,7 +123,15 @@ def test_disc_batches_match_scalar_forms():
     assert _same(center.re, [w.center.real for w in want])
     assert _same(center.im, [w.center.imag for w in want])
     assert _same(radius, [w.radius for w in want])
-    assert _same(deriv_sups_disc(batch, disc), [deriv_range_disc(m, disc)[1] for m in maps])
+    d_lo, d_hi = deriv_ranges_disc(batch, disc)
+    assert _same(d_lo, [deriv_range_disc(m, disc)[0] for m in maps])
+    assert _same(d_hi, [deriv_range_disc(m, disc)[1] for m in maps])
+    # one disc per map, as disc_images returns them
+    images = Disc(center, radius)
+    for outer in (Mobius(0, 1, 1, 1 + 0j), Mobius(2.0 + 1j, 0.5j, 0, 1.5 - 0.25j)):
+        d_lo, d_hi = deriv_ranges_disc(stack_mobius([outer] * len(maps), planar=True), images)
+        assert _same(d_lo, [deriv_range_disc(outer, w)[0] for w in want])
+        assert _same(d_hi, [deriv_range_disc(outer, w)[1] for w in want])
     image = batch(0.5 + 0j)
     assert _same(image.re, [m(0.5 + 0j).real for m in maps])
     assert _same(image.im, [m(0.5 + 0j).imag for m in maps])

@@ -171,6 +171,8 @@ GOLDEN_ENCLOSURES = {
     "dense-cf": ("(0.801677128633539, 0.8505938372636068)", "bracketed_conformal", False),
     "complex-finite": ("(0.6927908035684098, 0.7189642201126839)", "bracketed_conformal", False),
     "similarity": ("(0.7128683768732704, 0.7128683768732775)", "exact_similarity", True),
+    # recorded before the complex tail's bracket table moved onto the batch engine
+    "complex-full": ("(1.6820488827573086, 2.0)", "bracketed_conformal", False),
 }
 
 
@@ -183,6 +185,7 @@ def golden_system(name):
         "e2345": {"kind": "gauss_digits", "digits": [2, 3, 4, 5]},
         "renyi23": {"kind": "renyi_parabolic", "digits": [2, 3]},
         "complex-finite": {"kind": "complex_gauss", "digits": [[2, 0], [2, 1], [2, -1], [3, 0]]},
+        "complex-full": {"kind": "complex_gauss", "digits": "full"},
     }
     tails = {
         "ctd-spaced": GaussDigitTail(SpacedDigits(1.8)),

@@ -1,8 +1,10 @@
 """Array queries of the tail rules against scalar reference loops.
 
 The references below are the per-generation loops the cloud builder used
-before it handled whole levels as arrays, or scans that follow a query's
-definition; the array forms must agree with them exactly.
+before it handled whole levels as arrays, the per-map loops the tail
+brackets used before their tables came from the batch Moebius engine, or
+scans that follow a query's definition; the array forms must agree with
+them exactly.
 """
 
 import math
@@ -12,7 +14,9 @@ import pytest
 
 from ifsdim.cifs import renyi_parabolic_spec
 from ifsdim.errors import ConfigurationError
-from ifsdim.mobius import CArray, interval_image
+from ifsdim.maps import ComplexGaussBranch
+from ifsdim.mobius import CArray, Disc, Mobius, deriv_range_disc, deriv_range_interval, disc_image, interval_image
+from ifsdim.series import power_tail_bounds
 from ifsdim.tails import (
     ClusteredDigits,
     ComplexGaussTail,
@@ -22,6 +26,7 @@ from ifsdim.tails import (
     PowerRule,
     SimilarityTail,
     SpacedDigits,
+    _induced_deriv_table,
 )
 
 DIGIT_SETS = [SpacedDigits(1.8), SpacedDigits(1.0), SpacedDigits(3.7), ClusteredDigits(0.5),
@@ -197,3 +202,100 @@ def test_clustered_lookups_stop_at_the_table_end():
 def test_thresholds_must_be_positive():
     with pytest.raises(ConfigurationError, match="positive"):
         GaussDigitTail(FullDigits(2)).generation_reaching(np.array([0.1, 0.0]))
+
+
+# -- tail brackets against the per-map loops they replaced -------------------
+
+
+def _shell_loop(norm):
+    """Gaussian integers m + ni with m >= 1 and m^2 + n^2 = norm, sorted."""
+    out = []
+    m = 1
+    while m * m <= norm:
+        rest = norm - m * m
+        n = math.isqrt(rest)
+        if n * n == rest:
+            out.append((m, n))
+            if n > 0:
+                out.append((m, -n))
+        m += 1
+    out.sort()
+    return out
+
+
+def _complex_psi1_loop(t, domain):
+    """ComplexGaussTail.psi1_bounds as one scalar pass over the digits."""
+    if t <= 1.0:
+        return math.inf, math.inf
+    head_limit = 40
+    lo = hi = 0.0
+    one = ComplexGaussBranch(1 + 0j).mobius()
+    for norm in range(1, head_limit * head_limit + 1):
+        for m, n in _shell_loop(norm):
+            b = complex(m, n)
+            u = abs(b + domain.center)
+            sup_term = (u - domain.radius) ** (-2.0 * t)
+            inf_term = (u + domain.radius) ** (-2.0 * t)
+            if (m, n) != (1, 0):
+                hi += sup_term
+                lo += inf_term
+            img = disc_image(ComplexGaussBranch(b).mobius(), domain)
+            d1_lo, d1_hi = deriv_range_disc(one, img)
+            hi += sup_term * d1_hi**t
+            lo += inf_term * d1_lo**t
+    _, thi = power_tail_bounds(2.0 * t - 1.0, head_limit - 1)
+    hi += 2.0 * 1.06 * 18.0 * math.pi * thi
+    return lo, hi
+
+
+def _induced_table_loop(tail, domain):
+    """_induced_deriv_table by composing P^n o S_j one matrix product at a time."""
+    n_explicit = 512
+    pm = tail.parabolic.mobius()
+    kappa = abs(pm.c / pm.a)
+    lo, hi, rem = [], [], []
+    power = Mobius(1, 0, 0, 1)
+    for _ in range(n_explicit):
+        for _, branch in tail.branches:
+            dl, dh = deriv_range_interval(power.compose(branch.mobius()), domain)
+            lo.append(dl)
+            hi.append(dh)
+        power = pm.compose(power)
+    for _, branch in tail.branches:
+        x_lo = interval_image(branch.mobius(), domain)[0]
+        rem.append(deriv_range_interval(branch.mobius(), domain)[1] / (kappa * x_lo) ** 2)
+    return lo, hi, rem, n_explicit
+
+
+def test_complex_generation_maps_follow_the_shells():
+    tail = ComplexGaussTail()
+    for g in range(60):
+        want = []
+        for m, n in _shell_loop(g + 1):
+            if (m, n) != (1, 0):
+                want.append((m, n))
+            want.append(("1b", m, n))
+        assert [label for label, _ in tail.generation_maps(g)] == want
+
+
+@pytest.mark.parametrize("domain", [Disc(0.5 + 0j, 0.5), Disc(0.25 + 0.125j, 0.375)], ids=repr)
+def test_complex_psi1_bounds_match_scalar_loop(domain):
+    tail = ComplexGaussTail()
+    for t in (0.7, 1.0, 1.0001, 1.05, 1.2, 1.5, 1.6821, 1.85, 1.99, 2.0, 3.7):
+        assert repr(tail.psi1_bounds(t, domain)) == repr(_complex_psi1_loop(t, domain))
+
+
+@pytest.mark.parametrize("digits", [[2, 3], [2, 3, 5]], ids=str)
+def test_induced_table_and_psi1_bounds_match_scalar_loop(digits):
+    spec = renyi_parabolic_spec(digits)
+    tail = spec.tail
+    lo, hi, rem, n_explicit = _induced_deriv_table(tail, spec.domain)
+    want_lo, want_hi, want_rem, _ = _induced_table_loop(tail, spec.domain)
+    assert (lo.tolist(), hi.tolist(), rem.tolist()) == (want_lo, want_hi, want_rem)
+    for t in np.linspace(0.45, 0.6, 16).tolist() + [0.5, 0.51, 0.7131, 1.0]:
+        want = (math.inf, math.inf)
+        if 2.0 * t > 1.0:  # the induced sum converges above t = 1/2
+            _, tail_hi = power_tail_bounds(2.0 * t, n_explicit)
+            want = (float(np.sum(np.array(want_lo) ** t)),
+                    float(np.sum(np.array(want_hi) ** t)) + float(np.sum(np.array(want_rem) ** t)) * tail_hi)
+        assert repr(tail.psi1_bounds(t, spec.domain)) == repr(want)
