@@ -1,12 +1,27 @@
 """Contraction families: specification, axioms, words and cylinders.
 
 A :class:`CifsSpec` couples finitely many explicit branches with an
-optional tail rule for the infinite part of the alphabet.  Validation
-checks the axioms a family must satisfy to generate a limit set with
-well-defined dimension theory: branches map the seed domain into
-itself, contraction ratios are uniformly below one, open images are
-pairwise disjoint, and (as a separate, stronger flag) images of a
-fattened neighbourhood are pairwise disjoint as well.
+optional tail rule for the infinite part of the alphabet.  Its first
+level has one numeric form, ``first_maps``: the explicit branches and
+whole tail generations from the tail's ``generation_arrays``, stacked
+into one Moebius batch; ``first_level`` lists the same branches with
+their labels.
+
+This module also owns the array geometry, ``geometry(domain, window)``:
+how a batch of maps moves the seed interval or disc.  It answers the
+cloud builder (image regions, diameters, window tests, cells) and the
+axiom checks (poles, derivative ranges, containment, overlaps,
+separation), each with the rules of the region functions in
+``mobius``.
+
+Validation checks, on the first-level batch, the axioms a family must
+satisfy to generate a limit set with well-defined dimension theory:
+branches map the seed domain into itself, contraction ratios are
+uniformly below one, open images are pairwise disjoint (neighbours
+after a sort by lower end on the line, every pair in the plane), and
+(as a separate, stronger flag) images of a fattened neighbourhood are
+pairwise disjoint as well.  A branch with a pole on the seed domain
+fails containment and contraction.
 """
 
 from __future__ import annotations
@@ -17,18 +32,28 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .maps import MapKind, RenyiBranch, Similarity, apply_map
 from .mobius import (
     Disc,
     Interval,
     Mobius,
-    deriv_range_disc,
+    concat_mobius,
     deriv_range_interval,
+    deriv_ranges_disc,
+    deriv_ranges_interval,
     disc_image,
+    disc_images,
+    disc_poles,
     interval_image,
+    interval_images,
+    interval_poles,
+    stack_mobius,
+    take_mobius,
 )
-from .tails import InducedParabolicTail, Label, SimilarityTail, TailRule
+from .tails import InducedParabolicTail, Label, SimilarityTail, TailRule, ragged_arange
 
 Region = Union[Interval, Disc]
 
@@ -38,6 +63,9 @@ TAIL_SAMPLE = 256
 #: fattening margin used for the stronger separation flag, as a fraction
 #: of the seed-domain size
 SEPARATION_MARGIN = 0.125
+
+#: disc pairs tested at once by the planar overlap check
+_PAIR_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -118,7 +146,9 @@ class CifsSpec:
         raise ConfigurationError(f"label {label!r} does not resolve to any branch")
 
     def first_level(self, sample: int = TAIL_SAMPLE) -> list[tuple[Label, MapKind]]:
-        """Explicit branches followed by a finite tail prefix."""
+        """Explicit branches followed by whole tail generations, until
+        ``sample`` tail branches are reached: the labelled branches of
+        first_maps."""
         out = list(self.explicit)
         if self.tail is not None:
             g = 0
@@ -126,6 +156,21 @@ class CifsSpec:
                 out.extend(self.tail.generation_maps(g))
                 g += 1
         return out
+
+    def first_maps(self, sample: int = TAIL_SAMPLE) -> Mobius:
+        """The maps of first_level(sample) as one Moebius batch, in its
+        order and bit for bit: the explicit branches stacked, then whole
+        tail generations from the tail's generation_arrays."""
+        maps = stack_mobius([m.mobius() for _, m in self.explicit], self.ambient_dim == 2)
+        if self.tail is None or sample <= 0:
+            return maps
+        n = 8
+        while True:
+            owner, tail = self.tail.generation_arrays(np.arange(n))
+            if len(owner) >= sample:
+                # the generation holding the sample-th map is the last one taken
+                return concat_mobius([maps, take_mobius(tail, owner <= owner[sample - 1])])
+            n *= 2
 
     def is_similarity(self) -> bool:
         """A line family of similarities only, tail included."""
@@ -141,18 +186,6 @@ class CifsSpec:
         if self.ambient_dim == 1:
             return float(self.domain[1] - self.domain[0])
         return 2.0 * self.domain.radius
-
-    def map_region(self, m: MapKind, region: Region | None = None) -> Region:
-        region = self.domain if region is None else region
-        if self.ambient_dim == 1:
-            return interval_image(m.mobius(), region)
-        return disc_image(m.mobius(), region)
-
-    def deriv_bounds(self, m: MapKind, region: Region | None = None) -> Interval:
-        region = self.domain if region is None else region
-        if self.ambient_dim == 1:
-            return deriv_range_interval(m.mobius(), region)
-        return deriv_range_disc(m.mobius(), region)
 
     def digest(self) -> str:
         payload = json.dumps(_describe(self), sort_keys=True, separators=(",", ":"))
@@ -201,97 +234,222 @@ def cylinder_of(spec: CifsSpec, w: Word) -> Cylinder:
     return Cylinder(w, disc, 2.0 * disc.radius)
 
 
-def _regions_disjoint(spec: CifsSpec, r1: Region, r2: Region) -> bool:
-    if spec.ambient_dim == 1:
-        return r1[1] <= r2[0] or r2[1] <= r1[0]
-    return abs(r1.center - r2.center) >= r1.radius + r2.radius - 1e-15
+# ---------------------------------------------------------------------------
+# array geometry: how a batch of maps moves the seed region
 
 
-def _region_inside(spec: CifsSpec, inner: Region, outer: Region, slack: float = 1e-12) -> bool:
-    if spec.ambient_dim == 1:
-        return inner[0] >= outer[0] - slack and inner[1] <= outer[1] + slack
-    return abs(inner.center - outer.center) + inner.radius <= outer.radius + slack
+class _Line:
+    """Array geometry of the line: intervals, windows and cells.
+
+    Built on a seed interval and an optional window.  The cloud builder
+    asks for image regions, diameters, window tests and cells; the axiom
+    checks ask for poles, derivative ranges, containment, overlaps and
+    separation.  Every rule is the one of the scalar region functions
+    in ``mobius``, applied to whole batches."""
+
+    planar = False
+
+    def __init__(self, domain: Region, window: Region | None = None):
+        self.domain = domain
+        self.window = window
+
+    # -- maps of a batch on the seed region
+
+    def poles(self, m: Mobius) -> np.ndarray:
+        return interval_poles(m, self.domain)
+
+    def regions(self, m: Mobius):
+        return interval_images(m, self.domain)
+
+    def deriv_ranges(self, m: Mobius) -> tuple[np.ndarray, np.ndarray]:
+        return deriv_ranges_interval(m, self.domain)
+
+    def deriv_sups(self, m: Mobius) -> np.ndarray:
+        return self.deriv_ranges(m)[1]
+
+    def fattened(self, margin: float) -> "_Line":
+        """The geometry of the seed region grown by margin on every side."""
+        lo, hi = self.domain
+        return _Line((lo - margin, hi + margin))
+
+    # -- image regions: axiom checks
+
+    def inside(self, region, slack: float = 1e-12) -> np.ndarray:
+        lo, hi = region
+        return (lo >= self.domain[0] - slack) & (hi <= self.domain[1] + slack)
+
+    def overlaps(self, region) -> tuple[np.ndarray, np.ndarray]:
+        """Index pairs of regions with meeting interiors, among neighbours
+        after a stable sort by lower end."""
+        lo, hi = region
+        order = np.argsort(lo, kind="stable")
+        i, j = order[:-1], order[1:]
+        meet = ~((hi[i] <= lo[j]) | (hi[j] <= lo[i]))
+        return i[meet], j[meet]
+
+    def separated(self, region) -> bool:
+        """No two regions meet, not even at an end."""
+        lo, hi = region
+        order = np.argsort(lo, kind="stable")
+        return bool(np.all(hi[order[:-1]] < lo[order[1:]]))
+
+    # -- image regions: the cloud builder
+
+    def diameters(self, region) -> np.ndarray:
+        lo, hi = region
+        return hi - lo
+
+    def meets_window(self, region) -> np.ndarray:
+        lo, hi = region
+        if self.window is None:
+            return np.ones(len(lo), dtype=bool)
+        return (hi >= self.window[0]) & (lo <= self.window[1])
+
+    def rows(self, region, mask) -> np.ndarray:
+        lo, hi = region
+        return np.column_stack((lo[mask], hi[mask]))
+
+    def near_window(self, p, slack: float):
+        """The points within slack of the window (all of them without one)."""
+        if self.window is None:
+            return p
+        return p[(self.window[0] - slack <= p) & (p <= self.window[1] + slack)]
+
+    def cells(self, pos, width) -> tuple[np.ndarray, ...]:
+        return (np.floor(pos / width).astype(np.int64),)
+
+    def coords(self, p) -> np.ndarray:
+        return p
 
 
-def _fattened(spec: CifsSpec) -> Region:
-    margin = SEPARATION_MARGIN * spec.domain_diameter()
-    if spec.ambient_dim == 1:
-        return (spec.domain[0] - margin, spec.domain[1] + margin)
-    return Disc(spec.domain.center, spec.domain.radius + margin)
+class _Plane(_Line):
+    """Array geometry of the plane: discs, windows and mesh cells."""
+
+    planar = True
+
+    def poles(self, m: Mobius) -> np.ndarray:
+        return disc_poles(m, self.domain)
+
+    def regions(self, m: Mobius):
+        return disc_images(m, self.domain)
+
+    def deriv_ranges(self, m: Mobius) -> tuple[np.ndarray, np.ndarray]:
+        return deriv_ranges_disc(m, self.domain)
+
+    def fattened(self, margin: float) -> "_Plane":
+        return _Plane(Disc(self.domain.center, self.domain.radius + margin))
+
+    def inside(self, region, slack: float = 1e-12) -> np.ndarray:
+        center, radius = region
+        return abs(center - self.domain.center) + radius <= self.domain.radius + slack
+
+    def overlaps(self, region) -> tuple[np.ndarray, np.ndarray]:
+        """Index pairs (i < j, row by row) of discs that overlap by more than 1e-15.
+
+        Rows are taken in blocks of about _PAIR_BLOCK pairs, so that a
+        long list of explicit branches does not hold every pair at once."""
+        center, radius = region
+        n = len(radius)
+        rows = max(1, _PAIR_BLOCK // max(n, 1))
+        found_i, found_j = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for start in range(0, n, rows):
+            counts = n - 1 - np.arange(start, min(start + rows, n))
+            i = np.repeat(np.arange(start, start + len(counts)), counts)
+            j = i + 1 + ragged_arange(counts)
+            meet = ~(abs(center[i] - center[j]) >= radius[i] + radius[j] - 1e-15)
+            found_i.append(i[meet])
+            found_j.append(j[meet])
+        return np.concatenate(found_i), np.concatenate(found_j)
+
+    def separated(self, region) -> bool:
+        return not len(self.overlaps(region)[0])
+
+    def diameters(self, region) -> np.ndarray:
+        return 2.0 * region[1]
+
+    def meets_window(self, region) -> np.ndarray:
+        center, radius = region
+        if self.window is None:
+            return np.ones(len(radius), dtype=bool)
+        return abs(self.window.center - center) <= radius + self.window.radius
+
+    def rows(self, region, mask) -> np.ndarray:
+        center, radius = region
+        return np.column_stack((center.re[mask], center.im[mask], radius[mask]))
+
+    def near_window(self, p, slack: float):
+        if self.window is None:
+            return p
+        return p[abs(p - self.window.center) <= self.window.radius + slack]
+
+    def cells(self, pos, width) -> tuple[np.ndarray, ...]:
+        return np.floor(pos.re / width).astype(np.int64), np.floor(pos.im / width).astype(np.int64)
+
+    def coords(self, p) -> np.ndarray:
+        return np.column_stack((p.re, p.im))
 
 
-def validate_cifs(spec: CifsSpec, tail_sample: int = TAIL_SAMPLE) -> ValidationReport:
-    """Check the family's axioms branch by branch.
+def geometry(domain: Region, window: Region | None = None) -> _Line:
+    """The array geometry of a seed interval or disc, with an optional window."""
+    return (_Plane if isinstance(domain, Disc) else _Line)(domain, window)
 
-    Infinite tails are checked on a leading sample plus the tail rule's
-    own certified contraction bound; failures are recorded as axiom
-    entries rather than raised.
+
+def validate_cifs(spec: CifsSpec) -> ValidationReport:
+    """Check the family's axioms on its first level, as one batch of maps.
+
+    Infinite tails are checked on a leading sample of TAIL_SAMPLE maps
+    (whole generations) plus the tail rule's own certified contraction
+    bound; failures are recorded as axiom entries rather than raised.
     """
-    checks: list[AxiomCheck] = []
-    branches = spec.first_level(tail_sample)
-    if not branches:
+    maps = spec.first_maps()
+    if not len(maps.a):
         raise ConfigurationError("the family has no branches")
+    geo = geometry(spec.domain)
+
+    def labels(idx) -> list:
+        names = [lab for lab, _ in spec.first_level()]
+        return [names[i] for i in idx]
+
+    checks: list[AxiomCheck] = []
 
     # containment: every branch sends the seed domain into itself
-    bad = []
-    regions = []
-    for lab, m in branches:
-        try:
-            region = spec.map_region(m)
-        except ZeroDivisionError:
-            bad.append(lab)
-            continue
-        regions.append((lab, region))
-        if not _region_inside(spec, region, spec.domain):
-            bad.append(lab)
+    poles = geo.poles(maps)
+    ok = np.flatnonzero(~poles)
+    good = take_mobius(maps, ok)
+    regions = geo.regions(good)
+    bad = poles.copy()
+    bad[ok] = ~geo.inside(regions)
     checks.append(
         AxiomCheck(
             "containment",
-            not bad,
-            "all sampled branch images inside the seed domain" if not bad else f"violating labels: {bad[:8]}",
+            not bad.any(),
+            "all sampled branch images inside the seed domain" if not bad.any()
+            else f"violating labels: {labels(np.flatnonzero(bad)[:8])}",
         )
     )
 
-    # uniform contraction
-    xi = 0.0
-    noncontracting = []
-    for lab, m in branches:
-        try:
-            _, hi = spec.deriv_bounds(m)
-        except ZeroDivisionError:
-            noncontracting.append(lab)
-            continue
-        xi = max(xi, hi)
-        if hi >= 1.0:
-            noncontracting.append(lab)
+    # uniform contraction; a branch with a pole on the domain does not contract
+    d_lo, d_hi = geo.deriv_ranges(good)
+    xi = float(np.fmax.reduce(d_hi, initial=0.0))
     if spec.tail is not None:
         xi = max(xi, spec.tail.sup_contraction())
+    contracting = not poles.any() and not np.any(d_hi >= 1.0)
     checks.append(
         AxiomCheck(
             "uniform_contraction",
-            not noncontracting and xi < 1.0,
+            contracting and xi < 1.0,
             f"xi = {xi:.6g}" if xi < 1.0 else f"supremum of |S'| reaches {xi:.6g}",
         )
     )
 
     # open set condition on the sampled alphabet
-    overlaps = []
-    srt = regions
-    if spec.ambient_dim == 1:
-        srt = sorted(regions, key=lambda kv: kv[1][0])
-        for (la, ra), (lb, rb) in zip(srt, srt[1:]):
-            if not _regions_disjoint(spec, ra, rb):
-                overlaps.append((la, lb))
-    else:
-        for i, (la, ra) in enumerate(srt):
-            for lb, rb in srt[i + 1 :]:
-                if not _regions_disjoint(spec, ra, rb):
-                    overlaps.append((la, lb))
+    i, j = geo.overlaps(regions)
     checks.append(
         AxiomCheck(
             "open_set_condition",
-            not overlaps,
-            "sampled open images pairwise disjoint" if not overlaps else f"overlapping pairs: {overlaps[:8]}",
+            not len(i),
+            "sampled open images pairwise disjoint" if not len(i)
+            else f"overlapping pairs: {list(zip(labels(ok[i[:8]]), labels(ok[j[:8]])))}",
         )
     )
 
@@ -299,38 +457,15 @@ def validate_cifs(spec: CifsSpec, tail_sample: int = TAIL_SAMPLE) -> ValidationR
     checks.append(AxiomCheck("cone_condition", True, "seed domain is convex"))
 
     # bounded distortion: report the worst level-1 derivative spread
-    spread = 1.0
-    for _, m in branches:
-        try:
-            lo, hi = spec.deriv_bounds(m)
-        except ZeroDivisionError:
-            continue
-        if lo > 0:
-            spread = max(spread, hi / lo)
+    positive = d_lo > 0
+    with np.errstate(over="ignore"):
+        spread = float(np.fmax.reduce(d_hi[positive] / d_lo[positive], initial=1.0))
     checks.append(AxiomCheck("bounded_distortion", math.isfinite(spread), f"level-1 spread <= {spread:.4g}"))
 
     # stronger separation: disjoint images of a fattened neighbourhood
-    separation = True
-    fat = _fattened(spec)
-    fat_regions = []
-    for lab, m in branches:
-        try:
-            fat_regions.append(spec.map_region(m, fat))
-        except ZeroDivisionError:
-            separation = False
-            break
-    if separation:
-        if spec.ambient_dim == 1:
-            fr = sorted(fat_regions, key=lambda r: r[0])
-            separation = all(a[1] < b[0] for a, b in zip(fr, fr[1:]))
-        else:
-            separation = all(
-                _regions_disjoint(spec, fat_regions[i], fat_regions[j])
-                for i in range(len(fat_regions))
-                for j in range(i + 1, len(fat_regions))
-            )
+    fat = geo.fattened(SEPARATION_MARGIN * spec.domain_diameter())
+    separation = not fat.poles(maps).any() and fat.separated(fat.regions(maps))
 
-    xi = min(xi, 1.0) if xi < 1.0 else xi
     return ValidationReport(tuple(checks), xi, separation)
 
 

@@ -61,10 +61,6 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.spec_path is None and self.family is None:
-            raise ConfigurationError("either --spec or --family is required")
-        if self.spec_path is not None and not Path(self.spec_path).exists():
-            raise ConfigurationError(f"spec file {self.spec_path} does not exist")
         if self.delta is not None and self.delta <= 0:
             raise ConfigurationError("--delta must be positive")
         if self.grid < 2:
@@ -121,10 +117,23 @@ def _parse_params(text: str | None) -> dict:
 
 
 def _resolve_system(config: RunConfig) -> tuple[CifsSpec | None, Family | None]:
+    """The system named by --family, else the one in the --spec file."""
     if config.family is not None:
         fam = make_family(config.family, config.params)
         return fam.spec, fam
+    if config.spec_path is None:
+        raise ConfigurationError("either --spec or --family is required")
+    if not Path(config.spec_path).exists():
+        raise ConfigurationError(f"spec file {config.spec_path} does not exist")
     return load_spec(config.spec_path), None
+
+
+def _build_cloud(spec: CifsSpec, family: Family | None, delta: float | None) -> PointCloud:
+    """The family's kind of cloud at delta, or at its default delta (1e-6 for a spec file)."""
+    delta = delta or (family.default_delta if family else 1e-6)
+    if family is not None and family.cloud_kind == "fixed_points":
+        return build_fixed_point_cloud(spec, delta)
+    return build_limit_cloud(spec, delta)
 
 
 def _curves_csv(curves: dict[str, SpectrumCurve]) -> str:
@@ -175,12 +184,9 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
     output directory and returns the comparison table plus the summary.
     """
     config.validate()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     with _Stage("configuration"):
         spec, family = _resolve_system(config)
-        delta = config.delta or (family.default_delta if family else 1e-6)
         thetas = np.linspace(config.theta_min, config.theta_max, config.grid)
         if family is not None and family.spec is None:
             raise ConfigurationError(f"family {family.name!r} has no buildable system; use spectrum-formula")
@@ -190,10 +196,7 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
         h_mid = 0.5 * (h_lo + h_hi)
 
     with _Stage("build"):
-        if family is not None and family.cloud_kind == "fixed_points":
-            cloud = build_fixed_point_cloud(spec, delta)
-        else:
-            cloud = build_limit_cloud(spec, delta)
+        cloud = _build_cloud(spec, family, config.delta)
     with _Stage("estimate"):
         report = assouad_spectrum_estimate(cloud, thetas)
     estimate = report.curve
@@ -233,6 +236,8 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
         transitions.append(phase_transition(formula).theta)
     table = ComparisonTable(tuple(rows), max_dev, tuple(transitions), all(r.passed for r in rows))
 
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     cloud.save(out / "cloud.bin")
     _atomic_write(out / "cloud.csv", cloud.csv_blocks())
     curves = {"lower": lower, "upper": upper, "estimate": estimate}
@@ -248,7 +253,7 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
         "version": __version__,
         "family": family.name if family else None,
         "spec_digest": spec.digest(),
-        "delta": delta,
+        "delta": cloud.delta,
         "cloud_points": len(cloud),
         "cloud_complete": bool(cloud.complete),
         "dimension": {"value": h_mid, "enclosure": [h_lo, h_hi]},
@@ -273,20 +278,16 @@ def _cmd_build(args) -> int:
     spec, family = _resolve_system(config)
     if spec is None:
         raise ConfigurationError("this family has no buildable system")
-    delta = config.delta or (family.default_delta if family else 1e-6)
     report = validate_cifs(spec)
     print(report)
     if not report.ok:
         return 1
-    if family is not None and family.cloud_kind == "fixed_points":
-        cloud = build_fixed_point_cloud(spec, delta)
-    else:
-        cloud = build_limit_cloud(spec, delta)
+    cloud = _build_cloud(spec, family, config.delta)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cloud.save(out / "cloud.bin")
     _atomic_write(out / "cloud.csv", cloud.csv_blocks())
-    print(f"cloud: {len(cloud)} points at delta={delta:g} -> {out / 'cloud.bin'}")
+    print(f"cloud: {len(cloud)} points at delta={cloud.delta:g} -> {out / 'cloud.bin'}")
     return 0
 
 
@@ -319,11 +320,9 @@ def _cmd_spectrum_formula(args) -> int:
         h = 0.5 * (h_lo + h_hi)
     thetas = default_theta_grid(config.grid)
     curve = curve_from_formula(lambda th: family.formula(h, th), thetas)
-    lines = ["theta,value"] + [f"{t:.10g},{v:.10g}" for t, v in zip(curve.thetas, curve.values)]
-    text = "\n".join(lines) + "\n"
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / f"{config.family}-formula.csv", text)
+    _atomic_write(out / f"{config.family}-formula.csv", _curves_csv({"value": curve}))
     if args.svg:
         curve.metadata["label"] = config.family
         _atomic_write(out / f"{config.family}-formula.svg", emit_svg([curve]))
@@ -340,12 +339,9 @@ def _cmd_spectrum_estimate(args) -> int:
     report = assouad_spectrum_estimate(cloud, thetas)
     box = box_dimension_estimate(cloud)
     assouad = assouad_dimension_estimate(cloud)
-    lines = ["theta,value"] + [
-        f"{t:.10g},{v:.10g}" for t, v in zip(report.curve.thetas, report.curve.values)
-    ]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "estimate.csv", "\n".join(lines) + "\n")
+    _atomic_write(out / "estimate.csv", _curves_csv({"value": report.curve}))
     print(f"box = {box.value:.4f}; assouad = {assouad.value:.4f}; wrote {out / 'estimate.csv'}")
     return 0
 
@@ -383,7 +379,7 @@ def _cmd_report(args) -> int:
 
 
 def _config_from(args) -> RunConfig:
-    config = RunConfig(
+    return RunConfig(
         spec_path=getattr(args, "spec", None),
         family=getattr(args, "family", None),
         params=_parse_params(getattr(args, "params", None)),
@@ -393,12 +389,6 @@ def _config_from(args) -> RunConfig:
         out_dir=getattr(args, "out", "out"),
         seed=getattr(args, "seed", 0),
     )
-    if getattr(args, "spec", None) is None and getattr(args, "family", None) is None:
-        if args.command in ("build", "dimension", "compare"):
-            raise ConfigurationError("either --spec or --family is required")
-    if config.spec_path is not None and not Path(config.spec_path).exists():
-        raise ConfigurationError(f"spec file {config.spec_path} does not exist")
-    return config
 
 
 def _add_common(sub, cloud_arg=False):

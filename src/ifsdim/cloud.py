@@ -13,6 +13,9 @@ keeps the first tail child it reaches in each cell, whose image lies
 within delta/2 of the images of the dropped ones, and the rest of the
 tail, inside an envelope within one cell of the accumulation point, is
 replaced by the image of that point.
+
+The builder asks ``cifs.geometry`` how maps move intervals or discs,
+the same array geometry the axiom checks use.
 """
 
 from __future__ import annotations
@@ -22,20 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cifs import CifsSpec, Region
+from .cifs import CifsSpec, Region, geometry
 from .errors import CloudSizeError, ConfigurationError
-from .mobius import (
-    IDENTITY,
-    Mobius,
-    concat_arrays,
-    concat_mobius,
-    deriv_ranges_disc,
-    deriv_ranges_interval,
-    disc_images,
-    interval_images,
-    stack_mobius,
-    take_mobius,
-)
+from .mobius import IDENTITY, Mobius, concat_arrays, concat_mobius, stack_mobius, take_mobius
 from .tails import ragged_arange
 
 DEFAULT_CAP = 5_000_000
@@ -124,84 +116,6 @@ class PointCloud:
 
 # ---------------------------------------------------------------------------
 # the builder: arbitrary Moebius branches, 1-D or 2-D, one level at a time
-
-
-class _Line:
-    """Array geometry of the line: intervals, windows and cells."""
-
-    planar = False
-
-    def __init__(self, spec: CifsSpec, window):
-        self.domain = spec.domain
-        self.window = window
-
-    def regions(self, m: Mobius):
-        return interval_images(m, self.domain)
-
-    def diameters(self, region) -> np.ndarray:
-        lo, hi = region
-        return hi - lo
-
-    def meets_window(self, region) -> np.ndarray:
-        lo, hi = region
-        if self.window is None:
-            return np.ones(len(lo), dtype=bool)
-        return (hi >= self.window[0]) & (lo <= self.window[1])
-
-    def rows(self, region, mask) -> np.ndarray:
-        lo, hi = region
-        return np.column_stack((lo[mask], hi[mask]))
-
-    def deriv_sups(self, m: Mobius) -> np.ndarray:
-        return deriv_ranges_interval(m, self.domain)[1]
-
-    def near_window(self, p, slack: float):
-        """The points within slack of the window (all of them without one)."""
-        if self.window is None:
-            return p
-        return p[(self.window[0] - slack <= p) & (p <= self.window[1] + slack)]
-
-    def cells(self, pos, width) -> tuple[np.ndarray, ...]:
-        return (np.floor(pos / width).astype(np.int64),)
-
-    def coords(self, p) -> np.ndarray:
-        return p
-
-
-class _Plane(_Line):
-    """Array geometry of the plane: discs, windows and mesh cells."""
-
-    planar = True
-
-    def regions(self, m: Mobius):
-        return disc_images(m, self.domain)
-
-    def diameters(self, region) -> np.ndarray:
-        return 2.0 * region[1]
-
-    def meets_window(self, region) -> np.ndarray:
-        center, radius = region
-        if self.window is None:
-            return np.ones(len(radius), dtype=bool)
-        return abs(self.window.center - center) <= radius + self.window.radius
-
-    def rows(self, region, mask) -> np.ndarray:
-        center, radius = region
-        return np.column_stack((center.re[mask], center.im[mask], radius[mask]))
-
-    def deriv_sups(self, m: Mobius) -> np.ndarray:
-        return deriv_ranges_disc(m, self.domain)[1]
-
-    def near_window(self, p, slack: float):
-        if self.window is None:
-            return p
-        return p[abs(p - self.window.center) <= self.window.radius + slack]
-
-    def cells(self, pos, width) -> tuple[np.ndarray, ...]:
-        return np.floor(pos.re / width).astype(np.int64), np.floor(pos.im / width).astype(np.int64)
-
-    def coords(self, p) -> np.ndarray:
-        return np.column_stack((p.re, p.im))
 
 
 class _ExpansionTable:
@@ -346,7 +260,7 @@ class _Points:
 
 
 def _build(spec: CifsSpec, delta, window, cap, fixed_points_only):
-    geo = (_Plane if spec.ambient_dim == 2 else _Line)(spec, window)
+    geo = geometry(spec.domain, window)
     anchor = spec.anchor
     tail = spec.tail
     step = delta / 2.0

@@ -11,12 +11,15 @@ Five kinds cover every system in scope:
   digit with positive real part, acting on a disc,
 * ``Composite`` -- a finite composition of the above, applied
   right to left as words are.
+
+``mobius()`` builds the branch's matrix on every call; nothing is
+cached.  Batch code reads branches through ``CifsSpec.first_maps`` and
+the tails' ``generation_arrays`` instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 from .errors import ConfigurationError
@@ -33,9 +36,6 @@ class Similarity:
             raise ConfigurationError(f"similarity ratio must be in (0,1), got {self.ratio}")
 
     def mobius(self) -> Mobius:
-        return _mobius_of(self)
-
-    def _mobius(self) -> Mobius:
         return Mobius(self.ratio, self.offset, 0.0, 1.0)
 
 
@@ -48,9 +48,6 @@ class GaussBranch:
             raise ConfigurationError(f"Gauss digit must be a positive integer, got {self.digit}")
 
     def mobius(self) -> Mobius:
-        return _mobius_of(self)
-
-    def _mobius(self) -> Mobius:
         return Mobius(0, 1, 1, self.digit)
 
 
@@ -63,9 +60,6 @@ class RenyiBranch:
             raise ConfigurationError(f"Renyi digit must be at least 2, got {self.digit}")
 
     def mobius(self) -> Mobius:
-        return _mobius_of(self)
-
-    def _mobius(self) -> Mobius:
         # 1 - 1/(digit - 1 + x) = (x + digit - 2) / (x + digit - 1)
         return Mobius(1, self.digit - 2, 1, self.digit - 1)
 
@@ -82,9 +76,6 @@ class ComplexGaussBranch:
             )
 
     def mobius(self) -> Mobius:
-        return _mobius_of(self)
-
-    def _mobius(self) -> Mobius:
         return Mobius(0, 1, 1, complex(self.digit))
 
 
@@ -97,9 +88,6 @@ class Composite:
             raise ConfigurationError("composite map needs at least one part")
 
     def mobius(self) -> Mobius:
-        return _mobius_of(self)
-
-    def _mobius(self) -> Mobius:
         m = self.parts[0].mobius()
         for part in self.parts[1:]:
             m = m.compose(part.mobius())
@@ -107,11 +95,6 @@ class Composite:
 
 
 MapKind = Union[Similarity, GaussBranch, RenyiBranch, ComplexGaussBranch, Composite]
-
-
-@lru_cache(maxsize=262_144)
-def _mobius_of(m: "MapKind") -> Mobius:
-    return m._mobius()
 
 
 def apply_map(m: MapKind, x):

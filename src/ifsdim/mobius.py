@@ -15,6 +15,14 @@ elementwise, and ``interval_images``, ``disc_images``,
 of the scalar region functions; ``deriv_ranges_disc`` also takes one
 disc per map.  Every array form repeats the scalar arithmetic operation
 for operation, so it returns the scalar result bit for bit.
+``interval_poles`` and ``disc_poles`` tell, per map, whether the image
+functions would reject it.
+
+A map has a pole on an interval when its denominator vanishes at an
+end or changes sign between the ends, and on a disc when it is not
+affine and the disc's image under z -> c z + d holds 0.  The region
+functions and the interval derivative ranges raise
+``ZeroDivisionError`` there.
 """
 
 from __future__ import annotations
@@ -139,6 +147,12 @@ class CArray:
     def is_zero(self) -> np.ndarray:
         return (self.re == 0.0) & (self.im == 0.0)
 
+    def to_complex(self) -> np.ndarray:
+        """The same numbers as one complex128 array."""
+        z = np.empty(self.re.shape, dtype=complex)
+        z.real, z.imag = self.re, self.im
+        return z
+
 
 def _quotient(a: CArray, b: CArray) -> CArray:
     # divide top and bottom by whichever part of b has the larger magnitude
@@ -202,12 +216,16 @@ def interval_image(m: Mobius, iv: Interval) -> Interval:
 
 
 def deriv_range_interval(m: Mobius, iv: Interval) -> Interval:
-    """Range of |m'| over an interval, exact via endpoint denominators."""
+    """Range of |m'| over an interval, exact via endpoint denominators.
+
+    The pole rule is interval_image's: the denominator must not vanish
+    at an end or change sign between them."""
     lo, hi = iv
-    qlo = abs(m.c * lo + m.d)
-    qhi = abs(m.c * hi + m.d)
-    if qlo == 0.0 or qhi == 0.0:
+    qlo = m.c * lo + m.d
+    qhi = m.c * hi + m.d
+    if qlo == 0 or qhi == 0 or (qlo > 0) != (qhi > 0):
         raise ZeroDivisionError("Moebius denominator vanishes on the interval")
+    qlo, qhi = abs(qlo), abs(qhi)
     det = abs(m.det)
     qmin, qmax = (qlo, qhi) if qlo <= qhi else (qhi, qlo)
     return det / qmax**2, det / qmin**2
@@ -249,12 +267,25 @@ def deriv_range_disc(m: Mobius, disc: Disc) -> Interval:
     return det / qmax**2, det / qmin**2
 
 
-def interval_images(m: Mobius, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
-    """interval_image of every map of a batch, as arrays of lower and upper ends."""
+def line_denominators(m: Mobius, iv: Interval) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Denominators at both ends of an interval, and where the map has a pole
+    on it: a denominator vanishes at an end or changes sign between them."""
     lo, hi = iv
     qlo = m.c * lo + m.d
     qhi = m.c * hi + m.d
-    if np.any((qlo == 0) | (qhi == 0) | ((qlo > 0) != (qhi > 0))):
+    return qlo, qhi, (qlo == 0) | (qhi == 0) | ((qlo > 0) != (qhi > 0))
+
+
+def interval_poles(m: Mobius, iv: Interval) -> np.ndarray:
+    """Per map of a batch, whether interval_image would reject it."""
+    return line_denominators(m, iv)[2]
+
+
+def interval_images(m: Mobius, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
+    """interval_image of every map of a batch, as arrays of lower and upper ends."""
+    lo, hi = iv
+    qlo, qhi, poles = line_denominators(m, iv)
+    if np.any(poles):
         raise ZeroDivisionError("Moebius denominator vanishes on the interval")
     u = (m.a * lo + m.b) / qlo
     v = (m.a * hi + m.b) / qhi
@@ -264,14 +295,29 @@ def interval_images(m: Mobius, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
 
 def deriv_ranges_interval(m: Mobius, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
     """deriv_range_interval of every map of a batch, as arrays of lower and upper ends."""
-    lo, hi = iv
-    qlo = np.abs(m.c * lo + m.d)
-    qhi = np.abs(m.c * hi + m.d)
-    if np.any((qlo == 0.0) | (qhi == 0.0)):
+    qlo, qhi, poles = line_denominators(m, iv)
+    if np.any(poles):
         raise ZeroDivisionError("Moebius denominator vanishes on the interval")
+    qlo, qhi = np.abs(qlo), np.abs(qhi)
     det = np.abs(m.det)
     ordered = qlo <= qhi
     return det / _square(np.where(ordered, qhi, qlo)), det / _square(np.where(ordered, qlo, qhi))
+
+
+def _disc_denominators(m: Mobius, disc: Disc) -> tuple[CArray, np.ndarray, np.ndarray, np.ndarray]:
+    """The image of the disc under z -> c z + d (centre and radius), the
+    power |c centre + d|^2 - (|c| radius)^2 of 0 against it, and where
+    the map has a pole on the disc: c is not zero and that power is not
+    positive."""
+    u_center = m.c * disc.center + m.d
+    u_radius = abs(m.c) * disc.radius
+    mod2 = _square(abs(u_center)) - _square(u_radius)
+    return u_center, u_radius, mod2, ~m.c.is_zero() & (mod2 <= 0.0)
+
+
+def disc_poles(m: Mobius, disc: Disc) -> np.ndarray:
+    """Per map of a batch, whether disc_image would reject it."""
+    return _disc_denominators(m, disc)[3]
 
 
 def disc_images(m: Mobius, disc: Disc) -> tuple[CArray, np.ndarray]:
@@ -281,10 +327,8 @@ def disc_images(m: Mobius, disc: Disc) -> tuple[CArray, np.ndarray]:
         scale = m.a / m.d
         flat_center = scale * disc.center + m.b / m.d
         flat_radius = abs(scale) * disc.radius
-        u_center = m.c * disc.center + m.d
-        u_radius = abs(m.c) * disc.radius
-        mod2 = _square(abs(u_center)) - _square(u_radius)
-        if np.any(~flat & (mod2 <= 0.0)):
+        u_center, u_radius, mod2, poles = _disc_denominators(m, disc)
+        if np.any(poles):
             raise ZeroDivisionError("Moebius pole lies inside the disc")
         inv_center = u_center.conjugate() / mod2
         inv_radius = u_radius / mod2

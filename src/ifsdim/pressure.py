@@ -16,6 +16,17 @@ of the depth-one sum, rho = psi_1 - S with S = sum over H of sup^t,
 enters the upper sum as (S + rho)^n - S^n; for a finite alphabet rho
 is zero.  The bracket returned is the intersection of the depth-one
 and depth-n brackets.
+
+The explicit branches and the head are read from one batch,
+``CifsSpec.first_maps``, whose tail part comes from the tail's
+``generation_arrays``.  Word tables hold float64 entries on the line
+and complex128 ones in the plane; numpy's complex kernels round real
+inputs as float64 does, and run faster than ``CArray``.  The derivative
+extremes use numpy's square, not the ``float_power`` of
+``mobius.deriv_ranges_*``; the two differ in the last bit on a small
+share of inputs, which would move the enclosures.  A branch whose
+denominator vanishes on the seed domain, or changes sign on the seed
+interval, is a configuration error.
 """
 
 from __future__ import annotations
@@ -28,8 +39,8 @@ import numpy as np
 
 from .cifs import CifsSpec
 from .errors import ConfigurationError, DomainError
-from .maps import MapKind, Similarity
-from .mobius import Disc
+from .maps import Similarity
+from .mobius import CArray, Disc, Mobius, line_denominators, take_mobius
 from .series import power_sum_bounds
 from .tails import PowerRule, SimilarityTail
 
@@ -70,76 +81,76 @@ class DimensionResult:
 # word tables
 
 
-def _branch_matrices(maps: list[MapKind]):
-    a = np.array([m.mobius().a for m in maps], dtype=complex)
-    b = np.array([m.mobius().b for m in maps], dtype=complex)
-    c = np.array([m.mobius().c for m in maps], dtype=complex)
-    d = np.array([m.mobius().d for m in maps], dtype=complex)
-    return a, b, c, d
+def _deriv_bounds_arrays(spec: CifsSpec, m: Mobius) -> tuple[np.ndarray, np.ndarray]:
+    """Extremes of |m'| over the seed domain per map; a pole on it is an error.
 
-
-def _deriv_bounds_arrays(spec: CifsSpec, a, b, c, d):
-    det = np.abs(a * d - b * c)
+    The squares are numpy's, not the float_power of mobius.deriv_ranges_*:
+    the two differ in the last bit on some inputs, which would move
+    every enclosure."""
+    det = np.abs(m.a * m.d - m.b * m.c)
     if spec.ambient_dim == 1:
-        x0, x1 = spec.domain
-        q0 = np.abs(c * x0 + d)
-        q1 = np.abs(c * x1 + d)
+        q0, q1, poles = line_denominators(m, spec.domain)
+        if np.any(poles):
+            raise ConfigurationError("a branch has a pole on the seed domain")
+        q0, q1 = np.abs(q0), np.abs(q1)
         qmin = np.minimum(q0, q1)
         qmax = np.maximum(q0, q1)
     else:
         assert isinstance(spec.domain, Disc)
-        u = np.abs(c * spec.domain.center + d)
-        spread = np.abs(c) * spec.domain.radius
+        u = np.abs(m.c * spec.domain.center + m.d)
+        spread = np.abs(m.c) * spec.domain.radius
         qmin = u - spread
         qmax = u + spread
-    if np.any(qmin <= 0):
-        raise ConfigurationError("a branch has a pole on the seed domain")
+        if np.any(qmin <= 0):
+            raise ConfigurationError("a branch has a pole on the seed domain")
     return det / qmax**2, det / qmin**2
 
 
-def _compose_arrays(first, second):
-    a, b, c, d = first
-    ba, bb, bc, bd = second
-    return (
-        (a[:, None] * ba[None, :] + b[:, None] * bc[None, :]).ravel(),
-        (a[:, None] * bb[None, :] + b[:, None] * bd[None, :]).ravel(),
-        (c[:, None] * ba[None, :] + d[:, None] * bc[None, :]).ravel(),
-        (c[:, None] * bb[None, :] + d[:, None] * bd[None, :]).ravel(),
-    )
+def _extend(words: Mobius, head: Mobius) -> Mobius:
+    """Every word followed by every head map: w o h, word-major."""
+    wide = Mobius(*(x[:, None] for x in (words.a, words.b, words.c, words.d)))
+    long = Mobius(*(x[None, :] for x in (head.a, head.b, head.c, head.d)))
+    out = wide.compose(long)
+    return Mobius(out.a.ravel(), out.b.ravel(), out.c.ravel(), out.d.ravel())
 
 
-def _head_branches(spec: CifsSpec) -> list[MapKind]:
-    if spec.tail is None:
-        return [m for _, m in spec.explicit]
-    return [m for _, m in spec.first_level(sample=max(HEAD_SIZE - len(spec.explicit), 8))][:HEAD_SIZE]
+def _numeric(m: Mobius) -> Mobius:
+    """float64 entries on the line; complex128 in the plane, where
+    numpy's complex kernels run faster than CArray's."""
+    if isinstance(m.a, CArray):
+        return Mobius(*(x.to_complex() for x in (m.a, m.b, m.c, m.d)))
+    return m
 
 
 class _Tables:
     """Per-system cache: the head, the depth D and the word tables.
 
-    The extremes of |S_w'| over the seed domain do not depend on the
-    pressure exponent, so bisection re-evaluates only power sums.  The
-    tables hold no reference to their spec, so that the spec can key
-    them weakly."""
+    The explicit branches and the head come from one batch,
+    CifsSpec.first_maps.  The extremes of |S_w'| over the seed domain
+    do not depend on the pressure exponent, so bisection re-evaluates
+    only power sums.  The tables hold no reference to their spec, so
+    that the spec can key them weakly."""
 
     def __init__(self, spec: CifsSpec):
-        self.explicit = _deriv_bounds_arrays(spec, *_branch_matrices([m for _, m in spec.explicit]))
-        head = _head_branches(spec)
-        self.head = _branch_matrices(head)
+        n = len(spec.explicit)
+        sample = max(HEAD_SIZE - n, 8) if spec.tail is not None else 0
+        maps = _numeric(spec.first_maps(sample))
+        self.explicit = _deriv_bounds_arrays(spec, take_mobius(maps, slice(0, n)))
+        self.head = take_mobius(maps, slice(0, HEAD_SIZE)) if spec.tail is not None else maps
         # similarity sums are multiplicative, so depth one is exact
         self.depth = 1
         while (not spec.is_similarity() and self.depth < MAX_DEPTH_FINITE
-               and len(head) ** (self.depth + 1) <= WORD_BUDGET):
+               and len(self.head.a) ** (self.depth + 1) <= WORD_BUDGET):
             self.depth += 1
         self.words: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def word_bounds(self, spec: CifsSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Derivative extremes over the head words of length n."""
         if n not in self.words:
-            mats = self.head
+            words = self.head
             for _ in range(n - 1):
-                mats = _compose_arrays(mats, self.head)
-            self.words[n] = _deriv_bounds_arrays(spec, *mats)
+                words = _extend(words, self.head)
+            self.words[n] = _deriv_bounds_arrays(spec, words)
         return self.words[n]
 
 

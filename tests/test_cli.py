@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ifsdim import ConfigurationError
 from ifsdim.cli import main, run_pipeline, RunConfig
 from ifsdim.cloud import PointCloud
 from ifsdim.spectra import SpectrumCurve
@@ -201,6 +202,36 @@ def test_spectrum_estimate_subcommand(tmp_path, capsys):
     lines = (tmp_path / "estimate.csv").read_text().splitlines()
     assert lines[0] == "theta,value"
     assert len(lines) == 9
+
+
+# sha256 of the spectrum CSVs, recorded while both subcommands wrote
+# their `theta,value` lines by hand
+GOLDEN_SPECTRUM_CSVS = {
+    "estimate.csv": "6cd1015aacc0b015f9945b348d2fafda256e618bf626e836111b4c1b86b31f01",
+    "complex-cf-formula.csv": "96c3f973b260a0900de1e79e6180cfe559e82ef3556e9d0efa1cbec3d0f26836",
+    "sharp-formula.csv": "f6d66ed5087f8ecda553a02a6b63aff01106008b085c933d4ff1c85154cea97e",
+}
+
+
+def test_spectrum_csv_golden_digests(tmp_path, capsys):
+    assert main(["build", "--family", "fp", "--params", "p=1", "--delta", "1e-5", "--out", str(tmp_path)]) == 0
+    assert main(["spectrum-estimate", "--cloud", str(tmp_path / "cloud.bin"), "--grid", "8",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["spectrum-formula", "--family", "complex-cf", "--grid", "64", "--out", str(tmp_path)]) == 0
+    assert main(["spectrum-formula", "--family", "sharp", "--params", "p=1.8,t=3.6,h=0.5", "--grid", "64",
+                 "--out", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SPECTRUM_CSVS}
+    assert digests == GOLDEN_SPECTRUM_CSVS
+
+
+def test_missing_source_messages(tmp_path, capsys):
+    assert main(["build", "--out", str(tmp_path)]) == 2
+    assert "either --spec or --family is required" in capsys.readouterr().err
+    assert main(["dimension", "--spec", str(tmp_path / "absent.json")]) == 2
+    assert "does not exist" in capsys.readouterr().err
+    with pytest.raises(ConfigurationError, match="either --spec or --family is required"):
+        run_pipeline(RunConfig(out_dir=str(tmp_path / "out")))
+    assert not (tmp_path / "out").exists()
 
 
 def test_spectrum_formula_subcommand(tmp_path, capsys):

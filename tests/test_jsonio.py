@@ -48,7 +48,7 @@ def test_complex_gauss():
     assert validate_cifs(spec).ok
     full = spec_from_dict({"kind": "complex_gauss", "digits": "full"})
     assert full.tail is not None
-    report = validate_cifs(full, tail_sample=64)
+    report = validate_cifs(full)
     assert report.ok
 
 

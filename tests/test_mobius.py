@@ -14,8 +14,10 @@ from ifsdim.mobius import (
     deriv_ranges_interval,
     disc_image,
     disc_images,
+    disc_poles,
     interval_image,
     interval_images,
+    interval_poles,
     stack_mobius,
 )
 
@@ -40,6 +42,38 @@ def test_interval_image_rejects_pole():
     m = Mobius(0, 1, 1, -0.5)  # pole at x = 0.5
     with pytest.raises(ZeroDivisionError):
         interval_image(m, (0.0, 1.0))
+
+
+def test_interval_derivative_ranges_reject_a_pole():
+    # |m'| is unbounded on [0, 1], though both endpoint denominators are 0.5
+    m = Mobius(0, 1, 1, -0.5)
+    with pytest.raises(ZeroDivisionError):
+        deriv_range_interval(m, (0.0, 1.0))
+    with pytest.raises(ZeroDivisionError):
+        deriv_ranges_interval(stack_mobius([Mobius(0, 1, 1, 2), m], planar=False), (0.0, 1.0))
+
+
+def _rejects(region_function, m, region):
+    try:
+        region_function(m, region)
+    except ZeroDivisionError:
+        return True
+    return False
+
+
+def test_pole_tests_match_the_scalar_region_functions():
+    line = [Mobius(0, 1, 1, d) for d in (-2.0, -1.0, -0.5, 0.0, 0.5, 2.0)]
+    line += [Mobius(1.0, 0.0, -1.0, 1.0), Mobius(0.5, 0.25, 0.0, 1.0), Mobius(2.0, 1.0, 3.0, -1.5)]
+    for iv in ((0.0, 1.0), (-1.0, 0.5), (0.5, 0.5)):
+        want = [_rejects(interval_image, m, iv) for m in line]
+        assert interval_poles(stack_mobius(line, planar=False), iv).tolist() == want
+        assert [_rejects(deriv_range_interval, m, iv) for m in line] == want
+    plane = [Mobius(0, 1, 1, complex(m, n)) for m in range(-2, 3) for n in (-1, 0, 1)]
+    plane += [Mobius(2.0 + 1j, 0.5j, 0, 1.5 - 0.25j), Mobius(0, 1, 1j, 0.5)]
+    for disc in (Disc(0.5 + 0j, 0.5), Disc(0j, 1.5), Disc(1 + 1j, 0.25)):
+        want = [_rejects(disc_image, m, disc) for m in plane]
+        assert disc_poles(stack_mobius(plane, planar=True), disc).tolist() == want
+        assert any(want) and not all(want)
 
 
 def test_deriv_range_interval():

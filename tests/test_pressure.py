@@ -8,6 +8,7 @@ import pytest
 from ifsdim import pressure
 from ifsdim import (
     CifsSpec,
+    ConfigurationError,
     DomainError,
     GaussBranch,
     Similarity,
@@ -20,9 +21,11 @@ from ifsdim import (
 )
 from ifsdim.tails import (
     ClusteredDigits,
+    ComplexGaussTail,
     FullDigits,
     GaussDigitTail,
     GeometricRule,
+    InducedParabolicTail,
     PowerRule,
     SimilarityTail,
     SpacedDigits,
@@ -204,6 +207,27 @@ def test_golden_enclosures(name):
     result = hausdorff_dimension(golden_system(name))
     enclosure = tuple(float(x) for x in result.enclosure)
     assert (repr(enclosure), result.method, result.converged) == GOLDEN_ENCLOSURES[name]
+
+
+@pytest.mark.parametrize("name", ["renyi23", "dense-cf", "complex-full"])
+def test_enclosures_read_the_tails_as_batches(name, monkeypatch):
+    def refuse(self, g):
+        raise AssertionError("the pressure head must come from generation_arrays")
+
+    for cls in (SimilarityTail, GaussDigitTail, ComplexGaussTail, InducedParabolicTail):
+        monkeypatch.setattr(cls, "generation_maps", refuse)
+    result = hausdorff_dimension(golden_system(name))
+    enclosure = tuple(float(x) for x in result.enclosure)
+    assert (repr(enclosure), result.method, result.converged) == GOLDEN_ENCLOSURES[name]
+
+
+def test_pole_inside_the_seed_interval_is_rejected():
+    # 1/(1 + x) has its pole at -1, inside [-2, 1]; both endpoint
+    # derivatives are finite, so only the sign change shows it
+    spec = CifsSpec(1, (-2.0, 1.0), ((1, GaussBranch(1)), (2, GaussBranch(3))))
+    assert not validate_cifs(spec).ok
+    with pytest.raises(ConfigurationError, match="pole"):
+        hausdorff_dimension(spec)
 
 
 class TestFinitenessParameter:
