@@ -130,7 +130,8 @@ def _resolve_system(config: RunConfig) -> tuple[CifsSpec | None, Family | None]:
 
 def _build_cloud(spec: CifsSpec, family: Family | None, delta: float | None) -> PointCloud:
     """The family's kind of cloud at delta, or at its default delta (1e-6 for a spec file)."""
-    delta = delta or (family.default_delta if family else 1e-6)
+    if delta is None:
+        delta = family.default_delta if family else 1e-6
     if family is not None and family.cloud_kind == "fixed_points":
         return build_fixed_point_cloud(spec, delta)
     return build_limit_cloud(spec, delta)
@@ -205,7 +206,7 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
         spectrum_p = family.fixed_point_spectrum
         ubox_p = family.ubox_p
     else:
-        spectrum_p = estimate.value_at  # no fixed-point model: degenerate bounds
+        spectrum_p = estimate  # no fixed-point model: degenerate bounds
         ubox_p = h_hi
     lower = lower_bound_curve(thetas, spectrum_p, h_lo)
     upper = upper_envelope(thetas, spectrum_p, max(h_hi, ubox_p))
@@ -275,6 +276,7 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
 
 def _cmd_build(args) -> int:
     config = _config_from(args)
+    config.validate()
     spec, family = _resolve_system(config)
     if spec is None:
         raise ConfigurationError("this family has no buildable system")

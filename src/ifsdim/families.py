@@ -10,15 +10,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .cifs import CifsSpec, renyi_parabolic_spec
 from .errors import ConfigurationError
 from .pressure import build_sharp_family, hausdorff_dimension
 from .spectra import (
+    SpectrumLike,
     backwards_cf_spectrum,
     complex_cf_spectrum,
     ctd_clustered_spectrum,
     ctd_spaced_spectrum,
     dense_cf_spectrum,
+    float_or_array,
     fp_spectrum,
     sharp_family_spectrum,
 )
@@ -29,7 +33,7 @@ from .tails import ClusteredDigits, FullDigits, GaussDigitTail, SpacedDigits
 class Family:
     name: str
     spec: CifsSpec | None
-    fixed_point_spectrum: Callable[[float], float]
+    fixed_point_spectrum: SpectrumLike  # takes and returns arrays of theta
     ubox_p: float
     formula: Callable[[float, float], float] | None  # (h, theta) -> value
     h_known: float | None = None
@@ -94,8 +98,10 @@ def make_family(name: str, params: dict | None = None) -> Family:
         spec = CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(ClusteredDigits(alpha)),
                         meta={"family": name, "alpha": alpha})
 
-        def clustered_p(th: float) -> float:
-            return min(alpha / (2.0 * (1.0 - th)), 1.0) if th < 1.0 else 1.0
+        def clustered_p(th):
+            th = np.asarray(th, dtype=float)
+            with np.errstate(divide="ignore"):
+                return float_or_array(np.where(th < 1.0, np.minimum(alpha / (2.0 * (1.0 - th)), 1.0), 1.0))
 
         return Family(name, spec, clustered_p, alpha / 2.0,
                       lambda hh, th: ctd_clustered_spectrum(alpha, hh, th), default_delta=1e-7)
@@ -106,8 +112,10 @@ def make_family(name: str, params: dict | None = None) -> Family:
     if name == "complex-cf":
         h = _get(params, "h", 1.8558)
 
-        def complex_p(th: float) -> float:
-            return min(1.0 / (1.0 - th), 2.0) if th < 1.0 else 2.0
+        def complex_p(th):
+            th = np.asarray(th, dtype=float)
+            with np.errstate(divide="ignore"):
+                return float_or_array(np.where(th < 1.0, np.minimum(1.0 / (1.0 - th), 2.0), 2.0))
 
         return Family(name, None, complex_p, 1.0,
                       lambda hh, th: complex_cf_spectrum(hh, th), h_known=h)

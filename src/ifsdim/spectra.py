@@ -5,6 +5,13 @@ theta.  Curves are sampled on a strictly increasing grid inside (0,1);
 the quasi-Assouad value of a sampled curve is read from its last node,
 and the phase transition is the first theta at which the curve reaches
 that value.
+
+The bounds take the fixed-point spectrum as a SpectrumLike: either a
+SpectrumCurve, read by interpolation and as its quasi-Assouad value at
+phi >= 1, or a callable that receives a numpy array of phi (of any
+shape) and returns an array of the same shape; a scalar return
+broadcasts.  The envelope is then one array pass over the whole
+(theta, phi) grid.
 """
 
 from __future__ import annotations
@@ -98,76 +105,102 @@ class BoundEnvelope:
             raise DomainError("lower envelope exceeds upper envelope")
 
 
-SpectrumLike = Union[SpectrumCurve, Callable[[float], float]]
+SpectrumLike = Union[SpectrumCurve, Callable[[np.ndarray], "np.ndarray | float"]]
 
 
-def _spectrum_eval(spectrum_p: SpectrumLike, phi: float) -> float:
+def float_or_array(vals: np.ndarray) -> "float | np.ndarray":
+    """A 0-d result as a Python float, any other as the array itself."""
+    return float(vals) if vals.ndim == 0 else vals
+
+
+def _unit_thetas(theta) -> np.ndarray:
+    th = np.asarray(theta, dtype=float)
+    if not (0.0 <= th.min(initial=0.0) and th.max(initial=1.0) <= 1.0):  # a NaN fails both
+        raise DomainError(f"theta must be in [0,1], got {th[~((0.0 <= th) & (th <= 1.0))].flat[0]}")
+    return th
+
+
+def _spectrum_eval(spectrum_p: SpectrumLike, phi: np.ndarray) -> np.ndarray:
+    """The spectrum at every entry of phi, as an array of phi's shape."""
     if isinstance(spectrum_p, SpectrumCurve):
-        if phi >= 1.0:
-            return spectrum_p.qa_value()
-        return spectrum_p.value_at(phi)
-    return float(spectrum_p(phi))
+        return np.where(phi >= 1.0, spectrum_p.qa_value(), np.interp(phi, spectrum_p.thetas, spectrum_p.values))
+    return np.broadcast_to(np.asarray(spectrum_p(phi), dtype=float), np.shape(phi))
 
 
 # ---------------------------------------------------------------------------
 # the weighted-average bound and its envelope
 
 
-def f_value(theta: float, phi: float, spectrum_p: SpectrumLike, ubox_f: float) -> float:
+def f_value(theta, phi, spectrum_p: SpectrumLike, ubox_f: float) -> "float | np.ndarray":
     """Weighted average of the fixed-point spectrum at phi and the box dimension.
 
     Interpolates the covering cost of cylinders at intermediate sizes;
     at phi = theta it returns the fixed-point spectrum, at phi = 1 the
-    box dimension.
+    box dimension.  theta and phi broadcast against each other; scalars
+    give a float.
     """
-    if not (0.0 < theta < 1.0):
-        raise DomainError(f"theta must be in (0,1), got {theta}")
-    if phi < theta - 1e-15 or phi > 1.0 + 1e-15:
-        raise DomainError(f"phi must lie in [theta, 1], got phi={phi}, theta={theta}")
-    phi = min(max(phi, theta), 1.0)
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    bad_theta = ~((0.0 < theta) & (theta < 1.0))
+    if np.any(bad_theta):
+        raise DomainError(f"theta must be in (0,1), got {theta[bad_theta].flat[0]}")
+    theta_b, phi_b = np.broadcast_arrays(theta, phi)
+    bad_phi = (phi_b < theta_b - 1e-15) | (phi_b > 1.0 + 1e-15)
+    if np.any(bad_phi):
+        raise DomainError(f"phi must lie in [theta, 1], got phi={phi_b[bad_phi].flat[0]}, "
+                          f"theta={theta_b[bad_phi].flat[0]}")
+    phi = np.minimum(np.maximum(phi, theta), 1.0)
     spectrum_at_phi = _spectrum_eval(spectrum_p, phi)
     inv_theta = 1.0 / theta
     inv_phi = 1.0 / phi
-    return ((inv_phi - 1.0) * spectrum_at_phi + (inv_theta - inv_phi) * ubox_f) / (inv_theta - 1.0)
-
-
-def _maximise_f(theta: float, spectrum_p: SpectrumLike, ubox_f: float) -> float:
-    phis = np.linspace(theta, 1.0, PHI_GRID)
-    vals = [f_value(theta, p, spectrum_p, ubox_f) for p in phis]
-    k = int(np.argmax(vals))
-    best = vals[k]
-    lo = phis[max(k - 1, 0)]
-    hi = phis[min(k + 1, PHI_GRID - 1)]
-    # golden-section polish on the bracketing interval
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc = f_value(theta, c, spectrum_p, ubox_f)
-    fd = f_value(theta, d, spectrum_p, ubox_f)
-    while b - a > PHI_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f_value(theta, c, spectrum_p, ubox_f)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f_value(theta, d, spectrum_p, ubox_f)
-    return max(best, fc, fd)
+    vals = ((inv_phi - 1.0) * spectrum_at_phi + (inv_theta - inv_phi) * ubox_f) / (inv_theta - 1.0)
+    return float_or_array(vals)
 
 
 def upper_envelope(thetas: Sequence[float], spectrum_p: SpectrumLike, ubox_f: float) -> SpectrumCurve:
-    """Pointwise maximum of f over phi in [theta, 1]."""
+    """Pointwise maximum of f over phi in [theta, 1].
+
+    For every theta at once: the best of PHI_GRID nodes on [theta, 1],
+    then a golden-section polish on the two grid steps around it until
+    the bracket is PHI_TOL wide.
+    """
     th = np.asarray(thetas, dtype=float)
-    vals = np.array([_maximise_f(t, spectrum_p, ubox_f) for t in th])
-    return SpectrumCurve(th, vals, "upper_bound", {"ubox_f": ubox_f})
+    rows = np.arange(len(th))
+    phis = np.linspace(th, 1.0, PHI_GRID, axis=1)
+    vals = f_value(th[:, None], phis, spectrum_p, ubox_f)
+    k = np.argmax(vals, axis=1)
+    best = vals[rows, k]
+    a = phis[rows, np.maximum(k - 1, 0)]
+    b = phis[rows, np.minimum(k + 1, PHI_GRID - 1)]
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc = f_value(th, c, spectrum_p, ubox_f)
+    fd = f_value(th, d, spectrum_p, ubox_f)
+    # one golden step per still-open bracket and round, keeping its
+    # evaluation order, so every row ends where a scalar search would
+    active = rows[b - a > PHI_TOL]
+    while len(active):
+        left = fc[active] >= fd[active]
+        down, up = active[left], active[~left]  # rows whose b moves down to d / a moves up to c
+        b[down], d[down], fd[down] = d[down], c[down], fc[down]
+        c[down] = b[down] - _INV_GOLDEN * (b[down] - a[down])
+        a[up], c[up], fc[up] = c[up], d[up], fd[up]
+        d[up] = a[up] + _INV_GOLDEN * (b[up] - a[up])
+        fx = f_value(th[active], np.where(left, c[active], d[active]), spectrum_p, ubox_f)
+        fc[down], fd[up] = fx[left], fx[~left]
+        active = active[b[active] - a[active] > PHI_TOL]
+    # max(best, fc, fd) as Python takes it: a NaN best stays, a NaN challenger loses
+    best = np.where(fc > best, fc, best)
+    best = np.where(fd > best, fd, best)
+    return SpectrumCurve(th, best, "upper_bound", {"ubox_f": ubox_f})
 
 
 def lower_bound_curve(thetas: Sequence[float], spectrum_p: SpectrumLike, h: float) -> SpectrumCurve:
     """Pointwise maximum of the Hausdorff dimension and the fixed-point spectrum."""
     th = np.asarray(thetas, dtype=float)
-    vals = np.array([max(h, _spectrum_eval(spectrum_p, t)) for t in th])
-    return SpectrumCurve(th, vals, "lower_bound", {"h": h})
+    s = _spectrum_eval(spectrum_p, th)
+    # a NaN spectrum node gives h, as max(h, nan) does
+    return SpectrumCurve(th, np.where(s > h, s, h), "lower_bound", {"h": h})
 
 
 def bound_envelope(thetas: Sequence[float], spectrum_p: SpectrumLike, h: float,
@@ -184,25 +217,24 @@ def bound_envelope(thetas: Sequence[float], spectrum_p: SpectrumLike, h: float,
 # closed forms
 
 
-def three_param_eval(form: ThreeParamForm, theta: float) -> float:
-    """Value of the three-parameter spectrum at theta."""
-    if not (0.0 <= theta <= 1.0):
-        raise DomainError(f"theta must be in [0,1], got {theta}")
-    if form.ubox == form.qa or form.rho == 0.0 or theta >= 1.0:
-        return form.ubox if form.ubox == form.qa else form.qa
-    rise = (1.0 - form.rho) * theta / ((1.0 - theta) * form.rho) * (form.qa - form.ubox)
-    return min(form.ubox + rise, form.qa)
+def three_param_eval(form: ThreeParamForm, theta) -> "float | np.ndarray":
+    """Value of the three-parameter spectrum at theta (a float or an array)."""
+    th = _unit_thetas(theta)
+    if form.ubox == form.qa or form.rho == 0.0:
+        return float_or_array(np.full(th.shape, form.ubox if form.ubox == form.qa else form.qa))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rise = (1.0 - form.rho) * th / ((1.0 - th) * form.rho) * (form.qa - form.ubox)
+        vals = np.where(th >= 1.0, form.qa, np.minimum(form.ubox + rise, form.qa))
+    return float_or_array(vals)
 
 
-def fp_spectrum(p: float, theta: float) -> float:
-    """Spectrum of the decreasing sequence i^(-p)."""
+def fp_spectrum(p: float, theta) -> "float | np.ndarray":
+    """Spectrum of the decreasing sequence i^(-p), at a float or an array of theta."""
     if p <= 0:
         raise DomainError(f"p must be positive, got {p}")
-    if not (0.0 <= theta <= 1.0):
-        raise DomainError(f"theta must be in [0,1], got {theta}")
-    if theta >= 1.0:
-        return 1.0
-    return min(1.0 / ((1.0 + p) * (1.0 - theta)), 1.0)
+    th = _unit_thetas(theta)
+    with np.errstate(divide="ignore"):  # theta = 1 gives 1/0 = inf, capped to 1
+        return float_or_array(np.minimum(1.0 / ((1.0 + p) * (1.0 - th)), 1.0))
 
 
 def sharp_family_spectrum(p: float, t: float, h: float, theta: float) -> float:
@@ -427,6 +459,13 @@ class ThreeParamFit:
     ok: bool
 
 
+def _max_deviation(form: ThreeParamForm, th: np.ndarray, vals: np.ndarray) -> float:
+    """Largest |form - vals| over the nodes, taken as Python's max takes it:
+    a NaN at the first node wins, a NaN at a later node is passed over."""
+    devs = np.abs(three_param_eval(form, th) - vals)
+    return float(devs[0]) if np.isnan(devs[0]) else float(np.nanmax(devs))
+
+
 def fit_three_param(curve: SpectrumCurve, tol: float = 1e-3) -> ThreeParamFit:
     """Best three-parameter description of a sampled curve.
 
@@ -448,16 +487,14 @@ def fit_three_param(curve: SpectrumCurve, tol: float = 1e-3) -> ThreeParamFit:
     candidates.append(min(max(phase_transition(curve).theta, rho_min), 1.0 - 1e-6))
     best_rho, best_dev = candidates[0], math.inf
     for rho in candidates:
-        form = ThreeParamForm(ubox, qa, rho)
-        dev = max(abs(three_param_eval(form, t) - v) for t, v in zip(th, vals))
+        dev = _max_deviation(ThreeParamForm(ubox, qa, rho), th, vals)
         if dev < best_dev:
             best_rho, best_dev = rho, dev
     # local refinement around the best candidate
     lo = max(best_rho - 0.01, rho_min)
     hi = min(best_rho + 0.01, 1.0 - 1e-6)
     for rho in np.linspace(lo, hi, 128):
-        form = ThreeParamForm(ubox, qa, rho)
-        dev = max(abs(three_param_eval(form, t) - v) for t, v in zip(th, vals))
+        dev = _max_deviation(ThreeParamForm(ubox, qa, rho), th, vals)
         if dev < best_dev:
             best_rho, best_dev = rho, dev
     return ThreeParamFit(ThreeParamForm(ubox, qa, best_rho), float(best_dev), best_dev <= tol)

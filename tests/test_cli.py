@@ -186,6 +186,32 @@ def test_compare_golden_digests_ctd_spaced(tmp_path, capsys):
     assert digests == GOLDEN_CTD_SPACED
 
 
+# sha256 of the artifacts of `compare --spec` on the gauss_digits document
+# {"digits": [1, 2]} with `--grid 8`, recorded while the spec path built its
+# bounds from the estimate read point by point through value_at; it exits 1
+GOLDEN_E12_SPEC = {
+    "curves.csv": "88bf248377addba2d83ec564cc3c63b4f707b8dfd77c9a9a7fe587493f85eaf5",
+    "summary.json": "2f812a9daabfc2a51892dd484762de138413e48694a373f440c3cba4c99b584d",
+}
+
+
+def test_compare_golden_digests_spec(tmp_path, capsys):
+    spec = tmp_path / "e12.json"
+    spec.write_text(json.dumps({"kind": "gauss_digits", "digits": [1, 2]}))
+    out = tmp_path / "out"
+    assert main(["compare", "--spec", str(spec), "--grid", "8", "--out", str(out)]) == 1
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_E12_SPEC}
+    assert digests == GOLDEN_E12_SPEC
+
+
+def test_build_rejects_nonpositive_delta(tmp_path, capsys):
+    # build validates its configuration as compare does; --delta 0 is not "unset"
+    for delta in ("0", "-1e-5"):
+        assert main(["build", "--family", "fp", "--params", "p=1", f"--delta={delta}", "--out", str(tmp_path)]) == 2
+        assert "--delta must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "cloud.bin").exists()
+
+
 def test_bad_gauss_digits_exit_2(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     for digits in ([2.5, 3], "abc"):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from ifsdim import DomainError
+from ifsdim.families import make_family
 from ifsdim.spectra import (
     SpectrumCurve,
     ThreeParamForm,
@@ -29,6 +32,7 @@ from ifsdim.spectra import (
 )
 
 GRID = default_theta_grid()
+COMPARE_GRID = np.linspace(0.05, 0.9, 64)  # compare's default theta grid
 
 
 class TestWeightedAverage:
@@ -83,6 +87,134 @@ class TestEnvelopes:
     def test_envelope_object_checks_order(self):
         env = bound_envelope(GRID[::64], lambda t: fp_spectrum(1.0, t), 0.6, 0.5)
         assert np.all(env.lower.values <= env.upper.values + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the scalar envelope search, one theta and one phi at a time: the reference
+# that upper_envelope's array pass must reproduce bit for bit
+
+
+def _spectrum_at(spectrum_p, phi):
+    if isinstance(spectrum_p, SpectrumCurve):
+        return spectrum_p.qa_value() if phi >= 1.0 else spectrum_p.value_at(phi)
+    return float(spectrum_p(phi))
+
+
+def _f_scalar(theta, phi, spectrum_p, ubox_f):
+    phi = min(max(phi, theta), 1.0)
+    inv_theta = 1.0 / theta
+    inv_phi = 1.0 / phi
+    return ((inv_phi - 1.0) * _spectrum_at(spectrum_p, phi) + (inv_theta - inv_phi) * ubox_f) / (inv_theta - 1.0)
+
+
+def _maximise_f(theta, spectrum_p, ubox_f, phi_grid=512, phi_tol=1e-12):
+    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
+    phis = np.linspace(theta, 1.0, phi_grid)
+    vals = [_f_scalar(theta, p, spectrum_p, ubox_f) for p in phis]
+    k = int(np.argmax(vals))
+    best = vals[k]
+    a, b = phis[max(k - 1, 0)], phis[min(k + 1, phi_grid - 1)]
+    c = b - inv_golden * (b - a)
+    d = a + inv_golden * (b - a)
+    fc = _f_scalar(theta, c, spectrum_p, ubox_f)
+    fd = _f_scalar(theta, d, spectrum_p, ubox_f)
+    while b - a > phi_tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_golden * (b - a)
+            fc = _f_scalar(theta, c, spectrum_p, ubox_f)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_golden * (b - a)
+            fd = _f_scalar(theta, d, spectrum_p, ubox_f)
+    return max(best, fc, fd)
+
+
+def _nan_curve():
+    th = np.linspace(0.05, 0.9, 16)
+    vals = np.array([0.50, 0.52, np.nan, 0.55, 0.60, 0.58, 0.70, np.nan,
+                     0.72, 0.80, 0.81, 0.83, 0.90, 0.88, 0.95, 0.97])
+    return SpectrumCurve(th, vals, "estimate")
+
+
+_FAMILY_NAMES = ("sharp", "fp", "ctd-spaced", "ctd-clustered", "dense-cf", "complex-cf", "parabolic")
+
+
+@pytest.fixture(scope="module")
+def family_inputs():
+    """Every shipped family's fixed-point spectrum with compare's max(h_hi, ubox_p)."""
+    out = {}
+    for name in _FAMILY_NAMES:
+        fam = make_family(name)
+        out[name] = (fam.fixed_point_spectrum, max(fam.dimension_enclosure()[1], fam.ubox_p))
+    return out
+
+
+def _basic_inputs():
+    return {
+        "fp1": (lambda t: fp_spectrum(1.0, t), 0.6),
+        "fp1.8": (lambda t: fp_spectrum(1.8, t), 0.5),
+        "constant": (lambda t: 0.7, 0.7),
+        "nan-curve": (_nan_curve(), 0.6),
+    }
+
+
+def _assert_envelope_matches_scalar_search(thetas, spectrum_p, ubox_f, rows=slice(None)):
+    got = upper_envelope(thetas, spectrum_p, ubox_f).values
+    ref = np.array([_maximise_f(t, spectrum_p, ubox_f) for t in thetas[rows]])
+    assert np.array_equal(got[rows], ref, equal_nan=True)
+    low = lower_bound_curve(thetas, spectrum_p, 0.55).values
+    ref_low = np.array([max(0.55, _spectrum_at(spectrum_p, t)) for t in thetas])
+    assert np.array_equal(low, ref_low, equal_nan=True)
+
+
+class TestEnvelopeBitIdentity:
+    @pytest.mark.parametrize("name", list(_basic_inputs()))
+    def test_basic_inputs_on_compare_grid(self, name):
+        _assert_envelope_matches_scalar_search(COMPARE_GRID, *_basic_inputs()[name])
+
+    @pytest.mark.parametrize("name", _FAMILY_NAMES)
+    def test_family_spectra_on_compare_grid(self, name, family_inputs):
+        _assert_envelope_matches_scalar_search(COMPARE_GRID, *family_inputs[name])
+
+    @pytest.mark.parametrize("name", list(_basic_inputs()))
+    def test_basic_inputs_on_default_grid(self, name):
+        # the envelope runs over all 1024 nodes at once, so brackets close
+        # in different rounds; the scalar search is checked on every
+        # 16th node, where its cost stays small
+        _assert_envelope_matches_scalar_search(GRID, *_basic_inputs()[name], rows=slice(3, None, 16))
+
+    def test_family_spectra_on_default_grid(self, family_inputs):
+        for spectrum_p, ubox_f in family_inputs.values():
+            _assert_envelope_matches_scalar_search(GRID, spectrum_p, ubox_f, rows=slice(5, None, 64))
+
+    def test_nan_nodes_reach_the_envelope(self):
+        # a NaN at the grid maximum stays, as Python's max keeps its first argument
+        upper = upper_envelope(COMPARE_GRID, _nan_curve(), 0.6).values
+        assert np.isnan(upper).any() and not np.isnan(upper).all()
+        lower = lower_bound_curve(COMPARE_GRID, _nan_curve(), 0.55).values
+        assert not np.isnan(lower).any()
+
+    @pytest.mark.parametrize("spectrum_p", [
+        lambda t: fp_spectrum(1.0, t),
+        lambda t: fp_spectrum(1.8, t),
+        make_family("ctd-clustered").fixed_point_spectrum,
+        make_family("complex-cf").fixed_point_spectrum,
+        lambda t: three_param_eval(ThreeParamForm(0.25, 1.0, 0.75), t),
+    ])
+    def test_fixed_point_spectra_on_arrays_equal_scalars(self, spectrum_p):
+        thetas = np.concatenate([np.linspace(0.0, 1.0, 1001), GRID, [1.0 - 1e-16, 1.0]])
+        vals = spectrum_p(thetas)
+        assert isinstance(vals, np.ndarray) and vals.shape == thetas.shape
+        scalars = [spectrum_p(float(t)) for t in thetas]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(vals, scalars)
+        assert np.array_equal(spectrum_p(thetas[:, None]), vals[:, None])
+
+    def test_fp_spectrum_rejects_any_theta_outside_unit_interval(self):
+        for bad in ([0.2, 1.5], [np.nan, 0.5], -0.1):
+            with pytest.raises(DomainError):
+                fp_spectrum(1.0, np.array(bad))
 
 
 class TestClosedForms:
