@@ -5,7 +5,10 @@ optional tail rule for the infinite part of the alphabet.  Its first
 level has one numeric form, ``first_maps``: the explicit branches and
 whole tail generations from the tail's ``generation_arrays``, stacked
 into one Moebius batch; ``first_level`` lists the same branches with
-their labels.
+their labels.  ``fixed_point_spectrum`` is the Assouad spectrum of the
+set P of fixed points, which the paper's bounds read together with h:
+the tail answers it from its own parameters, and a finite alphabet has
+0, since P is finite.
 
 This module also owns the array geometry, ``geometry(domain, window)``:
 how a batch of maps moves the seed interval or disc.  It answers the
@@ -53,6 +56,7 @@ from .mobius import (
     stack_mobius,
     take_mobius,
 )
+from .spectra import null_spectrum
 from .tails import InducedParabolicTail, Label, SimilarityTail, TailRule, ragged_arange
 
 Region = Union[Interval, Disc]
@@ -171,6 +175,12 @@ class CifsSpec:
                 # the generation holding the sample-th map is the last one taken
                 return concat_mobius([maps, take_mobius(tail, owner <= owner[sample - 1])])
             n *= 2
+
+    def fixed_point_spectrum(self, theta):
+        """Assouad spectrum of the set of fixed points, at a float or an array
+        of theta: the tail's, or 0 for a finite alphabet, whose fixed points
+        are finitely many."""
+        return null_spectrum(theta) if self.tail is None else self.tail.fixed_point_spectrum(theta)
 
     def is_similarity(self) -> bool:
         """A line family of similarities only, tail included."""

@@ -202,14 +202,11 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
         report = assouad_spectrum_estimate(cloud, thetas)
     estimate = report.curve
 
-    if family is not None:
-        spectrum_p = family.fixed_point_spectrum
-        ubox_p = family.ubox_p
-    else:
-        spectrum_p = estimate  # no fixed-point model: degenerate bounds
-        ubox_p = h_hi
+    # the paper's sandwich from h and the fixed points' spectrum, whose
+    # theta -> 0 end is their upper box dimension
+    spectrum_p = spec.fixed_point_spectrum
     lower = lower_bound_curve(thetas, spectrum_p, h_lo)
-    upper = upper_envelope(thetas, spectrum_p, max(h_hi, ubox_p))
+    upper = upper_envelope(thetas, spectrum_p, max(h_hi, spectrum_p(0.0)))
 
     formula = None
     if family is not None and family.formula is not None:

@@ -154,9 +154,6 @@ class EstimateReport:
     diagnostics: tuple[ThetaDiagnostic, ...]
     guard_ratio: float
 
-    def value_at(self, theta: float) -> float:
-        return self.curve.value_at(theta)
-
 
 # ---------------------------------------------------------------------------
 # exact covering counts

@@ -6,19 +6,19 @@ the quasi-Assouad value of a sampled curve is read from its last node,
 and the phase transition is the first theta at which the curve reaches
 that value.
 
-The bounds take the fixed-point spectrum as a SpectrumLike: either a
-SpectrumCurve, read by interpolation and as its quasi-Assouad value at
-phi >= 1, or a callable that receives a numpy array of phi (of any
-shape) and returns an array of the same shape; a scalar return
-broadcasts.  The envelope is then one array pass over the whole
-(theta, phi) grid.
+The bounds take the fixed-point spectrum as a SpectrumLike: a callable
+that receives a numpy array of phi (of any shape) and returns an array
+of the same shape; a scalar return broadcasts.  The envelope is then one
+array pass over the whole (theta, phi) grid.  ``compare`` passes
+``CifsSpec.fixed_point_spectrum``, and the spectrum at theta = 0, the
+upper box dimension of the fixed points, enters the envelope's box term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,10 +70,6 @@ class SpectrumCurve:
     def value_at(self, theta: float) -> float:
         return float(np.interp(theta, self.thetas, self.values))
 
-    def qa_value(self) -> float:
-        """Quasi-Assouad value, read from the last grid node."""
-        return float(self.values[-1])
-
     def valid_mask(self) -> np.ndarray:
         return np.isfinite(self.values)
 
@@ -105,7 +101,7 @@ class BoundEnvelope:
             raise DomainError("lower envelope exceeds upper envelope")
 
 
-SpectrumLike = Union[SpectrumCurve, Callable[[np.ndarray], "np.ndarray | float"]]
+SpectrumLike = Callable[[np.ndarray], "np.ndarray | float"]
 
 
 def float_or_array(vals: np.ndarray) -> "float | np.ndarray":
@@ -122,8 +118,6 @@ def _unit_thetas(theta) -> np.ndarray:
 
 def _spectrum_eval(spectrum_p: SpectrumLike, phi: np.ndarray) -> np.ndarray:
     """The spectrum at every entry of phi, as an array of phi's shape."""
-    if isinstance(spectrum_p, SpectrumCurve):
-        return np.where(phi >= 1.0, spectrum_p.qa_value(), np.interp(phi, spectrum_p.thetas, spectrum_p.values))
     return np.broadcast_to(np.asarray(spectrum_p(phi), dtype=float), np.shape(phi))
 
 
@@ -235,6 +229,11 @@ def fp_spectrum(p: float, theta) -> "float | np.ndarray":
     th = _unit_thetas(theta)
     with np.errstate(divide="ignore"):  # theta = 1 gives 1/0 = inf, capped to 1
         return float_or_array(np.minimum(1.0 / ((1.0 + p) * (1.0 - th)), 1.0))
+
+
+def null_spectrum(theta) -> "float | np.ndarray":
+    """Spectrum of a finite set or a geometric sequence: 0 at every theta."""
+    return float_or_array(np.zeros_like(_unit_thetas(theta)))
 
 
 def sharp_family_spectrum(p: float, t: float, h: float, theta: float) -> float:

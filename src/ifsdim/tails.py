@@ -21,6 +21,18 @@ with the resolution:
 
 The maps match ``generation_maps(g)[i][1].mobius()`` bit for bit.
 
+Next to ``finiteness_parameter``, every rule answers
+``fixed_point_spectrum(theta)`` from its own parameters: the Assouad
+spectrum of the fixed points of its branches, at a float or an array of
+theta, a float for a float and an array for an array.  Its value at
+theta = 0 is their upper box dimension.  A similarity tail reads its
+offsets rule (a power rule i^(-p) gives ``fp_spectrum(p, .)``, a
+geometric one 0); a continued-fraction tail reads its digit set (spaced
+n^p gives ``fp_spectrum(p, .)``, full ``fp_spectrum(1, .)``, clustered
+min(alpha / (2 (1 - theta)), 1)); the complex alphabet gives
+min(1 / (1 - theta), 2); the induced parabolic family with tangency
+exponent q gives ``fp_spectrum(1/q, .)``, since P^n(x) ~ n^(-1/q).
+
 The rules with a non-trivial ``psi1_bounds`` bracket (the complex
 continued-fraction alphabet and the induced parabolic family) read it
 from a table that does not depend on the pressure exponent.  A tail's
@@ -55,6 +67,7 @@ from .mobius import (
     take_mobius,
 )
 from .series import geometric_tail_bounds, power_sum_bounds, power_tail_bounds
+from .spectra import float_or_array, fp_spectrum, null_spectrum
 
 Label = Union[int, tuple]
 
@@ -124,6 +137,10 @@ class PowerRule:
     def finiteness(self) -> float:
         return 1.0 / self.exponent
 
+    def spectrum(self, theta):
+        """Assouad spectrum of the values, the sequence i^(-exponent)."""
+        return fp_spectrum(self.exponent, theta)
+
 
 @dataclass(frozen=True)
 class GeometricRule:
@@ -154,6 +171,10 @@ class GeometricRule:
 
     def finiteness(self) -> float:
         return 0.0
+
+    def spectrum(self, theta):
+        """Assouad spectrum of the values: a geometric sequence has 0 throughout."""
+        return null_spectrum(theta)
 
 
 ScalarRule = Union[PowerRule, GeometricRule]
@@ -218,6 +239,10 @@ class SimilarityTail:
     def finiteness_parameter(self) -> float:
         return self.ratios.finiteness()
 
+    def fixed_point_spectrum(self, theta):
+        # the fixed points offset(i) / (1 - ratio(i)) follow the offsets, as ratio(i) -> 0
+        return self.offsets.spectrum(theta)
+
 
 # ---------------------------------------------------------------------------
 # restricted continued-fraction digit sets
@@ -269,6 +294,10 @@ class SpacedDigits:
 
     def finiteness_parameter(self) -> float:
         return 1.0 / (2.0 * self.p)
+
+    def fixed_point_spectrum(self, theta):
+        # fixed points lie within a bounded factor of 1/b = n^(-p)
+        return fp_spectrum(self.p, theta)
 
     def min_digit(self) -> int:
         return math.floor(2**self.p)
@@ -345,6 +374,11 @@ class ClusteredDigits:
     def finiteness_parameter(self) -> float:
         return self.alpha / 2.0
 
+    def fixed_point_spectrum(self, theta):
+        th = np.asarray(theta, dtype=float)
+        with np.errstate(divide="ignore"):
+            return float_or_array(np.where(th < 1.0, np.minimum(self.alpha / (2.0 * (1.0 - th)), 1.0), 1.0))
+
     def min_digit(self) -> int:
         return 2
 
@@ -374,6 +408,9 @@ class FullDigits:
 
     def finiteness_parameter(self) -> float:
         return 0.5
+
+    def fixed_point_spectrum(self, theta):
+        return fp_spectrum(1.0, theta)
 
     def min_digit(self) -> int:
         return self.start
@@ -422,6 +459,9 @@ class GaussDigitTail:
 
     def finiteness_parameter(self) -> float:
         return self.digits.finiteness_parameter()
+
+    def fixed_point_spectrum(self, theta):
+        return self.digits.fixed_point_spectrum(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +557,11 @@ class ComplexGaussTail:
     def finiteness_parameter(self) -> float:
         return 1.0
 
+    def fixed_point_spectrum(self, theta):
+        th = np.asarray(theta, dtype=float)
+        with np.errstate(divide="ignore"):
+            return float_or_array(np.where(th < 1.0, np.minimum(1.0 / (1.0 - th), 2.0), 2.0))
+
 
 # ---------------------------------------------------------------------------
 # induced family for a single parabolic branch
@@ -608,6 +653,10 @@ class InducedParabolicTail:
 
     def finiteness_parameter(self) -> float:
         return self.exponent / (1.0 + self.exponent)
+
+    def fixed_point_spectrum(self, theta):
+        # the fixed points P^n(x_j) approach 0 like n^(-1/exponent)
+        return fp_spectrum(1.0 / self.exponent, theta)
 
 
 @lru_cache(maxsize=64)

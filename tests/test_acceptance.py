@@ -109,7 +109,7 @@ def test_criterion_4_sandwich():
             cloud = F.build_limit_cloud(fam.spec, fam.default_delta)
         est = assouad_spectrum_estimate(cloud, thetas).curve.values
         lower = lower_bound_curve(thetas, fam.fixed_point_spectrum, h_lo).values
-        upper = upper_envelope(thetas, fam.fixed_point_spectrum, max(h_hi, fam.ubox_p)).values
+        upper = upper_envelope(thetas, fam.fixed_point_spectrum, max(h_hi, fam.fixed_point_spectrum(0.0))).values
         margins[name] = (float(np.min(est - lower)), float(np.min(upper - est)))
     ok = all(lo >= -0.07 and up >= -0.07 for lo, up in margins.values())
     detail = "; ".join(f"{n}: {lo:+.3f}/{up:+.3f}" for n, (lo, up) in margins.items())

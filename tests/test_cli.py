@@ -187,10 +187,11 @@ def test_compare_golden_digests_ctd_spaced(tmp_path, capsys):
 
 
 # sha256 of the artifacts of `compare --spec` on the gauss_digits document
-# {"digits": [1, 2]} with `--grid 8`, recorded while the spec path built its
-# bounds from the estimate read point by point through value_at; it exits 1
+# {"digits": [1, 2]} with `--grid 8`; it exits 1. summary.json was recorded
+# while the spec path built its bounds from the estimate, curves.csv once the
+# bounds came from the spec's fixed points: [h_lo, h_hi] at every node
 GOLDEN_E12_SPEC = {
-    "curves.csv": "88bf248377addba2d83ec564cc3c63b4f707b8dfd77c9a9a7fe587493f85eaf5",
+    "curves.csv": "50f63a342872fc7fd8806094e442f6748a7f930dca2373b29c6b07a2df06ed82",
     "summary.json": "2f812a9daabfc2a51892dd484762de138413e48694a373f440c3cba4c99b584d",
 }
 
@@ -202,6 +203,72 @@ def test_compare_golden_digests_spec(tmp_path, capsys):
     assert main(["compare", "--spec", str(spec), "--grid", "8", "--out", str(out)]) == 1
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_E12_SPEC}
     assert digests == GOLDEN_E12_SPEC
+
+
+def _columns(path: Path) -> dict[str, list[str]]:
+    header, *rows = path.read_text().splitlines()
+    names = header.split(",")
+    return {name: [row.split(",")[k] for row in rows] for k, name in enumerate(names)}
+
+
+def test_spec_gate_on_e12_is_the_dimension_enclosure(tmp_path):
+    # a finite alphabet has finitely many fixed points, whose spectrum is 0,
+    # so the paper's sandwich collapses to [h_lo, h_hi] at every node
+    spec = tmp_path / "e12.json"
+    spec.write_text(json.dumps({"kind": "gauss_digits", "digits": [1, 2]}))
+    config = RunConfig(spec_path=str(spec), out_dir=str(tmp_path / "out"))
+    table, summary = run_pipeline(config)
+    h_lo, h_hi = summary["dimension"]["enclosure"]
+    assert len(table.rows) == 64
+    assert all(row.lower == h_lo for row in table.rows)
+    # the envelope's weighted average may round h_hi by one unit in the last place
+    assert all(abs(row.upper - h_hi) <= np.spacing(h_hi) for row in table.rows)
+    columns = _columns(tmp_path / "out" / "curves.csv")
+    assert set(columns["lower"]) == {f"{h_lo:.10g}"}
+    assert set(columns["upper"]) == {f"{h_hi:.10g}"}
+    last = table.rows[-1]
+    assert last.theta == 0.9 and not last.passed
+    assert last.estimate > last.upper + config.tol
+    assert not table.all_passed
+
+
+@pytest.mark.parametrize("family,doc", [
+    ("ctd-spaced", {"kind": "gauss_digits", "digits": {"set": "spaced", "p": 1.8}}),
+    ("ctd-clustered", {"kind": "gauss_digits", "digits": {"set": "clustered", "alpha": 0.5}}),
+    ("dense-cf", {"kind": "gauss_digits", "digits": {"set": "full"}}),
+    ("parabolic", {"kind": "renyi_parabolic", "digits": [2, 3]}),
+], ids=["ctd-spaced", "ctd-clustered", "dense-cf", "parabolic"])
+def test_spec_document_gives_its_familys_bounds(tmp_path, capsys, family, doc):
+    # the bounds read h and the fixed points only, never the cloud, so a coarse delta will do
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    common = ["--delta", "1e-3", "--grid", "16"]
+    assert main(["compare", "--family", family, *common, "--out", str(tmp_path / "family")]) in (0, 1)
+    assert main(["compare", "--spec", str(spec), *common, "--out", str(tmp_path / "spec")]) in (0, 1)
+    by_family = _columns(tmp_path / "family" / "curves.csv")
+    by_spec = _columns(tmp_path / "spec" / "curves.csv")
+    for name in ("theta", "lower", "upper"):
+        assert by_spec[name] == by_family[name]
+
+
+@pytest.mark.parametrize("digits,message", [("2x", "integers"), ("2.5", "integers"), ("3", "digit 2")])
+def test_parabolic_digits_exit_2(tmp_path, capsys, digits, message):
+    rc = main(["compare", "--family", "parabolic", "--params", f"digits={digits}", "--grid", "4",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not (tmp_path / "cloud.bin").exists()
+
+
+def test_parabolic_digits_in_the_library():
+    from ifsdim.families import make_family
+
+    assert make_family("parabolic", {"digits": (2.0, 3)}).spec.meta["digits"] == [2, 3]
+    assert make_family("backwards-cf", {"digits": [5, 2, 3]}).spec.meta["digits"] == [2, 3, 5]
+    for digits in ((2,), (3, 4), (2, 3.5), ("2", 3), (True, 3), ()):
+        with pytest.raises(ConfigurationError):
+            make_family("parabolic", {"digits": digits})
 
 
 def test_build_rejects_nonpositive_delta(tmp_path, capsys):

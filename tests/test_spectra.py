@@ -94,17 +94,11 @@ class TestEnvelopes:
 # that upper_envelope's array pass must reproduce bit for bit
 
 
-def _spectrum_at(spectrum_p, phi):
-    if isinstance(spectrum_p, SpectrumCurve):
-        return spectrum_p.qa_value() if phi >= 1.0 else spectrum_p.value_at(phi)
-    return float(spectrum_p(phi))
-
-
 def _f_scalar(theta, phi, spectrum_p, ubox_f):
     phi = min(max(phi, theta), 1.0)
     inv_theta = 1.0 / theta
     inv_phi = 1.0 / phi
-    return ((inv_phi - 1.0) * _spectrum_at(spectrum_p, phi) + (inv_theta - inv_phi) * ubox_f) / (inv_theta - 1.0)
+    return ((inv_phi - 1.0) * float(spectrum_p(phi)) + (inv_theta - inv_phi) * ubox_f) / (inv_theta - 1.0)
 
 
 def _maximise_f(theta, spectrum_p, ubox_f, phi_grid=512, phi_tol=1e-12):
@@ -130,11 +124,13 @@ def _maximise_f(theta, spectrum_p, ubox_f, phi_grid=512, phi_tol=1e-12):
     return max(best, fc, fd)
 
 
-def _nan_curve():
+def _nan_spectrum():
+    # a sampled curve with two NaN nodes, read by interpolation: NaN on
+    # the grid steps next to them, the last node's value past its end
     th = np.linspace(0.05, 0.9, 16)
     vals = np.array([0.50, 0.52, np.nan, 0.55, 0.60, 0.58, 0.70, np.nan,
                      0.72, 0.80, 0.81, 0.83, 0.90, 0.88, 0.95, 0.97])
-    return SpectrumCurve(th, vals, "estimate")
+    return lambda phi: np.interp(phi, th, vals)
 
 
 _FAMILY_NAMES = ("sharp", "fp", "ctd-spaced", "ctd-clustered", "dense-cf", "complex-cf", "parabolic")
@@ -142,11 +138,11 @@ _FAMILY_NAMES = ("sharp", "fp", "ctd-spaced", "ctd-clustered", "dense-cf", "comp
 
 @pytest.fixture(scope="module")
 def family_inputs():
-    """Every shipped family's fixed-point spectrum with compare's max(h_hi, ubox_p)."""
+    """Every shipped family's fixed-point spectrum with compare's max(h_hi, spectrum(0))."""
     out = {}
     for name in _FAMILY_NAMES:
         fam = make_family(name)
-        out[name] = (fam.fixed_point_spectrum, max(fam.dimension_enclosure()[1], fam.ubox_p))
+        out[name] = (fam.fixed_point_spectrum, max(fam.dimension_enclosure()[1], fam.fixed_point_spectrum(0.0)))
     return out
 
 
@@ -155,7 +151,7 @@ def _basic_inputs():
         "fp1": (lambda t: fp_spectrum(1.0, t), 0.6),
         "fp1.8": (lambda t: fp_spectrum(1.8, t), 0.5),
         "constant": (lambda t: 0.7, 0.7),
-        "nan-curve": (_nan_curve(), 0.6),
+        "nan-curve": (_nan_spectrum(), 0.6),
     }
 
 
@@ -164,8 +160,34 @@ def _assert_envelope_matches_scalar_search(thetas, spectrum_p, ubox_f, rows=slic
     ref = np.array([_maximise_f(t, spectrum_p, ubox_f) for t in thetas[rows]])
     assert np.array_equal(got[rows], ref, equal_nan=True)
     low = lower_bound_curve(thetas, spectrum_p, 0.55).values
-    ref_low = np.array([max(0.55, _spectrum_at(spectrum_p, t)) for t in thetas])
+    ref_low = np.array([max(0.55, float(spectrum_p(t))) for t in thetas])
     assert np.array_equal(low, ref_low, equal_nan=True)
+
+
+# compare's ubox term for every shipped family, as Family stored it in a
+# field before the spectrum came from the system's tail
+UBOX_P = [
+    ("sharp", {}, 0.35714285714285715),
+    ("sharp", {"p": 1.8, "t": 3.6, "h": 0.5}, 0.35714285714285715),
+    ("fp", {}, 0.5),
+    ("fp", {"p": 1.8}, 0.35714285714285715),
+    ("ctd-spaced", {}, 0.35714285714285715),
+    ("ctd-spaced", {"p": 2.5}, 0.2857142857142857),
+    ("ctd-clustered", {}, 0.25),
+    ("ctd-clustered", {"alpha": 0.3}, 0.15),
+    ("dense-cf", {}, 0.5),
+    ("complex-cf", {}, 1.0),
+    ("parabolic", {}, 0.5),
+    ("backwards-cf", {"digits": (2, 3, 5)}, 0.5),
+]
+
+
+@pytest.mark.parametrize("name,params,ubox_p", UBOX_P, ids=lambda v: str(v) if isinstance(v, dict) else None)
+def test_spectrum_at_zero_is_the_stored_ubox(name, params, ubox_p):
+    fam = make_family(name, params)
+    assert fam.fixed_point_spectrum(0.0) == ubox_p
+    if fam.spec is not None:
+        assert fam.spec.fixed_point_spectrum(0.0) == ubox_p
 
 
 class TestEnvelopeBitIdentity:
@@ -190,16 +212,16 @@ class TestEnvelopeBitIdentity:
 
     def test_nan_nodes_reach_the_envelope(self):
         # a NaN at the grid maximum stays, as Python's max keeps its first argument
-        upper = upper_envelope(COMPARE_GRID, _nan_curve(), 0.6).values
+        upper = upper_envelope(COMPARE_GRID, _nan_spectrum(), 0.6).values
         assert np.isnan(upper).any() and not np.isnan(upper).all()
-        lower = lower_bound_curve(COMPARE_GRID, _nan_curve(), 0.55).values
+        lower = lower_bound_curve(COMPARE_GRID, _nan_spectrum(), 0.55).values
         assert not np.isnan(lower).any()
 
     @pytest.mark.parametrize("spectrum_p", [
         lambda t: fp_spectrum(1.0, t),
         lambda t: fp_spectrum(1.8, t),
-        make_family("ctd-clustered").fixed_point_spectrum,
-        make_family("complex-cf").fixed_point_spectrum,
+        pytest.param(make_family("ctd-clustered").fixed_point_spectrum, id="clustered_p"),
+        pytest.param(make_family("complex-cf").fixed_point_spectrum, id="complex_p"),
         lambda t: three_param_eval(ThreeParamForm(0.25, 1.0, 0.75), t),
     ])
     def test_fixed_point_spectra_on_arrays_equal_scalars(self, spectrum_p):
@@ -426,7 +448,6 @@ class TestCurveType:
             SpectrumCurve(np.array([0.2, 0.4]), np.array([0.5, 0.3]), "formula")
         SpectrumCurve(np.array([0.2, 0.4]), np.array([0.5, 0.3]), "estimate")
 
-    def test_interpolation_and_qa(self):
+    def test_interpolation(self):
         curve = SpectrumCurve(np.array([0.2, 0.6]), np.array([0.2, 0.6]), "formula")
         assert curve.value_at(0.4) == pytest.approx(0.4)
-        assert curve.qa_value() == 0.6

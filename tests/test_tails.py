@@ -12,11 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from ifsdim.cifs import renyi_parabolic_spec
+from ifsdim.cifs import CifsSpec, renyi_parabolic_spec
 from ifsdim.errors import ConfigurationError
 from ifsdim.maps import ComplexGaussBranch
 from ifsdim.mobius import CArray, Disc, Mobius, deriv_range_disc, deriv_range_interval, disc_image, interval_image
+from ifsdim.jsonio import spec_from_dict
 from ifsdim.series import power_tail_bounds
+from ifsdim.spectra import fp_spectrum
 from ifsdim.tails import (
     ClusteredDigits,
     ComplexGaussTail,
@@ -202,6 +204,63 @@ def test_clustered_lookups_stop_at_the_table_end():
 def test_thresholds_must_be_positive():
     with pytest.raises(ConfigurationError, match="positive"):
         GaussDigitTail(FullDigits(2)).generation_reaching(np.array([0.1, 0.0]))
+
+
+# -- fixed-point spectra -----------------------------------------------------
+
+SPECTRUM_THETAS = np.concatenate([np.linspace(0.0, 1.0, 1001), [1.0 - 1e-16, 0.5 + 1e-17]])
+
+
+@pytest.mark.parametrize("tail", TAILS, ids=lambda t: type(t).__name__)
+def test_fixed_point_spectrum_on_arrays_equals_scalars(tail):
+    vals = tail.fixed_point_spectrum(SPECTRUM_THETAS)
+    assert isinstance(vals, np.ndarray) and vals.shape == SPECTRUM_THETAS.shape
+    scalars = [tail.fixed_point_spectrum(float(t)) for t in SPECTRUM_THETAS]
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(vals, scalars)
+    assert np.array_equal(tail.fixed_point_spectrum(SPECTRUM_THETAS[:, None]), vals[:, None])
+    # non-decreasing from the upper box dimension at 0 to the quasi-Assouad value at 1
+    assert np.all(np.diff(vals[:1001]) >= 0.0)
+
+
+def test_fixed_point_spectrum_follows_each_rule():
+    th = SPECTRUM_THETAS
+
+    def capped(box, cap):
+        with np.errstate(divide="ignore"):
+            return np.minimum(box / (1.0 - th), cap)
+
+    expected = [
+        (GaussDigitTail(SpacedDigits(1.8)), fp_spectrum(1.8, th)),
+        (GaussDigitTail(ClusteredDigits(0.5)), capped(0.25, 1.0)),
+        (GaussDigitTail(FullDigits(7)), fp_spectrum(1.0, th)),
+        (SimilarityTail(PowerRule(1.0, 3.0), PowerRule(0.5, 1.8), start=2), fp_spectrum(1.8, th)),
+        (SimilarityTail(PowerRule(1.0, 3.0), GeometricRule(0.5, 0.7), start=2), np.zeros_like(th)),
+        (ComplexGaussTail(), capped(1.0, 2.0)),
+        (renyi_parabolic_spec([2, 3, 5]).tail, fp_spectrum(1.0, th)),
+    ]
+    for tail, want in expected:
+        assert np.allclose(tail.fixed_point_spectrum(th), want, rtol=1e-15, atol=0.0), tail
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "gauss_digits", "digits": [1, 2]},
+    {"kind": "renyi_parabolic", "digits": [3, 4]},
+    {"kind": "complex_gauss", "digits": [[2, 0], [3, 0]]},
+    {"kind": "similarity_list", "maps": [{"ratio": 0.3, "offset": 0.0}, {"ratio": 0.3, "offset": 0.7}]},
+], ids=lambda d: d["kind"])
+def test_finite_spec_has_zero_fixed_point_spectrum(doc):
+    spec = spec_from_dict(doc)
+    assert spec.tail is None
+    assert spec.fixed_point_spectrum(0.0) == 0.0 and type(spec.fixed_point_spectrum(0.5)) is float
+    assert np.array_equal(spec.fixed_point_spectrum(SPECTRUM_THETAS), np.zeros_like(SPECTRUM_THETAS))
+
+
+def test_spec_reads_its_tail_spectrum():
+    for tail in TAILS:
+        spec = CifsSpec(2 if isinstance(tail, ComplexGaussTail) else 1,
+                        Disc(0.5 + 0j, 0.5) if isinstance(tail, ComplexGaussTail) else (0.0, 1.0), (), tail)
+        assert np.array_equal(spec.fixed_point_spectrum(SPECTRUM_THETAS), tail.fixed_point_spectrum(SPECTRUM_THETAS))
 
 
 # -- tail brackets against the per-map loops they replaced -------------------
