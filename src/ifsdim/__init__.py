@@ -3,11 +3,7 @@
 from .cifs import (
     AxiomCheck,
     CifsSpec,
-    Cylinder,
     ValidationReport,
-    Word,
-    apply_word,
-    cylinder_of,
     induce_parabolic,
     renyi_parabolic_spec,
     validate_cifs,

@@ -1,14 +1,15 @@
-"""Contraction families: specification, axioms, words and cylinders.
+"""Contraction families: specification, first level, geometry and axioms.
 
 A :class:`CifsSpec` couples finitely many explicit branches with an
 optional tail rule for the infinite part of the alphabet.  Its first
-level has one numeric form, ``first_maps``: the explicit branches and
-whole tail generations from the tail's ``generation_arrays``, stacked
-into one Moebius batch; ``first_level`` lists the same branches with
-their labels.  ``fixed_point_spectrum`` is the Assouad spectrum of the
-set P of fixed points, which the paper's bounds read together with h:
-the tail answers it from its own parameters, and a finite alphabet has
-0, since P is finite.
+level has one form, ``first_maps``: the explicit branches and whole
+tail generations from the tail's ``generation_arrays``, stacked into
+one Moebius batch.  Words and cylinders are compositions of its rows;
+a branch is named by its label if it is explicit, and by the tail
+generation that owns it otherwise.  ``fixed_point_spectrum`` is the
+Assouad spectrum of the set P of fixed points, which the paper's bounds
+read together with h: the tail answers it from its own parameters, and
+a finite alphabet has 0, since P is finite.
 
 This module also owns the array geometry, ``geometry(domain, window)``:
 how a batch of maps moves the seed interval or disc.  It answers the
@@ -24,7 +25,8 @@ uniformly below one, open images are pairwise disjoint (neighbours
 after a sort by lower end on the line, every pair in the plane), and
 (as a separate, stronger flag) images of a fattened neighbourhood are
 pairwise disjoint as well.  A branch with a pole on the seed domain
-fails containment and contraction.
+fails containment and contraction.  A failing branch is named as
+above, e.g. ``tail generation 3``.
 """
 
 from __future__ import annotations
@@ -38,19 +40,16 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .maps import MapKind, RenyiBranch, Similarity, apply_map
+from .maps import MapKind, RenyiBranch, Similarity
 from .mobius import (
     Disc,
     Interval,
     Mobius,
     concat_mobius,
-    deriv_range_interval,
     deriv_ranges_disc,
     deriv_ranges_interval,
-    disc_image,
     disc_images,
     disc_poles,
-    interval_image,
     interval_images,
     interval_poles,
     stack_mobius,
@@ -70,23 +69,6 @@ SEPARATION_MARGIN = 0.125
 
 #: disc pairs tested at once by the planar overlap check
 _PAIR_BLOCK = 1 << 20
-
-
-@dataclass(frozen=True)
-class Word:
-    """Finite word of branch labels; the empty word is the identity."""
-
-    labels: tuple[Label, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    word: Word
-    region: Region
-    diameter: float
 
 
 @dataclass(frozen=True)
@@ -139,41 +121,25 @@ class CifsSpec:
 
     # -- alphabet ------------------------------------------------------
 
-    def resolve(self, label: Label) -> MapKind:
-        for lab, m in self.explicit:
-            if lab == label:
-                return m
-        if self.tail is not None:
-            m = self.tail.resolve(label)
-            if m is not None:
-                return m
-        raise ConfigurationError(f"label {label!r} does not resolve to any branch")
-
-    def first_level(self, sample: int = TAIL_SAMPLE) -> list[tuple[Label, MapKind]]:
-        """Explicit branches followed by whole tail generations, until
-        ``sample`` tail branches are reached: the labelled branches of
-        first_maps."""
-        out = list(self.explicit)
-        if self.tail is not None:
-            g = 0
-            while len(out) < len(self.explicit) + sample:
-                out.extend(self.tail.generation_maps(g))
-                g += 1
-        return out
-
     def first_maps(self, sample: int = TAIL_SAMPLE) -> Mobius:
-        """The maps of first_level(sample) as one Moebius batch, in its
-        order and bit for bit: the explicit branches stacked, then whole
-        tail generations from the tail's generation_arrays."""
+        """The explicit branches stacked, then whole tail generations from the
+        tail's generation_arrays until sample tail maps are reached, as one
+        Moebius batch."""
+        return self._first_level(sample)[0]
+
+    def _first_level(self, sample: int) -> tuple[Mobius, np.ndarray]:
+        """first_maps(sample), and the tail generation that owns each of its
+        tail maps, which follow the explicit branches."""
         maps = stack_mobius([m.mobius() for _, m in self.explicit], self.ambient_dim == 2)
         if self.tail is None or sample <= 0:
-            return maps
+            return maps, np.empty(0, np.int64)
         n = 8
         while True:
             owner, tail = self.tail.generation_arrays(np.arange(n))
             if len(owner) >= sample:
                 # the generation holding the sample-th map is the last one taken
-                return concat_mobius([maps, take_mobius(tail, owner <= owner[sample - 1])])
+                keep = owner <= owner[sample - 1]
+                return concat_mobius([maps, take_mobius(tail, keep)]), owner[keep]
             n *= 2
 
     def fixed_point_spectrum(self, theta):
@@ -213,35 +179,6 @@ def _describe(spec: CifsSpec) -> dict:
         "tail": repr(spec.tail),
         "anchor": repr(spec.anchor),
     }
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-
-def apply_word(spec: CifsSpec, w: Word, x):
-    """Apply the composition of a word right to left; empty word is identity."""
-    result = x
-    for label in reversed(w.labels):
-        result = apply_map(spec.resolve(label), result)
-    return result
-
-
-def word_mobius(spec: CifsSpec, w: Word) -> Mobius:
-    m = Mobius(1, 0, 0, 1)
-    for label in w.labels:
-        m = m.compose(spec.resolve(label).mobius())
-    return m
-
-
-def cylinder_of(spec: CifsSpec, w: Word) -> Cylinder:
-    """Exact image region of the seed domain under the word's composition."""
-    m = word_mobius(spec, w)
-    if spec.ambient_dim == 1:
-        lo, hi = interval_image(m, spec.domain)
-        return Cylinder(w, (lo, hi), hi - lo)
-    disc = disc_image(m, spec.domain)
-    return Cylinder(w, disc, 2.0 * disc.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +348,17 @@ def validate_cifs(spec: CifsSpec) -> ValidationReport:
     (whole generations) plus the tail rule's own certified contraction
     bound; failures are recorded as axiom entries rather than raised.
     """
-    maps = spec.first_maps()
+    maps, generation = spec._first_level(TAIL_SAMPLE)
     if not len(maps.a):
         raise ConfigurationError("the family has no branches")
     geo = geometry(spec.domain)
+    names = [repr(lab) for lab, _ in spec.explicit]
 
-    def labels(idx) -> list:
-        names = [lab for lab, _ in spec.first_level()]
-        return [names[i] for i in idx]
+    def name(i) -> str:
+        return names[i] if i < len(names) else f"tail generation {generation[i - len(names)]}"
+
+    def listed(items) -> str:
+        return "[" + ", ".join(items) + "]"
 
     checks: list[AxiomCheck] = []
 
@@ -434,7 +374,7 @@ def validate_cifs(spec: CifsSpec) -> ValidationReport:
             "containment",
             not bad.any(),
             "all sampled branch images inside the seed domain" if not bad.any()
-            else f"violating labels: {labels(np.flatnonzero(bad)[:8])}",
+            else f"violating labels: {listed(name(k) for k in np.flatnonzero(bad)[:8])}",
         )
     )
 
@@ -459,7 +399,7 @@ def validate_cifs(spec: CifsSpec) -> ValidationReport:
             "open_set_condition",
             not len(i),
             "sampled open images pairwise disjoint" if not len(i)
-            else f"overlapping pairs: {list(zip(labels(ok[i[:8]]), labels(ok[j[:8]])))}",
+            else f"overlapping pairs: {listed(f'({name(a)}, {name(b)})' for a, b in zip(ok[i[:8]], ok[j[:8]]))}",
         )
     )
 
@@ -504,13 +444,12 @@ def induce_parabolic(q: float, parabolic: MapKind, branches: Sequence[tuple[Labe
         )
     if not branches:
         raise ConfigurationError("no uniformly contracting branches supplied")
-    for lab, m in branches:
-        _, hi = deriv_range_interval(m.mobius(), domain)
-        if hi >= 1.0:
-            raise ConfigurationError(
-                f"branch {lab!r} is not uniformly contracting; only one parabolic branch is supported"
-            )
     tail = InducedParabolicTail(parabolic, tuple(branches), exponent=q, domain=domain)
+    weak = np.flatnonzero(deriv_ranges_interval(tail._branch_batch, domain)[1] >= 1.0)
+    if len(weak):
+        raise ConfigurationError(
+            f"branch {branches[weak[0]][0]!r} is not uniformly contracting; only one parabolic branch is supported"
+        )
     return CifsSpec(ambient_dim=1, domain=domain, explicit=(), tail=tail,
                     meta={"family": "parabolic_induced", "q": q})
 

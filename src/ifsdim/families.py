@@ -54,11 +54,13 @@ class Family:
 
 
 def _get(params: dict, key: str, default=None) -> float:
-    if key in params:
-        return float(params[key])
-    if default is None:
+    if key not in params and default is None:
         raise ConfigurationError(f"family parameter {key!r} is required")
-    return float(default)
+    value = params.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"family parameter {key!r} must be a number, got {value!r}") from None
 
 
 def make_family(name: str, params: dict | None = None) -> Family:

@@ -9,12 +9,14 @@ Five kinds cover every system in scope:
   continued-fraction inverse branch (digit 2 is parabolic at 0),
 * ``ComplexGaussBranch`` -- z -> 1 / (digit + z) for a Gaussian-integer
   digit with positive real part, acting on a disc,
-* ``Composite`` -- a finite composition of the above, applied
-  right to left as words are.
+* ``Composite`` -- a finite composition of the above, the last part
+  applied first.
 
-``mobius()`` builds the branch's matrix on every call; nothing is
-cached.  Batch code reads branches through ``CifsSpec.first_maps`` and
-the tails' ``generation_arrays`` instead.
+The kinds describe explicit branches: a system's ``repr`` (and so its
+digest) is built from them.  ``mobius()`` builds the branch's matrix on
+every call; nothing is cached.  Maps are enumerated and applied only as
+batches, through ``CifsSpec.first_maps`` and the tails'
+``generation_arrays``.
 """
 
 from __future__ import annotations
@@ -96,7 +98,3 @@ class Composite:
 
 MapKind = Union[Similarity, GaussBranch, RenyiBranch, ComplexGaussBranch, Composite]
 
-
-def apply_map(m: MapKind, x):
-    """Apply a branch to a point (float in 1-D, complex in 2-D)."""
-    return m.mobius()(x)

@@ -7,22 +7,23 @@ so cylinder images and derivative ranges stay in closed form at every
 word depth.  Integer coefficients (continued-fraction branches) remain
 exact integers under composition.
 
-The cloud builder and the tail brackets handle whole batches of maps at
-once: a ``Mobius`` whose entries are float64 arrays (one dimension) or
-:class:`CArray` values (two dimensions) composes and evaluates
-elementwise, and ``interval_images``, ``disc_images``,
-``deriv_ranges_interval`` and ``deriv_ranges_disc`` are the array forms
-of the scalar region functions; ``deriv_ranges_disc`` also takes one
-disc per map.  Every array form repeats the scalar arithmetic operation
-for operation, so it returns the scalar result bit for bit.
+Maps are handled a whole batch at a time: a ``Mobius`` whose entries are
+float64 arrays (one dimension) or :class:`CArray` values (two
+dimensions) composes and evaluates elementwise.  Per map of a batch,
+``interval_images`` and ``disc_images`` give the exact image of a seed
+interval or disc (Moebius maps send intervals to intervals and circles
+to circles, so no enclosure slack is needed), and
+``deriv_ranges_interval`` and ``deriv_ranges_disc`` the exact range of
+|m'| over it; ``deriv_ranges_disc`` also takes one disc per map.
 ``interval_poles`` and ``disc_poles`` tell, per map, whether the image
-functions would reject it.
+functions would reject it.  There is no scalar form: the tests keep
+one, a map at a time, as the bit-for-bit oracle of these functions.
 
 A map has a pole on an interval when its denominator vanishes at an
 end or changes sign between the ends, and on a disc when it is not
-affine and the disc's image under z -> c z + d holds 0.  The region
-functions and the interval derivative ranges raise
-``ZeroDivisionError`` there.
+affine and the disc's image under z -> c z + d holds 0.  The image
+functions and the derivative ranges raise ``ZeroDivisionError`` when
+any map of the batch has one.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ class Disc:
 
     center: complex
     radius: float
-
-    def contains(self, other: "Disc", slack: float = 0.0) -> bool:
-        return abs(other.center - self.center) + other.radius <= self.radius * (1.0 + slack) + slack * 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,10 +68,6 @@ class Mobius:
     @property
     def det(self):
         return self.a * self.d - self.b * self.c
-
-    def deriv_abs(self, x) -> float:
-        q = self.c * x + self.d
-        return abs(self.det) / abs(q) ** 2
 
 
 IDENTITY = Mobius(1, 0, 0, 1)
@@ -199,74 +193,6 @@ def _square(x):
     return np.float_power(x, 2.0)
 
 
-def interval_image(m: Mobius, iv: Interval) -> Interval:
-    """Exact image of an interval under a real Moebius map.
-
-    The denominator must not vanish on the interval; the map is then
-    monotone there and the image is spanned by the endpoint values.
-    """
-    lo, hi = iv
-    qlo = m.c * lo + m.d
-    qhi = m.c * hi + m.d
-    if qlo == 0 or qhi == 0 or (qlo > 0) != (qhi > 0):
-        raise ZeroDivisionError("Moebius denominator vanishes on the interval")
-    u = (m.a * lo + m.b) / qlo
-    v = (m.a * hi + m.b) / qhi
-    return (u, v) if u <= v else (v, u)
-
-
-def deriv_range_interval(m: Mobius, iv: Interval) -> Interval:
-    """Range of |m'| over an interval, exact via endpoint denominators.
-
-    The pole rule is interval_image's: the denominator must not vanish
-    at an end or change sign between them."""
-    lo, hi = iv
-    qlo = m.c * lo + m.d
-    qhi = m.c * hi + m.d
-    if qlo == 0 or qhi == 0 or (qlo > 0) != (qhi > 0):
-        raise ZeroDivisionError("Moebius denominator vanishes on the interval")
-    qlo, qhi = abs(qlo), abs(qhi)
-    det = abs(m.det)
-    qmin, qmax = (qlo, qhi) if qlo <= qhi else (qhi, qlo)
-    return det / qmax**2, det / qmin**2
-
-
-def disc_image(m: Mobius, disc: Disc) -> Disc:
-    """Exact image disc of a disc under a complex Moebius map.
-
-    Moebius maps send circles to circles, so no enclosure slack is
-    needed.  The disc must avoid the pole -d/c.
-    """
-    if m.c == 0:
-        scale = m.a / m.d
-        return Disc(scale * disc.center + m.b / m.d, abs(scale) * disc.radius)
-    # Write m = a/c + (b - a d / c) / (c z + d) and invert the inner disc.
-    u_center = m.c * disc.center + m.d
-    u_radius = abs(m.c) * disc.radius
-    mod2 = abs(u_center) ** 2 - u_radius**2
-    if mod2 <= 0.0:
-        raise ZeroDivisionError("Moebius pole lies inside the disc")
-    inv_center = u_center.conjugate() / mod2
-    inv_radius = u_radius / mod2
-    coeff = m.b - m.a * m.d / m.c
-    return Disc(m.a / m.c + coeff * inv_center, abs(coeff) * inv_radius)
-
-
-def deriv_range_disc(m: Mobius, disc: Disc) -> Interval:
-    """Range of |m'| over a disc: |det| / |c z + d|^2 with annulus bounds."""
-    if m.c == 0:
-        v = abs(m.det) / abs(m.d) ** 2
-        return v, v
-    u = abs(m.c * disc.center + m.d)
-    spread = abs(m.c) * disc.radius
-    qmin = u - spread
-    if qmin <= 0.0:
-        raise ZeroDivisionError("Moebius pole lies inside the disc")
-    qmax = u + spread
-    det = abs(m.det)
-    return det / qmax**2, det / qmin**2
-
-
 def line_denominators(m: Mobius, iv: Interval) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Denominators at both ends of an interval, and where the map has a pole
     on it: a denominator vanishes at an end or changes sign between them."""
@@ -277,12 +203,14 @@ def line_denominators(m: Mobius, iv: Interval) -> tuple[np.ndarray, np.ndarray, 
 
 
 def interval_poles(m: Mobius, iv: Interval) -> np.ndarray:
-    """Per map of a batch, whether interval_image would reject it."""
+    """Per map of a batch, whether it has a pole on the interval."""
     return line_denominators(m, iv)[2]
 
 
 def interval_images(m: Mobius, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
-    """interval_image of every map of a batch, as arrays of lower and upper ends."""
+    """Exact image of an interval under every map of a batch, as arrays of
+    lower and upper ends: away from a pole a map is monotone, so its
+    endpoint values span the image."""
     lo, hi = iv
     qlo, qhi, poles = line_denominators(m, iv)
     if np.any(poles):
@@ -294,7 +222,8 @@ def interval_images(m: Mobius, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
 
 
 def deriv_ranges_interval(m: Mobius, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
-    """deriv_range_interval of every map of a batch, as arrays of lower and upper ends."""
+    """Range of |m'| over an interval for every map of a batch, as arrays of
+    lower and upper ends, exact via the endpoint denominators."""
     qlo, qhi, poles = line_denominators(m, iv)
     if np.any(poles):
         raise ZeroDivisionError("Moebius denominator vanishes on the interval")
@@ -316,12 +245,14 @@ def _disc_denominators(m: Mobius, disc: Disc) -> tuple[CArray, np.ndarray, np.nd
 
 
 def disc_poles(m: Mobius, disc: Disc) -> np.ndarray:
-    """Per map of a batch, whether disc_image would reject it."""
+    """Per map of a batch, whether it has a pole on the disc."""
     return _disc_denominators(m, disc)[3]
 
 
 def disc_images(m: Mobius, disc: Disc) -> tuple[CArray, np.ndarray]:
-    """disc_image of every map of a batch, as centres and radii."""
+    """Exact image disc of a disc under every map of a batch, as centres and
+    radii.  An affine map scales the disc; any other is written
+    m = a/c + (b - a d / c) / (c z + d), and the inner disc is inverted."""
     flat = m.c.is_zero()
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = m.a / m.d
@@ -340,7 +271,9 @@ def disc_images(m: Mobius, disc: Disc) -> tuple[CArray, np.ndarray]:
 
 
 def deriv_ranges_disc(m: Mobius, disc: Disc) -> tuple[np.ndarray, np.ndarray]:
-    """deriv_range_disc of every map of a batch, as arrays of lower and upper ends.
+    """Range of |m'| = |det| / |c z + d|^2 over a disc for every map of a
+    batch, from the annulus that |c z + d| spans, as arrays of lower and
+    upper ends.
 
     The disc's centre and radius may be a CArray and an array, one disc
     per map, as disc_images returns them.

@@ -7,9 +7,8 @@ shrinking envelope around a single accumulation point.  That envelope
 is what lets the cloud builder truncate an infinite alphabet at a
 chosen resolution without losing any cylinder above it.
 
-Besides the scalar ``generation_maps``, every rule answers three array
-queries for the builder, each in closed form with no table that grows
-with the resolution:
+Every rule answers three array queries, each in closed form with no
+table that grows with the resolution:
 
 * ``generation_arrays(gs)`` -- the Moebius maps of the generations
   ``gs`` as one batch, with the position in ``gs`` that owns each map;
@@ -19,7 +18,11 @@ with the resolution:
   generation g with ``envelope_reach(g) < x``; envelopes shrink, so
   every later envelope lies within distance x as well.
 
-The maps match ``generation_maps(g)[i][1].mobius()`` bit for bit.
+``generation_arrays`` is the only way a tail branch is enumerated: the
+cloud builder, the first-level batch of ``CifsSpec.first_maps`` and the
+bracket tables all read it, and a tail map is named by the generation
+that owns it.  The tests build the same maps from the branch kinds of
+``maps``, one generation at a time, and check it bit for bit.
 
 Next to ``finiteness_parameter``, every rule answers
 ``fixed_point_spectrum(theta)`` from its own parameters: the Assouad
@@ -53,7 +56,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .maps import Composite, ComplexGaussBranch, GaussBranch, MapKind, Similarity
+from .maps import ComplexGaussBranch, MapKind
 from .mobius import (
     CArray,
     Disc,
@@ -196,15 +199,6 @@ class SimilarityTail:
         if self.start < 1:
             raise ConfigurationError("tail start index must be at least 1")
 
-    def resolve(self, label: Label) -> MapKind | None:
-        if isinstance(label, (int, np.integer)) and label >= self.start:
-            return Similarity(self.ratios.value(int(label)), self.offsets.value(int(label)))
-        return None
-
-    def generation_maps(self, g: int) -> list[tuple[Label, MapKind]]:
-        i = self.start + g
-        return [(i, Similarity(self.ratios.value(i), self.offsets.value(i)))]
-
     def generation_arrays(self, gs: np.ndarray) -> tuple[np.ndarray, Mobius]:
         i = self.start + np.asarray(gs)
         ratio = self.ratios.exact_values_at(i)
@@ -257,12 +251,6 @@ class SpacedDigits:
     def __post_init__(self):
         if self.p < 1.0:
             raise ConfigurationError("spaced digit sets need p >= 1")
-
-    def contains(self, b: int) -> bool:
-        if b < 2:
-            return False
-        n = round(b ** (1.0 / self.p))
-        return any(math.floor(m**self.p) == b for m in (n - 1, n, n + 1) if m >= 2)
 
     def digits_at(self, gs: np.ndarray) -> np.ndarray:
         # float_power rounds as Python's ** does; numpy's power may not
@@ -318,13 +306,6 @@ class ClusteredDigits:
         lo = 2**k
         hi = math.floor(2**k + 2 ** (k * self.alpha))
         return lo, hi
-
-    def contains(self, b: int) -> bool:
-        if b < 2:
-            return False
-        k = b.bit_length() - 1
-        lo, hi = self._block(k)
-        return lo <= b <= hi
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -393,9 +374,6 @@ class FullDigits:
         if self.start < 2:
             raise ConfigurationError("full digit sets start at 2; digit 1 needs the recoded system")
 
-    def contains(self, b: int) -> bool:
-        return b >= self.start
-
     def digits_at(self, gs: np.ndarray) -> np.ndarray:
         return self.start + np.asarray(gs, dtype=np.int64)
 
@@ -424,15 +402,6 @@ class GaussDigitTail:
     """Continued-fraction branches x -> 1/(b + x) over an infinite digit set."""
 
     digits: DigitSet
-
-    def resolve(self, label: Label) -> MapKind | None:
-        if isinstance(label, (int, np.integer)) and self.digits.contains(int(label)):
-            return GaussBranch(int(label))
-        return None
-
-    def generation_maps(self, g: int) -> list[tuple[Label, MapKind]]:
-        b = int(self.digits.digits_at(np.array([g]))[0])
-        return [(b, GaussBranch(b))]
 
     def generation_arrays(self, gs: np.ndarray) -> tuple[np.ndarray, Mobius]:
         b = self.digits.digits_at(gs).astype(float)
@@ -476,31 +445,10 @@ class ComplexGaussTail:
     disc, so digit strings are parsed into blocks (b) for b != 1 and
     (1, b), giving the plain branches together with the uniformly
     contracting composites S_1 o S_b, exactly as for real digit sets
-    containing 1.  Labels are (m, n) for plain digits and ("1b", m, n)
-    for the composites.
+    containing 1.  Generation g holds the digits of norm g + 1 in
+    ``_shells``' order: per digit the plain branch (none for digit 1),
+    then the composite.
     """
-
-    def resolve(self, label: Label) -> MapKind | None:
-        if isinstance(label, tuple) and len(label) == 3 and label[0] == "1b":
-            _, m, n = label
-            if m >= 1:
-                return Composite((ComplexGaussBranch(1 + 0j), ComplexGaussBranch(complex(m, n))))
-        if isinstance(label, tuple) and len(label) == 2:
-            m, n = label
-            if m >= 1 and (m, n) != (1, 0):
-                return ComplexGaussBranch(complex(m, n))
-        return None
-
-    def generation_maps(self, g: int) -> list[tuple[Label, MapKind]]:
-        batch: list[tuple[Label, MapKind]] = []
-        _, ms, ns = _shells(np.array([g + 1]))
-        for m, n in zip(ms.tolist(), ns.tolist()):
-            if (m, n) != (1, 0):
-                batch.append(((m, n), ComplexGaussBranch(complex(m, n))))
-            batch.append(
-                (("1b", m, n), Composite((ComplexGaussBranch(1 + 0j), ComplexGaussBranch(complex(m, n)))))
-            )
-        return batch
 
     def generation_arrays(self, gs: np.ndarray) -> tuple[np.ndarray, Mobius]:
         owner, m, n = _shells(np.asarray(gs, dtype=np.int64) + 1)
@@ -581,19 +529,6 @@ class InducedParabolicTail:
     exponent: float = 1.0  # local behaviour x - P(x) ~ x^(1+q)
     domain: Interval = (0.0, 1.0)
 
-    def _composite(self, n: int, branch: MapKind) -> MapKind:
-        if n == 0:
-            return branch
-        return Composite((self.parabolic,) * n + (branch,))
-
-    def resolve(self, label: Label) -> MapKind | None:
-        if isinstance(label, tuple) and len(label) == 2:
-            n, sub = label
-            for lab, branch in self.branches:
-                if lab == sub and n >= 0:
-                    return self._composite(int(n), branch)
-        return None
-
     def _power_matrix(self, n) -> Mobius:
         # for a Moebius parabolic fixing 0 with unit multiplier, powers
         # stay in the family: [[a, 0], [c, a]]^n is [[a, 0], [n c, a]];
@@ -602,9 +537,6 @@ class InducedParabolicTail:
         n = np.asarray(n, dtype=float)
         one = np.ones_like(n)
         return Mobius(pm.a * one, 0.0 * one, n * pm.c, pm.a * one)
-
-    def generation_maps(self, g: int) -> list[tuple[Label, MapKind]]:
-        return [((g, lab), self._composite(g, branch)) for lab, branch in self.branches]
 
     @cached_property
     def _branch_batch(self) -> Mobius:

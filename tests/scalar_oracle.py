@@ -1,0 +1,132 @@
+"""Scalar forms of the batch Moebius engine, one map at a time.
+
+The package handles maps only as batches (``ifsdim.mobius``,
+``generation_arrays``).  The tests keep the scalar region functions and
+the per-generation maps of every tail rule here, written from their
+definitions, as the oracle the batch forms must match bit for bit.
+"""
+
+import math
+
+from ifsdim.maps import Composite, ComplexGaussBranch, GaussBranch, Similarity
+from ifsdim.mobius import Disc, Mobius
+from ifsdim.tails import (
+    ComplexGaussTail,
+    FullDigits,
+    GaussDigitTail,
+    InducedParabolicTail,
+    SimilarityTail,
+    SpacedDigits,
+)
+
+
+def interval_image(m: Mobius, iv):
+    """Exact image of an interval under a real Moebius map.
+
+    The denominator must not vanish on the interval; the map is then
+    monotone there and the image is spanned by the endpoint values.
+    """
+    lo, hi = iv
+    qlo = m.c * lo + m.d
+    qhi = m.c * hi + m.d
+    if qlo == 0 or qhi == 0 or (qlo > 0) != (qhi > 0):
+        raise ZeroDivisionError("Moebius denominator vanishes on the interval")
+    u = (m.a * lo + m.b) / qlo
+    v = (m.a * hi + m.b) / qhi
+    return (u, v) if u <= v else (v, u)
+
+
+def deriv_range_interval(m: Mobius, iv):
+    """Range of |m'| over an interval, exact via endpoint denominators,
+    with interval_image's pole rule."""
+    lo, hi = iv
+    qlo = m.c * lo + m.d
+    qhi = m.c * hi + m.d
+    if qlo == 0 or qhi == 0 or (qlo > 0) != (qhi > 0):
+        raise ZeroDivisionError("Moebius denominator vanishes on the interval")
+    qlo, qhi = abs(qlo), abs(qhi)
+    det = abs(m.det)
+    qmin, qmax = (qlo, qhi) if qlo <= qhi else (qhi, qlo)
+    return det / qmax**2, det / qmin**2
+
+
+def disc_image(m: Mobius, disc: Disc) -> Disc:
+    """Exact image disc of a disc under a complex Moebius map; the disc
+    must avoid the pole -d/c."""
+    if m.c == 0:
+        scale = m.a / m.d
+        return Disc(scale * disc.center + m.b / m.d, abs(scale) * disc.radius)
+    # write m = a/c + (b - a d / c) / (c z + d) and invert the inner disc
+    u_center = m.c * disc.center + m.d
+    u_radius = abs(m.c) * disc.radius
+    mod2 = abs(u_center) ** 2 - u_radius**2
+    if mod2 <= 0.0:
+        raise ZeroDivisionError("Moebius pole lies inside the disc")
+    inv_center = u_center.conjugate() / mod2
+    inv_radius = u_radius / mod2
+    coeff = m.b - m.a * m.d / m.c
+    return Disc(m.a / m.c + coeff * inv_center, abs(coeff) * inv_radius)
+
+
+def deriv_range_disc(m: Mobius, disc: Disc):
+    """Range of |m'| over a disc: |det| / |c z + d|^2 with annulus bounds."""
+    if m.c == 0:
+        v = abs(m.det) / abs(m.d) ** 2
+        return v, v
+    u = abs(m.c * disc.center + m.d)
+    spread = abs(m.c) * disc.radius
+    qmin = u - spread
+    if qmin <= 0.0:
+        raise ZeroDivisionError("Moebius pole lies inside the disc")
+    qmax = u + spread
+    det = abs(m.det)
+    return det / qmax**2, det / qmin**2
+
+
+def digit_loop(digits, g):
+    """The g-th digit of a digit set, counted from its definition."""
+    if isinstance(digits, SpacedDigits):
+        return math.floor((2 + g) ** digits.p)
+    if isinstance(digits, FullDigits):
+        return digits.start + g
+    k, rest = 1, g
+    while True:
+        lo, hi = digits._block(k)
+        if rest < hi - lo + 1:
+            return lo + rest
+        rest -= hi - lo + 1
+        k += 1
+
+
+def shell_loop(norm):
+    """Gaussian integers m + ni with m >= 1 and m^2 + n^2 = norm, sorted."""
+    out = []
+    m = 1
+    while m * m <= norm:
+        rest = norm - m * m
+        n = math.isqrt(rest)
+        if n * n == rest:
+            out.append((m, n))
+            if n > 0:
+                out.append((m, -n))
+        m += 1
+    out.sort()
+    return out
+
+
+def generation_maps(tail, g):
+    """The branch kinds of tail generation g, in generation_arrays' order."""
+    if isinstance(tail, SimilarityTail):
+        i = tail.start + g
+        return [Similarity(tail.ratios.value(i), tail.offsets.value(i))]
+    if isinstance(tail, GaussDigitTail):
+        return [GaussBranch(digit_loop(tail.digits, g))]
+    if isinstance(tail, ComplexGaussTail):
+        out = []
+        for m, n in shell_loop(g + 1):
+            if (m, n) != (1, 0):
+                out.append(ComplexGaussBranch(complex(m, n)))
+            out.append(Composite((ComplexGaussBranch(1 + 0j), ComplexGaussBranch(complex(m, n)))))
+        return out
+    assert isinstance(tail, InducedParabolicTail)
+    return [branch if g == 0 else Composite((tail.parabolic,) * g + (branch,)) for _, branch in tail.branches]

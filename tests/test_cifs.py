@@ -9,19 +9,18 @@ from ifsdim import (
     GaussBranch,
     RenyiBranch,
     Similarity,
-    Word,
-    apply_word,
     build_sharp_family,
-    cylinder_of,
     induce_parabolic,
     renyi_parabolic_spec,
     validate_cifs,
 )
+from ifsdim.cifs import TAIL_SAMPLE, geometry
 from ifsdim.families import make_family
 from ifsdim.jsonio import spec_from_dict
-from ifsdim.maps import ComplexGaussBranch, Composite
-from ifsdim.mobius import CArray, Disc
-from ifsdim.tails import GeometricRule, SimilarityTail
+from ifsdim.maps import ComplexGaussBranch
+from ifsdim.mobius import IDENTITY, CArray, Disc, stack_mobius, take_mobius
+from ifsdim.tails import GeometricRule, PowerRule, SimilarityTail
+from scalar_oracle import generation_maps
 
 
 def two_map_spec(ratio=0.25, offsets=(0.0, 0.75)):
@@ -32,6 +31,24 @@ def two_map_spec(ratio=0.25, offsets=(0.0, 0.75)):
 
 def gauss_spec(digits):
     return CifsSpec(1, (0.0, 1.0), tuple((b, GaussBranch(b)) for b in digits))
+
+
+def _word(spec, labels):
+    """The word's explicit branches composed from rows of first_maps, applied
+    right to left, as a batch of one map; the empty word is the identity."""
+    rows = [lab for lab, _ in spec.explicit]
+    maps = spec.first_maps()
+    m = stack_mobius([IDENTITY], spec.ambient_dim == 2)
+    for label in labels:
+        m = m.compose(take_mobius(maps, [rows.index(label)]))
+    return m
+
+
+def _cylinder(spec, labels):
+    """The image of the seed region under the word, and its diameter."""
+    geo = geometry(spec.domain)
+    region = geo.regions(_word(spec, labels))
+    return region, float(geo.diameters(region)[0])
 
 
 class TestValidate:
@@ -60,44 +77,59 @@ class TestValidate:
         checks = {c.name: c.passed for c in report.checks}
         assert not checks["uniform_contraction"]
 
+    def test_failing_tail_maps_are_named_by_their_generation(self):
+        # offsets 2.5/i put the images of tail generations 0 and 1 (i = 1, 2)
+        # beyond 1; the explicit branch on [0, 0.2] meets the smallest
+        # sampled tail image, that of the last sampled generation
+        tail = SimilarityTail(PowerRule(0.1, 2.0), PowerRule(2.5, 1.0), start=1)
+        spec = CifsSpec(1, (0.0, 1.0), ((0, Similarity(0.2, 0.0)),), tail)
+        report = validate_cifs(spec)
+        checks = {c.name: c for c in report.checks}
+        assert not checks["containment"].passed
+        assert checks["containment"].detail == "violating labels: [tail generation 0, tail generation 1]"
+        assert checks["open_set_condition"].detail == f"overlapping pairs: [(0, tail generation {TAIL_SAMPLE - 1})]"
+        assert checks["uniform_contraction"].passed
+
 
 class TestApplyWord:
     def test_similarity_word(self):
         spec = two_map_spec(ratio=0.5, offsets=(0.0, 0.5))
-        assert apply_word(spec, Word((1, 1)), 1.0) == pytest.approx(0.25)
+        assert _word(spec, (1, 1))(1.0)[0] == pytest.approx(0.25)
 
     def test_gauss_word_finite_continued_fraction(self):
         spec = gauss_spec([2, 3])
         # 1/(2 + 1/(3 + 0)) = 3/7
-        assert apply_word(spec, Word((2, 3)), 0.0) == pytest.approx(float(Fraction(3, 7)), abs=1e-15)
+        assert _word(spec, (2, 3))(0.0)[0] == pytest.approx(float(Fraction(3, 7)), abs=1e-15)
 
     def test_empty_word_is_identity(self):
         spec = two_map_spec()
-        assert apply_word(spec, Word(), 0.7) == 0.7
+        assert _word(spec, ())(0.7)[0] == 0.7
 
     def test_unresolvable_label(self):
+        # a finite alphabet's first level holds its explicit branches and nothing else
         spec = two_map_spec()
-        with pytest.raises(ConfigurationError):
-            apply_word(spec, Word((99,)), 0.0)
+        assert len(spec.first_maps().a) == 2
+        with pytest.raises(ValueError):
+            _word(spec, (99,))
 
 
 class TestCylinders:
     def test_affine_image(self):
         spec = CifsSpec(1, (0.0, 1.0), ((1, Similarity(0.25, 0.5)),))
-        cyl = cylinder_of(spec, Word((1,)))
-        assert cyl.region == pytest.approx((0.5, 0.75))
-        assert cyl.diameter == pytest.approx(0.25)
+        (lo, hi), diameter = _cylinder(spec, (1,))
+        assert (lo[0], hi[0]) == pytest.approx((0.5, 0.75))
+        assert diameter == pytest.approx(0.25)
 
     def test_gauss_digit_two(self):
-        cyl = cylinder_of(gauss_spec([2, 3]), Word((2,)))
-        assert cyl.region[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert cyl.region[1] == pytest.approx(0.5, abs=1e-15)
-        assert cyl.diameter == pytest.approx(1.0 / 6.0, abs=1e-15)
+        (lo, hi), diameter = _cylinder(gauss_spec([2, 3]), (2,))
+        assert lo[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert hi[0] == pytest.approx(0.5, abs=1e-15)
+        assert diameter == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_gauss_word_22(self):
-        cyl = cylinder_of(gauss_spec([2, 3]), Word((2, 2)))
-        assert cyl.region[0] == pytest.approx(float(Fraction(2, 5)), abs=1e-15)
-        assert cyl.region[1] == pytest.approx(float(Fraction(3, 7)), abs=1e-15)
+        (lo, hi), _ = _cylinder(gauss_spec([2, 3]), (2, 2))
+        assert lo[0] == pytest.approx(float(Fraction(2, 5)), abs=1e-15)
+        assert hi[0] == pytest.approx(float(Fraction(3, 7)), abs=1e-15)
 
     def test_nesting_and_decay_on_sampled_words(self):
         spec = gauss_spec([2, 3, 5])
@@ -105,12 +137,11 @@ class TestCylinders:
         report = validate_cifs(spec)
         for _ in range(50):
             labels = tuple(rng.choice([2, 3, 5]) for _ in range(int(rng.integers(1, 7))))
-            w = Word(labels)
-            cyl = cylinder_of(spec, w)
-            parent = cylinder_of(spec, Word(labels[:-1]))
-            assert parent.region[0] - 1e-12 <= cyl.region[0]
-            assert cyl.region[1] <= parent.region[1] + 1e-12
-            assert cyl.diameter <= report.contraction_bound ** len(w) * 1.0 + 1e-12
+            (lo, hi), diameter = _cylinder(spec, labels)
+            (parent_lo, parent_hi), _ = _cylinder(spec, labels[:-1])
+            assert parent_lo[0] - 1e-12 <= lo[0]
+            assert hi[0] <= parent_hi[0] + 1e-12
+            assert diameter <= report.contraction_bound ** len(labels) * 1.0 + 1e-12
 
 
 class TestInduceParabolic:
@@ -136,13 +167,13 @@ class TestInduceParabolic:
             induce_parabolic(2.0, RenyiBranch(2), [(3, RenyiBranch(3))])
 
     def test_induced_maps_compose_right_to_left(self):
+        # one base branch, so row 2 of the first level is tail generation 2, P o P o S_3
         spec = renyi_parabolic_spec([2, 3])
-        m = spec.resolve((2, 3))
-        assert isinstance(m, Composite)
+        m = take_mobius(spec.first_maps(), [2])
         x = 0.4
         s1 = RenyiBranch(2).mobius()
         s3 = RenyiBranch(3).mobius()
-        assert m.mobius()(x) == pytest.approx(s1(s1(s3(x))), rel=1e-13)
+        assert m(x)[0] == pytest.approx(s1(s1(s3(x))), rel=1e-13)
 
 
 def test_digest_is_stable_and_sensitive():
@@ -154,17 +185,14 @@ def test_digest_is_stable_and_sensitive():
 
 
 def test_planar_cylinder_is_disc():
-    from ifsdim import ComplexGaussBranch, Disc
-    from ifsdim.mobius import Disc as MDisc
-
-    spec = CifsSpec(2, MDisc(0.5 + 0j, 0.5),
+    spec = CifsSpec(2, Disc(0.5 + 0j, 0.5),
                     (((2, 0), ComplexGaussBranch(2 + 0j)), ((2, 1), ComplexGaussBranch(2 + 1j))))
-    cyl = cylinder_of(spec, Word(((2, 0), (2, 1))))
-    assert isinstance(cyl.region, Disc)
-    assert 0.0 < cyl.diameter < 0.2
+    (center, radius), diameter = _cylinder(spec, ((2, 0), (2, 1)))
+    assert isinstance(center, CArray)
+    assert 0.0 < diameter < 0.2
     # child disc sits inside the parent disc
-    parent = cylinder_of(spec, Word(((2, 0),)))
-    assert parent.region.contains(cyl.region, slack=0.01)
+    (parent_center, parent_radius), _ = _cylinder(spec, ((2, 0),))
+    assert abs(center - parent_center)[0] + radius[0] <= parent_radius[0] * 1.01 + 0.01 * 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +232,31 @@ def _bits(values, planar):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
+def _first_level_loop(spec, sample):
+    """The explicit branches, then whole tail generations built from the
+    branch kinds until sample tail maps are reached, with the generation
+    of each tail map."""
+    maps = [m.mobius() for _, m in spec.explicit]
+    generations = []
+    g = 0
+    while spec.tail is not None and len(generations) < sample:
+        batch = generation_maps(spec.tail, g)
+        maps += [m.mobius() for m in batch]
+        generations += [g] * len(batch)
+        g += 1
+    return maps, generations
+
+
 @pytest.mark.parametrize("sample", [0, 1, 7, 256])
 @pytest.mark.parametrize("name", sorted(FIRST_LEVEL_SPECS))
 def test_first_maps_match_first_level(name, sample):
     spec = FIRST_LEVEL_SPECS[name]()
     planar = spec.ambient_dim == 2
-    want = [m.mobius() for _, m in spec.first_level(sample)]
+    want, generations = _first_level_loop(spec, sample)
     got = spec.first_maps(sample)
     for entry in "abcd":
         assert _bits(getattr(got, entry), planar) == _bits([getattr(m, entry) for m in want], planar)
+    assert spec._first_level(sample)[1].tolist() == generations
 
 
 # str(report), repr(contraction_bound) and separation, recorded while

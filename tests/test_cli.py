@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 
 from ifsdim import ConfigurationError
-from ifsdim.cli import main, run_pipeline, RunConfig
-from ifsdim.cloud import PointCloud
+from ifsdim.cli import RunConfig, _build_cloud, _oracle_spot_check, _parse_params, main, run_pipeline
+from ifsdim.cloud import PointCloud, build_limit_cloud
+from ifsdim.estimator import assouad_spectrum_estimate
+from ifsdim.families import make_family
+from ifsdim.jsonio import spec_from_dict
 from ifsdim.spectra import SpectrumCurve
 from ifsdim.svgplot import emit_svg, resample_to_union_grid
 
@@ -269,6 +273,60 @@ def test_parabolic_digits_in_the_library():
     for digits in ((2,), (3, 4), (2, 3.5), ("2", 3), (True, 3), ()):
         with pytest.raises(ConfigurationError):
             make_family("parabolic", {"digits": digits})
+
+
+def test_params_continue_a_list(tmp_path, capsys):
+    # digits=2,3,5 gives [2.0, 3.0, 5.0]: the induced system of those digits
+    assert _parse_params("digits=2,3,p=1.5") == {"digits": [2.0, 3.0], "p": 1.5}
+    assert main(["build", "--family", "parabolic", "--params", "digits=2,3,5", "--delta", "1e-3",
+                 "--out", str(tmp_path)]) == 0
+    assert "PASS  containment" in capsys.readouterr().out
+    assert (tmp_path / "cloud.bin").exists()
+
+
+def test_leading_params_item_without_a_key_exits_2(tmp_path, capsys):
+    assert main(["compare", "--family", "fp", "--params", "3,p=1", "--out", str(tmp_path)]) == 2
+    assert "malformed --params entry '3'" in capsys.readouterr().err
+    assert not (tmp_path / "cloud.bin").exists()
+
+
+def test_list_where_a_number_is_wanted_exits_2(tmp_path, capsys):
+    for command in ("compare", "dimension", "spectrum-formula"):
+        assert main([command, "--family", "sharp", "--params", "p=1,2", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "family parameter 'p' must be a number" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "cloud.bin").exists()
+
+
+def _miscounted(diagnostic, k, by):
+    """The node's diagnostic with the recorded count of its k-th scale moved by `by`."""
+    scales = list(diagnostic.scales)
+    scales[k] = dataclasses.replace(scales[k], count=scales[k].count + by)
+    return dataclasses.replace(diagnostic, scales=tuple(scales))
+
+
+@pytest.mark.parametrize("name,delta", [("fp", 1e-5), ("dense-cf", 1e-3)])
+def test_spot_check_recounts_the_runs_own_counts(name, delta):
+    family = make_family(name)
+    cloud = _build_cloud(family.spec, family, delta)
+    report = assouad_spectrum_estimate(cloud, np.linspace(0.05, 0.9, 12))
+    assert all(_oracle_spot_check(cloud, report, seed) for seed in range(8))
+    # one recorded count off by one in every node: the check fails whichever nodes it takes
+    tampered = dataclasses.replace(report, diagnostics=tuple(
+        _miscounted(d, -1, 1) if d.scales else d for d in report.diagnostics))
+    assert not any(_oracle_spot_check(cloud, tampered, seed) for seed in range(8))
+
+
+def test_spot_check_recounts_planar_counts():
+    spec = spec_from_dict({"kind": "complex_gauss", "digits": [[2, 0], [2, 1], [2, -1], [3, 0]]})
+    cloud = build_limit_cloud(spec, 1e-3)
+    report = assouad_spectrum_estimate(cloud, np.linspace(0.1, 0.8, 6))
+    assert _oracle_spot_check(cloud, report, 0)
+    counted = next(d for d in report.diagnostics if d.scales)
+    assert _oracle_spot_check(cloud, dataclasses.replace(report, diagnostics=(counted,)), 0)
+    tampered = dataclasses.replace(report, diagnostics=(_miscounted(counted, 0, -1),))
+    assert not _oracle_spot_check(cloud, tampered, 0)
 
 
 def test_build_rejects_nonpositive_delta(tmp_path, capsys):

@@ -8,18 +8,15 @@ from ifsdim.mobius import (
     CArray,
     Disc,
     Mobius,
-    deriv_range_disc,
-    deriv_range_interval,
     deriv_ranges_disc,
     deriv_ranges_interval,
-    disc_image,
     disc_images,
     disc_poles,
-    interval_image,
     interval_images,
     interval_poles,
     stack_mobius,
 )
+from scalar_oracle import deriv_range_disc, deriv_range_interval, disc_image, interval_image
 
 
 def test_identity_and_composition():
@@ -30,16 +27,21 @@ def test_identity_and_composition():
     assert comp(x) == pytest.approx(m(n(x)), rel=1e-15)
 
 
+def _one(m: Mobius, planar: bool = False) -> Mobius:
+    return stack_mobius([m], planar)
+
+
 def test_interval_image_matches_fraction_arithmetic():
     # 1/(2+x) on [0,1]: endpoints via exact rationals
-    m = Mobius(0, 1, 1, 2)
-    lo, hi = interval_image(m, (0.0, 1.0))
+    (lo,), (hi,) = interval_images(_one(Mobius(0, 1, 1, 2)), (0.0, 1.0))
     assert lo == pytest.approx(float(Fraction(1, 3)), abs=1e-15)
     assert hi == pytest.approx(float(Fraction(1, 2)), abs=1e-15)
 
 
 def test_interval_image_rejects_pole():
     m = Mobius(0, 1, 1, -0.5)  # pole at x = 0.5
+    with pytest.raises(ZeroDivisionError):
+        interval_images(stack_mobius([Mobius(0, 1, 1, 2), m], planar=False), (0.0, 1.0))
     with pytest.raises(ZeroDivisionError):
         interval_image(m, (0.0, 1.0))
 
@@ -77,8 +79,7 @@ def test_pole_tests_match_the_scalar_region_functions():
 
 
 def test_deriv_range_interval():
-    m = Mobius(0, 1, 1, 2)
-    lo, hi = deriv_range_interval(m, (0.0, 1.0))
+    (lo,), (hi,) = deriv_ranges_interval(_one(Mobius(0, 1, 1, 2)), (0.0, 1.0))
     assert lo == pytest.approx(1.0 / 9.0, rel=1e-14)
     assert hi == pytest.approx(1.0 / 4.0, rel=1e-14)
 
@@ -87,21 +88,22 @@ def test_disc_image_is_exact():
     # z -> 1/(3+z) maps a disc to a disc; verify by boundary sampling
     m = Mobius(0, 1, 1, 3)
     disc = Disc(0.5 + 0j, 0.5)
-    img = disc_image(m, disc)
+    center, (radius,) = disc_images(_one(m, planar=True), disc)
+    center = complex(center.re[0], center.im[0])
     for k in range(24):
         z = disc.center + disc.radius * complex(math.cos(k / 24 * 2 * math.pi),
                                                 math.sin(k / 24 * 2 * math.pi))
         w = m(z)
-        assert abs(abs(w - img.center) - img.radius) < 1e-12
+        assert abs(abs(w - center) - radius) < 1e-12
 
 
 def test_deriv_range_disc_brackets_samples():
     m = Mobius(0, 1, 1, complex(2, 1))
     disc = Disc(0.5 + 0j, 0.5)
-    lo, hi = deriv_range_disc(m, disc)
+    (lo,), (hi,) = deriv_ranges_disc(_one(m, planar=True), disc)
     for k in range(16):
         z = disc.center + disc.radius * complex(math.cos(k), math.sin(k)) / 1.0001
-        d = m.deriv_abs(z)
+        d = abs(m.det) / abs(m.c * z + m.d) ** 2
         assert lo - 1e-12 <= d <= hi + 1e-12
 
 

@@ -21,11 +21,9 @@ from ifsdim import (
 )
 from ifsdim.tails import (
     ClusteredDigits,
-    ComplexGaussTail,
     FullDigits,
     GaussDigitTail,
     GeometricRule,
-    InducedParabolicTail,
     PowerRule,
     SimilarityTail,
     SpacedDigits,
@@ -204,18 +202,6 @@ def golden_system(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ENCLOSURES))
 def test_golden_enclosures(name):
-    result = hausdorff_dimension(golden_system(name))
-    enclosure = tuple(float(x) for x in result.enclosure)
-    assert (repr(enclosure), result.method, result.converged) == GOLDEN_ENCLOSURES[name]
-
-
-@pytest.mark.parametrize("name", ["renyi23", "dense-cf", "complex-full"])
-def test_enclosures_read_the_tails_as_batches(name, monkeypatch):
-    def refuse(self, g):
-        raise AssertionError("the pressure head must come from generation_arrays")
-
-    for cls in (SimilarityTail, GaussDigitTail, ComplexGaussTail, InducedParabolicTail):
-        monkeypatch.setattr(cls, "generation_maps", refuse)
     result = hausdorff_dimension(golden_system(name))
     enclosure = tuple(float(x) for x in result.enclosure)
     assert (repr(enclosure), result.method, result.converged) == GOLDEN_ENCLOSURES[name]

@@ -1,10 +1,11 @@
 """Array queries of the tail rules against scalar reference loops.
 
-The references below are the per-generation loops the cloud builder used
-before it handled whole levels as arrays, the per-map loops the tail
-brackets used before their tables came from the batch Moebius engine, or
-scans that follow a query's definition; the array forms must agree with
-them exactly.
+The references are the per-generation maps of ``scalar_oracle``, built
+from the branch kinds; the per-generation loops the cloud builder used
+before it handled whole levels as arrays; the per-map loops the tail
+brackets used before their tables came from the batch Moebius engine;
+or scans that follow a query's definition.  The array forms must agree
+with them exactly.
 """
 
 import math
@@ -14,9 +15,9 @@ import pytest
 
 from ifsdim.cifs import CifsSpec, renyi_parabolic_spec
 from ifsdim.errors import ConfigurationError
-from ifsdim.maps import ComplexGaussBranch
-from ifsdim.mobius import CArray, Disc, Mobius, deriv_range_disc, deriv_range_interval, disc_image, interval_image
 from ifsdim.jsonio import spec_from_dict
+from ifsdim.maps import ComplexGaussBranch
+from ifsdim.mobius import CArray, Disc, Mobius
 from ifsdim.series import power_tail_bounds
 from ifsdim.spectra import fp_spectrum
 from ifsdim.tails import (
@@ -29,6 +30,15 @@ from ifsdim.tails import (
     SimilarityTail,
     SpacedDigits,
     _induced_deriv_table,
+)
+from scalar_oracle import (
+    deriv_range_disc,
+    deriv_range_interval,
+    digit_loop,
+    disc_image,
+    generation_maps,
+    interval_image,
+    shell_loop,
 )
 
 DIGIT_SETS = [SpacedDigits(1.8), SpacedDigits(1.0), SpacedDigits(3.7), ClusteredDigits(0.5),
@@ -44,20 +54,6 @@ TAILS = [
     renyi_parabolic_spec([2, 3]).tail,
     renyi_parabolic_spec([2, 3, 5]).tail,
 ]
-
-
-def _digit_loop(digits, g):
-    if isinstance(digits, SpacedDigits):
-        return math.floor((2 + g) ** digits.p)
-    if isinstance(digits, FullDigits):
-        return digits.start + g
-    k, rest = 1, g
-    while True:
-        lo, hi = digits._block(k)
-        if rest < hi - lo + 1:
-            return lo + rest
-        rest -= hi - lo + 1
-        k += 1
 
 
 def _first_digit_above_loop(digits, x):
@@ -82,7 +78,7 @@ def _envelope_reach_loop(tail, g):
         i = tail.start + g
         return tail.offsets.value(i) + tail.ratios.value(i)
     if isinstance(tail, GaussDigitTail):
-        return 1.0 / _digit_loop(tail.digits, g)
+        return 1.0 / digit_loop(tail.digits, g)
     if isinstance(tail, ComplexGaussTail):
         return 1.0 / max(math.sqrt(g + 1) - 1.0, 1.0)
     lo, hi = interval_image(tail._power_matrix(g), tail.domain)
@@ -115,7 +111,7 @@ def test_digit_lookups_match_scalar_loops(digits):
     gs = np.concatenate([np.arange(400), np.array([1000, 4096, 12345, 99999])])
     if isinstance(digits, ClusteredDigits):
         gs = gs[gs < digits._blocks[2][39]]  # digits below 2^40, where the loop's floats are exact
-    want = [_digit_loop(digits, int(g)) for g in gs]
+    want = [digit_loop(digits, int(g)) for g in gs]
     assert digits.digits_at(gs).tolist() == want
     rng = np.random.default_rng(11)
     xs = np.concatenate([10.0 ** rng.uniform(-1, 7, 400), np.array(want[:200], dtype=float),
@@ -127,7 +123,7 @@ def test_digit_lookups_match_scalar_loops(digits):
 def test_generation_arrays_match_generation_maps(tail):
     gs = np.array([0, 1, 2, 3, 4, 5, 6, 7, 24, 63, 64, 99, 500])
     owner, maps = tail.generation_arrays(gs)
-    want = [(k, m.mobius()) for k, g in enumerate(gs) for _, m in tail.generation_maps(int(g))]
+    want = [(k, m.mobius()) for k, g in enumerate(gs) for m in generation_maps(tail, int(g))]
     assert owner.tolist() == [k for k, _ in want]
     for name in "abcd":
         got = getattr(maps, name)
@@ -266,22 +262,6 @@ def test_spec_reads_its_tail_spectrum():
 # -- tail brackets against the per-map loops they replaced -------------------
 
 
-def _shell_loop(norm):
-    """Gaussian integers m + ni with m >= 1 and m^2 + n^2 = norm, sorted."""
-    out = []
-    m = 1
-    while m * m <= norm:
-        rest = norm - m * m
-        n = math.isqrt(rest)
-        if n * n == rest:
-            out.append((m, n))
-            if n > 0:
-                out.append((m, -n))
-        m += 1
-    out.sort()
-    return out
-
-
 def _complex_psi1_loop(t, domain):
     """ComplexGaussTail.psi1_bounds as one scalar pass over the digits."""
     if t <= 1.0:
@@ -290,7 +270,7 @@ def _complex_psi1_loop(t, domain):
     lo = hi = 0.0
     one = ComplexGaussBranch(1 + 0j).mobius()
     for norm in range(1, head_limit * head_limit + 1):
-        for m, n in _shell_loop(norm):
+        for m, n in shell_loop(norm):
             b = complex(m, n)
             u = abs(b + domain.center)
             sup_term = (u - domain.radius) ** (-2.0 * t)
@@ -327,14 +307,14 @@ def _induced_table_loop(tail, domain):
 
 
 def test_complex_generation_maps_follow_the_shells():
-    tail = ComplexGaussTail()
-    for g in range(60):
-        want = []
-        for m, n in _shell_loop(g + 1):
-            if (m, n) != (1, 0):
-                want.append((m, n))
-            want.append(("1b", m, n))
-        assert [label for label, _ in tail.generation_maps(g)] == want
+    # generation g owns the digits of norm g + 1 in sorted order: per digit
+    # the plain branch (a = 0, d = b; none for digit 1), then S_1 o S_b
+    # (a = 1, d = 1 + b)
+    owner, maps = ComplexGaussTail().generation_arrays(np.arange(60))
+    want = [(g, a, d) for g in range(60) for m, n in shell_loop(g + 1)
+            for a, d in ((0.0, complex(m, n)), (1.0, complex(1 + m, n))) if (m, n, a) != (1, 0, 0.0)]
+    got = zip(owner.tolist(), maps.a.re.tolist(), maps.d.to_complex().tolist())
+    assert list(got) == want
 
 
 @pytest.mark.parametrize("domain", [Disc(0.5 + 0j, 0.5), Disc(0.25 + 0.125j, 0.375)], ids=repr)
