@@ -1,9 +1,13 @@
 """Command-line interface and the build/measure/compare pipeline.
 
 Subcommands: build, dimension, spectrum-formula, spectrum-estimate,
-compare, report.  Exit codes follow the CI contract: 0 on success,
-1 when a comparison fails its tolerance, 2 on configuration errors.
-All file writes are atomic (write to a temporary name, then rename).
+compare, report.  Each takes only the options its handler reads
+(``_SUBCOMMANDS``); any other option exits 2 from argparse.  Exit codes
+follow the CI contract: 0 on success, 1 when a comparison fails its
+tolerance, 2 on configuration errors.  The ``compare`` gate tolerance
+(``GATE_TOL``) and the theta range of ``compare`` and
+``spectrum-estimate`` (``THETA_RANGE``) are fixed.  All file writes are
+atomic (write to a temporary name, then rename).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cifs import CifsSpec, validate_cifs
+from .cifs import validate_cifs
 from .cloud import PointCloud, build_fixed_point_cloud, build_limit_cloud
 from .errors import ConfigurationError, DomainError
 from .estimator import (
@@ -55,6 +59,16 @@ _WRITE_CHUNK = 1 << 20
 _SPOT_NODES = 4
 _SPOT_BUDGET = 8192
 
+#: the theta nodes of compare and spectrum-estimate span this range
+THETA_RANGE = (0.05, 0.9)
+
+#: compare passes a node whose estimate lies within this of the bound
+#: envelope and, where there is one, of the closed form
+GATE_TOL = 0.07
+
+#: the nodes of report's default_theta_grid
+_REPORT_GRID = 256
+
 
 @dataclass
 class RunConfig:
@@ -63,9 +77,6 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     delta: float | None = None
     grid: int = 64
-    theta_min: float = 0.05
-    theta_max: float = 0.9
-    tol: float = 0.07
     out_dir: str = "out"
     seed: int = 0
 
@@ -74,8 +85,6 @@ class RunConfig:
             raise ConfigurationError("--delta must be positive")
         if self.grid < 2:
             raise ConfigurationError("--grid needs at least 2 nodes")
-        if self.tol <= 0:
-            raise ConfigurationError("--tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -129,25 +138,25 @@ def _parse_params(text: str | None) -> dict:
     return {k: v[0] if len(v) == 1 else v for k, v in values.items()}
 
 
-def _resolve_system(config: RunConfig) -> tuple[CifsSpec | None, Family | None]:
-    """The system named by --family, else the one in the --spec file."""
+def _resolve_system(config: RunConfig) -> Family:
+    """The family named by --family, else the system in the --spec file
+    as a family without a name or a closed form."""
     if config.family is not None:
-        fam = make_family(config.family, config.params)
-        return fam.spec, fam
+        return make_family(config.family, config.params)
     if config.spec_path is None:
         raise ConfigurationError("either --spec or --family is required")
     if not Path(config.spec_path).exists():
         raise ConfigurationError(f"spec file {config.spec_path} does not exist")
-    return load_spec(config.spec_path), None
+    return Family(None, load_spec(config.spec_path), None)
 
 
-def _build_cloud(spec: CifsSpec, family: Family | None, delta: float | None) -> PointCloud:
-    """The family's kind of cloud at delta, or at its default delta (1e-6 for a spec file)."""
+def _build_cloud(family: Family, delta: float | None) -> PointCloud:
+    """The family's kind of cloud at delta, or at its default delta."""
     if delta is None:
-        delta = family.default_delta if family else 1e-6
-    if family is not None and family.cloud_kind == "fixed_points":
-        return build_fixed_point_cloud(spec, delta)
-    return build_limit_cloud(spec, delta)
+        delta = family.default_delta
+    if family.cloud_kind == "fixed_points":
+        return build_fixed_point_cloud(family.spec, delta)
+    return build_limit_cloud(family.spec, delta)
 
 
 def _curves_csv(curves: dict[str, SpectrumCurve]) -> str:
@@ -204,17 +213,18 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
     config.validate()
 
     with _Stage("configuration"):
-        spec, family = _resolve_system(config)
-        thetas = np.linspace(config.theta_min, config.theta_max, config.grid)
-        if family is not None and family.spec is None:
+        family = _resolve_system(config)
+        spec = family.spec
+        thetas = np.linspace(*THETA_RANGE, config.grid)
+        if spec is None:
             raise ConfigurationError(f"family {family.name!r} has no buildable system; use spectrum-formula")
 
     with _Stage("dimension"):
-        h_lo, h_hi = (family.dimension_enclosure() if family else hausdorff_dimension(spec).enclosure)
+        h_lo, h_hi = family.dimension_enclosure()
         h_mid = 0.5 * (h_lo + h_hi)
 
     with _Stage("build"):
-        cloud = _build_cloud(spec, family, config.delta)
+        cloud = _build_cloud(family, config.delta)
     with _Stage("estimate"):
         report = assouad_spectrum_estimate(cloud, thetas)
     estimate = report.curve
@@ -226,7 +236,7 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
     upper = upper_envelope(thetas, spectrum_p, max(h_hi, spectrum_p(0.0)))
 
     formula = None
-    if family is not None and family.formula is not None:
+    if family.formula is not None:
         try:
             formula = curve_from_formula(lambda th: family.formula(h_mid, th), thetas)
         except DomainError:
@@ -237,11 +247,11 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
     for i, theta in enumerate(thetas):
         est = float(estimate.values[i])
         f_val = float(formula.values[i]) if formula is not None else float("nan")
-        sandwich = lower.values[i] - config.tol <= est <= upper.values[i] + config.tol
+        sandwich = lower.values[i] - GATE_TOL <= est <= upper.values[i] + GATE_TOL
         dev_ok = True
         if formula is not None and np.isfinite(est):
             devs.append(abs(est - f_val))
-            dev_ok = abs(est - f_val) <= config.tol
+            dev_ok = abs(est - f_val) <= GATE_TOL
         rows.append(ComparisonRow(float(theta), float(lower.values[i]), float(upper.values[i]),
                                   f_val, est, bool(sandwich and dev_ok)))
     max_dev = float(max(devs)) if devs else float("nan")
@@ -266,7 +276,7 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
 
     summary = {
         "version": __version__,
-        "family": family.name if family else None,
+        "family": family.name,
         "spec_digest": spec.digest(),
         "delta": cloud.delta,
         "cloud_points": len(cloud),
@@ -276,7 +286,7 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
         "theta_grid": [float(t) for t in thetas],
         "max_deviation": None if not devs else max_dev,
         "phase_transitions": [float(t) for t in transitions],
-        "tolerance": config.tol,
+        "tolerance": GATE_TOL,
         "oracle_check": _oracle_spot_check(cloud, report, config.seed),
         "passed": table.all_passed,
     }
@@ -291,14 +301,14 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
 def _cmd_build(args) -> int:
     config = _config_from(args)
     config.validate()
-    spec, family = _resolve_system(config)
-    if spec is None:
+    family = _resolve_system(config)
+    if family.spec is None:
         raise ConfigurationError("this family has no buildable system")
-    report = validate_cifs(spec)
+    report = validate_cifs(family.spec)
     print(report)
     if not report.ok:
         return 1
-    cloud = _build_cloud(spec, family, config.delta)
+    cloud = _build_cloud(family, config.delta)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cloud.save(out / "cloud.bin")
@@ -308,8 +318,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_dimension(args) -> int:
-    config = _config_from(args)
-    spec, family = _resolve_system(config)
+    spec = _resolve_system(_config_from(args)).spec
     if spec is None:
         raise ConfigurationError("this family has no system; its dimension is an input parameter")
     result = hausdorff_dimension(spec, args.tol)
@@ -329,11 +338,8 @@ def _cmd_spectrum_formula(args) -> int:
     if config.family is None:
         raise ConfigurationError("spectrum-formula needs --family")
     family = make_family(config.family, config.params)
-    if family.h_known is not None:
-        h = family.h_known
-    else:
-        h_lo, h_hi = family.dimension_enclosure()
-        h = 0.5 * (h_lo + h_hi)
+    h_lo, h_hi = family.dimension_enclosure()
+    h = 0.5 * (h_lo + h_hi)
     thetas = default_theta_grid(config.grid)
     curve = curve_from_formula(lambda th: family.formula(h, th), thetas)
     out = Path(config.out_dir)
@@ -351,7 +357,7 @@ def _cmd_spectrum_formula(args) -> int:
 def _cmd_spectrum_estimate(args) -> int:
     config = _config_from(args)
     cloud = PointCloud.load(args.cloud)
-    thetas = np.linspace(config.theta_min, config.theta_max, config.grid)
+    thetas = np.linspace(*THETA_RANGE, config.grid)
     report = assouad_spectrum_estimate(cloud, thetas)
     box = box_dimension_estimate(cloud)
     assouad = assouad_dimension_estimate(cloud)
@@ -376,7 +382,7 @@ def _cmd_report(args) -> int:
     config = _config_from(args)
     p = config.params.get("p", 1.8)
     h = config.params.get("h", 0.5)
-    thetas = default_theta_grid(max(config.grid, 256))
+    thetas = default_theta_grid(_REPORT_GRID)
     curves = []
     for t in (p + 1.0, 2.0 * p, p + 1.0 / h):
         fam = make_family("sharp", {"p": p, "t": t, "h": h})
@@ -401,24 +407,40 @@ def _config_from(args) -> RunConfig:
         params=_parse_params(getattr(args, "params", None)),
         delta=getattr(args, "delta", None),
         grid=getattr(args, "grid", 64),
-        tol=RunConfig.tol if getattr(args, "tol", None) is None else args.tol,
         out_dir=getattr(args, "out", "out"),
         seed=getattr(args, "seed", 0),
     )
 
 
-def _add_common(sub, cloud_arg=False):
-    sub.add_argument("--spec", help="path to a JSON system description")
-    sub.add_argument("--family", help="named example family")
-    sub.add_argument("--params", help="family parameters as k=v,k=v")
-    sub.add_argument("--delta", type=float, help="cloud resolution")
-    sub.add_argument("--grid", type=int, default=64, help="theta grid size")
-    sub.add_argument("--tol", type=float,
-                     help="comparison tolerance (default 0.07); for dimension, the enclosure width")
-    sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--seed", type=int, default=0, help="seed choosing the estimate nodes the spot check recounts")
-    if cloud_arg:
-        sub.add_argument("--cloud", required=True, help="point-cloud binary file")
+#: each option's argparse settings
+_OPTIONS = {
+    "--spec": dict(help="path to a JSON system description"),
+    "--family": dict(help="named example family"),
+    "--params": dict(help="family parameters as k=v,k=v"),
+    "--delta": dict(type=float, help="cloud resolution"),
+    "--grid": dict(type=int, default=64, help="theta grid size"),
+    "--tol": dict(type=float, help="enclosure width that counts as converged "
+                                   "(default 1e-9 for similarity systems, 1e-4 otherwise)"),
+    "--out": dict(default="out", help="output directory"),
+    "--seed": dict(type=int, default=0, help="seed choosing the estimate nodes the spot check recounts"),
+    "--cloud": dict(required=True, help="point-cloud binary file"),
+    "--svg": dict(action="store_true", help="also write an SVG rendering"),
+}
+
+#: subcommand -> (handler, help, the options the handler reads)
+_SUBCOMMANDS = {
+    "build": (_cmd_build, "validate a system and write its point cloud",
+              ("--spec", "--family", "--params", "--delta", "--out")),
+    "dimension": (_cmd_dimension, "Hausdorff dimension with certified enclosure",
+                  ("--spec", "--family", "--params", "--tol")),
+    "spectrum-formula": (_cmd_spectrum_formula, "closed-form spectrum as CSV (and SVG)",
+                         ("--family", "--params", "--grid", "--out", "--svg")),
+    "spectrum-estimate": (_cmd_spectrum_estimate, "covering-count spectrum of a cloud",
+                          ("--cloud", "--grid", "--out")),
+    "compare": (_cmd_compare, "formula vs bounds vs estimate, with artifacts",
+                ("--spec", "--family", "--params", "--delta", "--grid", "--out", "--seed")),
+    "report": (_cmd_report, "overlay of the three tail regimes", ("--params", "--out")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,32 +450,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ifsdim {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_common(subs.add_parser("build", help="validate a system and write its point cloud"))
-    _add_common(subs.add_parser("dimension", help="Hausdorff dimension with certified enclosure"))
-    p = subs.add_parser("spectrum-formula", help="closed-form spectrum as CSV (and SVG)")
-    _add_common(p)
-    p.add_argument("--svg", action="store_true", help="also write an SVG rendering")
-    _add_common(subs.add_parser("spectrum-estimate", help="covering-count spectrum of a cloud"), cloud_arg=True)
-    _add_common(subs.add_parser("compare", help="formula vs bounds vs estimate, with artifacts"))
-    _add_common(subs.add_parser("report", help="overlay of the three tail regimes"))
+    for command, (_, text, options) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(command, help=text)
+        for option in options:
+            sub.add_argument(option, **_OPTIONS[option])
     return parser
-
-
-_COMMANDS = {
-    "build": _cmd_build,
-    "dimension": _cmd_dimension,
-    "spectrum-formula": _cmd_spectrum_formula,
-    "spectrum-estimate": _cmd_spectrum_estimate,
-    "compare": _cmd_compare,
-    "report": _cmd_report,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][0](args)
     except (ConfigurationError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

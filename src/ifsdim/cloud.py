@@ -47,18 +47,17 @@ class PointCloud:
     delta: float
     ambient_dim: int
     label: str = "limit_set"
-    source: str = ""
     complete: bool = True
 
     @classmethod
-    def from_points(cls, points, delta, ambient_dim=1, label="limit_set", source="", complete=True):
+    def from_points(cls, points, delta, ambient_dim=1):
         arr = np.asarray(points, dtype=float)
         if ambient_dim == 1:
             arr = np.unique(arr.reshape(-1))
         else:
             arr = arr.reshape(-1, 2)
             arr = np.unique(arr, axis=0)
-        return cls(arr, float(delta), ambient_dim, label, source, complete)
+        return cls(arr, float(delta), ambient_dim)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -378,7 +377,7 @@ def build_limit_cloud(spec: CifsSpec, delta: float, window: Region | None = None
         raise ConfigurationError("resolution delta must be below the seed-domain size")
     pts, expanded = _build(spec, delta, window, cap, False)
     complete = _check_complete(spec.ambient_dim, pts, expanded)
-    return PointCloud(pts, delta, spec.ambient_dim, "limit_set", spec.digest(), complete)
+    return PointCloud(pts, delta, spec.ambient_dim, "limit_set", complete)
 
 
 def build_fixed_point_cloud(spec: CifsSpec, delta: float, cap: int = DEFAULT_CAP) -> PointCloud:
@@ -386,4 +385,4 @@ def build_fixed_point_cloud(spec: CifsSpec, delta: float, cap: int = DEFAULT_CAP
     if delta <= 0:
         raise ConfigurationError(f"resolution delta must be positive, got {delta}")
     pts, _ = _build(spec, delta, None, cap, True)
-    return PointCloud(pts, delta, spec.ambient_dim, "fixed_points", spec.digest(), True)
+    return PointCloud(pts, delta, spec.ambient_dim, "fixed_points")

@@ -193,27 +193,6 @@ def cover_count_2d(cloud: PointCloud, center: complex, R: float, r: float) -> in
     return len(np.unique(cells, axis=0))
 
 
-def exhaustive_cover_count_1d(points: np.ndarray, r: float) -> int:
-    """Minimum over all covers by intervals [x_j, x_j + 2r] anchored at
-    point positions; independent reference for the greedy sweep."""
-    pts = np.unique(np.asarray(points, dtype=float))
-    n = len(pts)
-    memo: dict[int, int] = {n: 0}
-
-    def best(i: int) -> int:
-        if i in memo:
-            return memo[i]
-        lo = int(np.searchsorted(pts, pts[i] - 2.0 * r, side="left"))
-        out = math.inf
-        for j in range(lo, i + 1):
-            nxt = int(np.searchsorted(pts, pts[j] + 2.0 * r, side="right"))
-            out = min(out, 1 + best(nxt))
-        memo[i] = int(out)
-        return memo[i]
-
-    return best(0) if n else 0
-
-
 #: a lockstep round (a few numpy calls on the live chains, 7-18 us) costs
 #: about as much as a searchsorted pass over this many points (about 70 ns
 #: a point), measured with numpy 2.4 on x86-64

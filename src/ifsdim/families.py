@@ -6,7 +6,9 @@ default resolution.  The fixed-point spectrum is not stored here: it is
 read from the system (``CifsSpec.fixed_point_spectrum``, answered by its
 tail rule), so a family and a spec document for the same system get the
 same bounds.  ``complex-cf`` has no system yet and reads the complex
-continued-fraction tail's spectrum directly.
+continued-fraction tail's spectrum directly.  The command line reads a
+spec file into the same record: ``Family(None, spec, None)``, with no
+name and no closed form.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .tails import ClusteredDigits, ComplexGaussTail, FullDigits, GaussDigitTail
 
 @dataclass(frozen=True)
 class Family:
-    name: str
+    name: str | None  # None for a system read from a spec file
     spec: CifsSpec | None
     formula: Callable[[float, float], float] | None  # (h, theta) -> value
     h_known: float | None = None
@@ -45,12 +47,12 @@ class Family:
         """The spectrum of the system's fixed points; complex-cf has no system yet."""
         return ComplexGaussTail().fixed_point_spectrum if self.spec is None else self.spec.fixed_point_spectrum
 
-    def dimension_enclosure(self, tol: float | None = None) -> tuple[float, float]:
+    def dimension_enclosure(self) -> tuple[float, float]:
         if self.h_known is not None:
             return (self.h_known, self.h_known)
         if self.spec is None:
             raise ConfigurationError(f"family {self.name} has no system to measure")
-        return hausdorff_dimension(self.spec, tol).enclosure
+        return hausdorff_dimension(self.spec).enclosure
 
 
 def _get(params: dict, key: str, default=None) -> float:

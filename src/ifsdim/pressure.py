@@ -325,19 +325,8 @@ def build_sharp_family(p: float, t: float, h: float) -> CifsSpec:
     tail_mid = p**h * 0.5 * (tail_lo + tail_hi)
     gap_pow = float(np.sum(gaps**h))
 
-    def equation(lam: float) -> float:
-        return lam**h * gap_pow + tail_mid - 1.0
-
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if equation(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    lam = hi
+    # the scale at which the dimension equation holds
+    _, lam = _bisect_monotone(lambda lam: lam**h * gap_pow + tail_mid - 1.0 >= 0.0, 0.0, 1.0)
 
     js = np.arange(2, n + 1)
     explicit = tuple(

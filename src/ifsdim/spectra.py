@@ -33,6 +33,15 @@ GRID_CLIP = 1e-3
 PHI_GRID = 512
 PHI_TOL = 1e-12
 
+#: curve diagnostics: phase_transition takes the first node within PT_TOL
+#: of the last value; slope_discontinuities flags a slope jump above
+#: KINK_JUMP that is KINK_PROMINENCE times the median jump around it;
+#: fit_three_param accepts a form within FIT_TOL of every node
+PT_TOL = 1e-9
+KINK_JUMP = 0.02
+KINK_PROMINENCE = 6.0
+FIT_TOL = 1e-3
+
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -197,13 +206,15 @@ def lower_bound_curve(thetas: Sequence[float], spectrum_p: SpectrumLike, h: floa
     return SpectrumCurve(th, np.where(s > h, s, h), "lower_bound", {"h": h})
 
 
-def bound_envelope(thetas: Sequence[float], spectrum_p: SpectrumLike, h: float,
-                   ubox_p: float) -> BoundEnvelope:
-    """Sandwich bounds for a limit set with fixed-point spectrum spectrum_p."""
-    ubox_f = max(h, ubox_p)
+def bound_envelope(thetas: Sequence[float], spectrum_p: SpectrumLike, h: float) -> BoundEnvelope:
+    """Sandwich bounds for a limit set with fixed-point spectrum spectrum_p.
+
+    The box term is the larger of h and spectrum_p(0.0), the upper box
+    dimension of the fixed points.
+    """
     return BoundEnvelope(
         lower_bound_curve(thetas, spectrum_p, h),
-        upper_envelope(thetas, spectrum_p, ubox_f),
+        upper_envelope(thetas, spectrum_p, max(h, spectrum_p(0.0))),
     )
 
 
@@ -361,11 +372,10 @@ def porosity_threshold_check(value: float, ambient_dim: int) -> bool:
     return value < ambient_dim
 
 
-def curve_from_formula(fn: Callable[[float], float], thetas: Sequence[float] | None = None,
-                       provenance: str = "formula", **metadata) -> SpectrumCurve:
+def curve_from_formula(fn: Callable[[float], float], thetas: Sequence[float] | None = None) -> SpectrumCurve:
     th = default_theta_grid() if thetas is None else np.asarray(thetas, dtype=float)
     vals = np.array([fn(t) for t in th])
-    return SpectrumCurve(th, vals, provenance, dict(metadata))
+    return SpectrumCurve(th, vals, "formula")
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +389,9 @@ class PhaseTransition:
     ambiguous: bool = False
 
 
-def phase_transition(curve: SpectrumCurve, tol: float = 1e-9) -> PhaseTransition:
-    """First theta at which the curve reaches its quasi-Assouad value.
+def phase_transition(curve: SpectrumCurve) -> PhaseTransition:
+    """First theta at which the curve comes within PT_TOL of its
+    quasi-Assouad value.
 
     A non-monotone (estimated) curve is handled by taking the first
     up-crossing and flagging the result as ambiguous.
@@ -391,8 +402,8 @@ def phase_transition(curve: SpectrumCurve, tol: float = 1e-9) -> PhaseTransition
     if len(vals) == 0:
         raise DomainError("curve has no valid nodes")
     qa = float(vals[-1])
-    level = qa - tol
-    ambiguous = bool(np.any(np.diff(vals) < -max(tol, 1e-12)))
+    level = qa - PT_TOL
+    ambiguous = bool(np.any(np.diff(vals) < -PT_TOL))
     if vals[0] >= level:
         return PhaseTransition(0.0, qa, ambiguous)
     k = int(np.argmax(vals >= level))
@@ -422,24 +433,23 @@ def _refine_kink(th: np.ndarray, vals: np.ndarray, k: int) -> float:
     return float(roots[np.argmin(np.abs(roots - th[k + 1]))])
 
 
-def slope_discontinuities(curve: SpectrumCurve, min_jump: float = 0.02,
-                          prominence: float = 6.0) -> list[float]:
+def slope_discontinuities(curve: SpectrumCurve) -> list[float]:
     """Interior kinks of a piecewise-smooth sampled curve.
 
-    Flags nodes where the one-sided slope difference exceeds min_jump
-    and stands out against the local curvature baseline.
+    Flags nodes where the one-sided slope difference exceeds KINK_JUMP
+    and KINK_PROMINENCE times the local curvature baseline.
     """
     th, vals = curve.thetas, curve.values
     slopes = np.diff(vals) / np.diff(th)
     jumps = np.abs(np.diff(slopes))
     out = []
     window = 8
-    for k in np.where(jumps > min_jump)[0]:
+    for k in np.where(jumps > KINK_JUMP)[0]:
         lo = max(0, k - window)
         hi = min(len(jumps), k + window + 1)
         neigh = np.delete(jumps[lo:hi], np.arange(max(k - 1, lo), min(k + 2, hi)) - lo)
         base = np.median(neigh) if len(neigh) else 0.0
-        if jumps[k] > prominence * max(base, 1e-9):
+        if jumps[k] > KINK_PROMINENCE * max(base, 1e-9):
             out.append(_refine_kink(th, vals, k))
     # merge kinks closer than one grid step
     merged: list[float] = []
@@ -465,13 +475,13 @@ def _max_deviation(form: ThreeParamForm, th: np.ndarray, vals: np.ndarray) -> fl
     return float(devs[0]) if np.isnan(devs[0]) else float(np.nanmax(devs))
 
 
-def fit_three_param(curve: SpectrumCurve, tol: float = 1e-3) -> ThreeParamFit:
+def fit_three_param(curve: SpectrumCurve) -> ThreeParamFit:
     """Best three-parameter description of a sampled curve.
 
     The box dimension is extrapolated from the first two nodes, the
     quasi-Assouad value read from the last, and the phase transition
     scanned for the smallest maximum deviation.  ok is set when the
-    curve follows the fitted form within tol.
+    curve follows the fitted form within FIT_TOL.
     """
     th, vals = curve.thetas, curve.values
     qa = float(vals[-1])
@@ -480,7 +490,7 @@ def fit_three_param(curve: SpectrumCurve, tol: float = 1e-3) -> ThreeParamFit:
     ubox = min(max(ubox, 0.0), qa)
     if abs(qa - ubox) < 1e-12:
         dev = float(np.max(np.abs(vals - ubox)))
-        return ThreeParamFit(ThreeParamForm(ubox, qa, 1.0), dev, dev <= tol)
+        return ThreeParamFit(ThreeParamForm(ubox, qa, 1.0), dev, dev <= FIT_TOL)
     rho_min = max(1.0 - ubox / qa, 1e-6)
     candidates = list(np.linspace(rho_min, 1.0 - 1e-6, 256))
     candidates.append(min(max(phase_transition(curve).theta, rho_min), 1.0 - 1e-6))
@@ -496,4 +506,4 @@ def fit_three_param(curve: SpectrumCurve, tol: float = 1e-3) -> ThreeParamFit:
         dev = _max_deviation(ThreeParamForm(ubox, qa, rho), th, vals)
         if dev < best_dev:
             best_rho, best_dev = rho, dev
-    return ThreeParamFit(ThreeParamForm(ubox, qa, best_rho), float(best_dev), best_dev <= tol)
+    return ThreeParamFit(ThreeParamForm(ubox, qa, best_rho), float(best_dev), best_dev <= FIT_TOL)

@@ -28,7 +28,7 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def emit_svg(curves: list[SpectrumCurve], value_max: float = 1.0, title: str = "") -> str:
+def emit_svg(curves: list[SpectrumCurve], value_max: float = 1.0) -> str:
     """Render curves as one SVG document; raises on an empty list."""
     if not curves:
         raise DomainError("nothing to plot: the curve list is empty")
@@ -46,11 +46,6 @@ def emit_svg(curves: list[SpectrumCurve], value_max: float = 1.0, title: str = "
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
-    if title:
-        out.append(
-            f'<text x="{WIDTH // 2}" y="{MARGIN // 2 + 6}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
     # axes and ticks
     out.append(
         f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" y2="{HEIGHT - MARGIN}" '

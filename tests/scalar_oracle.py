@@ -4,9 +4,13 @@ The package handles maps only as batches (``ifsdim.mobius``,
 ``generation_arrays``).  The tests keep the scalar region functions and
 the per-generation maps of every tail rule here, written from their
 definitions, as the oracle the batch forms must match bit for bit.
+The exhaustive minimum 1-D cover count is the oracle of the estimator's
+greedy sweep.
 """
 
 import math
+
+import numpy as np
 
 from ifsdim.maps import Composite, ComplexGaussBranch, GaussBranch, Similarity
 from ifsdim.mobius import Disc, Mobius
@@ -130,3 +134,24 @@ def generation_maps(tail, g):
         return out
     assert isinstance(tail, InducedParabolicTail)
     return [branch if g == 0 else Composite((tail.parabolic,) * g + (branch,)) for _, branch in tail.branches]
+
+
+def exhaustive_cover_count_1d(points: np.ndarray, r: float) -> int:
+    """Minimum over all covers by intervals [x_j, x_j + 2r] anchored at
+    point positions; independent reference for the greedy sweep."""
+    pts = np.unique(np.asarray(points, dtype=float))
+    n = len(pts)
+    memo: dict[int, int] = {n: 0}
+
+    def best(i: int) -> int:
+        if i in memo:
+            return memo[i]
+        lo = int(np.searchsorted(pts, pts[i] - 2.0 * r, side="left"))
+        out = math.inf
+        for j in range(lo, i + 1):
+            nxt = int(np.searchsorted(pts, pts[j] + 2.0 * r, side="right"))
+            out = min(out, 1 + best(nxt))
+        memo[i] = int(out)
+        return memo[i]
+
+    return best(0) if n else 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ifsdim import ConfigurationError
-from ifsdim.cli import RunConfig, _build_cloud, _oracle_spot_check, _parse_params, main, run_pipeline
+from ifsdim.cli import GATE_TOL, RunConfig, _build_cloud, _oracle_spot_check, _parse_params, main, run_pipeline
 from ifsdim.cloud import PointCloud, build_limit_cloud
 from ifsdim.estimator import assouad_spectrum_estimate
 from ifsdim.families import make_family
@@ -35,8 +35,8 @@ def test_dimension_from_spec_file(tmp_path, capsys):
 
 
 def test_dimension_uses_engine_tolerance_by_default(capsys):
-    # the 0.07 default of --tol is the compare tolerance; an enclosure
-    # 0.014 wide has not converged at the engine's default of 1e-4
+    # an enclosure 0.014 wide has not converged at the engine's default
+    # of 1e-4; --tol sets the width that counts as converged
     assert main(["dimension", "--family", "ctd-spaced"]) == 0
     payload = json.loads(capsys.readouterr().out)
     lo, hi = payload["enclosure"]
@@ -127,8 +127,7 @@ def test_build_full_complex_system(tmp_path, capsys):
 
 
 def test_compare_pipeline_artifacts_and_schema(tmp_path):
-    config = RunConfig(family="fp", params={"p": 1.0}, delta=1e-5, grid=10,
-                       theta_min=0.2, theta_max=0.7, out_dir=str(tmp_path))
+    config = RunConfig(family="fp", params={"p": 1.0}, delta=1e-5, grid=10, out_dir=str(tmp_path))
     table, summary = run_pipeline(config)
     assert table.all_passed
     for name in ("cloud.bin", "cloud.csv", "curves.csv", "overlay.svg", "summary.json"):
@@ -143,8 +142,7 @@ def test_compare_pipeline_artifacts_and_schema(tmp_path):
 def test_compare_reproducible_byte_for_byte(tmp_path):
     outs = []
     for sub in ("a", "b"):
-        config = RunConfig(family="fp", params={"p": 1.0}, delta=1e-5, grid=8,
-                           theta_min=0.2, theta_max=0.6, out_dir=str(tmp_path / sub))
+        config = RunConfig(family="fp", params={"p": 1.0}, delta=1e-5, grid=8, out_dir=str(tmp_path / sub))
         run_pipeline(config)
         outs.append({
             name: (tmp_path / sub / name).read_bytes()
@@ -232,7 +230,7 @@ def test_spec_gate_on_e12_is_the_dimension_enclosure(tmp_path):
     assert set(columns["upper"]) == {f"{h_hi:.10g}"}
     last = table.rows[-1]
     assert last.theta == 0.9 and not last.passed
-    assert last.estimate > last.upper + config.tol
+    assert last.estimate > last.upper + GATE_TOL
     assert not table.all_passed
 
 
@@ -291,8 +289,9 @@ def test_leading_params_item_without_a_key_exits_2(tmp_path, capsys):
 
 
 def test_list_where_a_number_is_wanted_exits_2(tmp_path, capsys):
-    for command in ("compare", "dimension", "spectrum-formula"):
-        assert main([command, "--family", "sharp", "--params", "p=1,2", "--out", str(tmp_path)]) == 2
+    for command, out in (("compare", ["--out", str(tmp_path)]), ("dimension", []),
+                         ("spectrum-formula", ["--out", str(tmp_path)])):
+        assert main([command, "--family", "sharp", "--params", "p=1,2", *out]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "family parameter 'p' must be a number" in err
         assert "Traceback" not in err
@@ -309,7 +308,7 @@ def _miscounted(diagnostic, k, by):
 @pytest.mark.parametrize("name,delta", [("fp", 1e-5), ("dense-cf", 1e-3)])
 def test_spot_check_recounts_the_runs_own_counts(name, delta):
     family = make_family(name)
-    cloud = _build_cloud(family.spec, family, delta)
+    cloud = _build_cloud(family, delta)
     report = assouad_spectrum_estimate(cloud, np.linspace(0.05, 0.9, 12))
     assert all(_oracle_spot_check(cloud, report, seed) for seed in range(8))
     # one recorded count off by one in every node: the check fails whichever nodes it takes
@@ -375,6 +374,42 @@ def test_spectrum_csv_golden_digests(tmp_path, capsys):
     assert digests == GOLDEN_SPECTRUM_CSVS
 
 
+# what each subcommand is given, and a value for every option one of them does not read
+_BASE_ARGV = {
+    "build": ["build", "--family", "fp"],
+    "dimension": ["dimension", "--family", "fp"],
+    "spectrum-formula": ["spectrum-formula", "--family", "fp"],
+    "spectrum-estimate": ["spectrum-estimate", "--cloud", "cloud.bin"],
+    "compare": ["compare", "--family", "fp"],
+    "report": ["report"],
+}
+_VALUES = {"--spec": "spec.json", "--family": "fp", "--params": "p=1", "--delta": "1e-3", "--grid": "8",
+           "--tol": "0.5", "--seed": "1"}
+_NOT_READ = {
+    "build": ("--grid", "--tol", "--seed"),
+    "dimension": ("--delta", "--grid", "--out", "--seed"),
+    "spectrum-formula": ("--spec", "--delta", "--tol", "--seed"),
+    "spectrum-estimate": ("--spec", "--family", "--params", "--delta", "--tol", "--seed"),
+    "compare": ("--tol",),
+    "report": ("--spec", "--family", "--delta", "--grid", "--tol", "--seed"),
+}
+
+
+@pytest.mark.parametrize("command,option", [(c, o) for c, options in _NOT_READ.items() for o in options])
+def test_option_a_subcommand_does_not_read_exits_2(tmp_path, capsys, command, option):
+    # an option dropped without a word misleads: report --family would write
+    # the sharp report, and compare --tol would relax the gate
+    out = str(tmp_path / "out")
+    argv = _BASE_ARGV[command] + [option, out if option == "--out" else _VALUES[option]]
+    if "--out" not in argv and command != "dimension":
+        argv += ["--out", out]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_source_messages(tmp_path, capsys):
     assert main(["build", "--out", str(tmp_path)]) == 2
     assert "either --spec or --family is required" in capsys.readouterr().err
@@ -394,7 +429,7 @@ def test_spectrum_formula_subcommand(tmp_path, capsys):
 
 
 def test_report_subcommand(tmp_path, capsys):
-    rc = main(["report", "--params", "p=1.8,h=0.5", "--grid", "256", "--out", str(tmp_path)])
+    rc = main(["report", "--params", "p=1.8,h=0.5", "--out", str(tmp_path)])
     assert rc == 0
     svg = (tmp_path / "report.svg").read_text()
     assert svg.count("<polyline") == 3

@@ -15,13 +15,14 @@ from ifsdim.estimator import (
     box_dimension_estimate,
     cover_count_1d,
     cover_count_2d,
-    exhaustive_cover_count_1d,
     lower_spectrum_estimate,
 )
 from ifsdim import estimator
 from ifsdim.errors import DomainError
 from ifsdim.spectra import fp_spectrum
 from ifsdim.tails import GeometricRule, PowerRule, SimilarityTail
+
+from scalar_oracle import exhaustive_cover_count_1d
 
 
 def cloud_of(points, delta=1e-9, dim=1):

@@ -85,8 +85,12 @@ class TestEnvelopes:
             assert low.values[0] == pytest.approx(max(h, 1.0), abs=1e-6)
 
     def test_envelope_object_checks_order(self):
-        env = bound_envelope(GRID[::64], lambda t: fp_spectrum(1.0, t), 0.6, 0.5)
+        env = bound_envelope(GRID[::64], lambda t: fp_spectrum(1.0, t), 0.6)
         assert np.all(env.lower.values <= env.upper.values + 1e-9)
+        # the box term is the larger of h and the spectrum at theta = 0, here 0.5
+        for h, ubox_f in ((0.6, 0.6), (0.4, 0.5)):
+            env = bound_envelope(GRID[::64], lambda t: fp_spectrum(1.0, t), h)
+            assert env.upper.metadata["ubox_f"] == ubox_f
 
 
 # ---------------------------------------------------------------------------
