@@ -35,7 +35,7 @@ from .estimator import (
     cover_count_1d,
     cover_count_2d,
 )
-from .families import Family, make_family
+from .families import Family, _get, make_family
 from .jsonio import load_spec
 from .pressure import finiteness_parameter, hausdorff_dimension
 from .spectra import (
@@ -356,6 +356,7 @@ def _cmd_spectrum_formula(args) -> int:
 
 def _cmd_spectrum_estimate(args) -> int:
     config = _config_from(args)
+    config.validate()
     cloud = PointCloud.load(args.cloud)
     thetas = np.linspace(*THETA_RANGE, config.grid)
     report = assouad_spectrum_estimate(cloud, thetas)
@@ -380,8 +381,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_report(args) -> int:
     config = _config_from(args)
-    p = config.params.get("p", 1.8)
-    h = config.params.get("h", 0.5)
+    p = _get(config.params, "p", 1.8)
+    h = _get(config.params, "h", 0.5)
     thetas = default_theta_grid(_REPORT_GRID)
     curves = []
     for t in (p + 1.0, 2.0 * p, p + 1.0 / h):

@@ -20,6 +20,7 @@ the same array geometry the axiom checks use.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -34,6 +35,9 @@ DEFAULT_CAP = 5_000_000
 
 _MAGIC = b"IFSC"
 _VERSION = 1
+#: version, dimension, delta and point count, after the magic
+_HEAD = struct.Struct("<IId Q")
+_HEADER = len(_MAGIC) + _HEAD.size
 
 #: points formatted per block in PointCloud.csv_blocks
 _CSV_BLOCK = 16384
@@ -73,7 +77,7 @@ class PointCloud:
     # -- persistence ----------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        head = _MAGIC + struct.pack("<IId Q", _VERSION, self.ambient_dim, self.delta, len(self.points))
+        head = _MAGIC + _HEAD.pack(_VERSION, self.ambient_dim, self.delta, len(self.points))
         return head + np.ascontiguousarray(self.points, dtype="<f8").tobytes()
 
     def save(self, path) -> None:
@@ -82,13 +86,34 @@ class PointCloud:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "PointCloud":
+        """The cloud of a to_bytes payload, checked to be one: a header
+        that matches the byte count, a finite positive delta, and finite
+        points sorted and distinct as from_points leaves them."""
         if blob[:4] != _MAGIC:
             raise ConfigurationError("not a point-cloud file (bad magic)")
-        version, dim, delta, count = struct.unpack("<IId Q", blob[4 : 4 + 24])
+        if len(blob) < _HEADER:
+            raise ConfigurationError(f"point-cloud file truncated: {len(blob)} bytes")
+        version, dim, delta, count = _HEAD.unpack_from(blob, len(_MAGIC))
         if version != _VERSION:
             raise ConfigurationError(f"unsupported point-cloud version {version}")
-        coords = np.frombuffer(blob[4 + 24 :], dtype="<f8", count=count * dim)
-        pts = coords.copy() if dim == 1 else coords.reshape(-1, 2).copy()
+        if dim not in (1, 2):
+            raise ConfigurationError(f"point-cloud dimension must be 1 or 2, got {dim}")
+        if len(blob) != _HEADER + 8 * count * dim:
+            raise ConfigurationError(f"point-cloud file holds {len(blob)} bytes, "
+                                     f"its header promises {_HEADER + 8 * count * dim}")
+        if not (math.isfinite(delta) and delta > 0):
+            raise ConfigurationError(f"point-cloud delta must be finite and positive, got {delta}")
+        pts = np.frombuffer(blob, dtype="<f8", offset=_HEADER).astype(float)
+        if not np.isfinite(pts).all():
+            raise ConfigurationError("point-cloud file holds non-finite coordinates")
+        if dim == 1:
+            ordered = pts[1:] > pts[:-1]
+        else:
+            pts = pts.reshape(-1, 2)
+            x, y = pts[:, 0], pts[:, 1]
+            ordered = (x[1:] > x[:-1]) | ((x[1:] == x[:-1]) & (y[1:] > y[:-1]))
+        if not ordered.all():
+            raise ConfigurationError("point-cloud points are not sorted and distinct")
         return cls(pts, delta, dim)
 
     @classmethod

@@ -22,23 +22,25 @@ sorted keys width * (n + 1) + index, so membership and rank are two
 searchsorted calls.  A window meets the canonical chain at the next
 barrier at the latest, so on clouds with gaps it finishes in few rounds.
 
-Where barriers are rare (a uniform grid has none), chains never need to
-meet, and long walks jump instead.  A block whose chain is still long
-once the lockstep rounds have cost a table pass is listed only up to its
-current position, a break; a window that follows the listed chain to a
-break, or whose own walk stays long, jumps on from there.  J = nxt^S is
-built by squaring the next-pointer table of the points the windows span,
-with one terminal slot past them that maps to itself and lies at or past
-every hi.  A window at i takes the jump only when J(i) < hi.  Positions
-increase along the chain, so i and the S - 1 positions skipped lie below
-J(i) < hi: they are S counted steps, and the window adds exactly S.  Once
-J(i) >= hi, at most S counted steps remain and are taken singly.  The
-stride S, near the square root of the longest possible count, only
-trades rounds against table passes; the counts equal the scalar sweep of
-cover_count_1d whatever it is.  The (R, r) pairs of a call are counted in
-batches bounded by their windows plus, per width, a bound on the
-canonical chain's length from the sorted gaps, which keeps the transient
-arrays within a fixed multiple of the cloud.
+Where barriers are rare (a uniform grid has none), chains need not meet,
+so every lockstep walk stops after _LOCKSTEP_ROUNDS rounds.  A block of
+the canonical chain still walking then is listed only up to its current
+position, a break; a window that follows the listed chain to a break
+steps on from there.  Windows still live after the budget jump once.
+For each width, J = nxt^S is built by squaring the next-pointer table of
+the points its windows span, with one terminal slot past them that maps
+to itself and lies at or past every hi.  A window at i takes the jump
+only when J(i) < hi.  Positions increase along the chain, so i and the
+S - 1 positions skipped lie below J(i) < hi: they are S counted steps,
+and the window adds exactly S.  Once J(i) >= hi, at most S counted steps
+remain, taken in one last walk without a budget.  The stride
+S = 2^round(log2(L) / 2), with L the longest count the width's windows
+can still have, and the budget only trade rounds against table passes;
+the counts equal the scalar sweep of cover_count_1d whatever they are.
+The (R, r) pairs of a call are counted in batches bounded by their
+windows plus, per width, a bound on the canonical chain's length from the
+sorted gaps, which keeps the transient arrays within a fixed multiple of
+the cloud.
 
 Planar counts.  In the plane a window's count is the number of occupied
 r-mesh squares holding a cloud point within R of the centre, with the
@@ -193,10 +195,10 @@ def cover_count_2d(cloud: PointCloud, center: complex, R: float, r: float) -> in
     return len(np.unique(cells, axis=0))
 
 
-#: a lockstep round (a few numpy calls on the live chains, 7-18 us) costs
-#: about as much as a searchsorted pass over this many points (about 70 ns
-#: a point), measured with numpy 2.4 on x86-64
-_ROUND_POINTS = 256
+#: every lockstep walk, the canonical listing and the windows alike, stops
+#: after this many rounds.  The longest walk of the seven default compare
+#: runs takes 383; walks still going are barrier-poor and jump instead
+_LOCKSTEP_ROUNDS = 1024
 
 
 class _Gaps:
@@ -233,70 +235,16 @@ class _Gaps:
         return min(len(self.pts), blocks + int(max(float(self.inner[k]), 0.0) / two_r))
 
 
-def _chain_runs(chain: np.ndarray) -> np.ndarray:
-    """Start of every run of equal chain ids (the items are sorted by chain)."""
-    return np.flatnonzero(np.r_[True, chain[1:] != chain[:-1]])
-
-
-def _longest(pts, two_r, cur, end) -> np.ndarray:
-    """Most steps each item can still take: it holds end - cur points, and
-    each step advances past 2r."""
-    return np.minimum(end - cur, (pts[end - 1] - pts[cur]) // two_r + 1)
-
-
-def _by_chain(items, chain, longest) -> list:
-    """(items, squaring count) per chain for a jump, with the stride S near
-    the square root of the chain's longest possible count."""
-    runs = _chain_runs(chain)
-    top = np.maximum.reduceat(longest, runs)
-    return [(items[a:b], max(1, round(math.log2(m) / 2)))
-            for a, b, m in zip(runs, np.r_[runs[1:], len(items)], top)]
-
-
-def _jump_groups(pts, two_r, chain, cur, end, rounds):
-    """Chains due for a jump after some lockstep rounds, and the rounds
-    cost at which the next one falls due (None when none is left).
-
-    A chain falls due once the rounds spent cost as much as its table pass,
-    which covers the points its items span.  A due chain jumps if its
-    single steps may still cost more than that pass.
-    """
-    runs = _chain_runs(chain)
-    span = np.maximum.reduceat(end, runs) - np.minimum.reduceat(cur, runs)
-    spent = rounds * _ROUND_POINTS
-    later = span[span > spent]
-    next_check = int(later.min()) if len(later) else None
-    if len(later) == len(span):
-        return next_check, []
-    longest = _longest(pts, two_r, cur, end)
-    due = (span <= spent) & (np.maximum.reduceat(longest, runs) * _ROUND_POINTS > span)
-    items = np.flatnonzero(np.repeat(due, np.diff(np.r_[runs, len(chain)])))
-    return next_check, _by_chain(items, chain[items], longest[items]) if len(items) else []
-
-
-def _jump_table(pts, two_r: float, cur, end, squarings: int):
-    """The next-pointer table of the points from cur.min() to end.max() at
-    width two_r, with one terminal slot past them that maps to itself,
-    raised to the power S = 2^squarings; indices relative to cur.min()."""
-    a, b = int(cur.min()), int(end.max())
-    seg = pts[a:b]
-    jump = np.append(np.searchsorted(seg, seg + two_r, side="right"), b - a)
-    for _ in range(squarings):
-        jump = jump[jump]
-    return a, jump
-
-
 def _canonical_keys(gaps: _Gaps, widths: np.ndarray):
     """Keys c * (n + 1) + i of the positions i on the greedy chain from
     index 0 at width widths[c], for every chain c, and the keys where the
     listed positions break off; both sorted.
 
     The barriers cut the cloud into blocks whose chains land exactly on the
-    next block's start, so all blocks of all chains are walked in lockstep.
-    A chain whose blocks are still long once the rounds have cost a table
-    pass stops listing them: the rest of each such block, from its current
-    position (a break) to its end, is left out, and windows that reach the
-    break jump through it."""
+    next block's start, so all blocks of all chains are walked in lockstep,
+    for at most _LOCKSTEP_ROUNDS rounds.  A block still walking then is
+    listed up to its current position, a break, and the rest of it is left
+    out."""
     pts = gaps.pts
     n = len(pts)
     starts = [np.r_[0, gaps.barriers(w)] for w in widths]
@@ -307,70 +255,33 @@ def _canonical_keys(gaps: _Gaps, widths: np.ndarray):
     end[np.cumsum(sizes) - 1] = n
     two_r = np.repeat(widths, sizes)
     last = pts[end - 1]
-    runs, breaks = [], [np.array([np.iinfo(np.int64).max])]
-    rounds, next_check = 0, 1
-    while len(cur):
-        if next_check is not None and rounds * _ROUND_POINTS >= next_check:
-            next_check, groups = _jump_groups(pts, two_r, chain, cur, end, rounds)
-            if groups:
-                keep = np.ones(len(cur), dtype=bool)
-                for items, _ in groups:
-                    keep[items] = False
-                breaks.append(chain[~keep] + cur[~keep])
-                chain, cur, end, two_r, last = (v[keep] for v in (chain, cur, end, two_r, last))
-                continue
+    runs = []
+    for _ in range(_LOCKSTEP_ROUNDS):
+        if not len(cur):
+            break
         runs.append(chain + cur)
-        rounds += 1
         # the step from cur leaves the block exactly when its last point
         # is within reach
         reach = pts[cur] + two_r
         keep = reach < last
         if not keep.all():
-            chain, end, two_r, last, reach = (v[keep] for v in (chain, end, two_r, last, reach))
+            chain, two_r, last, reach = (v[keep] for v in (chain, two_r, last, reach))
         cur = np.searchsorted(pts, reach, side="right")
-    keys, breaks = np.concatenate(runs), np.concatenate(breaks)
+    keys = np.concatenate(runs)
     del runs
     keys.sort()
-    breaks.sort()
-    return keys, breaks
+    return keys, np.append(np.sort(chain + cur), np.iinfo(np.int64).max)
 
 
-def _walk_windows(pts, keys, breaks, counts, live, key0, cur, end, two_r, may_jump: bool):
+def _walk_windows(pts, keys, breaks, counts, rounds: int, live, key0, cur, end, two_r):
     """Step the windows live (chain key offset key0, position cur, end,
-    width two_r; sorted by chain) until each passes its end, adding their
-    counts.  A window on a listed canonical position follows the canonical
-    chain up to its end or the chain's next break.  Windows at a break, and
-    with may_jump those of chains due for a jump, move S steps at a time
-    while the landing stays below end, and then leave the walk: they are
-    returned, parked, to finish in another walk."""
+    width two_r) in lockstep for at most rounds rounds, adding their
+    counts, and return the windows still short of their ends.  A window on
+    a listed canonical position follows the canonical chain up to its end
+    or the chain's next break, and steps on from a break."""
     last = pts[end - 1]
-    parked = []
-
-    def park(groups):
-        nonlocal live, key0, cur, end, two_r, last
-        out = np.zeros(len(live), dtype=bool)
-        for items, squarings in groups:
-            a, jump = _jump_table(pts, two_r[items[0]], cur[items], end[items], squarings)
-            x, stop = cur[items] - a, end[items] - a
-            while True:
-                x = jump[x]
-                keep = x < stop
-                if not keep.any():
-                    break
-                items, x, stop = items[keep], x[keep], stop[keep]
-                counts[live[items]] += 1 << squarings
-                cur[items] = x + a
-            out[items] = True
-        counts[live[out]] += steps
-        parked.append([v[out] for v in (live, key0, cur, end, two_r)])
-        live, key0, cur, end, two_r, last = (v[~out] for v in (live, key0, cur, end, two_r, last))
-
-    steps, next_check = 0, 1 if may_jump else None
-    while len(live):
-        if next_check is not None and steps * _ROUND_POINTS >= next_check:
-            next_check, groups = _jump_groups(pts, two_r, key0, cur, end, steps)
-            if groups:
-                park(groups)
+    steps = 0
+    while len(live) and steps < rounds:
         key = key0 + cur
         at = np.searchsorted(keys, key)
         hit = np.flatnonzero(keys[np.minimum(at, len(keys) - 1)] == key)
@@ -380,16 +291,10 @@ def _walk_windows(pts, keys, breaks, counts, live, key0, cur, end, two_r, may_ju
             stop = np.minimum(breaks[np.searchsorted(breaks, key[hit])], key0[hit] + end[hit])
             counts[live[hit]] += np.searchsorted(keys, stop) - at[hit]
             cur[hit] = stop - key0[hit]
-            done, broke = np.zeros(len(live), dtype=bool), np.zeros(len(live), dtype=bool)
+            done = np.zeros(len(live), dtype=bool)
             done[hit] = cur[hit] == end[hit]
-            broke[hit] = ~done[hit]
             counts[live[done]] += steps
-            live, key0, cur, end, two_r, last, broke = (
-                v[~done] for v in (live, key0, cur, end, two_r, last, broke))
-            broke = np.flatnonzero(broke)
-            if len(broke):
-                # a break starts a block too long to list: jump through it
-                park(_by_chain(broke, key0[broke], _longest(pts, two_r[broke], cur[broke], end[broke])))
+            live, key0, cur, end, two_r, last = (v[~done] for v in (live, key0, cur, end, two_r, last))
         steps += 1
         # the step from cur passes the end exactly when the window's last
         # point is within reach
@@ -399,7 +304,37 @@ def _walk_windows(pts, keys, breaks, counts, live, key0, cur, end, two_r, may_ju
             counts[live[~keep]] += steps
             live, key0, end, two_r, last, reach = (v[keep] for v in (live, key0, end, two_r, last, reach))
         cur = np.searchsorted(pts, reach, side="right")
-    return [np.concatenate(part) for part in zip(*parked)]
+    counts[live] += steps
+    return live, key0, cur, end, two_r
+
+
+def _jump_windows(pts, counts, live, key0, cur, end, two_r) -> None:
+    """Move the windows (sorted by chain) S steps at a time while the
+    landing stays below end, adding their counts; S is per width, near the
+    square root of the longest count its windows can still have."""
+    runs = np.flatnonzero(np.r_[True, key0[1:] != key0[:-1]])
+    for a, b in zip(runs, np.r_[runs[1:], len(live)]):
+        c, e = cur[a:b], end[a:b]
+        # a window holds e - c points, and each step advances past 2r
+        longest = np.minimum(e - c, (pts[e - 1] - pts[c]) // two_r[a] + 1).max()
+        squarings = round(math.log2(longest) / 2)
+        # the next-pointer table of the points the windows span, with one
+        # terminal slot past them that maps to itself, raised to the power
+        # S = 2^squarings; indices relative to base
+        base, top = int(c.min()), int(e.max())
+        seg = pts[base:top]
+        jump = np.append(np.searchsorted(seg, seg + two_r[a], side="right"), top - base)
+        for _ in range(squarings):
+            jump = jump[jump]
+        items, x, stop = np.arange(a, b), c - base, e - base
+        while True:
+            x = jump[x]
+            keep = x < stop
+            if not keep.any():
+                break
+            items, x, stop = items[keep], x[keep], stop[keep]
+            counts[live[items]] += 1 << squarings
+            cur[items] = x + base
 
 
 def _greedy_counts_1d(gaps: _Gaps, widths: np.ndarray, chain: np.ndarray, lo: np.ndarray,
@@ -410,12 +345,10 @@ def _greedy_counts_1d(gaps: _Gaps, widths: np.ndarray, chain: np.ndarray, lo: np
     A window steps until it lands on its width's canonical chain or passes
     hi.  From a canonical position m on it follows that chain, so its count
     is the steps taken plus rank(hi) - rank(m), up to the chain's next
-    break.  Windows at a break, and windows still apart once the rounds
-    have cost a table pass, jump S steps at a time and finish with at most
-    S single steps; see the module notes.
+    break.  Windows still apart after _LOCKSTEP_ROUNDS rounds jump S steps
+    at a time and finish with at most S single steps; see the module notes.
     """
     pts = gaps.pts
-    base = len(pts) + 1
     counts = np.zeros(len(lo), dtype=np.int64)
     live = np.flatnonzero(lo < hi)
     if not len(live):
@@ -423,9 +356,12 @@ def _greedy_counts_1d(gaps: _Gaps, widths: np.ndarray, chain: np.ndarray, lo: np
     keys, breaks = _canonical_keys(gaps, widths)
     # sorted by chain, so that each chain's windows are one run
     live = live[np.argsort(chain[live], kind="stable")]
-    windows, may_jump = [live, chain[live] * base, lo[live], hi[live], widths[chain[live]]], True
-    while windows:
-        windows, may_jump = _walk_windows(pts, keys, breaks, counts, *windows, may_jump), False
+    windows = live, chain[live] * (len(pts) + 1), lo[live], hi[live], widths[chain[live]]
+    windows = _walk_windows(pts, keys, breaks, counts, _LOCKSTEP_ROUNDS, *windows)
+    if len(windows[0]):
+        _jump_windows(pts, counts, *windows)
+        # at most S steps are left, and no walk is longer than len(pts)
+        _walk_windows(pts, keys, breaks, counts, len(pts), *windows)
     return counts
 
 

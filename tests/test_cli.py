@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +355,88 @@ def test_spectrum_estimate_subcommand(tmp_path, capsys):
     assert len(lines) == 9
 
 
+def _valid_blob(dim):
+    """A to_bytes payload of three sorted, distinct points."""
+    points = [0.1, 0.4, 0.7] if dim == 1 else [[0.0, 0.5], [0.0, 0.75], [0.5, 0.0]]
+    return bytearray(PointCloud.from_points(points, 1e-3, dim).to_bytes())
+
+
+def _patched(dim, offset, fmt, value):
+    blob = _valid_blob(dim)
+    struct.pack_into(fmt, blob, offset, value)
+    return bytes(blob)
+
+
+def _reordered(dim, order):
+    blob = _valid_blob(dim)
+    points = np.frombuffer(bytes(blob[28:]), dtype="<f8").reshape(3, -1)
+    return bytes(blob[:28]) + points[order].tobytes()
+
+
+# malformed cloud.bin payloads; the header is magic, version, dim, delta, count
+_MALFORMED_CLOUDS = {
+    "truncated": lambda: bytes(_valid_blob(1)[:-5]),
+    "header-only-part": lambda: bytes(_valid_blob(1)[:10]),
+    "trailing-bytes": lambda: bytes(_valid_blob(1)) + b"\x00" * 8,
+    "count-too-large": lambda: _patched(1, 20, "<Q", 4),
+    "dim-0": lambda: _patched(1, 8, "<I", 0),
+    "dim-3": lambda: _patched(1, 8, "<I", 3),
+    "delta-zero": lambda: _patched(1, 12, "<d", 0.0),
+    "delta-negative": lambda: _patched(1, 12, "<d", -1e-3),
+    "delta-nan": lambda: _patched(1, 12, "<d", float("nan")),
+    "delta-inf": lambda: _patched(1, 12, "<d", float("inf")),
+    "nan-point": lambda: _patched(1, 36, "<d", float("nan")),
+    "inf-point-2d": lambda: _patched(2, 44, "<d", float("inf")),
+    "reversed-1d": lambda: _reordered(1, [2, 1, 0]),
+    "repeated-1d": lambda: _reordered(1, [0, 1, 1]),
+    "unsorted-2d": lambda: _reordered(2, [1, 0, 2]),
+    "repeated-2d": lambda: _reordered(2, [0, 0, 2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_CLOUDS))
+def test_malformed_cloud_exits_2(tmp_path, capsys, case):
+    # a reversed cloud once gave an all-zero spectrum with exit 0, and a
+    # truncated or non-finite one a raw traceback with exit 1
+    path = tmp_path / "cloud.bin"
+    path.write_bytes(_MALFORMED_CLOUDS[case]())
+    assert main(["spectrum-estimate", "--cloud", str(path), "--grid", "8", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_valid_cloud_payloads_load():
+    for dim in (1, 2):
+        blob = bytes(_valid_blob(dim))
+        assert PointCloud.from_bytes(blob).to_bytes() == blob
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "fp", "--params", "p=1", "--delta", "1e-4"],
+    ["build", "--spec", "complex.json", "--delta", "1e-3"],
+])
+def test_built_cloud_loads_bit_for_bit(tmp_path, capsys, argv):
+    (tmp_path / "complex.json").write_text(json.dumps({"kind": "complex_gauss",
+                                                       "digits": [[2, 0], [2, 1], [2, -1], [3, 0]]}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    blob = (tmp_path / "cloud.bin").read_bytes()
+    cloud = PointCloud.load(tmp_path / "cloud.bin")
+    assert len(cloud) > 50
+    assert cloud.to_bytes() == blob
+
+
+@pytest.mark.parametrize("grid", ["-3", "0", "1"])
+def test_spectrum_estimate_grid_is_validated(tmp_path, capsys, grid):
+    # compare refuses a grid below 2 nodes, and so does spectrum-estimate
+    (tmp_path / "cloud.bin").write_bytes(bytes(_valid_blob(1)))
+    assert main(["spectrum-estimate", "--cloud", str(tmp_path / "cloud.bin"), "--grid", grid,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "--grid needs at least 2 nodes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # sha256 of the spectrum CSVs, recorded while both subcommands wrote
 # their `theta,value` lines by hand
 GOLDEN_SPECTRUM_CSVS = {
@@ -433,6 +516,14 @@ def test_report_subcommand(tmp_path, capsys):
     assert rc == 0
     svg = (tmp_path / "report.svg").read_text()
     assert svg.count("<polyline") == 3
+
+
+@pytest.mark.parametrize("params", ["p=abc", "h=abc", "p=1,2"])
+def test_report_bad_params_exit_2(tmp_path, capsys, params):
+    assert main(["report", "--params", params, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "must be a number" in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestSvg:

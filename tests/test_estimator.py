@@ -80,6 +80,11 @@ def _batched(pts, jobs):
     return [got[i].tolist() for i in range(len(jobs))]
 
 
+#: lockstep budgets the kernel is checked at: 1 and 3 rounds push the walks
+#: through the breaks and the jump phase, the default is what ships
+_BUDGETS = (1, 3, estimator._LOCKSTEP_ROUNDS)
+
+
 def _windows(pts, centers, R):
     return np.searchsorted(pts, centers - R, side="left"), np.searchsorted(pts, centers + R, side="right")
 
@@ -88,11 +93,12 @@ class TestBatchedCounts1D:
     """The estimator's batched kernel against the scalar greedy sweep."""
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_kernel_equals_scalar_sweep(self, seed):
+    def test_kernel_equals_scalar_sweep(self, seed, monkeypatch):
         # R from a few points to the whole cloud and r from one grid step
         # to a sixteenth of the cloud, all pairs in one batch: windows that
-        # merge at once, chains far past the lockstep budget, and chains of
-        # many points per step
+        # merge at once, chains of many blocks, and chains of many points
+        # per step.  Budgets of 1 and 3 rounds send most blocks to breaks
+        # and most windows through the jump phase
         rng = np.random.default_rng(seed)
         cloud = _dyadic_cloud(rng, int(rng.integers(200, 4000)))
         pts = cloud.points
@@ -103,7 +109,9 @@ class TestBatchedCounts1D:
             centers = rng.choice(pts, size=int(rng.integers(1, 12)))
             jobs.append((2.0 * r, *_windows(pts, centers, R)))
             expected.append([cover_count_1d(cloud, c, R, r) for c in centers])
-        assert _batched(pts, jobs) == expected
+        for rounds in _BUDGETS:
+            monkeypatch.setattr(estimator, "_LOCKSTEP_ROUNDS", rounds)
+            assert _batched(pts, jobs) == expected, rounds
 
     def test_widths_one_ulp_apart(self):
         # the deepest rungs of a spectrum ladder share r up to the last bit.
@@ -134,7 +142,7 @@ class TestBatchedCounts1D:
             jobs = [(2.0 * r, *_windows(pts, centers, R))]
             assert _batched(pts, jobs) == [[cover_count_1d(cloud, c, R, r) for c in centers]]
 
-    def test_barrier_free_grid_closed_form(self):
+    def test_barrier_free_grid_closed_form(self, monkeypatch):
         # a uniform grid has no gap wider than 2r, so no chain meets the
         # canonical one by a barrier: with 2r = m steps the greedy step is
         # m + 1 points, the long chains jump, and windows off the canonical
@@ -146,8 +154,46 @@ class TestBatchedCounts1D:
         hi = np.array([n, n, n - 3, 9000, 8, 1])
         jobs = [(m / 1024.0, lo, hi) for m in ms]
         expected = [[-(-(b - a) // (m + 1)) for a, b in zip(lo, hi)] for m in ms]
-        assert _batched(pts, jobs) == expected
-        assert _global_counts(cloud_of(pts), [m / 2048.0 for m in ms]) == [-(-n // (m + 1)) for m in ms]
+        for rounds in _BUDGETS:
+            monkeypatch.setattr(estimator, "_LOCKSTEP_ROUNDS", rounds)
+            assert _batched(pts, jobs) == expected, rounds
+            assert _global_counts(cloud_of(pts), [m / 2048.0 for m in ms]) == [-(-n // (m + 1)) for m in ms]
+
+    def test_only_barrier_free_walks_reach_the_jump_phase(self, monkeypatch):
+        # on a grid the chains of 2r = one step are 10 000 positions long,
+        # past the budget, so the canonical listing breaks off and the
+        # windows jump; on a dyadic Cantor dust every width has barriers
+        # a few positions apart, and every walk ends within the budget
+        breaks, jumped = [], []
+        canonical_keys, jump_windows = estimator._canonical_keys, estimator._jump_windows
+
+        def listed(gaps, widths):
+            keys, stops = canonical_keys(gaps, widths)
+            breaks.append(len(stops) - 1)
+            return keys, stops
+
+        def jump(pts, counts, live, *windows):
+            jumped.append(len(live))
+            jump_windows(pts, counts, live, *windows)
+
+        monkeypatch.setattr(estimator, "_canonical_keys", listed)
+        monkeypatch.setattr(estimator, "_jump_windows", jump)
+        n = 20000
+        grid = np.arange(n) / 1024.0
+        assert _batched(grid, [(1 / 1024.0, np.array([0, 1]), np.array([n, n]))]) == [[n // 2, n // 2]]
+        assert breaks == [1] and jumped == [2]
+        # base-4 digits 0 and 3 to eight places: 256 points, multiples of 4^-8
+        dust = np.sort([sum(3 * (k >> i & 1) * 4.0 ** -(8 - i) for i in range(8)) for k in range(256)])
+        cloud = cloud_of(dust)
+        breaks.clear()
+        jumped.clear()
+        rng = np.random.default_rng(2)
+        for R in (2.0**-3, 0.5, 2.0):
+            for r in (4.0**-7, 4.0**-5, 0.01, 0.1):
+                centers = rng.choice(dust, 20)
+                got = _batched(dust, [(2.0 * r, *_windows(dust, centers, R))])
+                assert got == [[cover_count_1d(cloud, c, R, r) for c in centers]]
+        assert breaks == [0] * 12 and jumped == []
 
     def test_empty_and_whole_windows(self):
         cloud = _dyadic_cloud(np.random.default_rng(7), 3000)
