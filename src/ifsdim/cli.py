@@ -384,9 +384,11 @@ def _cmd_report(args) -> int:
     p = _get(config.params, "p", 1.8)
     h = _get(config.params, "h", 0.5)
     thetas = default_theta_grid(_REPORT_GRID)
+    # the t = p + 1 family rejects h outside (1/t, 1) before 1/h is taken
+    families = [(p + 1.0, make_family("sharp", {"p": p, "t": p + 1.0, "h": h}))]
+    families += [(t, make_family("sharp", {"p": p, "t": t, "h": h})) for t in (2.0 * p, p + 1.0 / h)]
     curves = []
-    for t in (p + 1.0, 2.0 * p, p + 1.0 / h):
-        fam = make_family("sharp", {"p": p, "t": t, "h": h})
+    for t, fam in families:
         curve = curve_from_formula(lambda th: fam.formula(h, th), thetas)
         curve.metadata["label"] = f"t={t:g}"
         curves.append(curve)

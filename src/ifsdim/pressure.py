@@ -1,5 +1,14 @@
 """Topological pressure with certified brackets and the dimensions it yields.
 
+Two engines serve ``hausdorff_dimension``.  A finite alphabet of real
+maps that are not all similarities goes to the transfer operator
+(``transfer.certified_root``): a collocated eigenvector certified by
+the min-max criterion at t* -/+ 4e-9, reported as method
+``transfer_operator``.  Every other system, and a finite real alphabet
+the transfer operator cannot certify, gets the word-sum brackets below
+(``bracketed_conformal``), or the root of its ratio sum for a finite
+similarity family (``exact_similarity``).
+
 For a word w let ``sup_w`` and ``inf_w`` be the extremes of |S_w'| over
 the seed domain.  The sums of ``sup_w^t`` over words of length n are
 submultiplicative and the sums of ``inf_w^t`` supermultiplicative, so
@@ -43,6 +52,7 @@ from .maps import Similarity
 from .mobius import CArray, Disc, Mobius, line_denominators, take_mobius
 from .series import power_sum_bounds
 from .tails import PowerRule, SimilarityTail
+from .transfer import certified_root
 
 MAX_DEPTH_FINITE = 12
 WORD_BUDGET = 300_000
@@ -246,7 +256,9 @@ def _crossing(pred, lo: float, hi: float) -> tuple[float, float]:
 
 
 def hausdorff_dimension(spec: CifsSpec, tol: float | None = None) -> DimensionResult:
-    """Root of the pressure equation via bisection on certified signs at depth D."""
+    """Root of the pressure equation: the transfer operator's certified
+    enclosure for a finite real alphabet that is not a similarity family,
+    else bisection on certified signs at depth D."""
     similarity = spec.is_similarity()
     if tol is None:
         tol = SIMILARITY_TOL if similarity else CONFORMAL_TOL
@@ -254,6 +266,11 @@ def hausdorff_dimension(spec: CifsSpec, tol: float | None = None) -> DimensionRe
         raise DomainError("tolerance must be positive")
     if not spec.explicit and spec.tail is None:
         raise ConfigurationError("the family has no branches")
+    if spec.ambient_dim == 1 and spec.tail is None and not similarity:
+        found = certified_root(spec.first_maps(0), *spec.domain)
+        if found is not None:
+            h_lo, h_hi = found
+            return DimensionResult(0.5 * (h_lo + h_hi), found, "transfer_operator", (h_hi - h_lo) <= tol)
     d = float(spec.ambient_dim)
     t_min = 1e-12
     depth = _tables(spec).depth

@@ -190,12 +190,12 @@ def test_compare_golden_digests_ctd_spaced(tmp_path, capsys):
 
 
 # sha256 of the artifacts of `compare --spec` on the gauss_digits document
-# {"digits": [1, 2]} with `--grid 8`; it exits 1. summary.json was recorded
-# while the spec path built its bounds from the estimate, curves.csv once the
-# bounds came from the spec's fixed points: [h_lo, h_hi] at every node
+# {"digits": [1, 2]} with `--grid 8`; it exits 1. The bounds are [h_lo, h_hi]
+# at every node, from the spec's fixed points; both files were re-recorded
+# when the transfer operator's enclosure, 8e-9 wide, replaced the word-sum one
 GOLDEN_E12_SPEC = {
-    "curves.csv": "50f63a342872fc7fd8806094e442f6748a7f930dca2373b29c6b07a2df06ed82",
-    "summary.json": "2f812a9daabfc2a51892dd484762de138413e48694a373f440c3cba4c99b584d",
+    "curves.csv": "5ea0d8bd4ecc29e1c8c37a6d069cdce14029f162df779470ea085b02175014c1",
+    "summary.json": "866c28c1cd699a88266ce21be819507a1108979078f1919410d1d36326c74253",
 }
 
 
@@ -523,6 +523,14 @@ def test_report_bad_params_exit_2(tmp_path, capsys, params):
     assert main(["report", "--params", params, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "must be a number" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("params", ["h=0", "h=0.0,p=2"])
+def test_report_h_zero_exits_2(tmp_path, capsys, params):
+    # the third curve has t = p + 1/h; h is checked before the division
+    assert main(["report", "--params", params, "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ifsdim import pressure
+from ifsdim import pressure, transfer
 from ifsdim import (
     CifsSpec,
     ConfigurationError,
@@ -146,7 +146,7 @@ class TestHausdorffDimension:
         spec = spec_from_dict({"kind": "gauss_digits", "digits": [1, 2]})
         result = hausdorff_dimension(spec)
         assert result.enclosure[0] <= 0.5312805063 <= result.enclosure[1]
-        assert result.method == "bracketed_conformal"
+        assert result.method == "transfer_operator"
 
     def test_enclosure_contains_value_and_theta_lower_bound(self):
         for spec in (
@@ -161,11 +161,12 @@ class TestHausdorffDimension:
 
 
 # repr of (enclosure, method, converged), recorded before the word-sum
-# brackets were merged into one engine
+# brackets were merged into one engine; the finite real alphabets e12, e23
+# and e2345 were re-recorded when the transfer operator took them over
 GOLDEN_ENCLOSURES = {
-    "e12": ("(0.5241153654598955, 0.5423510403540267)", "bracketed_conformal", False),
-    "e23": ("(0.33240242707871864, 0.3409504656305189)", "bracketed_conformal", False),
-    "e2345": ("(0.5505920880755405, 0.5647332813773556)", "bracketed_conformal", False),
+    "e12": ("(0.5312805022772059, 0.5312805102772059)", "transfer_operator", True),
+    "e23": ("(0.3374367768060639, 0.33743678480606387)", "transfer_operator", True),
+    "e2345": ("(0.5596364461647768, 0.5596364541647768)", "transfer_operator", True),
     "renyi23": ("(0.7131587415678787, 0.8323387297969398)", "bracketed_conformal", False),
     "ctd-spaced": ("(0.4729186634750078, 0.48699581179689744)", "bracketed_conformal", False),
     "ctd-clustered": ("(0.706752728934734, 0.7522087056686129)", "bracketed_conformal", False),
@@ -174,6 +175,15 @@ GOLDEN_ENCLOSURES = {
     "similarity": ("(0.7128683768732704, 0.7128683768732775)", "exact_similarity", True),
     # recorded before the complex tail's bracket table moved onto the batch engine
     "complex-full": ("(1.6820488827573086, 2.0)", "bracketed_conformal", False),
+}
+
+# repr of the word-sum enclosure of the finite real alphabets, bisected on
+# psi's certified signs at depth D: what hausdorff_dimension returned for
+# them before the transfer operator, and returns when it falls back
+GOLDEN_WORD_SUM = {
+    "e12": "(0.5241153654598955, 0.5423510403540267)",
+    "e23": "(0.33240242707871864, 0.3409504656305189)",
+    "e2345": "(0.5505920880755405, 0.5647332813773556)",
 }
 
 
@@ -207,11 +217,249 @@ def test_golden_enclosures(name):
     assert (repr(enclosure), result.method, result.converged) == GOLDEN_ENCLOSURES[name]
 
 
+# ---------------------------------------------------------------------------
+# the transfer operator on finite real alphabets
+
+#: dim E{1,2}, Jenkinson and Pollicott
+E12_DIMENSION = 0.5312805062772051
+
+
+def word_sum_enclosure(spec):
+    """The word-sum enclosure, bisected on psi's certified signs at depth D."""
+    depth = pressure._tables(spec).depth
+    _, hi = pressure._crossing(lambda t: psi(spec, t, depth).upper <= 0.0, 1e-12, 1.0)
+    lo, _ = pressure._crossing(lambda t: psi(spec, t, depth).lower <= 0.0, 1e-12, 1.0)
+    return min(lo, hi), hi
+
+
+def finite_alphabet(name):
+    from ifsdim.jsonio import spec_from_dict
+
+    if name == "renyi35":
+        # an explicit list of Moebius branches x -> (x + b - 2) / (x + b - 1)
+        return renyi_parabolic_spec([3, 5])
+    if name == "mixed":
+        # an affine branch beside a Gauss branch, on a wider seed interval
+        return CifsSpec(1, (-0.25, 1.0), ((1, Similarity(0.3, 0.0)), (2, GaussBranch(2))))
+    digits = {"e12": [1, 2], "e23": [2, 3], "e2345": [2, 3, 4, 5], "e13": [1, 3], "e123": [1, 2, 3]}[name]
+    return spec_from_dict({"kind": "gauss_digits", "digits": digits})
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORD_SUM))
+def test_word_sum_enclosures_are_pinned(name):
+    assert repr(word_sum_enclosure(finite_alphabet(name))) == GOLDEN_WORD_SUM[name]
+
+
+@pytest.mark.parametrize("name", ["e12", "e23", "e2345", "e13", "e123", "renyi35", "mixed"])
+def test_transfer_enclosure_is_tight_and_inside_the_word_sum(name):
+    spec = finite_alphabet(name)
+    result = hausdorff_dimension(spec)
+    lo, hi = result.enclosure
+    w_lo, w_hi = word_sum_enclosure(spec)
+    assert result.method == "transfer_operator" and result.converged
+    assert 0.0 < hi - lo <= 1e-8
+    assert w_lo <= lo <= result.value <= hi <= w_hi
+
+
+def test_e12_enclosure_contains_the_published_constant():
+    lo, hi = hausdorff_dimension(finite_alphabet("e12")).enclosure
+    assert lo <= E12_DIMENSION <= hi
+
+
+def test_tolerance_below_the_width_clears_converged():
+    result = hausdorff_dimension(finite_alphabet("e23"), tol=1e-9)
+    assert result.method == "transfer_operator" and not result.converged
+
+
+def test_failed_certificate_falls_back_on_the_word_sum(monkeypatch):
+    # the coarse cells show p > 0, but no sign of L_t p - p fits in 100 cells
+    monkeypatch.setattr(transfer, "CELL_CAP", 100)
+    result = hausdorff_dimension(finite_alphabet("e12"))
+    assert result.method == "bracketed_conformal" and not result.converged
+    assert repr(tuple(float(x) for x in result.enclosure)) == GOLDEN_WORD_SUM["e12"]
+
+
+def test_smaller_cell_budget_widens_the_enclosure(monkeypatch):
+    monkeypatch.setattr(transfer, "CELL_CAP", 3000)
+    result = hausdorff_dimension(finite_alphabet("e12"))
+    lo, hi = result.enclosure
+    assert result.method == "transfer_operator"
+    assert 1e-8 < hi - lo <= 8 * 8e-9
+    assert lo <= E12_DIMENSION <= hi
+
+
+def test_branch_leaving_the_seed_interval_falls_back():
+    # x -> 1 / (2 + x) maps [0, 0.4] onto [0.417, 0.5], outside it
+    spec = CifsSpec(1, (0.0, 0.4), ((2, GaussBranch(2)), (3, GaussBranch(3))))
+    assert hausdorff_dimension(spec).method == "bracketed_conformal"
+
+
+@pytest.mark.parametrize("t", [0.3, 0.9])
+def test_curvature_bounds_the_second_derivative(t):
+    # a p that is no eigenvector, so that L_t p - p has no cancellation;
+    # the second derivative by mpmath's numerical differentiation at 40 digits
+    from mpmath import mp
+
+    spec = finite_alphabet("mixed")
+    lo, hi = spec.domain
+    maps = spec.first_maps()
+    coef = np.random.default_rng(3).normal(size=12) * 0.6 ** np.arange(12)
+    coef[0] = 4.0
+    cert = transfer._Certifier(maps, lo, hi, coef)
+    edges = np.linspace(lo, hi, 9)
+    bound = cert.curvature(edges[:-1], edges[1:], t)
+    rows = list(zip(*(np.asarray(v, dtype=float) for v in (maps.a, maps.b, maps.c, maps.d))))
+
+    def p(x):
+        u = (2 * x - lo - hi) / (mp.mpf(hi) - lo)
+        return sum(c * mp.chebyt(k, u) for k, c in enumerate(coef))
+
+    def lp(x):
+        total = mp.mpf(0)
+        for a, b, c, d in rows:
+            den = c * x + d
+            total += (abs(a * d - b * c) / den**2) ** t * p((a * x + b) / den)
+        return total
+
+    own = cert.p_curvature(edges[:-1], edges[1:])
+    with mp.workdps(40):
+        for i, (left, right) in enumerate(zip(edges[:-1], edges[1:])):
+            for x in map(mp.mpf, np.linspace(left, right, 4)):
+                # the bound of the branch terms alone holds as well
+                assert abs(mp.diff(p, x, 2)) <= own[i]
+                assert abs(mp.diff(lp, x, 2)) <= bound[i] - own[i]
+                assert abs(mp.diff(lambda y: lp(y) - p(y), x, 2)) <= bound[i]
+
+
+class TestCertificateAgainstIntervalArithmetic:
+    """The certified cells, sampled and checked again in mpmath.iv at 113 bits.
+
+    On each sampled cell X of centre c, q = sign (L_t p - p) is enclosed by
+    the mean-value form q(c) + q'(X) (X - c) on eight equal sub-cells, with
+    p and p' on an interval from the Taylor expansion of p at its
+    midpoint."""
+
+    SAMPLES = 4
+    PIECES = 8
+
+    @pytest.fixture(autouse=True)
+    def precision(self):
+        from mpmath import iv
+
+        old = iv.prec
+        iv.prec = 113
+        yield
+        iv.prec = old
+
+    @staticmethod
+    def taylor_series(coef):
+        """Derivative series d_j of sum_k coef_k T_k, j = 0..n-1, in iv."""
+        from mpmath import iv
+
+        series = [[iv.mpf(float(c)) for c in coef]]
+        while len(series[-1]) > 1:
+            a = series[-1]
+            n = len(a) - 1
+            out = [iv.mpf(0)] * (n + 2)
+            for k in range(n, 0, -1):
+                out[k - 1] = out[k + 1] + 2 * k * a[k]
+            out[0] = out[0] / 2
+            series.append(out[:n])
+        return series
+
+    @staticmethod
+    def clenshaw(a, u):
+        from mpmath import iv
+
+        b1 = b2 = iv.mpf(0)
+        for coef in a[:0:-1]:
+            b1, b2 = 2 * u * b1 - b2 + coef, b1
+        return u * b1 - b2 + a[0]
+
+    def p_and_slope(self, series, u):
+        """p and dp/du on the interval u, from the Taylor expansion at its midpoint."""
+        from mpmath import iv
+
+        centre = iv.mpf(u.mid)
+        h = u - centre
+        value, slope, factorial = iv.mpf(0), iv.mpf(0), 1
+        for j, d in enumerate(series):
+            tj = self.clenshaw(d, centre) / factorial
+            value += tj * h**j
+            if j:
+                slope += j * tj * h ** (j - 1)
+            factorial *= j + 1
+        return value, slope
+
+    def residual(self, spec, series, t, x):
+        """(L_t p - p) and its derivative on the interval x, in iv."""
+        from mpmath import iv
+
+        lo, hi = spec.domain
+        mid, scale = (iv.mpf(lo) + hi) / 2, 2 / (iv.mpf(hi) - lo)
+        maps = spec.first_maps()
+        value, slope = self.p_and_slope(series, (x - mid) * scale)
+        value, slope = -value, -slope * scale
+        for a, b, c, d in zip(*(np.asarray(v, dtype=float) for v in (maps.a, maps.b, maps.c, maps.d))):
+            den = c * x + d
+            det = iv.mpf(a) * d - iv.mpf(b) * c
+            p0, p1 = self.p_and_slope(series, ((a * x + b) / den - mid) * scale)
+            weight = (abs(det) / den**2) ** iv.mpf(t)
+            value += weight * p0
+            slope += weight * (t * (-2 * c / den) * p0 + det / den**2 * p1 * scale)
+        return value, slope
+
+    @pytest.mark.parametrize("name", ["e12", "e2345"])
+    def test_sampled_cells_hold(self, name):
+        from mpmath import iv
+
+        spec = finite_alphabet(name)
+        lo, hi = spec.domain
+        maps = spec.first_maps()
+        t_star, coef = transfer._collocated_root(maps, lo, hi)
+        cert = transfer._Certifier(maps, lo, hi, coef)
+        series = self.taylor_series(coef)
+        rng = np.random.default_rng(7)
+        for t, sign in ((t_star - transfer.ETA, 1.0), (t_star + transfer.ETA, -1.0)):
+            left, right = transfer._certify(cert, t, sign)
+            order = np.argsort(left)
+            left, right = left[order], right[order]
+            # the cells tile the seed interval
+            assert left[0] == lo and right[-1] == hi
+            assert np.all(right[:-1] == left[1:]) and np.all(left < right)
+            for i in rng.choice(len(left), self.SAMPLES, replace=False):
+                centre = 0.5 * (left[i] + right[i])
+                # the float value and its error bound enclose the exact value
+                q, dq = cert.residual(np.array([centre]), t)
+                exact, exact_slope = self.residual(spec, series, t, iv.mpf(centre))
+                assert q.v[0] - 2 * q.e[0] <= exact.a and exact.b <= q.v[0] + 2 * q.e[0]
+                assert dq.v[0] - 2 * dq.e[0] <= exact_slope.a and exact_slope.b <= dq.v[0] + 2 * dq.e[0]
+                cuts = np.linspace(left[i], right[i], self.PIECES + 1)
+                for a, b in zip(cuts[:-1], cuts[1:]):
+                    mid = iv.mpf(0.5 * (a + b))
+                    cell = iv.mpf([a, b])
+                    value = self.residual(spec, series, t, mid)[0]
+                    slope = self.residual(spec, series, t, cell)[1]
+                    enclosure = sign * (value + slope * (cell - mid))
+                    assert enclosure.a > 0
+
+
 def test_pole_inside_the_seed_interval_is_rejected():
     # 1/(1 + x) has its pole at -1, inside [-2, 1]; both endpoint
     # derivatives are finite, so only the sign change shows it
     spec = CifsSpec(1, (-2.0, 1.0), ((1, GaussBranch(1)), (2, GaussBranch(3))))
     assert not validate_cifs(spec).ok
+    with pytest.raises(ConfigurationError, match="pole"):
+        hausdorff_dimension(spec)
+
+
+def test_pole_is_found_before_the_collocation(monkeypatch):
+    # the collocation would divide by the denominator at its nodes
+    def unreachable(*args):
+        raise AssertionError("collocated a branch with a pole on the seed interval")
+
+    monkeypatch.setattr(transfer, "_Collocation", unreachable)
+    spec = CifsSpec(1, (-2.0, 1.0), ((1, GaussBranch(1)), (2, GaussBranch(3))))
     with pytest.raises(ConfigurationError, match="pole"):
         hausdorff_dimension(spec)
 
