@@ -26,6 +26,20 @@ enters the upper sum as (S + rho)^n - S^n; for a finite alphabet rho
 is zero.  The bracket returned is the intersection of the depth-one
 and depth-n brackets.
 
+Each crossing of ``hausdorff_dimension`` reads one end of the bracket:
+h_hi where the upper end turns non-positive, h_lo where the lower end
+does.  So it asks ``psi`` for that end alone (``end="upper"`` or
+``end="lower"``), and ``psi`` passes the request on to the tail's
+``psi1_bounds``: a bisection step raises one word table to the power t,
+not two, and a continued-fraction tail sums its digit set once, not
+twice.  The end not computed is the trivial bound, -inf or +inf; the
+end computed equals that of the two-sided bracket bit for bit.
+
+The word-sum extremes bound the pressure only when every branch maps
+the seed domain into itself, so a branch of the explicit list or of the
+head whose image leaves the domain (``validate_cifs``'s containment
+test) is a configuration error, as is a pole.
+
 The explicit branches and the head are read from one batch,
 ``CifsSpec.first_maps``, whose tail part comes from the tail's
 ``generation_arrays``.  Word tables hold float64 entries on the line
@@ -33,9 +47,7 @@ and complex128 ones in the plane; numpy's complex kernels round real
 inputs as float64 does, and run faster than ``CArray``.  The derivative
 extremes use numpy's square, not the ``float_power`` of
 ``mobius.deriv_ranges_*``; the two differ in the last bit on a small
-share of inputs, which would move the enclosures.  A branch whose
-denominator vanishes on the seed domain, or changes sign on the seed
-interval, is a configuration error.
+share of inputs, which would move the enclosures.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cifs import CifsSpec
+from .cifs import CifsSpec, geometry
 from .errors import ConfigurationError, DomainError
 from .maps import Similarity
 from .mobius import CArray, Disc, Mobius, line_denominators, take_mobius
@@ -73,6 +85,7 @@ class PressureProfile:
 
     @property
     def divergent(self) -> bool:
+        """Read from the upper end, so true of any lower-end-only profile."""
         return math.isinf(self.upper) and self.upper > 0
 
 
@@ -144,7 +157,8 @@ class _Tables:
     def __init__(self, spec: CifsSpec):
         n = len(spec.explicit)
         sample = max(HEAD_SIZE - n, 8) if spec.tail is not None else 0
-        maps = _numeric(spec.first_maps(sample))
+        first = spec.first_maps(sample)
+        maps = _numeric(first)
         self.explicit = _deriv_bounds_arrays(spec, take_mobius(maps, slice(0, n)))
         self.head = take_mobius(maps, slice(0, HEAD_SIZE)) if spec.tail is not None else maps
         # similarity sums are multiplicative, so depth one is exact
@@ -153,6 +167,13 @@ class _Tables:
                and len(self.head.a) ** (self.depth + 1) <= WORD_BUDGET):
             self.depth += 1
         self.words: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # the extremes of |S_w'| over the seed domain bound the pressure
+        # only if every branch maps the domain into itself
+        geo = geometry(spec.domain)
+        if np.any(geo.poles(first)):
+            raise ConfigurationError("a branch has a pole on the seed domain")
+        if not np.all(geo.inside(geo.regions(first))):
+            raise ConfigurationError("a branch maps the seed domain outside itself; no certified bracket")
 
     def word_bounds(self, spec: CifsSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Derivative extremes over the head words of length n."""
@@ -179,13 +200,11 @@ def _tables(spec: CifsSpec) -> _Tables:
 # pressure
 
 
-def _psi1_bounds(spec: CifsSpec, tab: _Tables, t: float) -> tuple[float, float]:
+def _psi1_bounds(spec: CifsSpec, tab: _Tables, t: float, end: str | None) -> tuple[float, float]:
     dlo, dhi = tab.explicit
-    lo, hi = float(np.sum(dlo**t)), float(np.sum(dhi**t))
-    if spec.tail is not None:
-        tlo, thi = spec.tail.psi1_bounds(t, spec.domain)
-        lo += tlo
-        hi += thi
+    tlo, thi = spec.tail.psi1_bounds(t, spec.domain, end=end) if spec.tail is not None else (0.0, 0.0)
+    lo = float(np.sum(dlo**t)) + tlo if end != "upper" else 0.0
+    hi = float(np.sum(dhi**t)) + thi if end != "lower" else math.inf
     return lo, hi
 
 
@@ -197,27 +216,34 @@ def _cross_terms(s: float, rho: float, n: int) -> float:
     return rho * acc
 
 
-def psi(spec: CifsSpec, t: float, n: int = 1) -> PressureProfile:
+def psi(spec: CifsSpec, t: float, n: int = 1, end: str | None = None) -> PressureProfile:
     """Certified bracket for (1/n) log psi_n(t) at depth min(n, D).
 
-    A divergent sum (infinite tail below its finiteness parameter)
-    yields an infinite upper endpoint rather than an error.
+    ``end="lower"`` or ``end="upper"`` computes that end only and leaves
+    the other at its trivial bound, -inf or +inf, bit for bit the end
+    of the two-sided bracket.  A divergent sum (infinite tail below its
+    finiteness parameter) yields an infinite upper endpoint rather than
+    an error.
     """
     if t <= 0:
         raise DomainError(f"pressure exponent t must be positive, got {t}")
     if n < 1:
         raise DomainError(f"depth must be at least 1, got {n}")
+    if end not in (None, "lower", "upper"):
+        raise DomainError(f"end must be 'lower', 'upper' or None, got {end!r}")
     tab = _tables(spec)
-    lo1, hi1 = _psi1_bounds(spec, tab, t)
+    lo1, hi1 = _psi1_bounds(spec, tab, t, end)
     lower, upper = _safe_log(lo1), _safe_log(hi1)
     depth = min(n, tab.depth)
-    if depth > 1:
+    if depth > 1 and end != "lower":
         head_sup = float(np.sum(tab.word_bounds(spec, 1)[1] ** t))
         rest = max(hi1 - head_sup, 0.0)
-        wlo, whi = tab.word_bounds(spec, depth)
+        whi = tab.word_bounds(spec, depth)[1]
         hi_n = float(np.sum(whi**t)) + _cross_terms(head_sup, rest, depth)
-        lower = max(lower, _safe_log(float(np.sum(wlo**t))) / depth)
         upper = min(upper, _safe_log(hi_n) / depth)
+    if depth > 1 and end != "upper":
+        wlo = tab.word_bounds(spec, depth)[0]
+        lower = max(lower, _safe_log(float(np.sum(wlo**t))) / depth)
     return PressureProfile(t, depth, lower, upper)
 
 
@@ -274,13 +300,13 @@ def hausdorff_dimension(spec: CifsSpec, tol: float | None = None) -> DimensionRe
     d = float(spec.ambient_dim)
     t_min = 1e-12
     depth = _tables(spec).depth
-    _, h_hi = _crossing(lambda t: psi(spec, t, depth).upper <= 0.0, t_min, d)
+    _, h_hi = _crossing(lambda t: psi(spec, t, depth, end="upper").upper <= 0.0, t_min, d)
     if similarity and spec.tail is None:
         # a finite sum of ratio powers errs by rounding only: pad its root
         root = h_hi if h_hi > t_min else 0.0
         eps = 16.0 * np.finfo(float).eps * max(1.0, root) if 0.0 < root < d else 0.0
         return DimensionResult(root, (max(root - eps, 0.0), root + eps), "exact_similarity", True)
-    h_lo, _ = _crossing(lambda t: psi(spec, t, depth).lower <= 0.0, t_min, d)
+    h_lo, _ = _crossing(lambda t: psi(spec, t, depth, end="lower").lower <= 0.0, t_min, d)
     h_lo = min(h_lo, h_hi)
     method = "exact_similarity" if similarity else "bracketed_conformal"
     return DimensionResult(0.5 * (h_lo + h_hi), (h_lo, h_hi), method, (h_hi - h_lo) <= tol)

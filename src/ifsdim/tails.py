@@ -44,6 +44,12 @@ bracket table is built once per seed region from ``generation_arrays``
 ``_shells``) with the array region functions of ``mobius``, never by a
 scalar loop over maps; each call only raises the table to the exponent
 and sums it.
+
+``psi1_bounds(t, domain, end=None)`` brackets the sum of |S_b'|^t over
+the tail's branches.  With ``end="lower"`` or ``end="upper"`` a rule
+computes that end only and returns 0.0 or +inf for the other, so the
+pressure crossings, which each read one end, pay for one.  A similarity
+tail computes both ends for either, since they share one head sum.
 """
 
 from __future__ import annotations
@@ -227,7 +233,8 @@ class SimilarityTail:
     def sup_contraction(self) -> float:
         return self.ratios.value(self.start)
 
-    def psi1_bounds(self, t: float, _domain) -> tuple[float, float]:
+    def psi1_bounds(self, t: float, _domain, end: str | None = None) -> tuple[float, float]:
+        # both ends share one head sum, so both are computed for either end
         return self.ratios.sum_pow_bounds(t, self.start)
 
     def finiteness_parameter(self) -> float:
@@ -420,10 +427,11 @@ class GaussDigitTail:
     def sup_contraction(self) -> float:
         return 1.0 / self.digits.min_digit() ** 2
 
-    def psi1_bounds(self, t: float, _domain) -> tuple[float, float]:
-        # |S_b'| on [0,1] ranges over [(b+1)^-2, b^-2]
-        lo, _ = self.digits.sup_sum_bounds(2.0 * t, 1)
-        _, hi = self.digits.sup_sum_bounds(2.0 * t, 0)
+    def psi1_bounds(self, t: float, _domain, end: str | None = None) -> tuple[float, float]:
+        # |S_b'| on [0,1] ranges over [(b+1)^-2, b^-2]: the lower end sums
+        # over the digits shifted by one, the upper over the digits
+        lo = self.digits.sup_sum_bounds(2.0 * t, 1)[0] if end != "upper" else 0.0
+        hi = self.digits.sup_sum_bounds(2.0 * t, 0)[1] if end != "lower" else math.inf
         return lo, hi
 
     def finiteness_parameter(self) -> float:
@@ -479,27 +487,30 @@ class ComplexGaussTail:
         u = abs(complex(1, 1) + 0.5)
         return 1.0 / (u - 0.5) ** 2
 
-    def psi1_bounds(self, t: float, domain: Disc) -> tuple[float, float]:
+    def psi1_bounds(self, t: float, domain: Disc, end: str | None = None) -> tuple[float, float]:
         if t <= 1.0:
-            return math.inf, math.inf
+            return (math.inf if end != "upper" else 0.0), math.inf
         head_limit = 40
         sup_den, inf_den, outer_lo, outer_hi, plain = _complex_table(domain, head_limit)
         # per digit: the plain term (none for digit 1), then the composite
         # S_1 o S_b, whose outer derivative is taken over the exact image
         # disc of the inner branch; cumsum adds left to right as the
         # per-digit loop did, and adding the 0.0 of digit 1 is exact
-        sup_term = np.float_power(sup_den, -2.0 * t)
-        inf_term = np.float_power(inf_den, -2.0 * t)
-        hi_terms = np.column_stack((np.where(plain, sup_term, 0.0), sup_term * np.float_power(outer_hi, t)))
-        lo_terms = np.column_stack((np.where(plain, inf_term, 0.0), inf_term * np.float_power(outer_lo, t)))
-        lo = float(np.cumsum(lo_terms.ravel())[-1])
-        hi = float(np.cumsum(hi_terms.ravel())[-1])
-        # remainder over |b| > head_limit: at most pi*(6k+3) Gaussian
-        # integers with Re >= 1 in each annulus [k, k+1); each term,
-        # plain or composite, is at most 1.06^t * (k - 1)^(-2t) since the
-        # outer derivative stays below (1 - 1/(head_limit-1))^-2
-        _, thi = power_tail_bounds(2.0 * t - 1.0, head_limit - 1)
-        hi += 2.0 * 1.06 * 18.0 * math.pi * thi
+        lo, hi = 0.0, math.inf
+        if end != "upper":
+            inf_term = np.float_power(inf_den, -2.0 * t)
+            lo_terms = np.column_stack((np.where(plain, inf_term, 0.0), inf_term * np.float_power(outer_lo, t)))
+            lo = float(np.cumsum(lo_terms.ravel())[-1])
+        if end != "lower":
+            sup_term = np.float_power(sup_den, -2.0 * t)
+            hi_terms = np.column_stack((np.where(plain, sup_term, 0.0), sup_term * np.float_power(outer_hi, t)))
+            hi = float(np.cumsum(hi_terms.ravel())[-1])
+            # remainder over |b| > head_limit: at most pi*(6k+3) Gaussian
+            # integers with Re >= 1 in each annulus [k, k+1); each term,
+            # plain or composite, is at most 1.06^t * (k - 1)^(-2t) since the
+            # outer derivative stays below (1 - 1/(head_limit-1))^-2
+            _, thi = power_tail_bounds(2.0 * t - 1.0, head_limit - 1)
+            hi += 2.0 * 1.06 * 18.0 * math.pi * thi
         return lo, hi
 
     def finiteness_parameter(self) -> float:
@@ -572,15 +583,18 @@ class InducedParabolicTail:
     def sup_contraction(self) -> float:
         return float(np.max(deriv_ranges_interval(self._branch_batch, self.domain)[1]))
 
-    def psi1_bounds(self, t: float, domain: Interval) -> tuple[float, float]:
+    def psi1_bounds(self, t: float, domain: Interval, end: str | None = None) -> tuple[float, float]:
         q = self.exponent
         if t * (1.0 + q) / q <= 1.0:
-            return math.inf, math.inf
+            return (math.inf if end != "upper" else 0.0), math.inf
         dlo, dhi, rem_coefs, n_explicit = _induced_deriv_table(self, domain)
-        lo = float(np.sum(dlo**t))
-        hi = float(np.sum(dhi**t))
-        _, tail_hi = power_tail_bounds(2.0 * t, n_explicit)
-        hi += float(np.sum(rem_coefs**t)) * tail_hi
+        lo, hi = 0.0, math.inf
+        if end != "upper":
+            lo = float(np.sum(dlo**t))
+        if end != "lower":
+            hi = float(np.sum(dhi**t))
+            _, tail_hi = power_tail_bounds(2.0 * t, n_explicit)
+            hi += float(np.sum(rem_coefs**t)) * tail_hi
         return lo, hi
 
     def finiteness_parameter(self) -> float:

@@ -99,6 +99,15 @@ def test_malformed_spec_document_exits_2(tmp_path, capsys, doc):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_dimension_of_a_branch_leaving_the_seed_interval_exits_2(tmp_path, capsys):
+    # x -> x / 2 + 0.7 maps [0, 1] onto [0.7, 1.2]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "similarity_list", "maps": [
+        {"ratio": 0.3, "offset": 0.0}, {"ratio": 0.5, "offset": 0.7}]}))
+    assert main(["dimension", "--spec", str(path)]) == 2
+    assert "outside itself" in capsys.readouterr().err
+
+
 def test_missing_system_exits_2(capsys):
     assert main(["compare", "--out", "/tmp/x-ifs"]) == 2
     assert main(["build", "--family", "definitely-not-a-family"]) == 2

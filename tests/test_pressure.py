@@ -90,9 +90,9 @@ class TestPsi:
         calls = []
         psi1_bounds = GaussDigitTail.psi1_bounds
 
-        def counted(self, t, domain):
+        def counted(self, t, domain, end=None):
             calls.append(t)
-            return psi1_bounds(self, t, domain)
+            return psi1_bounds(self, t, domain, end=end)
 
         monkeypatch.setattr(GaussDigitTail, "psi1_bounds", counted)
         prof = psi(spec, 0.8, 2)
@@ -162,7 +162,9 @@ class TestHausdorffDimension:
 
 # repr of (enclosure, method, converged), recorded before the word-sum
 # brackets were merged into one engine; the finite real alphabets e12, e23
-# and e2345 were re-recorded when the transfer operator took them over
+# and e2345 were re-recorded when the transfer operator took them over,
+# and the sharp families, the only similarity tails, were recorded before
+# the crossings became one-sided
 GOLDEN_ENCLOSURES = {
     "e12": ("(0.5312805022772059, 0.5312805102772059)", "transfer_operator", True),
     "e23": ("(0.3374367768060639, 0.33743678480606387)", "transfer_operator", True),
@@ -175,6 +177,8 @@ GOLDEN_ENCLOSURES = {
     "similarity": ("(0.7128683768732704, 0.7128683768732775)", "exact_similarity", True),
     # recorded before the complex tail's bracket table moved onto the batch engine
     "complex-full": ("(1.6820488827573086, 2.0)", "bracketed_conformal", False),
+    "sharp-t3.6": ("(0.49999999999999034, 0.5000000000000097)", "exact_similarity", True),
+    "sharp-t2.8": ("(0.49999999999999256, 0.5000000000000074)", "exact_similarity", True),
 }
 
 # repr of the word-sum enclosure of the finite real alphabets, bisected on
@@ -207,6 +211,8 @@ def golden_system(name):
         return spec_from_dict(docs[name])
     if name in tails:
         return CifsSpec(1, (0.0, 1.0), (), tails[name])
+    if name.startswith("sharp-t"):
+        return build_sharp_family(1.8, float(name[len("sharp-t"):]), 0.5)
     return similarity_spec([0.3, 0.2, 0.15], [0.0, 0.4, 0.7])
 
 
@@ -215,6 +221,68 @@ def test_golden_enclosures(name):
     result = hausdorff_dimension(golden_system(name))
     enclosure = tuple(float(x) for x in result.enclosure)
     assert (repr(enclosure), result.method, result.converged) == GOLDEN_ENCLOSURES[name]
+
+
+def exponent_grid(spec):
+    """Pressure exponents across (0, ambient dimension], one of them below
+    the finiteness parameter of an infinite tail, where the sum diverges."""
+    ts = list(np.linspace(0.05, spec.ambient_dim, 8))
+    if spec.tail is not None:
+        ts.append(0.5 * finiteness_parameter(spec))
+    return ts
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ENCLOSURES))
+def test_one_sided_psi_matches_the_two_sided_ends(name):
+    spec = golden_system(name)
+    for n in sorted({1, pressure._tables(spec).depth}):
+        for t in exponent_grid(spec):
+            both = psi(spec, t, n)
+            lower = psi(spec, t, n, end="lower")
+            upper = psi(spec, t, n, end="upper")
+            assert lower.depth == upper.depth == both.depth
+            assert (lower.lower.hex(), lower.upper) == (both.lower.hex(), math.inf)
+            assert (upper.lower, upper.upper.hex()) == (-math.inf, both.upper.hex())
+
+
+@pytest.mark.parametrize("name", ["sharp-t3.6", "complex-full", "ctd-spaced", "ctd-clustered", "dense-cf", "renyi23"])
+def test_one_sided_psi1_bounds_match_the_two_sided_ends(name):
+    spec = golden_system(name)
+    tail = spec.tail
+    for t in exponent_grid(spec):
+        lo, hi = tail.psi1_bounds(t, spec.domain)
+        one_lo = tail.psi1_bounds(t, spec.domain, end="lower")
+        one_hi = tail.psi1_bounds(t, spec.domain, end="upper")
+        assert one_lo[0].hex() == lo.hex() and one_hi[1].hex() == hi.hex()
+        if isinstance(tail, SimilarityTail):
+            # both ends share one head sum, so the tail computes both
+            assert (one_lo, one_hi) == ((lo, hi), (lo, hi))
+        else:
+            assert (one_lo[1], one_hi[0]) == (math.inf, 0.0)
+
+
+def test_psi_rejects_an_unknown_end():
+    with pytest.raises(DomainError, match="end"):
+        psi(gauss_spec([2, 3]), 0.5, 1, end="both")
+
+
+def test_clustered_crossings_sum_the_digits_once_per_psi_call(monkeypatch):
+    spec = golden_system("ctd-clustered")
+    calls = {"psi": 0, "sup_sum_bounds": 0}
+    real_psi, real_sums = pressure.psi, ClusteredDigits.sup_sum_bounds
+
+    def counted_psi(*args, **kwargs):
+        calls["psi"] += 1
+        return real_psi(*args, **kwargs)
+
+    def counted_sums(self, s, shift):
+        calls["sup_sum_bounds"] += 1
+        return real_sums(self, s, shift)
+
+    monkeypatch.setattr(pressure, "psi", counted_psi)
+    monkeypatch.setattr(ClusteredDigits, "sup_sum_bounds", counted_sums)
+    hausdorff_dimension(spec)
+    assert calls["psi"] > 0 and calls["sup_sum_bounds"] == calls["psi"]
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +356,14 @@ def test_smaller_cell_budget_widens_the_enclosure(monkeypatch):
     assert lo <= E12_DIMENSION <= hi
 
 
-def test_branch_leaving_the_seed_interval_falls_back():
-    # x -> 1 / (2 + x) maps [0, 0.4] onto [0.417, 0.5], outside it
+def test_branch_leaving_the_seed_interval_is_rejected():
+    # x -> 1 / (2 + x) maps [0, 0.4] onto [0.417, 0.5], outside it: the
+    # transfer operator declines the system, and the word-sum extremes of
+    # |S_w'| over the seed interval would not bound the pressure
     spec = CifsSpec(1, (0.0, 0.4), ((2, GaussBranch(2)), (3, GaussBranch(3))))
-    assert hausdorff_dimension(spec).method == "bracketed_conformal"
+    assert not validate_cifs(spec).ok
+    with pytest.raises(ConfigurationError, match="outside"):
+        hausdorff_dimension(spec)
 
 
 @pytest.mark.parametrize("t", [0.3, 0.9])
