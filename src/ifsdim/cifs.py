@@ -341,6 +341,16 @@ def geometry(domain: Region, window: Region | None = None) -> _Line:
     return (_Plane if isinstance(domain, Disc) else _Line)(domain, window)
 
 
+def require_inside(spec: CifsSpec, maps: Mobius) -> None:
+    """Raise ConfigurationError if a map has a pole on the seed domain or
+    sends it outside itself."""
+    geo = geometry(spec.domain)
+    if np.any(geo.poles(maps)):
+        raise ConfigurationError("a branch has a pole on the seed domain")
+    if not np.all(geo.inside(geo.regions(maps))):
+        raise ConfigurationError("a branch maps the seed domain outside itself")
+
+
 def validate_cifs(spec: CifsSpec) -> ValidationReport:
     """Check the family's axioms on its first level, as one batch of maps.
 

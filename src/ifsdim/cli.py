@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cifs import validate_cifs
+from .cifs import require_inside, validate_cifs
 from .cloud import PointCloud, build_fixed_point_cloud, build_limit_cloud
 from .errors import ConfigurationError, DomainError
 from .estimator import (
@@ -200,7 +200,9 @@ class _Stage:
 
     def __exit__(self, exc_type, exc, tb):
         if exc is not None and isinstance(exc, (ConfigurationError, DomainError)):
-            raise type(exc)(f"[stage {self.name}] {exc}") from exc
+            # the base class: a subclass such as CloudSizeError takes other arguments
+            kind = DomainError if isinstance(exc, DomainError) else ConfigurationError
+            raise kind(f"[stage {self.name}] {exc}") from exc
         return False
 
 
@@ -306,6 +308,9 @@ def _cmd_build(args) -> int:
         raise ConfigurationError("this family has no buildable system")
     report = validate_cifs(family.spec)
     print(report)
+    # a pole or an image outside the seed domain is a configuration error,
+    # as in dimension and compare; the other axiom failures exit 1
+    require_inside(family.spec, family.spec.first_maps())
     if not report.ok:
         return 1
     cloud = _build_cloud(family, config.delta)

@@ -12,7 +12,14 @@ the seed domain, laid in tail space (before S is applied).  Each node
 keeps the first tail child it reaches in each cell, whose image lies
 within delta/2 of the images of the dropped ones, and the rest of the
 tail, inside an envelope within one cell of the accumulation point, is
-replaced by the image of that point.
+replaced by the image of that point.  Every tail accumulates at the
+origin, so that point is 0, and the netting walk finds the first
+generation within a distance of it with ``tails.generation_reaching``.
+
+The cap bounds the points a build keeps and also the children of each
+level: before a level is composed, its explicit and tail children are
+counted, and a level with more children than the cap raises
+CloudSizeError instead of allocating them.
 
 The builder asks ``cifs.geometry`` how maps move intervals or discs,
 the same array geometry the axiom checks use.
@@ -29,7 +36,7 @@ import numpy as np
 from .cifs import CifsSpec, Region, geometry
 from .errors import CloudSizeError, ConfigurationError
 from .mobius import IDENTITY, Mobius, concat_arrays, concat_mobius, stack_mobius, take_mobius
-from .tails import ragged_arange
+from .tails import generation_reaching, ragged_arange
 
 DEFAULT_CAP = 5_000_000
 
@@ -39,8 +46,11 @@ _VERSION = 1
 _HEAD = struct.Struct("<IId Q")
 _HEADER = len(_MAGIC) + _HEAD.size
 
-#: points formatted per block in PointCloud.csv_blocks
-_CSV_BLOCK = 16384
+#: points formatted per block in PointCloud.csv_blocks; a block's floats
+#: and strings are small objects, and written right after a build, whose
+#: freed heap they may not fit, 16384 of them raised the peak RSS of a
+#: 254k-point compare by up to 1.9 MB, 4096 by 0.3 MB
+_CSV_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -189,14 +199,14 @@ class _ExpansionTable:
 _MAX_PROPOSALS = 1024
 
 
-def _netting_walk(tail, anchor, accum, base_step: np.ndarray, g: np.ndarray):
+def _netting_walk(tail, anchor, base_step: np.ndarray, g: np.ndarray):
     """Netting sweep of every node of a level, in lockstep.
 
     The walk of one node visits generation g, then moves on to the
     generation that reaches below the base-step cell holding the closest
     map of g, or to g + 1 when that is later (always for an empty
     generation).  It stops at the first generation whose envelope lies
-    within base_step of the accumulation point.
+    within base_step of the origin, the tail's accumulation point.
 
     Each round, every active node proposes a block of generations: its
     current one g, then as the j-th after it the later of g + j and the
@@ -224,18 +234,18 @@ def _netting_walk(tail, anchor, accum, base_step: np.ndarray, g: np.ndarray):
         h = g[row] + slot
         below = (np.floor(env / base_step[active]) * base_step[active])[row] - (slot - 1) * step
         guess = (slot > 0) & (below > 0.0)
-        h[guess] = np.maximum(h[guess], tail.generation_reaching(below[guess]))
+        h[guess] = np.maximum(h[guess], generation_reaching(tail, below[guess]))
 
         own, maps = tail.generation_arrays(h)
         pos = maps(anchor)
         min_reach = np.full(len(h), np.inf)
-        np.minimum.at(min_reach, own, abs(pos - accum))
+        np.minimum.at(min_reach, own, abs(pos))
         with np.errstate(invalid="ignore"):
             target = np.floor(min_reach / step) * step
         jump = (target > 0.0) & np.isfinite(target)
         nxt = h + 1
         if jump.any():
-            nxt[jump] = np.maximum(nxt[jump], tail.generation_reaching(target[jump]))
+            nxt[jump] = np.maximum(nxt[jump], generation_reaching(tail, target[jump]))
 
         # confirmed prefix: stop before an envelope within base_step, or
         # before a proposal the previous generation does not move on to
@@ -302,12 +312,24 @@ def _build(spec: CifsSpec, delta, window, cap, fixed_points_only):
     explicit = stack_mobius([m.mobius() for _, m in spec.explicit], geo.planar)
     if tail is not None:
         table = _ExpansionTable(tail, geo, spec.domain_diameter(), anchor)
-        accum = tail.accumulation_point()
 
     nodes = stack_mobius([IDENTITY], geo.planar)
     while True:
         k = len(nodes.a)
         grown: list[Mobius] = []
+
+        children = k * len(explicit.a)
+        if tail is not None:
+            node_sup = geo.deriv_sups(nodes)
+            base_step = step / node_sup
+            # expansion sweep: the generations whose largest child under
+            # the node still reaches delta
+            table.cover(float(node_sup.max()), delta)
+            g_exp = table.first_small(node_sup, delta)
+            counts = table.starts[g_exp]
+            children += int(counts.sum())
+        if children > cap:
+            raise CloudSizeError(children, cap, "child count of one level")
 
         if len(explicit.a):
             per = len(explicit.a)
@@ -318,14 +340,6 @@ def _build(spec: CifsSpec, delta, window, cap, fixed_points_only):
             points.push(take_mobius(child, small)(anchor))
 
         if tail is not None:
-            node_sup = geo.deriv_sups(nodes)
-            base_step = step / node_sup
-
-            # expansion sweep: the generations whose largest child under
-            # the node still reaches delta
-            table.cover(float(node_sup.max()), delta)
-            g_exp = table.first_small(node_sup, delta)
-            counts = table.starts[g_exp]
             owner = np.repeat(np.arange(k), counts)
             idx = ragged_arange(counts)
             child = take_mobius(nodes, owner).compose(take_mobius(table.maps, idx))
@@ -337,15 +351,15 @@ def _build(spec: CifsSpec, delta, window, cap, fixed_points_only):
             # netting sweep from the generation where expansion stopped;
             # every node keeps the first map it reaches in each of its
             # base-step cells, small swept children first
-            net_owner, net_pos = _netting_walk(tail, anchor, accum, base_step, g_exp)
+            net_owner, net_pos = _netting_walk(tail, anchor, base_step, g_exp)
             owner = np.concatenate([owner[small]] + net_owner)
             pos = concat_arrays([table.positions[idx[small]]] + net_pos)
             kept = _first_per_cell(owner, geo.cells(pos, base_step[owner]))
             points.push(swept[kept[kept < n_swept]])
             kept = kept[kept >= n_swept]
             points.push(geo.near_window(take_mobius(nodes, owner[kept])(pos[kept]), delta))
-            # the rest of the tail stays near the accumulation point
-            points.push(geo.near_window(nodes(accum), delta))
+            # the rest of the tail stays near the accumulation point, the origin
+            points.push(geo.near_window(nodes(0.0), delta))
 
         nodes = concat_mobius(grown)
         if fixed_points_only or not len(nodes.a):

@@ -6,12 +6,11 @@ class ConfigurationError(Exception):
 
 
 class CloudSizeError(ConfigurationError):
-    """Raised when a point-cloud build would exceed the configured cap."""
+    """Raised when a point-cloud build would exceed the configured cap,
+    in points or in the children of one level."""
 
-    def __init__(self, projected: int, cap: int):
-        super().__init__(
-            f"projected cloud size {projected} exceeds the configured cap of {cap} points"
-        )
+    def __init__(self, projected: int, cap: int, what: str = "projected cloud size"):
+        super().__init__(f"{what} {projected} exceeds the configured cap of {cap} points")
         self.projected = projected
         self.cap = cap
 

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cifs import CifsSpec, geometry
+from .cifs import CifsSpec, require_inside
 from .errors import ConfigurationError, DomainError
 from .maps import Similarity
 from .mobius import CArray, Disc, Mobius, line_denominators, take_mobius
@@ -169,19 +169,28 @@ class _Tables:
         self.words: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # the extremes of |S_w'| over the seed domain bound the pressure
         # only if every branch maps the domain into itself
-        geo = geometry(spec.domain)
-        if np.any(geo.poles(first)):
-            raise ConfigurationError("a branch has a pole on the seed domain")
-        if not np.all(geo.inside(geo.regions(first))):
-            raise ConfigurationError("a branch maps the seed domain outside itself; no certified bracket")
+        require_inside(spec, first)
 
     def word_bounds(self, spec: CifsSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Derivative extremes over the head words of length n."""
+        """Derivative extremes over the head words of length n.
+
+        Words of length n >= 2 are formed and bounded one block of their
+        prefixes at a time, each block of at most a quarter of
+        WORD_BUDGET words, and the blocks are joined in word order.  The
+        whole batch of words and the temporaries of their bounds would
+        take twice the memory of the table, and the peak RSS would move
+        by 4 MB with the heap's layout."""
         if n not in self.words:
-            words = self.head
-            for _ in range(n - 1):
-                words = _extend(words, self.head)
-            self.words[n] = _deriv_bounds_arrays(spec, words)
+            if n == 1:
+                self.words[n] = _deriv_bounds_arrays(spec, self.head)
+            else:
+                prefixes = self.head
+                for _ in range(n - 2):
+                    prefixes = _extend(prefixes, self.head)
+                step = max(1, WORD_BUDGET // (4 * len(self.head.a)))
+                blocks = [_deriv_bounds_arrays(spec, _extend(take_mobius(prefixes, slice(i, i + step)), self.head))
+                          for i in range(0, len(prefixes.a), step)]
+                self.words[n] = tuple(np.concatenate(ends) for ends in zip(*blocks))
         return self.words[n]
 
 

@@ -3,20 +3,26 @@
 A tail rule enumerates countably many branches in a canonical order of
 decreasing size, organised into *generations*: finite batches (possibly
 empty) whose images from any generation onwards are confined to a
-shrinking envelope around a single accumulation point.  That envelope
-is what lets the cloud builder truncate an infinite alphabet at a
-chosen resolution without losing any cylinder above it.
+shrinking envelope around the origin, the accumulation point of every
+rule.  That envelope is what lets the cloud builder truncate an
+infinite alphabet at a chosen resolution without losing any cylinder
+above it.
 
-Every rule answers three array queries, each in closed form with no
+Every rule answers two array questions, each in closed form with no
 table that grows with the resolution:
 
 * ``generation_arrays(gs)`` -- the Moebius maps of the generations
   ``gs`` as one batch, with the position in ``gs`` that owns each map;
-* ``envelope_reach(gs)`` -- the largest distance from the accumulation
-  point to the envelope of each generation;
-* ``generation_reaching(xs)`` -- per threshold x > 0, the first
-  generation g with ``envelope_reach(g) < x``; envelopes shrink, so
-  every later envelope lies within distance x as well.
+* ``envelope_reach(gs)`` -- the largest distance from the origin to the
+  envelope of each generation, which does not grow with g.
+
+The builder's third question, per threshold x > 0 the first generation
+g with ``envelope_reach(g) < x``, has one answer for every rule:
+``generation_reaching(tail, xs)``.  A rule supplies only
+``reaching_guess(xs)``, a closed-form estimate of that generation, and
+one shared settle walks the guess to the g with
+``envelope_reach(g) < x <= envelope_reach(g - 1)``.  Envelopes shrink,
+so every later envelope lies within distance x as well.
 
 ``generation_arrays`` is the only way a tail branch is enumerated: the
 cloud builder, the first-level batch of ``CifsSpec.first_maps`` and the
@@ -94,24 +100,30 @@ def ragged_arange(counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)
 
 
-# ---------------------------------------------------------------------------
-# scalar rules for similarity tails
+def generation_reaching(tail: TailRule, xs) -> np.ndarray:
+    """Per threshold x > 0, the first generation g with envelope_reach(g) < x.
 
-
-def _settle_first_below(rule, guess: np.ndarray, t: np.ndarray, lowest: int) -> np.ndarray:
-    """Move closed-form guesses to the smallest index >= lowest whose
-    exact value is below t; the guesses are off by rounding only."""
-    i = np.maximum(guess, lowest)
+    The rule's reaching_guess is walked one generation at a time: up
+    while the envelope of g reaches x, then down while the envelope of
+    g - 1 lies within x.  Envelopes do not grow with g, so the g found
+    is the only one with envelope_reach(g) < x <= envelope_reach(g - 1).
+    """
+    xs = _positive(xs)
+    g = np.maximum(tail.reaching_guess(xs), 0).astype(np.int64)
     while True:
-        high = rule.exact_values_at(i) >= t
+        high = tail.envelope_reach(g) >= xs
         if not high.any():
             break
-        i = i + high
+        g = g + high
     while True:
-        low = (i > lowest) & (rule.exact_values_at(np.maximum(i - 1, lowest)) < t)
+        low = (g > 0) & (tail.envelope_reach(np.maximum(g - 1, 0)) < xs)
         if not low.any():
-            return i
-        i = i - low
+            return g
+        g = g - low
+
+
+# ---------------------------------------------------------------------------
+# scalar rules for similarity tails
 
 
 @dataclass(frozen=True)
@@ -132,11 +144,9 @@ class PowerRule:
         """value(i) per index, bit for bit: float_power uses libm pow, as ** in value does."""
         return self.coef * np.float_power(np.asarray(idx, dtype=float), -self.exponent)
 
-    def first_indices_below(self, thresholds: np.ndarray) -> np.ndarray:
-        """Smallest index i >= 1 with value(i) < threshold, per threshold (> 0)."""
-        t = np.asarray(thresholds, dtype=float)
-        guess = np.floor((self.coef / t) ** (1.0 / self.exponent)).astype(np.int64) + 1
-        return _settle_first_below(self, guess, t, 1)
+    def index_guess(self, t: np.ndarray) -> np.ndarray:
+        """The smallest index with value(i) < t, per t, up to rounding."""
+        return np.floor((self.coef / t) ** (1.0 / self.exponent)) + 1
 
     def sum_pow_bounds(self, t: float, start: int) -> tuple[float, float]:
         lo, hi = power_sum_bounds(self.exponent * t, start)
@@ -169,11 +179,9 @@ class GeometricRule:
         """value(i) per index, bit for bit: float_power uses libm pow, as ** in value does."""
         return self.coef * np.float_power(self.base, np.asarray(idx, dtype=float))
 
-    def first_indices_below(self, thresholds: np.ndarray) -> np.ndarray:
-        """Smallest index i >= 0 with value(i) < threshold, per threshold (> 0)."""
-        t = np.asarray(thresholds, dtype=float)
-        guess = np.floor(np.log(t / self.coef) / math.log(self.base)).astype(np.int64) + 1
-        return _settle_first_below(self, guess, t, 0)
+    def index_guess(self, t: np.ndarray) -> np.ndarray:
+        """The smallest index with value(i) < t, per t, up to rounding."""
+        return np.floor(np.log(t / self.coef) / math.log(self.base)) + 1
 
     def sum_pow_bounds(self, t: float, start: int) -> tuple[float, float]:
         return geometric_tail_bounds(self.coef, self.base, t, start)
@@ -216,19 +224,9 @@ class SimilarityTail:
         i = self.start + np.asarray(gs)
         return self.offsets.exact_values_at(i) + self.ratios.exact_values_at(i)
 
-    def generation_reaching(self, xs: np.ndarray) -> np.ndarray:
-        # the first generation whose envelope is within x; an envelope is
-        # never below its offset, so the walk starts at the first offset below x
-        xs = _positive(xs)
-        g = np.maximum(self.offsets.first_indices_below(xs) - self.start, 0)
-        while True:
-            above = self.envelope_reach(g) >= xs
-            if not above.any():
-                return g
-            g = g + above
-
-    def accumulation_point(self) -> float:
-        return 0.0
+    def reaching_guess(self, xs: np.ndarray) -> np.ndarray:
+        # an envelope is never below its offset or its ratio
+        return np.maximum(self.offsets.index_guess(xs), self.ratios.index_guess(xs)) - self.start
 
     def sup_contraction(self) -> float:
         return self.ratios.value(self.start)
@@ -263,15 +261,9 @@ class SpacedDigits:
         # float_power rounds as Python's ** does; numpy's power may not
         return np.floor(np.float_power(2.0 + np.asarray(gs), self.p)).astype(np.int64)
 
-    def indices_above(self, xs: np.ndarray) -> np.ndarray:
-        """Per x, the index of the first digit above x."""
-        xs = np.asarray(xs, dtype=float)
-        n = np.maximum(2, np.ceil(np.float_power(np.maximum(xs, 1.0), 1.0 / self.p)).astype(np.int64) - 1)
-        while True:
-            low = self.digits_at(n - 2) <= xs
-            if not low.any():
-                return n - 2
-            n = n + low
+    def index_guess(self, ys: np.ndarray) -> np.ndarray:
+        """The index of the first digit above y, per y, up to rounding."""
+        return np.ceil(np.float_power(ys, 1.0 / self.p)) - 3
 
     def sup_sum_bounds(self, s: float, shift: int) -> tuple[float, float]:
         """Bracket of sum over digits b of (b + shift)^(-s)."""
@@ -332,15 +324,13 @@ class ClusteredDigits:
             raise ConfigurationError("clustered digit index beyond the last tabulated block (2^60)")
         return digits
 
-    def indices_above(self, xs: np.ndarray) -> np.ndarray:
-        """Per x, the index of the first digit above x."""
+    def index_guess(self, ys: np.ndarray) -> np.ndarray:
+        """The index of the first digit above y, per y, up to rounding."""
         lo, hi, first = self._blocks
-        xs = np.asarray(xs, dtype=float)
-        k = np.searchsorted(hi, xs, side="right")  # first block reaching above x
+        k = np.searchsorted(hi, ys, side="right")  # first block reaching above y
         if np.any(k >= len(hi)):
             raise ConfigurationError("clustered digit threshold beyond the last tabulated block (2^60)")
-        inside = np.maximum(0, np.floor(xs) + 1 - lo[k]).astype(np.int64)
-        return first[k] + np.where(lo[k] <= xs, inside, 0)
+        return first[k] + np.maximum(0, np.floor(ys) + 1 - lo[k])
 
     def sup_sum_bounds(self, s: float, shift: int) -> tuple[float, float]:
         if s <= self.alpha:
@@ -384,9 +374,9 @@ class FullDigits:
     def digits_at(self, gs: np.ndarray) -> np.ndarray:
         return self.start + np.asarray(gs, dtype=np.int64)
 
-    def indices_above(self, xs: np.ndarray) -> np.ndarray:
-        """Per x, the index of the first digit above x."""
-        return np.maximum(0, np.floor(xs) + 1 - self.start).astype(np.int64)
+    def index_guess(self, ys: np.ndarray) -> np.ndarray:
+        """The index of the first digit above y, per y, up to rounding."""
+        return np.floor(ys) + 1 - self.start
 
     def sup_sum_bounds(self, s: float, shift: int) -> tuple[float, float]:
         return power_sum_bounds(s, self.start + shift)
@@ -418,11 +408,8 @@ class GaussDigitTail:
         # envelope of generation g is [0, 1/b]
         return 1.0 / self.digits.digits_at(gs)
 
-    def generation_reaching(self, xs: np.ndarray) -> np.ndarray:
-        return self.digits.indices_above(1.0 / _positive(xs))
-
-    def accumulation_point(self) -> float:
-        return 0.0
+    def reaching_guess(self, xs: np.ndarray) -> np.ndarray:
+        return self.digits.index_guess(1.0 / xs)
 
     def sup_contraction(self) -> float:
         return 1.0 / self.digits.min_digit() ** 2
@@ -475,12 +462,8 @@ class ComplexGaussTail:
         # envelope of generation g is the disc about 0 of radius 1/max(sqrt(g+1) - 1, 1)
         return 1.0 / np.maximum(np.sqrt(np.asarray(gs, dtype=float) + 1.0) - 1.0, 1.0)
 
-    def generation_reaching(self, xs: np.ndarray) -> np.ndarray:
-        g = np.ceil(np.float_power(1.0 / _positive(xs) + 1.0, 2.0)) - 1
-        return np.maximum(0, g).astype(np.int64)
-
-    def accumulation_point(self) -> complex:
-        return 0j
+    def reaching_guess(self, xs: np.ndarray) -> np.ndarray:
+        return np.ceil(np.float_power(1.0 / xs + 1.0, 2.0)) - 1
 
     def sup_contraction(self) -> float:
         # worst plain branch is b = 1 +/- i on the seed disc |z-1/2| <= 1/2
@@ -565,20 +548,12 @@ class InducedParabolicTail:
         lo, hi = interval_images(self._power_matrix(gs), self.domain)
         return np.maximum(np.abs(lo), np.abs(hi))
 
-    def generation_reaching(self, xs: np.ndarray) -> np.ndarray:
-        xs = _positive(xs)
+    def reaching_guess(self, xs: np.ndarray) -> np.ndarray:
+        # P^n(top) = top / (1 + kappa n top) at the seed point farthest from 0
         pm = self.parabolic.mobius()
         kappa = abs(pm.c / pm.a)
         top = max(abs(self.domain[0]), abs(self.domain[1]))
-        n = np.maximum(0, np.floor((1.0 / xs - 1.0 / top) / kappa) + 1).astype(np.int64)
-        while True:
-            above = interval_images(self._power_matrix(n), self.domain)[1] >= xs
-            if not above.any():
-                return n
-            n = n + above
-
-    def accumulation_point(self) -> float:
-        return 0.0
+        return np.floor((1.0 / xs - 1.0 / top) / kappa) + 1
 
     def sup_contraction(self) -> float:
         return float(np.max(deriv_ranges_interval(self._branch_batch, self.domain)[1]))
@@ -643,15 +618,26 @@ def _shells(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every Gaussian integer m + ni with m >= 1 on the circles m^2 + n^2 = norm.
 
     Returns owner (the position in norms), m and n, ordered by owner, then
-    m ascending, then -n before n."""
+    m ascending, then -n before n.
+
+    The candidates m = 1..isqrt(norm) are tested for one run of norms at a
+    time, each run holding about len(norms) candidates (or a single norm).
+    A shell holds pi/2 digits on average, so the transient arrays stay
+    proportional to the output rather than to the sum of isqrt(norm)."""
     norms = np.asarray(norms, dtype=np.int64)
     tops = _isqrt(norms)
-    owner = np.repeat(np.arange(len(norms)), tops)
-    m = ragged_arange(tops) + 1
-    rest = norms[owner] - m * m
-    n = _isqrt(rest)
-    on_shell = n * n == rest
-    owner, m, n = owner[on_shell], m[on_shell], n[on_shell]
+    count = len(norms)
+    run = (np.cumsum(tops) - tops) // max(count, 1)  # by the candidates before each norm
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(run)) + 1, [count]))
+    runs = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        owner = lo + np.repeat(np.arange(hi - lo), tops[lo:hi])
+        m = ragged_arange(tops[lo:hi]) + 1
+        rest = norms[owner] - m * m
+        n = _isqrt(rest)
+        on_shell = n * n == rest
+        runs.append((owner[on_shell], m[on_shell], n[on_shell]))
+    owner, m, n = (np.concatenate(arrays) for arrays in zip(*runs))
     twice = 1 + (n > 0)
     owner, m, n = np.repeat(owner, twice), np.repeat(m, twice), np.repeat(n, twice)
     n = np.where(ragged_arange(twice) < twice.repeat(twice) - 1, -n, n)

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifsdim import ConfigurationError
-from ifsdim.cli import GATE_TOL, RunConfig, _build_cloud, _oracle_spot_check, _parse_params, main, run_pipeline
+from ifsdim import CloudSizeError, ConfigurationError
+from ifsdim.cli import GATE_TOL, RunConfig, _build_cloud, _oracle_spot_check, _parse_params, _Stage, main, run_pipeline
 from ifsdim.cloud import PointCloud, build_limit_cloud
 from ifsdim.estimator import assouad_spectrum_estimate
 from ifsdim.families import make_family
@@ -131,7 +131,7 @@ def test_build_full_complex_system(tmp_path, capsys):
     rc = main(["build", "--spec", str(spec), "--delta", "0.05", "--out", str(tmp_path)])
     assert rc == 0
     cloud = PointCloud.load(tmp_path / "cloud.bin")
-    assert len(cloud) == 598
+    assert len(cloud) == 619
     assert np.all(np.hypot(cloud.points[:, 0] - 0.5, cloud.points[:, 1]) <= 0.5 + 1e-12)
     assert build_limit_cloud(load_spec(spec), 0.05).complete
 
@@ -564,6 +564,24 @@ class TestSvg:
     def test_deterministic_bytes(self):
         curve = SpectrumCurve(np.array([0.1, 0.9]), np.array([0.5, 0.7]), "estimate")
         assert emit_svg([curve]) == emit_svg([curve])
+
+
+@pytest.mark.parametrize("command", ["build", "dimension", "compare"])
+def test_branch_leaving_the_seed_interval_exits_2_everywhere(tmp_path, capsys, command):
+    # x -> x / 2 + 0.7 maps [0, 1] onto [0.7, 1.2]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "similarity_list", "maps": [{"ratio": 0.5, "offset": 0.7}]}))
+    out = [] if command == "dimension" else ["--out", str(tmp_path / "out")]
+    assert main([command, "--spec", str(path)] + out) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "a branch maps the seed domain outside itself" in err
+    assert not (tmp_path / "out" / "cloud.bin").exists()
+
+
+def test_stage_keeps_a_cloud_size_error_a_configuration_error():
+    with pytest.raises(ConfigurationError, match=r"\[stage build\] projected cloud size 7 exceeds"):
+        with _Stage("build"):
+            raise CloudSizeError(7, 5)
 
 
 def test_build_fails_validation_with_exit_1(tmp_path):

@@ -205,10 +205,11 @@ GOLDEN_CLOUDS = {
                                "9f33f743a356cbb12c38d82244cff7519a9d13702153fa2177d109cb67e1a95b"),
     "complex-finite": (lambda: build_limit_cloud(spec_from_dict(COMPLEX_FINITE), 1e-5),
                        "5bbe3d4e0cb79a0138cfac16f5a3b7f15fe28760028ce7c2f9b24c592283d0e6"),
-    # the scalar walk failed on the empty generations of this tail; the
-    # digest is that walk's output once it steps over empty generations
+    # recorded when every tail's generation search became exact: in the
+    # build of the old digest, the closed form this tail used answered a
+    # generation whose envelope equals the threshold on 37 of 188 queries
     "complex-full": (lambda: build_limit_cloud(spec_from_dict({"kind": "complex_gauss", "digits": "full"}), 0.05),
-                     "dd4c48d05781ff76526de942a827f911d452796f9ad6c5774a8b824b81d6496e"),
+                     "30c1edcf7a026d0815fd9d5d877385ae5c3d88612790ee444378a6eba3cb0acb"),
 }
 
 
@@ -224,6 +225,14 @@ def test_cap_is_enforced_on_generic_path():
     with pytest.raises(CloudSizeError) as err:
         build_limit_cloud(make_family("ctd-clustered").spec, 1e-6, cap=1000)
     assert "1000" in str(err.value)
+
+
+def test_cap_bounds_the_children_of_a_level():
+    # the root of the full complex system at delta 0.05 has 59 children,
+    # and the builder stops before composing them
+    spec = spec_from_dict({"kind": "complex_gauss", "digits": "full"})
+    with pytest.raises(CloudSizeError, match="child count of one level 59 exceeds the configured cap of 50"):
+        build_limit_cloud(spec, 0.05, cap=50)
 
 
 def test_bad_magic_rejected():

@@ -9,6 +9,7 @@ with them exactly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from ifsdim.tails import (
     SimilarityTail,
     SpacedDigits,
     _induced_deriv_table,
+    generation_reaching,
 )
 from scalar_oracle import (
     deriv_range_disc,
@@ -56,21 +58,8 @@ TAILS = [
 ]
 
 
-def _first_digit_above_loop(digits, x):
-    if isinstance(digits, SpacedDigits):
-        n = max(2, math.ceil(max(x, 1.0) ** (1.0 / digits.p)) - 1)
-        while math.floor(n**digits.p) <= x:
-            n += 1
-        return n - 2
-    if isinstance(digits, ClusteredDigits):
-        g, k = 0, 1
-        while True:
-            lo, hi = digits._block(k)
-            if hi > x:
-                return g + max(0, math.floor(min(x, hi)) + 1 - lo) if lo <= x else g
-            g += hi - lo + 1
-            k += 1
-    return max(0, math.floor(x) + 1 - digits.start)
+# every digit set as a continued-fraction tail, for the reaching contract
+REACHING_TAILS = TAILS + [GaussDigitTail(d) for d in DIGIT_SETS if GaussDigitTail(d) not in TAILS]
 
 
 def _envelope_reach_loop(tail, g):
@@ -85,25 +74,27 @@ def _envelope_reach_loop(tail, g):
     return max(abs(float(lo)), abs(float(hi)))
 
 
-def _first_reaching_scan(tail, xs):
-    """Per x, the first generation g with envelope_reach(g) < x, by scanning g up from 0."""
-    envs = [_envelope_reach_loop(tail, 0)]
-    while envs[-1] >= min(xs):
-        envs.append(_envelope_reach_loop(tail, len(envs)))
-    return [next(g for g, e in enumerate(envs) if e < x) for x in xs]
+def _first_reaching_scan(tail, thresholds):
+    """Per x, the first generation g with envelope_reach(g) < x.
+
+    One scalar pass over the generations, visiting the thresholds from
+    the largest down, so each generation is evaluated once.
+    """
+    first, g = {}, 0
+    for x in sorted(set(thresholds), reverse=True):
+        while _envelope_reach_loop(tail, g) >= x:
+            g += 1
+        first[x] = g
+    return [first[x] for x in thresholds]
 
 
-def _generation_reaching_loop(tail, x):
-    if isinstance(tail, GaussDigitTail):
-        return _first_digit_above_loop(tail.digits, 1.0 / x)
-    if isinstance(tail, ComplexGaussTail):
-        return max(0, math.ceil((1.0 / x + 1.0) ** 2) - 1)
-    pm = tail.parabolic.mobius()
-    kappa = abs(pm.c / pm.a)
-    n = max(0, math.floor((1.0 / x - 1.0) / kappa) + 1)
-    while _envelope_reach_loop(tail, n) >= x:
-        n += 1
-    return n
+def _assert_reaching_contract(tail, xs):
+    """generation_reaching gives the first generation whose envelope lies within x."""
+    g = generation_reaching(tail, xs)
+    assert g.dtype == np.int64 and np.all(g >= 0)
+    assert np.all(tail.envelope_reach(g) < xs)
+    assert np.all((g == 0) | (tail.envelope_reach(np.maximum(g - 1, 0)) >= xs))
+    return g
 
 
 @pytest.mark.parametrize("digits", DIGIT_SETS, ids=repr)
@@ -111,12 +102,7 @@ def test_digit_lookups_match_scalar_loops(digits):
     gs = np.concatenate([np.arange(400), np.array([1000, 4096, 12345, 99999])])
     if isinstance(digits, ClusteredDigits):
         gs = gs[gs < digits._blocks[2][39]]  # digits below 2^40, where the loop's floats are exact
-    want = [digit_loop(digits, int(g)) for g in gs]
-    assert digits.digits_at(gs).tolist() == want
-    rng = np.random.default_rng(11)
-    xs = np.concatenate([10.0 ** rng.uniform(-1, 7, 400), np.array(want[:200], dtype=float),
-                         np.array(want[:200], dtype=float) - 0.5])
-    assert digits.indices_above(xs).tolist() == [_first_digit_above_loop(digits, float(x)) for x in xs]
+    assert digits.digits_at(gs).tolist() == [digit_loop(digits, int(g)) for g in gs]
 
 
 @pytest.mark.parametrize("tail", TAILS, ids=lambda t: type(t).__name__)
@@ -135,52 +121,63 @@ def test_generation_arrays_match_generation_maps(tail):
             assert got.tolist() == [float(v) for v in entries]
 
 
-@pytest.mark.parametrize("tail", TAILS, ids=lambda t: type(t).__name__)
+@pytest.mark.parametrize("tail", REACHING_TAILS, ids=lambda t: type(t).__name__)
 def test_envelope_and_reaching_match_scalar_loops(tail):
     gs = np.concatenate([np.arange(300), np.array([1000, 5000, 77777])])
+    if isinstance(tail, GaussDigitTail) and isinstance(tail.digits, ClusteredDigits):
+        gs = gs[gs < tail.digits._blocks[2][39]]  # digits below 2^40, where the loop's floats are exact
     assert tail.envelope_reach(gs).tolist() == [_envelope_reach_loop(tail, int(g)) for g in gs]
+    # the thresholds the closed forms miss: 1/k and 1/k^2, multiples k * step
+    # of netting steps (delta = 0.05 has the root step 0.025), the envelopes
+    # themselves, each of these with its lower float neighbour, and random
+    # values down to 1e-8; geometric envelopes underflow to 0, no threshold
+    horizon = 2000
+    k = np.arange(1.0, 5000.0)
+    steps = np.outer([0.025, 0.01, 1e-3, 5e-6], np.arange(1.0, 401.0)).ravel()
+    exact = np.concatenate([1.0 / k, 1.0 / k**2, steps, tail.envelope_reach(np.arange(horizon))])
+    exact = exact[exact > 0.0]
     rng = np.random.default_rng(5)
-    xs = 10.0 ** rng.uniform(-7, -0.5, 300)
-    if isinstance(tail, SimilarityTail):
-        want = _first_reaching_scan(tail, xs.tolist())
-    else:
-        want = [_generation_reaching_loop(tail, float(x)) for x in xs]
-    g = tail.generation_reaching(xs)
-    assert g.tolist() == want
-    # the first generation whose envelope is within x
-    assert np.all(tail.envelope_reach(g) < xs)
-    assert np.all((g == 0) | (tail.envelope_reach(np.maximum(g - 1, 0)) >= xs))
-
-
-def _first_below_scan(rule, thresholds, lowest):
-    """Per threshold, the smallest index i >= lowest with rule.value(i) < t.
-
-    One scalar pass over the indices, visiting the thresholds from the
-    largest down, so each index is evaluated once.
-    """
-    first = {}
-    i = lowest
-    for t in sorted(set(thresholds), reverse=True):
-        while rule.value(i) >= t:
-            i += 1
-        first[t] = i
-    return [first[t] for t in thresholds]
+    xs = np.concatenate([exact, np.nextafter(exact, 0.0), 10.0 ** rng.uniform(-8.0, 0.0, 40000)])
+    g = _assert_reaching_contract(tail, xs)
+    # where a scalar pass over the first generations reaches, it agrees
+    near = xs > _envelope_reach_loop(tail, horizon)
+    assert g[near].tolist() == _first_reaching_scan(tail, xs[near].tolist())
 
 
 @pytest.mark.parametrize("rule", [PowerRule(1.0, 1.0), PowerRule(1.0, 1.8), PowerRule(0.7, 3.6),
                                   GeometricRule(0.5, 0.7), GeometricRule(0.3, 0.6)], ids=repr)
-def test_first_indices_below_match_scalar_scan(rule):
-    # geometric values underflow after a few thousand indices
-    lowest, count = (1, 20000) if isinstance(rule, PowerRule) else (0, 600)
-    # the rule's own values, which the closed form misses by rounding,
-    # the tops of the cells of a 1e-5 net, and values in between
-    exact = [rule.value(i) for i in range(lowest, lowest + count)]
+def test_similarity_reaching_matches_scalar_scan(rule):
+    # the rule as the offsets of a similarity tail, whose envelope is
+    # offset + ratio; geometric values underflow after a few thousand indices
+    ratios = PowerRule(0.5, 3.0) if isinstance(rule, PowerRule) else GeometricRule(0.2, 0.5)
+    tail = SimilarityTail(ratios, rule, start=1)
+    count = 20000 if isinstance(rule, PowerRule) else 600
+    # the offsets and envelopes themselves, which a closed form misses by
+    # rounding, the tops of the cells of a 1e-5 net, and values in between
+    offsets = [rule.value(i) for i in range(1, count + 1)]
+    envelopes = tail.envelope_reach(np.arange(count)).tolist()
     tops = [k * 5e-6 for k in range(1, 20001)]
     rng = np.random.default_rng(3)
-    between = (10.0 ** rng.uniform(math.log10(exact[-1]), math.log10(2.0 * exact[0]), 12000)).tolist()
-    thresholds = exact + tops + between
-    got = rule.first_indices_below(np.array(thresholds))
-    assert got.tolist() == _first_below_scan(rule, thresholds, lowest)
+    between = (10.0 ** rng.uniform(math.log10(offsets[-1]), math.log10(2.0 * envelopes[0]), 12000)).tolist()
+    thresholds = offsets + envelopes + tops + between
+    g = _assert_reaching_contract(tail, np.array(thresholds))
+    assert g.tolist() == _first_reaching_scan(tail, thresholds)
+
+
+def test_complex_generation_arrays_memory_follows_output():
+    # 2^16 generations hold 205 347 maps; the Gaussian integers tested on
+    # their shells number about 11 million, which the enumeration must not
+    # hold at once
+    tracemalloc.start()
+    try:
+        owner, maps = ComplexGaussTail().generation_arrays(np.arange(2**16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [owner] + [part for z in (maps.a, maps.b, maps.c, maps.d) for part in (z.re, z.im)]
+    output = sum(a.nbytes for a in {id(a): a for a in arrays}.values())
+    assert len(owner) == 205347
+    assert peak <= 2 * output
 
 
 def test_complex_tail_has_empty_generations():
@@ -193,13 +190,13 @@ def test_clustered_lookups_stop_at_the_table_end():
     digits = ClusteredDigits(0.13)
     with pytest.raises(ConfigurationError):
         digits.digits_at(np.array([10**6]))
-    with pytest.raises(ConfigurationError):
-        digits.indices_above(np.array([2.0**62]))
+    with pytest.raises(ConfigurationError, match="2\\^60"):
+        generation_reaching(GaussDigitTail(digits), np.array([0.1, 2.0**-62]))
 
 
 def test_thresholds_must_be_positive():
     with pytest.raises(ConfigurationError, match="positive"):
-        GaussDigitTail(FullDigits(2)).generation_reaching(np.array([0.1, 0.0]))
+        generation_reaching(GaussDigitTail(FullDigits(2)), np.array([0.1, 0.0]))
 
 
 # -- fixed-point spectra -----------------------------------------------------
