@@ -47,6 +47,25 @@ def test_dimension_uses_engine_tolerance_by_default(capsys):
     assert json.loads(capsys.readouterr().out)["converged"] is True
 
 
+def test_similarity_list_below_its_width_has_not_converged(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "similarity_list", "maps": [
+        {"ratio": 0.3, "offset": 0.0}, {"ratio": 0.3, "offset": 0.7}]}))
+    assert main(["dimension", "--spec", str(spec), "--tol", "1e-20"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    lo, hi = payload["enclosure"]
+    assert payload["method"] == "exact_similarity"
+    assert 0.0 < hi - lo < 1e-13 and payload["converged"] is False
+    assert main(["dimension", "--spec", str(spec)]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"] is True
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-9"])
+def test_dimension_rejects_a_tolerance_that_is_not_positive(tol, capsys):
+    assert main(["dimension", "--family", "dense-cf", f"--tol={tol}"]) == 2
+    assert "tolerance must be positive" in capsys.readouterr().err
+
+
 def test_atomic_write_in_slices(tmp_path, monkeypatch):
     from ifsdim import cli
 

@@ -101,8 +101,9 @@ class TestPsi:
 
     def test_rejects_bad_arguments(self):
         spec = gauss_spec([2, 3])
-        with pytest.raises(DomainError):
-            psi(spec, -1.0, 1)
+        for t in (-1.0, 0.0, math.nan):
+            with pytest.raises(DomainError):
+                psi(spec, t, 1)
         with pytest.raises(DomainError):
             psi(spec, 0.5, 0)
 
@@ -124,6 +125,19 @@ class TestHausdorffDimension:
     def test_similarity_root_at_an_end_is_exact(self, ratios, h):
         result = hausdorff_dimension(similarity_spec(ratios, [0.0] * len(ratios)))
         assert (result.value, result.enclosure, result.converged) == (h, (h, h), True)
+
+    def test_similarity_tolerance_below_the_width_clears_converged(self):
+        spec = similarity_spec([0.3, 0.3], [0.0, 0.7])
+        strict = hausdorff_dimension(spec, tol=1e-20)
+        lo, hi = strict.enclosure
+        assert strict.method == "exact_similarity"
+        assert 0.0 < hi - lo < 1e-13 and strict.converged is False
+        assert hausdorff_dimension(spec).converged is True
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9])
+    def test_rejects_a_tolerance_that_is_not_positive(self, tol):
+        with pytest.raises(DomainError, match="tolerance"):
+            hausdorff_dimension(gauss_spec([2, 3]), tol=tol)
 
     def test_infinite_geometric_family(self):
         spec = CifsSpec(1, (0.0, 1.0), (),
@@ -295,8 +309,8 @@ E12_DIMENSION = 0.5312805062772051
 def word_sum_enclosure(spec):
     """The word-sum enclosure, bisected on psi's certified signs at depth D."""
     depth = pressure._tables(spec).depth
-    _, hi = pressure._crossing(lambda t: psi(spec, t, depth).upper <= 0.0, 1e-12, 1.0)
-    lo, _ = pressure._crossing(lambda t: psi(spec, t, depth).lower <= 0.0, 1e-12, 1.0)
+    _, hi = pressure._crossing(lambda t: psi(spec, t, depth).upper, 1e-12, 1.0)
+    lo, _ = pressure._crossing(lambda t: psi(spec, t, depth).lower, 1e-12, 1.0)
     return min(lo, hi), hi
 
 
@@ -534,6 +548,135 @@ def test_pole_is_found_before_the_collocation(monkeypatch):
     spec = CifsSpec(1, (-2.0, 1.0), ((1, GaussBranch(1)), (2, GaussBranch(3))))
     with pytest.raises(ConfigurationError, match="pole"):
         hausdorff_dimension(spec)
+
+
+# ---------------------------------------------------------------------------
+# the crossings against plain bisection
+
+
+def plain_crossing(value, lo, hi):
+    """The oracle: plain bisection on value(t) <= 0, which _crossing replays."""
+    def pred(t):
+        return value(t) <= 0.0
+
+    if pred(lo):
+        return 0.0, lo
+    if not pred(hi):
+        return hi, hi
+    return pressure._bisect_monotone(pred, lo, hi)
+
+
+def counted(value):
+    calls = []
+
+    def wrapped(t):
+        calls.append(t)
+        return value(t)
+
+    return wrapped, calls
+
+
+def sweep_system(name):
+    """Systems beyond the goldens, named kind-parameter."""
+    from ifsdim.jsonio import spec_from_dict
+
+    kind, _, arg = name.partition("-")
+    if kind == "spaced":
+        return CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(SpacedDigits(float(arg))))
+    if kind == "clustered":
+        return CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(ClusteredDigits(float(arg))))
+    if kind == "renyi":
+        return renyi_parabolic_spec([int(b) for b in arg.split(",")])
+    if kind == "gauss":
+        return gauss_spec([int(b) for b in arg.split(",")])
+    if kind == "complex":
+        digits = [[int(x) for x in d.split(":")] for d in arg.split(",")]
+        return spec_from_dict({"kind": "complex_gauss", "digits": digits})
+    if kind == "similarity":
+        rng = np.random.default_rng(int(arg))
+        k = int(rng.integers(2, 7))
+        ratios = rng.uniform(0.05, 0.9 / k, size=k)
+        return similarity_spec(ratios, np.linspace(0.0, 1.0 - ratios.max(), k))
+    return build_sharp_family(1.8, float(arg), 0.5)
+
+
+SWEEP = (
+    [f"spaced-{p}" for p in (1.2, 1.5, 2.2, 2.6, 3.0)]
+    + [f"clustered-{a}" for a in (0.2, 0.3, 0.4, 0.6)]
+    + ["renyi-3,5", "renyi-2,4,7", "renyi-2,3,4,5,6"]
+    + ["gauss-1,3", "gauss-1,2,3", "gauss-1,4,9", "gauss-5,6,7,8"]
+    + ["complex-2:0,3:0", "complex-2:1,2:-1,3:1", "complex-3:0,3:1,3:-1,4:0,2:2"]
+    + [f"similarity-{seed}" for seed in range(14)]
+    + ["sharp-3.0", "sharp-4.0"]
+)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ENCLOSURES) + [f"alphabet-{n}" for n in ("e13", "e123", "renyi35", "mixed")] + SWEEP)
+def test_crossings_are_the_plain_bisection_bit_for_bit(name):
+    if name in GOLDEN_ENCLOSURES:
+        spec = golden_system(name)
+    elif name.startswith("alphabet-"):
+        spec = finite_alphabet(name[len("alphabet-"):])
+    else:
+        spec = sweep_system(name)
+    depth = pressure._tables(spec).depth
+    for end in ("upper", "lower"):
+        def value(t):
+            return getattr(psi(spec, t, depth, end=end), end)
+
+        for lo, hi in {(1e-12, float(spec.ambient_dim)), (1e-12, 1.0)}:
+            got, calls = counted(value)
+            want, oracle_calls = counted(value)
+            got, want = pressure._crossing(got, lo, hi), plain_crossing(want, lo, hi)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (end, lo, hi)
+            assert len(calls) <= len(oracle_calls)
+
+
+@pytest.mark.parametrize("shape", ["step", "infinite-step", "cubic", "kink", "plateau", "huge-step", "nan-then-linear"])
+def test_crossing_costs_at_most_the_lag_more_than_the_plain_bisection(shape):
+    # values on which the secant gains nothing: the bracket and the number of
+    # calls stay within SECANT_LAG + 1 of the plain bisection's
+    rng = np.random.default_rng(11)
+    for x0 in rng.uniform(0.01, 0.99, 40):
+        value = {
+            "step": lambda t: 1.0 if t < x0 else -1.0,
+            "infinite-step": lambda t: math.inf if t < x0 else -math.inf,
+            "cubic": lambda t: (x0 - t) ** 3,
+            "kink": lambda t: math.log(x0 / t) if t < x0 else max(-1.0, 1000.0 * (x0 - t)),
+            "plateau": lambda t: max(x0 - t, 0.0) if t < x0 + 1e-3 else -1.0,
+            "huge-step": lambda t: 1e300 if t < x0 else -1e-300,
+            "nan-then-linear": lambda t: math.nan if t < 0.5 * x0 else x0 - t,
+        }[shape]
+        got, calls = counted(value)
+        want, oracle_calls = counted(value)
+        got, want = pressure._crossing(got, 1e-12, 1.0), plain_crossing(want, 1e-12, 1.0)
+        assert [x.hex() for x in got] == [x.hex() for x in want], x0
+        assert len(calls) <= len(oracle_calls) + pressure.SECANT_LAG + 1
+
+
+@pytest.mark.parametrize("value, expected", [
+    (lambda t: -1.0, (0.0, 1e-12)),
+    (lambda t: 0.0, (0.0, 1e-12)),
+    (lambda t: 1.0, (1.0, 1.0)),
+    (lambda t: math.nan, (1.0, 1.0)),
+])
+def test_crossing_off_the_ends(value, expected):
+    assert pressure._crossing(value, 1e-12, 1.0) == expected
+
+
+@pytest.mark.parametrize("name", ["complex-finite", "ctd-clustered"])
+def test_dimension_takes_at_most_60_psi_calls(name, monkeypatch):
+    # the plain bisection took 112 and 110
+    spec = golden_system(name)
+    real_psi, calls = pressure.psi, []
+
+    def counted_psi(*args, **kwargs):
+        calls.append(args[1])
+        return real_psi(*args, **kwargs)
+
+    monkeypatch.setattr(pressure, "psi", counted_psi)
+    hausdorff_dimension(spec)
+    assert 0 < len(calls) <= 60
 
 
 class TestFinitenessParameter:
