@@ -46,17 +46,24 @@ Planar counts.  In the plane a window's count is the number of occupied
 r-mesh squares holding a cloud point within R of the centre, with the
 distance taken as hypot(px - cx, py - cy) in float arithmetic, as in
 cover_count_2d.  Each (R, r) pair is counted for all its centres at
-once.  Every point's r-square gets an id below n, numbered once per
-pair from one lexicographic sort of the squares.  The points are sorted
-by the key of their bucket on a grid of side a little above R; a point
-within R of a centre then lies in the 3 x 3 buckets around the centre's
-bucket, and the margin keeps that true through the rounding of the
-offsets and of the bucket division.  Those buckets are three runs of
-sorted keys, and their points are the centre's candidates, a superset
-of its disc.  The exact hypot test keeps the disc, and the distinct keys
-centre * n + square id, counted with one sort and a bincount, are the
-counts.  Centres are taken in chunks whose candidates stay within
-max(n, _CANDIDATE_FLOOR).
+once, square by square.  The points are sorted by their r-square once
+per pair, and each square keeps the box of its points, from the least to
+the largest coordinate; taken from the points rather than the mesh, the
+box holds every point whatever the rounding of floor(p / r).  The
+squares are sorted by the key of their box's low corner on a grid of
+side a little above R + w, w the widest box side, so a square with a
+point within R of a centre lies in the 3 x 3 buckets around the centre's
+bucket: three runs of sorted keys.  Rounding is monotone, so the rounded
+offsets of a box's points from the centre lie between those of its
+sides, and the hypot of the sides' offsets bounds every point's distance
+from above at the far corner and from below at the near side, up to the
+ulp or so of np.hypot.  A square whose far corner is within
+R(1 - _EDGE_MARGIN) therefore counts, one whose near side is beyond
+R(1 + _EDGE_MARGIN) does not, and only a square the circle cuts tests
+its points with the exact hypot test, counting once if any passes.  The
+margin, 2^-40, dwarfs the ulps it covers.  Centres are taken in chunks
+of at most max(squares, _CANDIDATE_FLOOR) candidate squares, and the cut
+squares' points in chunks as large.
 
 Scale policy.  For the spectrum at theta the two scales are tied by
 r = R^(1/theta), and a scale is admissible when r is at least
@@ -166,8 +173,8 @@ def cover_count_1d(cloud: PointCloud, center: float, R: float, r: float) -> int:
     inside [center - R, center + R]; greedy is optimal on the line."""
     if cloud.ambient_dim != 1:
         raise DomainError("cover_count_1d needs a 1-D cloud")
-    if r <= 0 or R <= 0:
-        raise DomainError("scales must be positive")
+    if not (r > 0 and R > 0):
+        raise DomainError(f"scales must be positive, got R={R}, r={r}")
     pts = cloud.points
     i = int(np.searchsorted(pts, center - R, side="left"))
     stop = int(np.searchsorted(pts, center + R, side="right"))
@@ -183,8 +190,8 @@ def cover_count_2d(cloud: PointCloud, center: complex, R: float, r: float) -> in
     of center; the scalar reference of the estimator's planar counts."""
     if cloud.ambient_dim != 2:
         raise DomainError("cover_count_2d needs a 2-D cloud")
-    if r <= 0 or R <= 0:
-        raise DomainError("scales must be positive")
+    if not (r > 0 and R > 0):
+        raise DomainError(f"scales must be positive, got R={R}, r={r}")
     cx, cy = (center.real, center.imag) if isinstance(center, complex) else center
     pts = cloud.points
     d = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
@@ -396,76 +403,124 @@ def _net_centers_1d(pts: np.ndarray, step: float) -> np.ndarray:
     return pts[start[np.r_[True, start[1:] != start[:-1]]]]
 
 
-def _cell_ids(pts: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Id of every point's step-cell floor(p / step), numbered below
-    len(pts) in the lexicographic order of the cells, and the index of the
-    first point of every cell, in id order."""
+def _squares(pts: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the points by their step-square floor(p / step),
+    lexicographically and stably, and the position in that order where
+    each square's points start."""
     cells = np.floor(pts / step).astype(np.int64)
     order = np.lexsort((cells[:, 1], cells[:, 0]))
     cells = cells[order]
     new = np.empty(len(pts), dtype=bool)
     new[:1] = True
     np.logical_or(cells[1:, 0] != cells[:-1, 0], cells[1:, 1] != cells[:-1, 1], out=new[1:])
-    ids = np.empty(len(pts), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, order[new]
+    return order, np.flatnonzero(new)
 
 
 def _net_centers_2d(pts: np.ndarray, step: float) -> np.ndarray:
     """First point of every occupied step-cell, in cloud order."""
-    return pts[np.sort(_cell_ids(pts, step)[1])]
+    order, first = _squares(pts, step)
+    return pts[np.sort(order[first])]
 
 
-#: the planar kernel gathers the candidates of its centres in chunks of at
-#: most max(len(pts), _CANDIDATE_FLOOR) points (a centre with more forms a
-#: chunk alone), about 70 bytes each across the chunk's arrays.  On the
-#: finite complex cloud of 7k points, chunks of the whole pair's
-#: candidates read no faster (numpy 2.4)
+#: the planar kernel takes its centres in chunks of at most
+#: max(squares, _CANDIDATE_FLOOR) candidate squares, and the points of the
+#: squares the circles cut in chunks of as many points (a centre or a
+#: square with more forms a chunk alone)
 _CANDIDATE_FLOOR = 1 << 13
+
+#: the share of R by which a square's box must clear the circle, inside
+#: or out, for the square to be decided without testing its points.  It
+#: covers the ulp or so by which np.hypot may misorder two distances, 2^12
+#: times over
+_EDGE_MARGIN = 2.0**-40
+
+
+def _chunks(sizes: np.ndarray, budget: int):
+    """Ranges [a, b) of consecutive items whose sizes sum to at most
+    budget, an item larger than budget alone."""
+    total = np.cumsum(sizes)
+    a = 0
+    while a < len(sizes):
+        base = int(total[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(total, base + budget, side="right")))
+        yield a, b
+        a = b
+
+
+def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The indices of the runs starts[k] + [0, lens[k]), concatenated."""
+    offset = np.cumsum(lens) - lens
+    return np.arange(int(lens.sum())) + np.repeat(starts - offset, lens)
+
+
+def _reach(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest and least |p - c| in float arithmetic over lo <= p <= hi:
+    the larger of c - lo and hi - c, and minus the smaller of them, or 0
+    where neither is negative.  Rounding is monotone, so the offsets of
+    points between lo and hi lie between those of lo and hi."""
+    below, above = c - lo, hi - c
+    far = np.maximum(below, above)
+    near = np.negative(np.minimum(below, above, out=below), out=below)
+    return far, np.maximum(near, 0.0, out=near)
 
 
 def _counts_2d(pts: np.ndarray, centers: np.ndarray, R: float, r: float) -> np.ndarray:
     """Occupied r-mesh squares holding a point within R of each centre,
     equal to cover_count_2d centre by centre; see the module notes."""
-    n, m = len(pts), len(centers)
-    cell = _cell_ids(pts, r)[0]
-    # buckets wider than R by 2^-16 of it: a point that passes the hypot
-    # test is within R of the centre along each axis up to a few ulps, and
-    # the bucket division, of values up to 2^24, rounds by less than 2^-26
-    # of a side, so the point lies in the 3 x 3 buckets around the
-    # centre's.  At most 2^24 buckets to a side keep the keys in int64
-    lo = np.array([pts[:, 0].min(), pts[:, 1].min()])
-    span = max(pts[:, 0].max() - lo[0], pts[:, 1].max() - lo[1])
-    side = max(R * (1.0 + 2.0**-16), float(span) * 2.0**-24)
-    bucket = np.floor((pts - lo) / side).astype(np.int64)
+    order, first = _squares(pts, r)
+    xs, ys = pts[order, 0], pts[order, 1]
+    size = np.diff(np.append(first, len(pts)))
+    # the box of each square's points, not the mesh square, so that the
+    # rounding of floor(p / r) cannot place a point outside it
+    x0, x1 = np.minimum.reduceat(xs, first), np.maximum.reduceat(xs, first)
+    y0, y1 = np.minimum.reduceat(ys, first), np.maximum.reduceat(ys, first)
+    # the squares bucketed by their box's low corner on a grid wider than
+    # R + w by 2^-16 of it, w the widest box side: a square holding a
+    # point within R of a centre has its corner within R + w of the
+    # centre along each axis up to a few ulps, and the bucket division,
+    # of values up to 2^24, rounds by less than 2^-26 of a side, so the
+    # square lies in the 3 x 3 buckets around the centre's.  At most 2^24
+    # buckets to a side keep the keys in int64
+    lo = np.array([x0.min(), y0.min()])
+    span = max(x1.max() - lo[0], y1.max() - lo[1])
+    side = max((R + max((x1 - x0).max(), (y1 - y0).max())) * (1.0 + 2.0**-16), float(span) * 2.0**-24)
+    bx = np.floor((x0 - lo[0]) / side).astype(np.int64)
+    by = np.floor((y0 - lo[1]) / side).astype(np.int64)
     # rows padded by one bucket on either side, so that the neighbours of
     # every bucket have keys in the same row
-    width = int(bucket[:, 1].max()) + 3
-    key = (bucket[:, 0] + 1) * width + bucket[:, 1] + 1
-    order = np.argsort(key, kind="stable")
-    key, xs, ys, cell = key[order], pts[order, 0], pts[order, 1], cell[order]
-    # the candidates of a centre are the points of the 3 x 3 buckets
+    width = int(by.max()) + 3
+    key = (bx + 1) * width + by + 1
+    sq = np.argsort(key, kind="stable")
+    key, x0, x1, y0, y1, first, size = (v[sq] for v in (key, x0, x1, y0, y1, first, size))
+    # the candidates of a centre are the squares of the 3 x 3 buckets
     # around its own, three runs of sorted keys
     cb = np.floor((centers - lo) / side).astype(np.int64)
     row = (cb[:, :1] + np.arange(3)) * width + cb[:, 1:]
     start = np.searchsorted(key, row, side="left")
     runs = np.searchsorted(key, row + 2, side="right") - start
     per_center = runs.sum(axis=1)
-    total = np.cumsum(per_center)
-    counts = np.empty(m, dtype=np.int64)
-    budget = max(n, _CANDIDATE_FLOOR)
-    a = 0
-    while a < m:
-        base = int(total[a - 1]) if a else 0
-        b = max(a + 1, int(np.searchsorted(total, base + budget, side="right")))
-        lens = runs[a:b].ravel()
-        offset = np.cumsum(lens) - lens
-        idx = np.arange(int(total[b - 1]) - base) + np.repeat(start[a:b].ravel() - offset, lens)
+    counts = np.empty(len(centers), dtype=np.int64)
+    budget = max(len(key), _CANDIDATE_FLOOR)
+    inner, outer = R * (1.0 - _EDGE_MARGIN), R * (1.0 + _EDGE_MARGIN)
+    for a, b in _chunks(per_center, budget):
+        cx, cy = centers[a:b, 0], centers[a:b, 1]
+        cand = _runs(start[a:b].ravel(), runs[a:b].ravel())
         owner = np.repeat(np.arange(b - a), per_center[a:b])
-        inside = np.hypot(xs[idx] - centers[a:b, 0][owner], ys[idx] - centers[a:b, 1][owner]) <= R
-        keys = np.unique(owner[inside] * n + cell[idx[inside]])
-        counts[a:b] = np.bincount(keys // n, minlength=b - a)
-        a = b
+        far_x, near_x = _reach(x0[cand], x1[cand], cx[owner])
+        far_y, near_y = _reach(y0[cand], y1[cand], cy[owner])
+        far, near = np.hypot(far_x, far_y), np.hypot(near_x, near_y)
+        counts[a:b] = np.bincount(owner[far <= inner], minlength=b - a)
+        # a square the circle cuts counts once if any of its points passes
+        # the exact test of cover_count_2d
+        cut = (far > inner) & (near <= outer)
+        owner, cand = owner[cut], cand[cut]
+        for c, d in _chunks(size[cand], budget):
+            lens = size[cand[c:d]]
+            idx = _runs(first[cand[c:d]], lens)
+            who = np.repeat(owner[c:d], lens)
+            hit = np.hypot(xs[idx] - cx[who], ys[idx] - cy[who]) <= R
+            hit = np.logical_or.reduceat(hit, np.cumsum(lens) - lens)
+            counts[a:b] += np.bincount(owner[c:d][hit], minlength=b - a)
     return counts
 
 
@@ -701,7 +756,7 @@ def _global_counts(cloud: PointCloud, radii) -> list[int]:
         for i, part in _batched_counts_1d(pts, jobs, 2.0 * min(radii)):
             counts[i] = int(part[0])
         return counts
-    return [len(_cell_ids(pts, r)[1]) for r in radii]
+    return [len(_squares(pts, r)[1]) for r in radii]
 
 
 def _dyadic_ladder(hull: float, r_min: float) -> list[float]:

@@ -46,6 +46,11 @@ class TestCoverCount1D:
     def test_empty_intersection(self):
         assert cover_count_1d(cloud_of([0.9]), 0.1, 0.05, 0.01) == 0
 
+    @pytest.mark.parametrize("R, r", [(np.nan, 0.1), (0.5, np.nan), (0.0, 0.1), (0.5, -0.1)])
+    def test_scales_that_are_not_positive(self, R, r):
+        with pytest.raises(DomainError):
+            cover_count_1d(cloud_of([0.4]), 0.5, R, r)
+
     def test_greedy_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(150):
@@ -239,6 +244,11 @@ class TestCoverCount2D:
         cloud = cloud_of(pts, dim=2)
         assert cover_count_2d(cloud, complex(0.5, 0.5), 1.0, 1.0 / n) == n * n
 
+    @pytest.mark.parametrize("R, r", [(np.nan, 0.1), (0.5, np.nan), (0.0, 0.1), (0.5, -0.1)])
+    def test_scales_that_are_not_positive(self, R, r):
+        with pytest.raises(DomainError):
+            cover_count_2d(cloud_of([[0.3, 0.4]], dim=2), complex(0.3, 0.4), R, r)
+
 
 def _scalar_counts_2d(pts, centers, R, r):
     cloud = cloud_of(pts, dim=2)
@@ -321,6 +331,52 @@ class TestCounts2D:
             _, first = np.unique(cells, axis=0, return_index=True)
             assert np.array_equal(_net_centers_2d(pts, step), pts[np.sort(first)])
             assert _global_counts(cloud_of(pts, dim=2), [step]) == [len(first)]
+
+    def test_full_complex_cloud_against_the_scalar_count(self):
+        # every ladder pair of the 8-node spectrum on the full complex
+        # continued-fraction cloud, 20 seeded centres each
+        import ifsdim as F
+        from ifsdim.jsonio import spec_from_dict
+
+        cloud = F.build_limit_cloud(spec_from_dict({"kind": "complex_gauss", "digits": "full"}), 0.01)
+        pts, hull = cloud.points, cloud.hull_diameter()
+        pairs = [(R, R ** (1.0 / theta)) for theta in np.linspace(0.05, 0.9, 8)
+                 for R in estimator._spectrum_scales(theta, cloud.delta, hull)]
+        assert len(pairs) >= 40
+        rng = np.random.default_rng(20)
+        for R, r in pairs:
+            centers = pts[rng.choice(len(pts), 20, replace=False)]
+            assert _counts_2d(pts, centers, R, r).tolist() == _scalar_counts_2d(pts, centers, R, r)
+
+    def test_square_cut_by_the_circle_counts_once(self):
+        # the square [0, 1) x [0, 1) holds two points within 1 of the
+        # centre and two beyond it; the centre's own square is the other
+        center = np.array([[-0.5, 0.5]])
+        pts = np.vstack([center, [[0.2, 0.3], [0.3, 0.6], [0.9, 0.9], [0.95, 0.1]]])
+        assert _counts_2d(pts, center, 1.0, 1.0).tolist() == [2]
+        assert _scalar_counts_2d(pts, center, 1.0, 1.0) == [2]
+
+    @pytest.mark.parametrize("R, tested", [(0.625, True), (1.25, False), (0.25, False)])
+    def test_squares_near_the_circle_test_their_points(self, R, tested, monkeypatch):
+        # offsets (3, 4) / 8 and (2, 3) / 8 share the square (1, -1) of the
+        # mesh of side 1/2, apart from the centre's, and the far corner of
+        # their box is exactly R = 5 / 8 away: within R by less than the
+        # margin, so its points are tested.  Far inside or beyond the
+        # circle the square is decided by its box alone
+        center = np.array([[0.375, -0.625]])
+        pts = np.vstack([center, center + np.array([[3.0, 4.0], [2.0, 3.0]]) / 8])
+        calls = []
+
+        def spy(starts, lens):
+            calls.append(len(lens))
+            return runs(starts, lens)
+
+        runs = estimator._runs
+        monkeypatch.setattr(estimator, "_runs", spy)
+        counts = _counts_2d(pts, center, R, 0.5)
+        assert counts.tolist() == _scalar_counts_2d(pts, center, R, 0.5) == [1 if R < 0.5 else 2]
+        # one gather of candidate squares, and one of the cut squares' points
+        assert len(calls) == (2 if tested else 1)
 
     def test_estimate_memory_stays_bounded(self):
         # the chunks keep the estimate's transient arrays near the cloud's
