@@ -15,6 +15,11 @@ tail, inside an envelope within one cell of the accumulation point, is
 replaced by the image of that point.  Every tail accumulates at the
 origin, so that point is 0, and the netting walk finds the first
 generation within a distance of it with ``tails.generation_reaching``.
+The nodes of a level walk in lockstep rounds: each round evaluates a
+block of likely generations per node at once, and each node follows
+the walk's own successor rule through its block, as far as the block
+holds the successors, so it visits exactly the generations of a walk
+taken one generation at a time.
 
 The cap bounds the points a build keeps and also the children of each
 level: before a level is composed, its explicit and tail children are
@@ -53,6 +58,15 @@ _HEADER = len(_MAGIC) + _HEAD.size
 _CSV_BLOCK = 4096
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D float array without NaN, by the same sort and
+    neighbour test; np.unique itself imports numpy.ma on its first call."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Finite delta-resolution sample of a set, sorted and duplicate-free."""
@@ -67,7 +81,7 @@ class PointCloud:
     def from_points(cls, points, delta, ambient_dim=1):
         arr = np.asarray(points, dtype=float)
         if ambient_dim == 1:
-            arr = np.unique(arr.reshape(-1))
+            arr = _sorted_distinct(arr.reshape(-1))
         else:
             arr = arr.reshape(-1, 2)
             arr = np.unique(arr, axis=0)
@@ -195,7 +209,8 @@ class _ExpansionTable:
         return lo
 
 
-#: most generations one node proposes in one round of the netting walk
+#: most generations one node proposes in one round of the netting walk;
+#: while fewer than this many nodes walk, they share at least this many
 _MAX_PROPOSALS = 1024
 
 
@@ -206,64 +221,130 @@ def _netting_walk(tail, anchor, base_step: np.ndarray, g: np.ndarray):
     generation that reaches below the base-step cell holding the closest
     map of g, or to g + 1 when that is later (always for an empty
     generation).  It stops at the first generation whose envelope lies
-    within base_step of the origin, the tail's accumulation point.
+    within base_step of the origin, the tail's accumulation point:
+    envelopes do not grow, so that is generation_reaching(base_step),
+    and the walk visits only the generations before it.
 
     Each round, every active node proposes a block of generations: its
     current one g, then as the j-th after it the later of g + j and the
     generation reaching below the lower edge of g's envelope cell moved
-    down j - 1 cells.
-    In sparse stretches (one map per cell) and dense ones (many
-    generations per cell) these are the generations the walk visits.
-    All proposals are evaluated at once, and each node keeps the prefix
-    of its block that the walk rule confirms, so the visited generations
-    are exactly those of the sequential walk.  Blocks double while they
-    are confirmed whole and shrink to twice the confirmed prefix when not.
+    down j - 1 cells.  Consecutive generations hold the walk where a
+    generation spans cells, the cell-edge guesses where a cell holds
+    many generations.  All proposals are evaluated at once, together
+    with the walk's successor of each.  A node then follows the walk
+    from g through its own block, successor by successor: along runs of
+    adjacent entries at once, and past skipped entries by doubling the
+    successor links.  It stops at the first successor it did not
+    evaluate, where the next round starts, or is done when that
+    successor is the stop generation or later.  Every visit is a step of
+    the walk rule, so the visited generations are exactly those of the
+    sequential walk.
+
+    A block doubles when the walk left it past its last entry, and is
+    otherwise twice the part of it the walk reached; while few nodes
+    walk, they share at least _MAX_PROPOSALS generations a round.  A
+    block holds no generation from the stop on, and at most one more
+    than the index of the base-step cell holding g's envelope: a visit
+    that jumps lands at least a cell lower, so a longer block would
+    mostly go unvisited.
 
     Returns the owning node and tail-space position of every visited
     map, as per-round lists, each node's maps in walk order.
     """
     owners, positions = [], []
-    active = np.arange(len(base_step))
+    stop = generation_reaching(tail, base_step)
+    active = np.flatnonzero(g < stop)
+    g = g[active]
     width = np.ones(len(active), dtype=np.int64)
     while len(active):
-        row = np.repeat(np.arange(len(active)), width)
-        slot = ragged_arange(width)
-        first = np.cumsum(width) - width
-        step = base_step[active][row]
-        env = tail.envelope_reach(g)
-        h = g[row] + slot
-        below = (np.floor(env / base_step[active]) * base_step[active])[row] - (slot - 1) * step
-        guess = (slot > 0) & (below > 0.0)
-        h[guess] = np.maximum(h[guess], generation_reaching(tail, below[guess]))
-
-        own, maps = tail.generation_arrays(h)
-        pos = maps(anchor)
-        min_reach = np.full(len(h), np.inf)
-        np.minimum.at(min_reach, own, abs(pos))
-        with np.errstate(invalid="ignore"):
-            target = np.floor(min_reach / step) * step
-        jump = (target > 0.0) & np.isfinite(target)
-        nxt = h + 1
-        if jump.any():
-            nxt[jump] = np.maximum(nxt[jump], generation_reaching(tail, target[jump]))
-
-        # confirmed prefix: stop before an envelope within base_step, or
-        # before a proposal the previous generation does not move on to
-        ends = tail.envelope_reach(h) < step
-        broken = np.zeros(len(h), dtype=bool)
-        broken[1:] = (slot[1:] > 0) & (nxt[:-1] != h[1:])
-        taken = np.minimum.reduceat(np.where(ends | broken, slot, width[row]), first)
-        keep = (slot < taken[row])[own]
+        step, end = base_step[active], stop[active]
+        width = np.maximum(width, _MAX_PROPOSALS // len(active))
+        width, row, h = _proposals(tail, g, step, end, width)
+        own, pos, nxt = _successors(tail, anchor, h, step[row])
+        visit, first, tip = _follow(row, h, nxt)
+        keep = visit[own]
         owners.append(active[row[own[keep]]])
         positions.append(pos[keep])
 
-        at = first + np.minimum(taken, width - 1)
-        finished = (taken == 0) | ((taken < width) & ends[at] & ~broken[at])
-        go = ~finished
-        active = active[go]
-        g = nxt[first[go] + taken[go] - 1]
-        width = np.minimum(2 * taken[go], _MAX_PROPOSALS)
+        g = nxt[tip]
+        go = g < end
+        last = np.append(first[1:], len(h)) - 1
+        width = np.where(g > h[last], 2 * width, 2 * (tip - first + 1))
+        width = np.minimum(width, _MAX_PROPOSALS)[go]
+        active, g = active[go], g[go]
     return owners, positions
+
+
+def _proposals(tail, g: np.ndarray, step: np.ndarray, end: np.ndarray, width: np.ndarray):
+    """Each node's block: width capped as _netting_walk describes, and the
+    owning node and generation of every proposal, ascending and distinct
+    along each node's run."""
+    cell = np.floor(tail.envelope_reach(g) / step)
+    width = np.minimum(np.minimum(width, cell + 1), end - g).astype(np.int64)
+    row = np.repeat(np.arange(len(g)), width)
+    slot = ragged_arange(width)
+    h = g[row] + slot
+    later = slot > 0
+    below = ((cell[row] - (slot - 1)) * step[row])[later]
+    h[later] = np.maximum(h[later], generation_reaching(tail, below))
+    h = np.minimum(h, end[row] - 1)
+    # a row's proposals do not decrease: drop the repeats
+    fresh = ~later
+    fresh[1:] |= h[1:] != h[:-1]
+    return width, row[fresh], h[fresh]
+
+
+def _successors(tail, anchor, h: np.ndarray, step: np.ndarray):
+    """The maps of generations h (owner, anchor images) and the walk's
+    successor of each generation, under base steps step."""
+    own, maps = tail.generation_arrays(h)
+    pos = maps(anchor)
+    min_reach = np.full(len(h), np.inf)
+    np.minimum.at(min_reach, own, abs(pos))
+    with np.errstate(invalid="ignore"):
+        target = np.floor(min_reach / step) * step
+    jump = (target > 0.0) & np.isfinite(target)
+    nxt = h + 1
+    if jump.any():
+        nxt[jump] = np.maximum(nxt[jump], generation_reaching(tail, target[jump]))
+    return own, pos, nxt
+
+
+def _follow(row: np.ndarray, h: np.ndarray, nxt: np.ndarray):
+    """The walk through each row's generations h, ascending and distinct,
+    from the row's first one, successor nxt by successor while the row
+    holds it.
+
+    Returns the mask of visited entries, and each row's first entry and
+    last visit.
+    """
+    n = len(h)
+    idx = np.arange(n)
+    first = np.flatnonzero(np.append(True, row[1:] != row[:-1]))
+    # link[i]: the entry of i's row holding the successor of entry i, n
+    # when the row does not hold it
+    gap = np.full(n, -1)
+    gap[:-1] = np.where(row[1:] == row[:-1], nxt[:-1] - h[1:], -1)
+    link = np.append(np.where(gap == 0, idx + 1, n), n)
+    ahead = gap > 0
+    if ahead.any():
+        span = int(max(h.max(), nxt.max())) + 1
+        keys = row * span + h
+        want = (row * span + nxt)[ahead]
+        at = np.minimum(np.searchsorted(keys, want), n - 1)
+        hit = keys[at] == want
+        link[idx[ahead][hit]] = at[hit]
+    # the run of adjacent entries from each row's first, then the rest by
+    # doubling the links
+    tip = np.minimum.reduceat(np.where(gap == 0, n, idx), first)
+    visit = np.append(idx <= tip[row], False)
+    if (link[tip] < n).any():
+        while not (link[tip] == n).all():
+            visit[link[visit]] = True
+            link = link[link]
+        visit[n] = False
+        tip = np.maximum.reduceat(np.where(visit[:n], idx, -1), first)
+    return visit[:n], first, tip
 
 
 def _first_per_cell(owner: np.ndarray, cells: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -369,7 +450,7 @@ def _build(spec: CifsSpec, delta, window, cap, fixed_points_only):
     if not points.chunks:
         return np.empty((0, 2) if geo.planar else 0), expanded_rows
     pts = np.concatenate(points.chunks)
-    return (np.unique(pts, axis=0) if geo.planar else np.unique(pts)), expanded_rows
+    return (np.unique(pts, axis=0) if geo.planar else _sorted_distinct(pts)), expanded_rows
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,11 @@ def emit_svg(curves: list[SpectrumCurve], value_max: float = 1.0) -> str:
 
 def resample_to_union_grid(curves: list[SpectrumCurve]) -> list[SpectrumCurve]:
     """Linear resampling of curves onto the union of their grids."""
-    grid = np.unique(np.concatenate([c.thetas for c in curves]))
+    # sorted and distinct as np.unique leaves them, without importing numpy.ma
+    grid = np.sort(np.concatenate([c.thetas for c in curves]))
+    keep = np.ones(len(grid), dtype=bool)
+    keep[1:] = grid[1:] != grid[:-1]
+    grid = grid[keep]
     out = []
     for c in curves:
         vals = np.interp(grid, c.thetas[np.isfinite(c.values)], c.values[np.isfinite(c.values)])

@@ -5,7 +5,8 @@ The package handles maps only as batches (``ifsdim.mobius``,
 the per-generation maps of every tail rule here, written from their
 definitions, as the oracle the batch forms must match bit for bit.
 The exhaustive minimum 1-D cover count is the oracle of the estimator's
-greedy sweep.
+greedy sweep, and the netting walk of one node, one generation at a
+time, the oracle of the cloud builder's lockstep walk.
 """
 
 import math
@@ -21,6 +22,7 @@ from ifsdim.tails import (
     InducedParabolicTail,
     SimilarityTail,
     SpacedDigits,
+    generation_reaching,
 )
 
 
@@ -134,6 +136,31 @@ def generation_maps(tail, g):
         return out
     assert isinstance(tail, InducedParabolicTail)
     return [branch if g == 0 else Composite((tail.parabolic,) * g + (branch,)) for _, branch in tail.branches]
+
+
+def netting_walk(tail, anchor, base_step: float, g: int) -> list:
+    """The netting walk of one node, one generation at a time.
+
+    From generation g on, the walk visits each generation until the
+    first whose envelope lies within base_step of the origin.  A visit
+    keeps the anchor's image under every map of the generation.  The
+    walk then moves on to the later of the next generation and the first
+    generation whose envelope lies below the lower edge of the base-step
+    cell holding the image closest to the origin.  Returns the images
+    of every visit, in walk order.
+    """
+    visits = []
+    while tail.envelope_reach(np.array([g]))[0] >= base_step:
+        _, maps = tail.generation_arrays(np.array([g]))
+        images = maps(anchor)
+        visits.append(images)
+        nxt = g + 1
+        if len(images):
+            edge = math.floor(float(np.min(abs(images))) / base_step) * base_step
+            if edge > 0.0:
+                nxt = max(nxt, int(generation_reaching(tail, [edge])[0]))
+        g = nxt
+    return visits
 
 
 def exhaustive_cover_count_1d(points: np.ndarray, r: float) -> int:

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,8 @@ from ifsdim.families import make_family
 from ifsdim.jsonio import spec_from_dict
 from ifsdim.spectra import SpectrumCurve
 from ifsdim.svgplot import emit_svg, resample_to_union_grid
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_dimension_subcommand(capsys):
@@ -200,6 +204,55 @@ GOLDEN_CTD_SPACED = {
     "curves.csv": "6d45c346704ec39b980a76e29e0ba5ee16a350cb17fbf2bb4830762a039d0d0b",
     "summary.json": "2edf393c4dd67de2f49010d2ad07611fd29e290d92dcf0919090f60de08033d6",
 }
+
+
+# sha256 of all five artifacts of the default `compare` of three families,
+# recorded with the netting walk that confirmed a prefix of each block per
+# round, before it followed the walk's successors through the block: the
+# walks these builds take have the longest sparse stretches
+GOLDEN_DEFAULT_COMPARES = {
+    "sharp": (["--params", "p=1.8,t=2.8,h=0.5"], 0, {
+        "cloud.bin": "9e486bacf69c3bb0f7b36c243674e3dfa6d171ed744c561420ba2988076343dd",
+        "cloud.csv": "a509d3ab36f6635b307ab310c4c0e31994dc883b40352a2ac251da8853e62aab",
+        "curves.csv": "6e1945c75df819c104f72e00548624a206c22679395719de0b9b3c337ae4fb16",
+        "overlay.svg": "3e9726f327f196946df63b506221ae46d056f015a41568fd044d396e70b264af",
+        "summary.json": "b4ad53f3a60a7af3dd42da254a21a859d704e022923f98ba37a7162dcb419122",
+    }),
+    "ctd-clustered": ([], 1, {
+        "cloud.bin": "3467a64d790341f1b6069a9e5f055d5bd8fe05b35c94354577ae0864a394434c",
+        "cloud.csv": "7ab57678d0ad779610cddceb241ca94164cb93740f7d1ab247cbe3bdeafb37d8",
+        "curves.csv": "9c15ede6ab6991c8a8521b913cbe873ac6f18c1024de7234deaa0c1c680414ba",
+        "overlay.svg": "594867a3a23199258c464d64e0eb626106977190c5536637de867403013bd74f",
+        "summary.json": "8780ab8c4bac9fc2a88c8ef6d1fca0c71f2979104fb825d70d806a39980c26b2",
+    }),
+    "parabolic": ([], 0, {
+        "cloud.bin": "09b7e2d7d636fbe7c51f10aaa52fbb680f5f0dd60c5b934cae0196840af9c21e",
+        "cloud.csv": "97cfa954614591938a87bbfa77691e9d594bd126b3efdfdd8dd501830ee173d0",
+        "curves.csv": "04d4dddfd479f61b5ec875ddf0544a63e6a626ab01a84a0d3a0a1bbfccecf5b7",
+        "overlay.svg": "ee8a30c12e25ea427290c59ed775d6b071b48ca9cad4df46dfb408b765734d2c",
+        "summary.json": "0a308575dcb0c0eb20a04c2cd9ca3f45d164f277be6c4ad6f0f541a05a669dc7",
+    }),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_DEFAULT_COMPARES))
+def test_default_compare_golden_digests(tmp_path, capsys, family):
+    params, code, golden = GOLDEN_DEFAULT_COMPARES[family]
+    assert main(["compare", "--family", family, *params, "--out", str(tmp_path)]) == code
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in golden}
+    assert digests == golden
+
+
+def test_compare_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 10 ms in a fresh
+    # interpreter; a 1-D compare dedupes its cloud and theta grid without it
+    script = ("import sys\n"
+              "from ifsdim.cli import main\n"
+              f"main(['compare', '--family', 'fp', '--out', {str(tmp_path)!r}])\n"
+              "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_compare_golden_digests(tmp_path, capsys):

@@ -14,9 +14,12 @@ from ifsdim import (
     build_fixed_point_cloud,
     build_limit_cloud,
 )
+from ifsdim import cloud as cloud_module
 from ifsdim.families import make_family
 from ifsdim.jsonio import spec_from_dict
+from ifsdim.mobius import CArray
 from ifsdim.tails import ClusteredDigits, GaussDigitTail, PowerRule, SimilarityTail
+from scalar_oracle import netting_walk
 
 
 def two_map_spec():
@@ -219,6 +222,112 @@ def test_golden_cloud_digest(name):
     cloud = build()
     assert cloud.complete
     assert hashlib.sha256(cloud.to_bytes()).hexdigest() == digest
+
+
+class _CountingTail:
+    """A tail that counts its generation_arrays calls: one per walk round."""
+
+    def __init__(self, tail):
+        self.tail, self.calls = tail, 0
+
+    def __getattr__(self, name):
+        return getattr(self.tail, name)
+
+    def generation_arrays(self, gs):
+        self.calls += 1
+        return self.tail.generation_arrays(gs)
+
+
+def _recorded_walks(monkeypatch, build):
+    """Every netting walk of a build: its arguments, its result and its rounds."""
+    walks = []
+    walk = cloud_module._netting_walk
+
+    def recording(tail, anchor, base_step, g):
+        counting = _CountingTail(tail)
+        out = walk(counting, anchor, base_step, g)
+        walks.append({"tail": tail, "anchor": anchor, "base_step": base_step, "g": g,
+                      "out": out, "rounds": counting.calls})
+        return out
+
+    monkeypatch.setattr(cloud_module, "_netting_walk", recording)
+    build()
+    return walks
+
+
+def _default_build(name, params=None):
+    family = make_family(name, params)
+    if family.cloud_kind == "fixed_points":
+        return lambda: build_fixed_point_cloud(family.spec, family.default_delta)
+    return lambda: build_limit_cloud(family.spec, family.default_delta)
+
+
+def _as_complex(parts):
+    if parts and isinstance(parts[0], CArray):
+        return np.concatenate([p.re for p in parts]) + 1j * np.concatenate([p.im for p in parts])
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+# one build per tail kind; for each, the walks checked and at most how
+# many nodes of each walk, spread over the level
+WALK_ORACLE_CASES = {
+    "similarity sharp t=2.8": (_default_build("sharp", {"p": 1.8, "t": 2.8, "h": 0.5}), None, 40),
+    "similarity fp": (_default_build("fp"), None, 40),
+    "spaced digits": (_default_build("ctd-spaced"), None, 40),
+    "clustered digits": (_default_build("ctd-clustered"), None, 25),
+    "full digits": (_default_build("dense-cf"), None, 40),
+    "complex full": (lambda: build_limit_cloud(spec_from_dict({"kind": "complex_gauss", "digits": "full"}), 0.05),
+                     None, 40),
+    "induced parabolic root": (_default_build("parabolic"), 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_ORACLE_CASES))
+def test_netting_walk_matches_the_sequential_walk(monkeypatch, name):
+    build, levels, nodes = WALK_ORACLE_CASES[name]
+    walks = _recorded_walks(monkeypatch, build)[:levels]
+    visited = 0
+    for w in walks:
+        owner = np.concatenate(w["out"][0])
+        pos = _as_complex(w["out"][1])
+        k = len(w["g"])
+        for node in sorted(set(np.linspace(0, k - 1, min(k, nodes)).astype(int).tolist())):
+            want = _as_complex(netting_walk(w["tail"], w["anchor"], float(w["base_step"][node]), int(w["g"][node])))
+            got = pos[owner == node]
+            assert np.array_equal(got, want), (name, node)
+            visited += len(want)
+    assert visited > 0
+
+
+# rounds of the netting walk over each default build with the per-round
+# prefix rule the successor-following walk replaced
+PREFIX_WALK_ROUNDS = {
+    "sharp t=3.6": (("sharp", {"p": 1.8, "t": 3.6, "h": 0.5}), 40),
+    "sharp t=2.8": (("sharp", {"p": 1.8, "t": 2.8, "h": 0.5}), 108),
+    "fp": (("fp",), 13),
+    "ctd-spaced": (("ctd-spaced",), 46),
+    "dense-cf": (("dense-cf",), 37),
+    "ctd-clustered": (("ctd-clustered",), 86),
+    "parabolic": (("parabolic",), 708),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_WALK_ROUNDS))
+def test_netting_walk_rounds_do_not_grow(monkeypatch, name):
+    family, rounds = PREFIX_WALK_ROUNDS[name]
+    walks = _recorded_walks(monkeypatch, _default_build(*family))
+    assert sum(w["rounds"] for w in walks) <= rounds
+
+
+def test_netting_walk_rounds_on_sparse_tails(monkeypatch):
+    # the sparse stretch of the induced parabolic tail visits every other
+    # generation: 1 462 at the root, which the prefix rule confirmed one a
+    # round (372 rounds at the root, 708 in the build)
+    walks = _recorded_walks(monkeypatch, _default_build("parabolic"))
+    assert walks[0]["rounds"] <= 20
+    assert sum(w["rounds"] for w in walks) <= 80
+    walks = _recorded_walks(monkeypatch, _default_build("sharp", {"p": 1.8, "t": 2.8, "h": 0.5}))
+    assert sum(w["rounds"] for w in walks) <= 20
 
 
 def test_cap_is_enforced_on_generic_path():
