@@ -39,6 +39,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .arrays import chunks, ranges
 from .errors import ConfigurationError
 from .maps import MapKind, RenyiBranch, Similarity
 from .mobius import (
@@ -56,7 +57,7 @@ from .mobius import (
     take_mobius,
 )
 from .spectra import null_spectrum
-from .tails import InducedParabolicTail, Label, SimilarityTail, TailRule, ragged_arange
+from .tails import InducedParabolicTail, Label, SimilarityTail, TailRule
 
 Region = Union[Interval, Disc]
 
@@ -293,16 +294,15 @@ class _Plane(_Line):
     def overlaps(self, region) -> tuple[np.ndarray, np.ndarray]:
         """Index pairs (i < j, row by row) of discs that overlap by more than 1e-15.
 
-        Rows are taken in blocks of about _PAIR_BLOCK pairs, so that a
-        long list of explicit branches does not hold every pair at once."""
+        Rows are taken in blocks of at most _PAIR_BLOCK pairs (a longer
+        row alone), so that a long list of explicit branches does not
+        hold every pair at once."""
         center, radius = region
-        n = len(radius)
-        rows = max(1, _PAIR_BLOCK // max(n, 1))
+        later = len(radius) - 1 - np.arange(len(radius))
         found_i, found_j = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        for start in range(0, n, rows):
-            counts = n - 1 - np.arange(start, min(start + rows, n))
-            i = np.repeat(np.arange(start, start + len(counts)), counts)
-            j = i + 1 + ragged_arange(counts)
+        for a, b in chunks(later, _PAIR_BLOCK):
+            i = np.repeat(np.arange(a, b), later[a:b])
+            j = ranges(np.arange(a, b) + 1, later[a:b])
             meet = ~(abs(center[i] - center[j]) >= radius[i] + radius[j] - 1e-15)
             found_i.append(i[meet])
             found_j.append(j[meet])

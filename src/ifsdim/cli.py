@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import random
 import sys
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .cifs import require_inside, validate_cifs
-from .cloud import PointCloud, build_fixed_point_cloud, build_limit_cloud
+from .cloud import PointCloud, atomic_write, build_fixed_point_cloud, build_limit_cloud
 from .errors import ConfigurationError, DomainError
 from .estimator import (
     EstimateReport,
@@ -48,9 +47,6 @@ from .spectra import (
     upper_envelope,
 )
 from .svgplot import emit_svg, resample_to_union_grid
-
-#: characters (or bytes) per write in _atomic_write
-_WRITE_CHUNK = 1 << 20
 
 #: the spot check recounts at most this many estimate nodes, and at most
 #: this many cover intervals (or squares) over all of them: a scalar
@@ -81,8 +77,8 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.delta is not None and self.delta <= 0:
-            raise ConfigurationError("--delta must be positive")
+        if self.delta is not None and not 0.0 < self.delta < math.inf:
+            raise ConfigurationError(f"--delta must be positive and finite, got {self.delta}")
         if self.grid < 2:
             raise ConfigurationError("--grid needs at least 2 nodes")
 
@@ -103,18 +99,6 @@ class ComparisonTable:
     max_deviation: float
     phase_transitions: tuple[float, ...]
     all_passed: bool
-
-
-def _atomic_write(path: Path, data: str | bytes | Iterable[str]) -> None:
-    """Write text, bytes or text pieces to path through a temporary file."""
-    tmp = path.with_name(path.name + ".tmp")
-    pieces = [data] if isinstance(data, (str, bytes)) else data
-    with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
-        # a slice at a time: writing text whole encodes a full copy of it
-        for piece in pieces:
-            for start in range(0, len(piece), _WRITE_CHUNK):
-                fh.write(piece[start : start + _WRITE_CHUNK])
-    os.replace(tmp, path)
 
 
 def _parse_params(text: str | None) -> dict:
@@ -266,15 +250,15 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cloud.save(out / "cloud.bin")
-    _atomic_write(out / "cloud.csv", cloud.csv_blocks())
+    atomic_write(out / "cloud.csv", cloud.csv_blocks())
     curves = {"lower": lower, "upper": upper, "estimate": estimate}
     if formula is not None:
         curves = {"formula": formula, **curves}
-    _atomic_write(out / "curves.csv", _curves_csv(curves))
+    atomic_write(out / "curves.csv", _curves_csv(curves))
     for name, curve in curves.items():
         curve.metadata["label"] = name
     svg = emit_svg(list(curves.values()), value_max=float(spec.ambient_dim))
-    _atomic_write(out / "overlay.svg", svg)
+    atomic_write(out / "overlay.svg", svg)
 
     summary = {
         "version": __version__,
@@ -292,7 +276,7 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
         "oracle_check": _oracle_spot_check(cloud, report, config.seed),
         "passed": table.all_passed,
     }
-    _atomic_write(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    atomic_write(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return table, summary
 
 
@@ -317,7 +301,7 @@ def _cmd_build(args) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cloud.save(out / "cloud.bin")
-    _atomic_write(out / "cloud.csv", cloud.csv_blocks())
+    atomic_write(out / "cloud.csv", cloud.csv_blocks())
     print(f"cloud: {len(cloud)} points at delta={cloud.delta:g} -> {out / 'cloud.bin'}")
     return 0
 
@@ -349,10 +333,10 @@ def _cmd_spectrum_formula(args) -> int:
     curve = curve_from_formula(lambda th: family.formula(h, th), thetas)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / f"{config.family}-formula.csv", _curves_csv({"value": curve}))
+    atomic_write(out / f"{config.family}-formula.csv", _curves_csv({"value": curve}))
     if args.svg:
         curve.metadata["label"] = config.family
-        _atomic_write(out / f"{config.family}-formula.svg", emit_svg([curve]))
+        atomic_write(out / f"{config.family}-formula.svg", emit_svg([curve]))
     kinks = slope_discontinuities(curve)
     print(f"h = {h:.6g}; phase transition rho = {phase_transition(curve).theta:.6g}; kinks at {kinks}")
     print(f"wrote {out / (config.family + '-formula.csv')}")
@@ -369,7 +353,7 @@ def _cmd_spectrum_estimate(args) -> int:
     assouad = assouad_dimension_estimate(cloud)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "estimate.csv", _curves_csv({"value": report.curve}))
+    atomic_write(out / "estimate.csv", _curves_csv({"value": report.curve}))
     print(f"box = {box.value:.4f}; assouad = {assouad.value:.4f}; wrote {out / 'estimate.csv'}")
     return 0
 
@@ -400,8 +384,8 @@ def _cmd_report(args) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     named = {c.metadata["label"]: c for c in curves}
-    _atomic_write(out / "report-curves.csv", _curves_csv(named))
-    _atomic_write(out / "report.svg", emit_svg(resample_to_union_grid(curves)))
+    atomic_write(out / "report-curves.csv", _curves_csv(named))
+    atomic_write(out / "report.svg", emit_svg(resample_to_union_grid(curves)))
     for c in curves:
         print(f"{c.metadata['label']}: kinks at {[round(k, 5) for k in slope_discontinuities(c)]}")
     print(f"wrote {out / 'report.svg'}")

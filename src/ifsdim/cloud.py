@@ -33,15 +33,18 @@ the same array geometry the axiom checks use.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import chunks, ranges, run_starts, sort_groups, sorted_distinct
 from .cifs import CifsSpec, Region, geometry
 from .errors import CloudSizeError, ConfigurationError
 from .mobius import IDENTITY, Mobius, concat_arrays, concat_mobius, stack_mobius, take_mobius
-from .tails import generation_reaching, ragged_arange
+from .tails import generation_reaching
 
 DEFAULT_CAP = 5_000_000
 
@@ -57,14 +60,22 @@ _HEADER = len(_MAGIC) + _HEAD.size
 #: 254k-point compare by up to 1.9 MB, 4096 by 0.3 MB
 _CSV_BLOCK = 4096
 
+#: characters (or bytes) per write in atomic_write
+_WRITE_CHUNK = 1 << 20
 
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """np.unique of a 1-D float array without NaN, by the same sort and
-    neighbour test; np.unique itself imports numpy.ma on its first call."""
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
+
+def atomic_write(path, data: str | bytes | Iterable[str]) -> None:
+    """Write text, bytes or text pieces to path through a temporary file,
+    renamed over path once complete, so that a failed write leaves the
+    previous file whole."""
+    tmp = os.fspath(path) + ".tmp"
+    pieces = [data] if isinstance(data, (str, bytes)) else data
+    with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+        # a slice at a time: writing text whole encodes a full copy of it
+        for piece in pieces:
+            for start in range(0, len(piece), _WRITE_CHUNK):
+                fh.write(piece[start : start + _WRITE_CHUNK])
+    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -80,11 +91,7 @@ class PointCloud:
     @classmethod
     def from_points(cls, points, delta, ambient_dim=1):
         arr = np.asarray(points, dtype=float)
-        if ambient_dim == 1:
-            arr = _sorted_distinct(arr.reshape(-1))
-        else:
-            arr = arr.reshape(-1, 2)
-            arr = np.unique(arr, axis=0)
+        arr = sorted_distinct(arr.reshape(-1) if ambient_dim == 1 else arr.reshape(-1, 2))
         return cls(arr, float(delta), ambient_dim)
 
     def __len__(self) -> int:
@@ -105,8 +112,7 @@ class PointCloud:
         return head + np.ascontiguousarray(self.points, dtype="<f8").tobytes()
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+        atomic_write(path, self.to_bytes())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "PointCloud":
@@ -282,15 +288,14 @@ def _proposals(tail, g: np.ndarray, step: np.ndarray, end: np.ndarray, width: np
     cell = np.floor(tail.envelope_reach(g) / step)
     width = np.minimum(np.minimum(width, cell + 1), end - g).astype(np.int64)
     row = np.repeat(np.arange(len(g)), width)
-    slot = ragged_arange(width)
+    slot = ranges(0, width)
     h = g[row] + slot
     later = slot > 0
     below = ((cell[row] - (slot - 1)) * step[row])[later]
     h[later] = np.maximum(h[later], generation_reaching(tail, below))
     h = np.minimum(h, end[row] - 1)
     # a row's proposals do not decrease: drop the repeats
-    fresh = ~later
-    fresh[1:] |= h[1:] != h[:-1]
+    fresh = ~later | run_starts(h)
     return width, row[fresh], h[fresh]
 
 
@@ -320,7 +325,7 @@ def _follow(row: np.ndarray, h: np.ndarray, nxt: np.ndarray):
     """
     n = len(h)
     idx = np.arange(n)
-    first = np.flatnonzero(np.append(True, row[1:] != row[:-1]))
+    first = np.flatnonzero(run_starts(row))
     # link[i]: the entry of i's row holding the successor of entry i, n
     # when the row does not hold it
     gap = np.full(n, -1)
@@ -345,17 +350,6 @@ def _follow(row: np.ndarray, h: np.ndarray, nxt: np.ndarray):
         visit[n] = False
         tip = np.maximum.reduceat(np.where(visit[:n], idx, -1), first)
     return visit[:n], first, tip
-
-
-def _first_per_cell(owner: np.ndarray, cells: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Index of the first entry of every (owner, cell) key, by a stable sort."""
-    order = np.lexsort(cells[::-1] + (owner,))
-    first = np.zeros(len(order), dtype=bool)
-    first[:1] = True
-    for key in (owner,) + cells:
-        key = key[order]
-        first[1:] |= key[1:] != key[:-1]
-    return order[first]
 
 
 class _Points:
@@ -422,7 +416,7 @@ def _build(spec: CifsSpec, delta, window, cap, fixed_points_only):
 
         if tail is not None:
             owner = np.repeat(np.arange(k), counts)
-            idx = ragged_arange(counts)
+            idx = ranges(0, counts)
             child = take_mobius(nodes, owner).compose(take_mobius(table.maps, idx))
             big, small = split(child)
             grown.append(take_mobius(child, big))
@@ -435,7 +429,9 @@ def _build(spec: CifsSpec, delta, window, cap, fixed_points_only):
             net_owner, net_pos = _netting_walk(tail, anchor, base_step, g_exp)
             owner = np.concatenate([owner[small]] + net_owner)
             pos = concat_arrays([table.positions[idx[small]]] + net_pos)
-            kept = _first_per_cell(owner, geo.cells(pos, base_step[owner]))
+            order, first = sort_groups((owner,) + geo.cells(pos, base_step[owner]))
+            kept = order[first]
+            del order, first  # as long as owner; not kept through the next level
             points.push(swept[kept[kept < n_swept]])
             kept = kept[kept >= n_swept]
             points.push(geo.near_window(take_mobius(nodes, owner[kept])(pos[kept]), delta))
@@ -450,7 +446,7 @@ def _build(spec: CifsSpec, delta, window, cap, fixed_points_only):
     if not points.chunks:
         return np.empty((0, 2) if geo.planar else 0), expanded_rows
     pts = np.concatenate(points.chunks)
-    return (np.unique(pts, axis=0) if geo.planar else _sorted_distinct(pts)), expanded_rows
+    return sorted_distinct(pts), expanded_rows
 
 
 # ---------------------------------------------------------------------------
@@ -475,24 +471,20 @@ def _check_complete(dim: int, pts: np.ndarray, expanded: np.ndarray) -> bool:
     cx, cy, reach = expanded[:, 0], expanded[:, 1], expanded[:, 2] + 1e-12
     first = np.searchsorted(pts[:, 0], cx - 2.0 * reach, side="left")
     counts = np.searchsorted(pts[:, 0], cx + 2.0 * reach, side="right") - first
-    ends = np.cumsum(counts)
     hit = np.zeros(len(expanded), dtype=bool)
-    lo = 0
-    while lo < len(expanded):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + 1_000_000, side="right")))
+    for lo, hi in chunks(counts, 1_000_000):
         disc = np.repeat(np.arange(lo, hi), counts[lo:hi])
-        pt = np.repeat(first[lo:hi], counts[lo:hi]) + ragged_arange(counts[lo:hi])
+        pt = ranges(first[lo:hi], counts[lo:hi])
         near = np.hypot(pts[pt, 0] - cx[disc], pts[pt, 1] - cy[disc]) <= reach[disc]
         hit[disc[near]] = True
-        lo = hi
     return bool(hit.all())
 
 
 def build_limit_cloud(spec: CifsSpec, delta: float, window: Region | None = None,
                       cap: int = DEFAULT_CAP) -> PointCloud:
     """Breadth-first finite-resolution approximation of the limit set."""
-    if delta <= 0:
-        raise ConfigurationError(f"resolution delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ConfigurationError(f"resolution delta must be positive and finite, got {delta}")
     if delta >= spec.domain_diameter():
         raise ConfigurationError("resolution delta must be below the seed-domain size")
     pts, expanded = _build(spec, delta, window, cap, False)
@@ -502,7 +494,7 @@ def build_limit_cloud(spec: CifsSpec, delta: float, window: Region | None = None
 
 def build_fixed_point_cloud(spec: CifsSpec, delta: float, cap: int = DEFAULT_CAP) -> PointCloud:
     """One anchor image per first-level branch, tail truncated as usual."""
-    if delta <= 0:
-        raise ConfigurationError(f"resolution delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ConfigurationError(f"resolution delta must be positive and finite, got {delta}")
     pts, _ = _build(spec, delta, None, cap, True)
     return PointCloud(pts, delta, spec.ambient_dim, "fixed_points")

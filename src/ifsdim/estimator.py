@@ -94,6 +94,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import chunks, ranges, run_starts, sort_groups
 from .cloud import PointCloud
 from .errors import DomainError
 from .spectra import SpectrumCurve
@@ -319,7 +320,7 @@ def _jump_windows(pts, counts, live, key0, cur, end, two_r) -> None:
     """Move the windows (sorted by chain) S steps at a time while the
     landing stays below end, adding their counts; S is per width, near the
     square root of the longest count its windows can still have."""
-    runs = np.flatnonzero(np.r_[True, key0[1:] != key0[:-1]])
+    runs = np.flatnonzero(run_starts(key0))
     for a, b in zip(runs, np.r_[runs[1:], len(live)]):
         c, e = cur[a:b], end[a:b]
         # a window holds e - c points, and each step advances past 2r
@@ -384,11 +385,7 @@ def _net_centers_1d(pts: np.ndarray, step: float) -> np.ndarray:
         return pts
     k0, k1 = math.floor(pts[0] / step), math.floor(pts[-1] / step)
     if k1 - k0 > n // 8:
-        cells = np.floor(pts / step)
-        first = np.empty(n, dtype=bool)
-        first[:1] = True
-        np.not_equal(cells[1:], cells[:-1], out=first[1:])
-        return pts[first]
+        return pts[run_starts(np.floor(pts / step))]
     ks = np.arange(k0 + 1, k1 + 1, dtype=float)
     start = np.searchsorted(pts, ks * step, side="left")
     while True:
@@ -400,7 +397,7 @@ def _net_centers_1d(pts: np.ndarray, step: float) -> np.ndarray:
     # cells before an empty run share its end as their start; the last
     # cell holds pts[-1], so every start is a point
     start = np.r_[0, start]
-    return pts[start[np.r_[True, start[1:] != start[:-1]]]]
+    return pts[start[run_starts(start)]]
 
 
 def _squares(pts: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -408,11 +405,7 @@ def _squares(pts: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     lexicographically and stably, and the position in that order where
     each square's points start."""
     cells = np.floor(pts / step).astype(np.int64)
-    order = np.lexsort((cells[:, 1], cells[:, 0]))
-    cells = cells[order]
-    new = np.empty(len(pts), dtype=bool)
-    new[:1] = True
-    np.logical_or(cells[1:, 0] != cells[:-1, 0], cells[1:, 1] != cells[:-1, 1], out=new[1:])
+    order, new = sort_groups((cells[:, 0], cells[:, 1]))
     return order, np.flatnonzero(new)
 
 
@@ -433,24 +426,6 @@ _CANDIDATE_FLOOR = 1 << 13
 #: covers the ulp or so by which np.hypot may misorder two distances, 2^12
 #: times over
 _EDGE_MARGIN = 2.0**-40
-
-
-def _chunks(sizes: np.ndarray, budget: int):
-    """Ranges [a, b) of consecutive items whose sizes sum to at most
-    budget, an item larger than budget alone."""
-    total = np.cumsum(sizes)
-    a = 0
-    while a < len(sizes):
-        base = int(total[a - 1]) if a else 0
-        b = max(a + 1, int(np.searchsorted(total, base + budget, side="right")))
-        yield a, b
-        a = b
-
-
-def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The indices of the runs starts[k] + [0, lens[k]), concatenated."""
-    offset = np.cumsum(lens) - lens
-    return np.arange(int(lens.sum())) + np.repeat(starts - offset, lens)
 
 
 def _reach(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -502,9 +477,9 @@ def _counts_2d(pts: np.ndarray, centers: np.ndarray, R: float, r: float) -> np.n
     counts = np.empty(len(centers), dtype=np.int64)
     budget = max(len(key), _CANDIDATE_FLOOR)
     inner, outer = R * (1.0 - _EDGE_MARGIN), R * (1.0 + _EDGE_MARGIN)
-    for a, b in _chunks(per_center, budget):
+    for a, b in chunks(per_center, budget):
         cx, cy = centers[a:b, 0], centers[a:b, 1]
-        cand = _runs(start[a:b].ravel(), runs[a:b].ravel())
+        cand = ranges(start[a:b].ravel(), runs[a:b].ravel())
         owner = np.repeat(np.arange(b - a), per_center[a:b])
         far_x, near_x = _reach(x0[cand], x1[cand], cx[owner])
         far_y, near_y = _reach(y0[cand], y1[cand], cy[owner])
@@ -514,9 +489,9 @@ def _counts_2d(pts: np.ndarray, centers: np.ndarray, R: float, r: float) -> np.n
         # the exact test of cover_count_2d
         cut = (far > inner) & (near <= outer)
         owner, cand = owner[cut], cand[cut]
-        for c, d in _chunks(size[cand], budget):
+        for c, d in chunks(size[cand], budget):
             lens = size[cand[c:d]]
-            idx = _runs(first[cand[c:d]], lens)
+            idx = ranges(first[cand[c:d]], lens)
             who = np.repeat(owner[c:d], lens)
             hit = np.hypot(xs[idx] - cx[who], ys[idx] - cy[who]) <= R
             hit = np.logical_or.reduceat(hit, np.cumsum(lens) - lens)

@@ -13,6 +13,7 @@ name and no closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,9 +61,12 @@ def _get(params: dict, key: str, default=None) -> float:
         raise ConfigurationError(f"family parameter {key!r} is required")
     value = params.get(key, default)
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigurationError(f"family parameter {key!r} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigurationError(f"family parameter {key!r} must be finite, got {value!r}")
+    return number
 
 
 def make_family(name: str, params: dict | None = None) -> Family:

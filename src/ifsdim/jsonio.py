@@ -19,6 +19,7 @@ malformed document raises ConfigurationError naming the bad field.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .cifs import CifsSpec, renyi_parabolic_spec
@@ -52,8 +53,10 @@ def _is_integral(value) -> bool:
 
 
 def _number(value, what: str) -> float:
-    if not _is_number(value):
-        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    # json reads the tokens NaN and Infinity as floats; they fail here, as
+    # does an integer past the float range
+    if not (_is_number(value) and abs(value) <= sys.float_info.max):
+        raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 

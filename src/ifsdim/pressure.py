@@ -115,13 +115,15 @@ class DimensionResult:
 # word tables
 
 
-def _deriv_bounds_arrays(spec: CifsSpec, m: Mobius) -> tuple[np.ndarray, np.ndarray]:
-    """Extremes of |m'| over the seed domain per map; a pole on it is an error.
+def _deriv_bounds_arrays(spec: CifsSpec, m: Mobius, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extremes of |m'| = det / |c x + d|^2 over the seed domain per map,
+    given det = |ad - bc| per map; a pole on the domain is an error.
 
+    A word's det is the product of its letters' (_word_dets): from the
+    entries of a long word, ad - bc cancels to 0 once they pass 2^53.
     The squares are numpy's, not the float_power of mobius.deriv_ranges_*:
     the two differ in the last bit on some inputs, which would move
     every enclosure."""
-    det = np.abs(m.a * m.d - m.b * m.c)
     if spec.ambient_dim == 1:
         q0, q1, poles = line_denominators(m, spec.domain)
         if np.any(poles):
@@ -148,6 +150,17 @@ def _extend(words: Mobius, head: Mobius) -> Mobius:
     return Mobius(out.a.ravel(), out.b.ravel(), out.c.ravel(), out.d.ravel())
 
 
+def _word_dets(letter_dets: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
+    """|ad - bc| of the head words lo..hi-1 of length n, in the order of
+    _extend: the product of their letters' |det|, first letter first."""
+    if n == 1:
+        return letter_dets[lo:hi]
+    k = len(letter_dets)
+    first = lo // k
+    prefixes = _word_dets(letter_dets, n - 1, first, -(-hi // k))
+    return np.outer(prefixes, letter_dets).ravel()[lo - first * k : hi - first * k]
+
+
 def _numeric(m: Mobius) -> Mobius:
     """float64 entries on the line; complex128 in the plane, where
     numpy's complex kernels run faster than CArray's."""
@@ -170,8 +183,10 @@ class _Tables:
         sample = max(HEAD_SIZE - n, 8) if spec.tail is not None else 0
         first = spec.first_maps(sample)
         maps = _numeric(first)
-        self.explicit = _deriv_bounds_arrays(spec, take_mobius(maps, slice(0, n)))
-        self.head = take_mobius(maps, slice(0, HEAD_SIZE)) if spec.tail is not None else maps
+        det = np.abs(maps.a * maps.d - maps.b * maps.c)
+        self.explicit = _deriv_bounds_arrays(spec, take_mobius(maps, slice(0, n)), det[:n])
+        size = HEAD_SIZE if spec.tail is not None else len(det)
+        self.head, self.head_det = take_mobius(maps, slice(0, size)), det[:size]
         # similarity sums are multiplicative, so depth one is exact
         self.depth = 1
         while (not spec.is_similarity() and self.depth < MAX_DEPTH_FINITE
@@ -193,14 +208,18 @@ class _Tables:
         by 4 MB with the heap's layout."""
         if n not in self.words:
             if n == 1:
-                self.words[n] = _deriv_bounds_arrays(spec, self.head)
+                self.words[n] = _deriv_bounds_arrays(spec, self.head, self.head_det)
             else:
                 prefixes = self.head
                 for _ in range(n - 2):
                     prefixes = _extend(prefixes, self.head)
-                step = max(1, WORD_BUDGET // (4 * len(self.head.a)))
-                blocks = [_deriv_bounds_arrays(spec, _extend(take_mobius(prefixes, slice(i, i + step)), self.head))
-                          for i in range(0, len(prefixes.a), step)]
+                k = len(self.head.a)
+                step = max(1, WORD_BUDGET // (4 * k))
+                blocks = []
+                for i in range(0, len(prefixes.a), step):
+                    words = take_mobius(prefixes, slice(i, i + step))
+                    dets = _word_dets(self.head_det, n, i * k, (i + len(words.a)) * k)
+                    blocks.append(_deriv_bounds_arrays(spec, _extend(words, self.head), dets))
                 self.words[n] = tuple(np.concatenate(ends) for ends in zip(*blocks))
         return self.words[n]
 
@@ -407,10 +426,10 @@ def build_sharp_family(p: float, t: float, h: float) -> CifsSpec:
     follow p * i^(-t), and the first ratios are scaled by a common
     factor so the dimension equation holds exactly at h.
     """
-    if p <= 0:
-        raise DomainError(f"offset exponent p must be positive, got {p}")
-    if t < p + 1:
-        raise DomainError(f"tail exponent must satisfy t >= p + 1, got t={t}, p={p}")
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"offset exponent p must be positive and finite, got {p}")
+    if not p + 1 <= t < math.inf:
+        raise DomainError(f"tail exponent must be finite and satisfy t >= p + 1, got t={t}, p={p}")
     if not (1.0 / t < h < 1.0):
         raise DomainError(f"target dimension must lie in (1/t, 1) = ({1.0/t:.4g}, 1), got {h}")
 

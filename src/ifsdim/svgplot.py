@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .arrays import sorted_distinct
 from .errors import DomainError
 from .spectra import SpectrumCurve
 
@@ -102,11 +103,7 @@ def emit_svg(curves: list[SpectrumCurve], value_max: float = 1.0) -> str:
 
 def resample_to_union_grid(curves: list[SpectrumCurve]) -> list[SpectrumCurve]:
     """Linear resampling of curves onto the union of their grids."""
-    # sorted and distinct as np.unique leaves them, without importing numpy.ma
-    grid = np.sort(np.concatenate([c.thetas for c in curves]))
-    keep = np.ones(len(grid), dtype=bool)
-    keep[1:] = grid[1:] != grid[:-1]
-    grid = grid[keep]
+    grid = sorted_distinct(np.concatenate([c.thetas for c in curves]))
     out = []
     for c in curves:
         vals = np.interp(grid, c.thetas[np.isfinite(c.values)], c.values[np.isfinite(c.values)])

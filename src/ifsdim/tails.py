@@ -67,6 +67,7 @@ from typing import Union
 
 import numpy as np
 
+from .arrays import chunks, ranges
 from .errors import ConfigurationError
 from .maps import ComplexGaussBranch, MapKind
 from .mobius import (
@@ -92,12 +93,6 @@ def _positive(xs) -> np.ndarray:
     if np.any(xs <= 0.0):
         raise ConfigurationError("threshold must be positive")
     return xs
-
-
-def ragged_arange(counts: np.ndarray) -> np.ndarray:
-    """0..counts[i]-1 for every i, concatenated."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)
 
 
 def generation_reaching(tail: TailRule, xs) -> np.ndarray:
@@ -134,8 +129,8 @@ class PowerRule:
     exponent: float
 
     def __post_init__(self):
-        if self.coef <= 0 or self.exponent <= 0:
-            raise ConfigurationError("power rule needs positive coefficient and exponent")
+        if not (0.0 < self.coef < math.inf and 0.0 < self.exponent < math.inf):
+            raise ConfigurationError("power rule needs a finite positive coefficient and exponent")
 
     def value(self, i: int) -> float:
         return self.coef * float(i) ** (-self.exponent)
@@ -169,8 +164,8 @@ class GeometricRule:
     base: float
 
     def __post_init__(self):
-        if self.coef <= 0 or not (0.0 < self.base < 1.0):
-            raise ConfigurationError("geometric rule needs coef > 0 and base in (0,1)")
+        if not (0.0 < self.coef < math.inf and 0.0 < self.base < 1.0):
+            raise ConfigurationError("geometric rule needs a finite coef > 0 and base in (0,1)")
 
     def value(self, i: int) -> float:
         return self.coef * self.base**i
@@ -254,12 +249,15 @@ class SpacedDigits:
     p: float
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise ConfigurationError("spaced digit sets need p >= 1")
+        if not 1.0 <= self.p < math.inf:
+            raise ConfigurationError("spaced digit sets need a finite p >= 1")
 
     def digits_at(self, gs: np.ndarray) -> np.ndarray:
         # float_power rounds as Python's ** does; numpy's power may not
-        return np.floor(np.float_power(2.0 + np.asarray(gs), self.p)).astype(np.int64)
+        digits = np.floor(np.float_power(2.0 + np.asarray(gs), self.p))
+        if np.any(digits >= 2.0**63):
+            raise ConfigurationError("spaced digit beyond the int64 range (2^63)")
+        return digits.astype(np.int64)
 
     def index_guess(self, ys: np.ndarray) -> np.ndarray:
         """The index of the first digit above y, per y, up to rounding."""
@@ -285,9 +283,6 @@ class SpacedDigits:
     def fixed_point_spectrum(self, theta):
         # fixed points lie within a bounded factor of 1/b = n^(-p)
         return fp_spectrum(self.p, theta)
-
-    def min_digit(self) -> int:
-        return math.floor(2**self.p)
 
 
 @dataclass(frozen=True)
@@ -357,13 +352,10 @@ class ClusteredDigits:
         with np.errstate(divide="ignore"):
             return float_or_array(np.where(th < 1.0, np.minimum(self.alpha / (2.0 * (1.0 - th)), 1.0), 1.0))
 
-    def min_digit(self) -> int:
-        return 2
-
 
 @dataclass(frozen=True)
 class FullDigits:
-    """Every integer digit from min_digit upwards."""
+    """Every integer digit from start upwards."""
 
     start: int = 2
 
@@ -387,9 +379,6 @@ class FullDigits:
     def fixed_point_spectrum(self, theta):
         return fp_spectrum(1.0, theta)
 
-    def min_digit(self) -> int:
-        return self.start
-
 
 DigitSet = Union[SpacedDigits, ClusteredDigits, FullDigits]
 
@@ -412,7 +401,7 @@ class GaussDigitTail:
         return self.digits.index_guess(1.0 / xs)
 
     def sup_contraction(self) -> float:
-        return 1.0 / self.digits.min_digit() ** 2
+        return 1.0 / float(self.digits.digits_at(0)) ** 2
 
     def psi1_bounds(self, t: float, _domain, end: str | None = None) -> tuple[float, float]:
         # |S_b'| on [0,1] ranges over [(b+1)^-2, b^-2]: the lower end sums
@@ -450,7 +439,7 @@ class ComplexGaussTail:
         # per digit: the plain branch (not for digit 1), then S_1 o S_b
         kinds = 1 + ((m != 1) | (n != 0))
         owner, m, n = np.repeat(owner, kinds), np.repeat(m, kinds), np.repeat(n, kinds)
-        composite = ragged_arange(kinds) == kinds.repeat(kinds) - 1
+        composite = ranges(1 - kinds, kinds) == 0  # the last map of each digit
         zero, one = np.zeros(len(m)), np.ones(len(m))
         # plain: (0, 1, 1, b); composite, as Composite.mobius composes it: (1, b, 1, 1 + b)
         a = CArray(np.where(composite, one, zero), zero)
@@ -621,18 +610,15 @@ def _shells(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m ascending, then -n before n.
 
     The candidates m = 1..isqrt(norm) are tested for one run of norms at a
-    time, each run holding about len(norms) candidates (or a single norm).
+    time, each run holding at most len(norms) candidates (or a single norm).
     A shell holds pi/2 digits on average, so the transient arrays stay
     proportional to the output rather than to the sum of isqrt(norm)."""
     norms = np.asarray(norms, dtype=np.int64)
     tops = _isqrt(norms)
-    count = len(norms)
-    run = (np.cumsum(tops) - tops) // max(count, 1)  # by the candidates before each norm
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(run)) + 1, [count]))
-    runs = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        owner = lo + np.repeat(np.arange(hi - lo), tops[lo:hi])
-        m = ragged_arange(tops[lo:hi]) + 1
+    runs = [(np.empty(0, np.int64),) * 3]  # no norms give empty arrays
+    for lo, hi in chunks(tops, max(len(norms), 1)):
+        owner = np.repeat(np.arange(lo, hi), tops[lo:hi])
+        m = ranges(1, tops[lo:hi])
         rest = norms[owner] - m * m
         n = _isqrt(rest)
         on_shell = n * n == rest
@@ -640,7 +626,7 @@ def _shells(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     owner, m, n = (np.concatenate(arrays) for arrays in zip(*runs))
     twice = 1 + (n > 0)
     owner, m, n = np.repeat(owner, twice), np.repeat(m, twice), np.repeat(n, twice)
-    n = np.where(ragged_arange(twice) < twice.repeat(twice) - 1, -n, n)
+    n = np.where(ranges(1 - twice, twice) < 0, -n, n)  # all but the last of each pair
     return owner, m, n
 
 

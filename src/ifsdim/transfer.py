@@ -67,6 +67,7 @@ import math
 
 import numpy as np
 
+from .arrays import ranges
 from .mobius import Mobius
 
 #: collocation sizes tried in turn until the eigenvector is resolved
@@ -448,8 +449,7 @@ def _split(left, right, owner, pieces):
     """Cell i cut into pieces[i] equal cells; the cut points, kept inside the
     cell, tile it exactly."""
     parent = np.repeat(np.arange(len(left)), pieces)
-    start = np.cumsum(pieces) - pieces
-    j = np.arange(len(parent)) - start[parent]
+    j = ranges(0, pieces)
     n = pieces[parent]
     l, r = left[parent], right[parent]
 

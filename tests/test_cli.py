@@ -71,12 +71,12 @@ def test_dimension_rejects_a_tolerance_that_is_not_positive(tol, capsys):
 
 
 def test_atomic_write_in_slices(tmp_path, monkeypatch):
-    from ifsdim import cli
+    from ifsdim import cloud
 
-    monkeypatch.setattr(cli, "_WRITE_CHUNK", 3)
+    monkeypatch.setattr(cloud, "_WRITE_CHUNK", 3)
     for name, data in (("a.txt", "x\n0.25\n0.5\n1e-07\n"), ("b.bin", bytes(range(10))), ("c.txt", ""),
                        ("d.txt", ["x\n", "0.25\n0.5\n", "", "1e-07\n"])):
-        cli._atomic_write(tmp_path / name, iter(data) if isinstance(data, list) else data)
+        cloud.atomic_write(tmp_path / name, iter(data) if isinstance(data, list) else data)
         written = (tmp_path / name).read_bytes()
         assert written == (data if isinstance(data, bytes) else "".join(data).encode())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.bin", "c.txt", "d.txt"]
@@ -243,16 +243,38 @@ def test_default_compare_golden_digests(tmp_path, capsys, family):
     assert digests == golden
 
 
+def _imports_numpy_ma(work: str) -> bool:
+    """Whether a fresh interpreter has imported numpy.ma after running work."""
+    script = f"import sys\n{work}\nprint('numpy.ma' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    return run.stdout.splitlines()[-1] == "True"
+
+
 def test_compare_does_not_import_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on its first call, about 10 ms in a fresh
     # interpreter; a 1-D compare dedupes its cloud and theta grid without it
-    script = ("import sys\n"
-              "from ifsdim.cli import main\n"
-              f"main(['compare', '--family', 'fp', '--out', {str(tmp_path)!r}])\n"
-              "print('numpy.ma' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.splitlines()[-1] == "False"
+    assert not _imports_numpy_ma("from ifsdim.cli import main\n"
+                                 f"main(['compare', '--family', 'fp', '--out', {str(tmp_path)!r}])")
+
+
+def test_planar_build_does_not_import_numpy_ma():
+    # the planar cloud is deduped by rows without np.unique(axis=0)
+    doc = {"kind": "complex_gauss", "digits": [[2, 0], [2, 1], [2, -1], [3, 0]]}
+    assert not _imports_numpy_ma("from ifsdim import build_limit_cloud, spec_from_dict\n"
+                                 f"build_limit_cloud(spec_from_dict({doc!r}), 1e-5)")
+
+
+@pytest.mark.parametrize("args", [["--family", "ctd-spaced", "--params", "p=nan"],
+                                  ["--family", "ctd-spaced", "--params", "p=inf"],
+                                  ["--family", "ctd-spaced", "--params", "p=9"],
+                                  ["--spec", "spec.json"]], ids=["nan", "inf", "past-int64", "spec-infinity"])
+def test_spaced_exponent_out_of_range_exits_2(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text('{"kind": "gauss_digits", "digits": {"set": "spaced", "p": Infinity}}')
+    assert main(["dimension", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("configuration error:") and captured.err.count("\n") == 1
 
 
 def test_compare_golden_digests(tmp_path, capsys):
@@ -412,7 +434,7 @@ def test_spot_check_recounts_planar_counts():
 
 def test_build_rejects_nonpositive_delta(tmp_path, capsys):
     # build validates its configuration as compare does; --delta 0 is not "unset"
-    for delta in ("0", "-1e-5"):
+    for delta in ("0", "-1e-5", "nan", "inf"):
         assert main(["build", "--family", "fp", "--params", "p=1", f"--delta={delta}", "--out", str(tmp_path)]) == 2
         assert "--delta must be positive" in capsys.readouterr().err
     assert not (tmp_path / "cloud.bin").exists()

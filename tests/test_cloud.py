@@ -1,4 +1,5 @@
 import hashlib
+import io
 import struct
 
 import numpy as np
@@ -83,10 +84,12 @@ class TestLimitCloud:
         assert a.to_bytes() == b.to_bytes()
 
     def test_bad_delta(self):
-        with pytest.raises(ConfigurationError):
-            build_limit_cloud(two_map_spec(), 0.0)
-        with pytest.raises(ConfigurationError):
-            build_limit_cloud(two_map_spec(), 2.0)
+        for delta in (0.0, 2.0, np.nan):
+            with pytest.raises(ConfigurationError):
+                build_limit_cloud(two_map_spec(), delta)
+        for delta in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigurationError):
+                build_fixed_point_cloud(fp_spec(), delta)
 
     def test_cap_is_enforced_and_named(self):
         with pytest.raises(CloudSizeError) as err:
@@ -184,6 +187,20 @@ class TestPersistence:
         plane = PointCloud.from_points([[0.5, -0.25], [0.0, 1.0]], 1e-9, 2)
         assert list(plane.csv_blocks()) == ["x,y\n", "0.0,1.0\n0.5,-0.25\n"]
         assert "".join(line.csv_blocks()) == line.to_csv()
+
+    def test_a_failed_save_leaves_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "cloud.bin"
+        PointCloud.from_points([0.25, 0.5], 1e-3, 1).save(path)
+        before = path.read_bytes()
+
+        class Full(io.FileIO):
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cloud_module, "open", lambda name, mode: Full(name, "w"), raising=False)
+        with pytest.raises(OSError):
+            PointCloud.from_points([0.1, 0.2, 0.9], 1e-3, 1).save(path)
+        assert path.read_bytes() == before
 
     def test_points_are_distinct_and_sorted(self):
         cloud = PointCloud.from_points([0.5, 0.1, 0.5], 1e-3, 1)

@@ -371,8 +371,8 @@ class TestCounts2D:
             calls.append(len(lens))
             return runs(starts, lens)
 
-        runs = estimator._runs
-        monkeypatch.setattr(estimator, "_runs", spy)
+        runs = estimator.ranges
+        monkeypatch.setattr(estimator, "ranges", spy)
         counts = _counts_2d(pts, center, R, 0.5)
         assert counts.tolist() == _scalar_counts_2d(pts, center, R, 0.5) == [1 if R < 0.5 else 2]
         # one gather of candidate squares, and one of the cut squares' points

@@ -68,6 +68,19 @@ def test_errors():
         spec_from_dict({"kind": "complex_gauss", "digits": [[1, 0]]})
 
 
+@pytest.mark.parametrize("text", [
+    '{"kind": "gauss_digits", "digits": {"set": "spaced", "p": Infinity}}',
+    '{"kind": "gauss_digits", "digits": {"set": "spaced", "p": NaN}}',
+    '{"kind": "gauss_digits", "digits": {"set": "clustered", "alpha": NaN}}',
+    '{"kind": "polynomial_tail", "p": 1.8, "t": Infinity, "h": 0.5}',
+    '{"kind": "similarity_list", "maps": [{"ratio": 0.5, "offset": -Infinity}]}',
+    '{"kind": "similarity_list", "maps": [{"ratio": 0.5, "offset": 0.0}], "domain": [0, 1%s]}' % ("0" * 400),
+], ids=["spaced-infinity", "spaced-nan", "clustered-nan", "tail-infinity", "offset-minus-infinity", "past-float"])
+def test_non_finite_numbers_are_rejected(text):
+    with pytest.raises(ConfigurationError, match="finite number"):
+        spec_from_dict(json.loads(text))
+
+
 @pytest.mark.parametrize("digits", [[2.5, 3], "abc", ["2", 3], [True, 2], [0, 2], [float("nan")], None])
 def test_gauss_digit_list_rejects_non_integers(digits):
     with pytest.raises(ConfigurationError):

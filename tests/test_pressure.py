@@ -99,6 +99,14 @@ class TestPsi:
         assert prof.depth == 2
         assert calls == [0.8]
 
+    @pytest.mark.parametrize("p", [4.0, 5.0, 6.0])
+    def test_depth_two_upper_end_stays_above_depth_one_lower_end(self, p):
+        # the entries of these depth-2 words pass 2^53, where ad - bc
+        # computed from them cancels to 0
+        spec = CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(SpacedDigits(p)))
+        for t in np.linspace(0.05, 0.95, 19):
+            assert psi(spec, t, 2).upper >= psi(spec, t, 1).lower
+
     def test_rejects_bad_arguments(self):
         spec = gauss_spec([2, 3])
         for t in (-1.0, 0.0, math.nan):
@@ -161,6 +169,18 @@ class TestHausdorffDimension:
         result = hausdorff_dimension(spec)
         assert result.enclosure[0] <= 0.5312805063 <= result.enclosure[1]
         assert result.method == "transfer_operator"
+
+    def test_spaced_enclosure_reaches_a_subsystem_dimension(self):
+        # 0.1725591 is the collocation dimension of the first 2 000 digits
+        # at p = 5, a subsystem, so it is a lower bound on h
+        result = hausdorff_dimension(CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(SpacedDigits(5.0))))
+        assert result.enclosure[1] >= 0.1725591
+
+    @pytest.mark.parametrize("p, t, h", [(math.nan, 2.8, 0.5), (1.8, math.nan, 0.5), (math.inf, math.inf, 0.5),
+                                         (1.8, math.inf, 0.5)])
+    def test_sharp_family_rejects_non_finite_exponents(self, p, t, h):
+        with pytest.raises(DomainError, match="finite"):
+            build_sharp_family(p, t, h)
 
     def test_enclosure_contains_value_and_theta_lower_bound(self):
         for spec in (

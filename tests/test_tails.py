@@ -194,6 +194,21 @@ def test_clustered_lookups_stop_at_the_table_end():
         generation_reaching(GaussDigitTail(digits), np.array([0.1, 2.0**-62]))
 
 
+def test_spaced_digits_stop_at_int64():
+    digits = SpacedDigits(9.0)
+    assert digits.digits_at(np.array([100])).tolist() == [102**9]
+    with pytest.raises(ConfigurationError, match="int64"):
+        digits.digits_at(np.array([100, 191]))
+
+
+@pytest.mark.parametrize("rule, args", [(SpacedDigits, (math.nan,)), (SpacedDigits, (math.inf,)),
+                                        (PowerRule, (math.nan, 1.0)), (PowerRule, (1.0, math.inf)),
+                                        (GeometricRule, (math.nan, 0.5)), (GeometricRule, (1.0, math.nan))])
+def test_rule_parameters_must_be_finite(rule, args):
+    with pytest.raises(ConfigurationError, match="finite"):
+        rule(*args)
+
+
 def test_thresholds_must_be_positive():
     with pytest.raises(ConfigurationError, match="positive"):
         generation_reaching(GaussDigitTail(FullDigits(2)), np.array([0.1, 0.0]))
