@@ -43,10 +43,11 @@ from .spectra import (
     default_theta_grid,
     lower_bound_curve,
     phase_transition,
+    sharp_family_spectrum,
     slope_discontinuities,
     upper_envelope,
 )
-from .svgplot import emit_svg, resample_to_union_grid
+from .svgplot import emit_svg
 
 #: the spot check recounts at most this many estimate nodes, and at most
 #: this many cover intervals (or squares) over all of them: a scalar
@@ -373,19 +374,20 @@ def _cmd_report(args) -> int:
     p = _get(config.params, "p", 1.8)
     h = _get(config.params, "h", 0.5)
     thetas = default_theta_grid(_REPORT_GRID)
-    # the t = p + 1 family rejects h outside (1/t, 1) before 1/h is taken
-    families = [(p + 1.0, make_family("sharp", {"p": p, "t": p + 1.0, "h": h}))]
-    families += [(t, make_family("sharp", {"p": p, "t": t, "h": h})) for t in (2.0 * p, p + 1.0 / h)]
-    curves = []
-    for t, fam in families:
-        curve = curve_from_formula(lambda th: fam.formula(h, th), thetas)
+
+    def labelled(t: float) -> SpectrumCurve:
+        curve = curve_from_formula(lambda th: sharp_family_spectrum(p, t, h, th), thetas)
         curve.metadata["label"] = f"t={t:g}"
-        curves.append(curve)
+        return curve
+
+    # the t = p + 1 curve, evaluated first, rejects h outside (1/(1+p), 1)
+    # before 1/h is taken
+    curves = [labelled(p + 1.0), labelled(2.0 * p), labelled(p + 1.0 / h)]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     named = {c.metadata["label"]: c for c in curves}
     atomic_write(out / "report-curves.csv", _curves_csv(named))
-    atomic_write(out / "report.svg", emit_svg(resample_to_union_grid(curves)))
+    atomic_write(out / "report.svg", emit_svg(curves))
     for c in curves:
         print(f"{c.metadata['label']}: kinks at {[round(k, 5) for k in slope_discontinuities(c)]}")
     print(f"wrote {out / 'report.svg'}")

@@ -32,6 +32,7 @@ the same array geometry the axiom checks use.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -67,15 +68,20 @@ _WRITE_CHUNK = 1 << 20
 def atomic_write(path, data: str | bytes | Iterable[str]) -> None:
     """Write text, bytes or text pieces to path through a temporary file,
     renamed over path once complete, so that a failed write leaves the
-    previous file whole."""
+    previous file whole and removes the temporary one."""
     tmp = os.fspath(path) + ".tmp"
     pieces = [data] if isinstance(data, (str, bytes)) else data
-    with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
-        # a slice at a time: writing text whole encodes a full copy of it
-        for piece in pieces:
-            for start in range(0, len(piece), _WRITE_CHUNK):
-                fh.write(piece[start : start + _WRITE_CHUNK])
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+            # a slice at a time: writing text whole encodes a full copy of it
+            for piece in pieces:
+                for start in range(0, len(piece), _WRITE_CHUNK):
+                    fh.write(piece[start : start + _WRITE_CHUNK])
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .cifs import CifsSpec
@@ -75,7 +76,7 @@ def make_family(name: str, params: dict | None = None) -> Family:
         p = _get(params, "p", 1.8)
         t = _get(params, "t", 2.8)
         h = _get(params, "h", 0.5)
-        return Family(name, build_sharp_family(p, t, h), lambda hh, th: sharp_family_spectrum(p, t, hh, th),
+        return Family(name, build_sharp_family(p, t, h), partial(sharp_family_spectrum, p, t),
                       h_known=h, default_delta=1e-7)
     if name == "fp":
         p = _get(params, "p", 1.0)
@@ -91,22 +92,18 @@ def make_family(name: str, params: dict | None = None) -> Family:
     if name == "ctd-spaced":
         p = _get(params, "p", 1.8)
         spec = CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(SpacedDigits(p)), meta={"family": name, "p": p})
-
-        def spaced_formula(hh: float, th: float) -> float:
-            return ctd_spaced_spectrum(p, hh, th)
-
-        return Family(name, spec, spaced_formula, default_delta=1e-7)
+        return Family(name, spec, partial(ctd_spaced_spectrum, p), default_delta=1e-7)
     if name == "ctd-clustered":
         alpha = _get(params, "alpha", 0.5)
         spec = CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(ClusteredDigits(alpha)),
                         meta={"family": name, "alpha": alpha})
-        return Family(name, spec, lambda hh, th: ctd_clustered_spectrum(alpha, hh, th), default_delta=1e-7)
+        return Family(name, spec, partial(ctd_clustered_spectrum, alpha), default_delta=1e-7)
     if name == "dense-cf":
         spec = CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(FullDigits(2)), meta={"family": name})
-        return Family(name, spec, lambda hh, th: dense_cf_spectrum(hh, th), default_delta=1e-4)
+        return Family(name, spec, dense_cf_spectrum, default_delta=1e-4)
     if name == "complex-cf":
         h = _get(params, "h", 1.8558)
-        return Family(name, None, lambda hh, th: complex_cf_spectrum(hh, th), h_known=h)
+        return Family(name, None, complex_cf_spectrum, h_known=h)
     if name in ("parabolic", "backwards-cf"):
         # integral digits, as a renyi_parabolic document takes them; the
         # induced system needs the parabolic digit 2 and at least one other
@@ -115,7 +112,7 @@ def make_family(name: str, params: dict | None = None) -> Family:
                                "digits": list(digits) if isinstance(digits, (list, tuple)) else [digits]})
         if spec.tail is None:
             raise ConfigurationError(f"family {name} needs the parabolic digit 2, got digits {digits!r}")
-        return Family(name, spec, lambda hh, th: backwards_cf_spectrum(hh, th), default_delta=1e-6)
+        return Family(name, spec, backwards_cf_spectrum, default_delta=1e-6)
     raise ConfigurationError(
         f"unknown family {name!r}; expected sharp|fp|ctd-spaced|ctd-clustered|dense-cf|complex-cf|parabolic|backwards-cf"
     )

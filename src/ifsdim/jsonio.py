@@ -36,6 +36,10 @@ from .tails import (
 
 KINDS = ("similarity_list", "polynomial_tail", "gauss_digits", "complex_gauss", "renyi_parabolic")
 
+#: an integer field stays below this in magnitude, so that it is exact as a
+#: float, as the Moebius entries built from it are
+_INTEGER_BOUND = 2**53
+
 
 def _require(doc: dict, key: str):
     if key not in doc:
@@ -50,6 +54,11 @@ def _is_number(value) -> bool:
 
 def _is_integral(value) -> bool:
     return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _bounded(values, what: str) -> None:
+    if any(abs(v) >= _INTEGER_BOUND for v in values):
+        raise ConfigurationError(f"{what} must be below 2^53 in magnitude")
 
 
 def _number(value, what: str) -> float:
@@ -101,12 +110,14 @@ def _gauss_digits(doc: dict) -> CifsSpec:
             start = digits.get("start", 2)
             if not _is_integral(start):
                 raise ConfigurationError(f"full digit set start must be an integer, got {start!r}")
+            _bounded([start], "full digit set start")
             tail = GaussDigitTail(FullDigits(int(start)))
         else:
             raise ConfigurationError(f"unknown digit set kind {kind!r}")
         return CifsSpec(1, (0.0, 1.0), (), tail, meta={"family": "gauss", "digits": dict(digits)})
     if not isinstance(digits, (list, tuple)) or not digits or not all(_is_integral(b) and b >= 1 for b in digits):
         raise ConfigurationError(f"continued-fraction digits are positive integers, got {digits!r}")
+    _bounded(digits, "continued-fraction digits")
     digits = sorted(set(int(b) for b in digits))
     explicit = []
     if 1 in digits:
@@ -132,6 +143,7 @@ def _complex_gauss(doc: dict) -> CifsSpec:
         m, n = _array(pair, "complex digit", 2)
         if not (_is_integral(m) and _is_integral(n)):
             raise ConfigurationError(f"complex digits are pairs of integers, got {pair!r}")
+        _bounded((m, n), "complex digits")
         if (m, n) == (1, 0):
             raise ConfigurationError("complex digit 1 needs the recoded full system")
         explicit.append(((int(m), int(n)), ComplexGaussBranch(complex(int(m), int(n)))))
@@ -142,6 +154,7 @@ def _renyi_parabolic(doc: dict) -> CifsSpec:
     digits = _array(_require(doc, "digits"), "backwards continued-fraction digits")
     if not all(_is_integral(b) for b in digits):
         raise ConfigurationError(f"backwards continued-fraction digits are integers, got {digits!r}")
+    _bounded(digits, "backwards continued-fraction digits")
     return renyi_parabolic_spec([int(b) for b in digits])
 
 
@@ -166,7 +179,7 @@ def load_spec(path) -> CifsSpec:
     raw = Path(path).read_text()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit of int()
         raise ConfigurationError(f"spec file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError(f"spec file {path} must hold a JSON object")

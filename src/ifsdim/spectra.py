@@ -247,6 +247,19 @@ def null_spectrum(theta) -> "float | np.ndarray":
     return float_or_array(np.zeros_like(_unit_thetas(theta)))
 
 
+def _check_theta(theta: float) -> None:
+    if not (0.0 <= theta <= 1.0):
+        raise DomainError(f"theta must be in [0,1], got {theta}")
+
+
+def _one_transition(h: float, top: float, num: float, den: float, rho: float, theta: float) -> float:
+    """The one-transition form: h + num theta / ((1 - theta) den) (top - h)
+    below the phase transition rho, top from rho on."""
+    if theta >= rho:
+        return top
+    return h + num * theta / ((1.0 - theta) * den) * (top - h)
+
+
 def sharp_family_spectrum(p: float, t: float, h: float, theta: float) -> float:
     """Three-case spectrum of the polynomial-offset families.
 
@@ -260,47 +273,44 @@ def sharp_family_spectrum(p: float, t: float, h: float, theta: float) -> float:
         raise DomainError(f"tail exponent must satisfy t >= p + 1, got {t}")
     if not (1.0 / (1.0 + p) < h < 1.0):
         raise DomainError(f"h must lie in (1/(1+p), 1) = ({1.0/(1.0+p):.4g}, 1), got {h}")
-    if not (0.0 <= theta <= 1.0):
-        raise DomainError(f"theta must be in [0,1], got {theta}")
+    return _sharp_regimes(p, t, h, theta, t >= p + 1.0 / h)
+
+
+def _sharp_regimes(p: float, t: float, h: float, theta: float, lower: bool) -> float:
+    """The sharp family's spectrum at checked parameters; lower marks the
+    case t >= p + 1/h."""
+    _check_theta(theta)
     if theta >= 1.0:
         return 1.0
     rho = p / (1.0 + p)
-    if t >= p + 1.0 / h:
+    if not (lower or t > p + 1.0):
+        return _one_transition(h, 1.0, 1.0, p, rho, theta)
+    # two transitions: the first regime up to the kink, then the fixed points'
+    if lower:
         kink = (h + h * p - 1.0) / (h * (1.0 + p))
-        if theta <= kink:
-            return h
-        if theta < rho:
-            return 1.0 / ((1.0 + p) * (1.0 - theta))
-        return 1.0
-    if t > p + 1.0:
+    else:
         kink = (h + h * p - 1.0) * p / ((1.0 + p) * (h * t - 1.0))
-        if theta <= kink:
-            return h + theta / (p * (1.0 - theta)) * (1.0 - h * (t - p))
-        if theta < rho:
-            return 1.0 / ((1.0 + p) * (1.0 - theta))
-        return 1.0
+    if theta <= kink:
+        return h if lower else h + theta / (p * (1.0 - theta)) * (1.0 - h * (t - p))
     if theta < rho:
-        return h + theta / (p * (1.0 - theta)) * (1.0 - h)
+        return 1.0 / ((1.0 + p) * (1.0 - theta))
     return 1.0
 
 
 def ctd_spaced_spectrum(p: float, h: float, theta: float) -> float:
-    """Spectrum of continued-fraction sets with digits spaced like n^p."""
+    """Spectrum of continued-fraction sets with digits spaced like n^p.
+
+    The digit b = n^p has |S_b'| comparable to b^-2 = n^-2p: the sharp
+    family's spectrum at t = 2p.
+    """
     if p <= 1.0:
         raise DomainError(f"spaced digit sets need p > 1, got {p}")
     if not (1.0 / (p + 1.0) < h < 1.0 / p):
         raise DomainError(f"h must lie in (1/(p+1), 1/p) = ({1.0/(p+1.0):.4g}, {1.0/p:.4g}), got {h}")
-    if not (0.0 <= theta <= 1.0):
-        raise DomainError(f"theta must be in [0,1], got {theta}")
-    if theta >= 1.0:
-        return 1.0
-    rho = p / (1.0 + p)
-    kink = (h + h * p - 1.0) * p / ((1.0 + p) * (2.0 * p * h - 1.0))
-    if theta <= kink:
-        return h + theta / (p * (1.0 - theta)) * (1.0 - h * p)
-    if theta < rho:
-        return 1.0 / ((1.0 + p) * (1.0 - theta))
-    return 1.0
+    # h < 1/p puts t = 2p below p + 1/h, in the two-transition case; within
+    # a few ulps of 1/p the float sum p + 1/h can round down to 2p, so the
+    # case is passed on, not recomputed
+    return _sharp_regimes(p, 2.0 * p, h, theta, lower=False)
 
 
 def ctd_clustered_spectrum(alpha: float, h: float, theta: float) -> float:
@@ -309,34 +319,24 @@ def ctd_clustered_spectrum(alpha: float, h: float, theta: float) -> float:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
     if h < alpha / 2.0:
         raise DomainError(f"h must be at least the finiteness parameter alpha/2 = {alpha/2.0}, got {h}")
-    if not (0.0 <= theta <= 1.0):
-        raise DomainError(f"theta must be in [0,1], got {theta}")
-    rho = 1.0 - alpha / 2.0
-    if theta >= rho:
-        return 1.0
-    return h + alpha * theta / ((1.0 - theta) * (2.0 - alpha)) * (1.0 - h)
+    _check_theta(theta)
+    return _one_transition(h, 1.0, alpha, 2.0 - alpha, 1.0 - alpha / 2.0, theta)
 
 
 def dense_cf_spectrum(h: float, theta: float) -> float:
     """Spectrum of continued-fraction sets with full-density digit sets."""
     if h < 0.5:
         raise DomainError(f"full-density digit sets force h >= 1/2, got {h}")
-    if not (0.0 <= theta <= 1.0):
-        raise DomainError(f"theta must be in [0,1], got {theta}")
-    if theta >= 0.5:
-        return 1.0
-    return h + theta / (1.0 - theta) * (1.0 - h)
+    _check_theta(theta)
+    return _one_transition(h, 1.0, 1.0, 1.0, 0.5, theta)
 
 
 def complex_cf_spectrum(h: float, theta: float) -> float:
     """Spectrum of the full complex continued-fraction set, h supplied by the caller."""
     if not (1.0 <= h <= 2.0):
         raise DomainError(f"h must lie in [1, 2], got {h}")
-    if not (0.0 <= theta <= 1.0):
-        raise DomainError(f"theta must be in [0,1], got {theta}")
-    if theta >= 0.5:
-        return 2.0
-    return h + theta / (1.0 - theta) * (2.0 - h)
+    _check_theta(theta)
+    return _one_transition(h, 2.0, 1.0, 1.0, 0.5, theta)
 
 
 def parabolic_spectrum(q: float, h: float, theta: float) -> float:
@@ -345,11 +345,8 @@ def parabolic_spectrum(q: float, h: float, theta: float) -> float:
         raise DomainError(f"q must be positive, got {q}")
     if not (0.0 < h < 1.0):
         raise DomainError(f"h must be in (0,1), got {h}")
-    if not (0.0 <= theta <= 1.0):
-        raise DomainError(f"theta must be in [0,1], got {theta}")
-    if theta >= 1.0 / (1.0 + q):
-        return 1.0
-    return h + q * theta / (1.0 - theta) * (1.0 - h)
+    _check_theta(theta)
+    return _one_transition(h, 1.0, q, 1.0, 1.0 / (1.0 + q), theta)
 
 
 def backwards_cf_spectrum(h: float, theta: float) -> float:

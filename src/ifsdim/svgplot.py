@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arrays import sorted_distinct
 from .errors import DomainError
 from .spectra import SpectrumCurve
 
@@ -100,12 +99,3 @@ def emit_svg(curves: list[SpectrumCurve], value_max: float = 1.0) -> str:
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
-
-def resample_to_union_grid(curves: list[SpectrumCurve]) -> list[SpectrumCurve]:
-    """Linear resampling of curves onto the union of their grids."""
-    grid = sorted_distinct(np.concatenate([c.thetas for c in curves]))
-    out = []
-    for c in curves:
-        vals = np.interp(grid, c.thetas[np.isfinite(c.values)], c.values[np.isfinite(c.values)])
-        out.append(SpectrumCurve(grid, vals, c.provenance, dict(c.metadata)))
-    return out

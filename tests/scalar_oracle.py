@@ -6,13 +6,16 @@ the per-generation maps of every tail rule here, written from their
 definitions, as the oracle the batch forms must match bit for bit.
 The exhaustive minimum 1-D cover count is the oracle of the estimator's
 greedy sweep, and the netting walk of one node, one generation at a
-time, the oracle of the cloud builder's lockstep walk.
+time, the oracle of the cloud builder's lockstep walk.  The closed-form
+spectra are kept as each family wrote its own, the oracle of the shared
+one- and two-transition forms.
 """
 
 import math
 
 import numpy as np
 
+from ifsdim.errors import DomainError
 from ifsdim.maps import Composite, ComplexGaussBranch, GaussBranch, Similarity
 from ifsdim.mobius import Disc, Mobius
 from ifsdim.tails import (
@@ -182,3 +185,108 @@ def exhaustive_cover_count_1d(points: np.ndarray, r: float) -> int:
         return memo[i]
 
     return best(0) if n else 0
+
+
+def sharp_family_spectrum(p: float, t: float, h: float, theta: float) -> float:
+    """Three-case spectrum of the polynomial-offset families.
+
+    The case is selected by the tail exponent: at t = p + 1 the upper
+    bound is attained, for t >= p + 1/h the lower bound is attained,
+    and in between the spectrum has two phase transitions.
+    """
+    if p <= 0:
+        raise DomainError(f"p must be positive, got {p}")
+    if t < p + 1.0 - 1e-12:
+        raise DomainError(f"tail exponent must satisfy t >= p + 1, got {t}")
+    if not (1.0 / (1.0 + p) < h < 1.0):
+        raise DomainError(f"h must lie in (1/(1+p), 1) = ({1.0/(1.0+p):.4g}, 1), got {h}")
+    if not (0.0 <= theta <= 1.0):
+        raise DomainError(f"theta must be in [0,1], got {theta}")
+    if theta >= 1.0:
+        return 1.0
+    rho = p / (1.0 + p)
+    if t >= p + 1.0 / h:
+        kink = (h + h * p - 1.0) / (h * (1.0 + p))
+        if theta <= kink:
+            return h
+        if theta < rho:
+            return 1.0 / ((1.0 + p) * (1.0 - theta))
+        return 1.0
+    if t > p + 1.0:
+        kink = (h + h * p - 1.0) * p / ((1.0 + p) * (h * t - 1.0))
+        if theta <= kink:
+            return h + theta / (p * (1.0 - theta)) * (1.0 - h * (t - p))
+        if theta < rho:
+            return 1.0 / ((1.0 + p) * (1.0 - theta))
+        return 1.0
+    if theta < rho:
+        return h + theta / (p * (1.0 - theta)) * (1.0 - h)
+    return 1.0
+
+
+def ctd_spaced_spectrum(p: float, h: float, theta: float) -> float:
+    """Spectrum of continued-fraction sets with digits spaced like n^p."""
+    if p <= 1.0:
+        raise DomainError(f"spaced digit sets need p > 1, got {p}")
+    if not (1.0 / (p + 1.0) < h < 1.0 / p):
+        raise DomainError(f"h must lie in (1/(p+1), 1/p) = ({1.0/(p+1.0):.4g}, {1.0/p:.4g}), got {h}")
+    if not (0.0 <= theta <= 1.0):
+        raise DomainError(f"theta must be in [0,1], got {theta}")
+    if theta >= 1.0:
+        return 1.0
+    rho = p / (1.0 + p)
+    kink = (h + h * p - 1.0) * p / ((1.0 + p) * (2.0 * p * h - 1.0))
+    if theta <= kink:
+        return h + theta / (p * (1.0 - theta)) * (1.0 - h * p)
+    if theta < rho:
+        return 1.0 / ((1.0 + p) * (1.0 - theta))
+    return 1.0
+
+
+def ctd_clustered_spectrum(alpha: float, h: float, theta: float) -> float:
+    """Spectrum of continued-fraction sets with digit blocks [2^k, 2^k + 2^(k alpha)]."""
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must be in (0,1), got {alpha}")
+    if h < alpha / 2.0:
+        raise DomainError(f"h must be at least the finiteness parameter alpha/2 = {alpha/2.0}, got {h}")
+    if not (0.0 <= theta <= 1.0):
+        raise DomainError(f"theta must be in [0,1], got {theta}")
+    rho = 1.0 - alpha / 2.0
+    if theta >= rho:
+        return 1.0
+    return h + alpha * theta / ((1.0 - theta) * (2.0 - alpha)) * (1.0 - h)
+
+
+def dense_cf_spectrum(h: float, theta: float) -> float:
+    """Spectrum of continued-fraction sets with full-density digit sets."""
+    if h < 0.5:
+        raise DomainError(f"full-density digit sets force h >= 1/2, got {h}")
+    if not (0.0 <= theta <= 1.0):
+        raise DomainError(f"theta must be in [0,1], got {theta}")
+    if theta >= 0.5:
+        return 1.0
+    return h + theta / (1.0 - theta) * (1.0 - h)
+
+
+def complex_cf_spectrum(h: float, theta: float) -> float:
+    """Spectrum of the full complex continued-fraction set, h supplied by the caller."""
+    if not (1.0 <= h <= 2.0):
+        raise DomainError(f"h must lie in [1, 2], got {h}")
+    if not (0.0 <= theta <= 1.0):
+        raise DomainError(f"theta must be in [0,1], got {theta}")
+    if theta >= 0.5:
+        return 2.0
+    return h + theta / (1.0 - theta) * (2.0 - h)
+
+
+def parabolic_spectrum(q: float, h: float, theta: float) -> float:
+    """Spectrum of a parabolic attractor with tangency exponent q at its fixed point."""
+    if q <= 0:
+        raise DomainError(f"q must be positive, got {q}")
+    if not (0.0 < h < 1.0):
+        raise DomainError(f"h must be in (0,1), got {h}")
+    if not (0.0 <= theta <= 1.0):
+        raise DomainError(f"theta must be in [0,1], got {theta}")
+    if theta >= 1.0 / (1.0 + q):
+        return 1.0
+    return h + q * theta / (1.0 - theta) * (1.0 - h)

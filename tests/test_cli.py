@@ -17,7 +17,7 @@ from ifsdim.estimator import assouad_spectrum_estimate
 from ifsdim.families import make_family
 from ifsdim.jsonio import spec_from_dict
 from ifsdim.spectra import SpectrumCurve
-from ifsdim.svgplot import emit_svg, resample_to_union_grid
+from ifsdim.svgplot import emit_svg
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -621,6 +621,44 @@ def test_report_subcommand(tmp_path, capsys):
     assert svg.count("<polyline") == 3
 
 
+# sha256 of the closed-form artifacts at default parameters, recorded while
+# each family wrote its own closed form and report built the three sharp
+# systems to read theirs; the curves must not move by a bit
+GOLDEN_FORMULA_ARTIFACTS = {
+    ("report",): {
+        "report-curves.csv": "0710257f9905fe94940cd0744a440215a6092b4b9ef62d7579f0c72f0d95a40c",
+        "report.svg": "faf75ea9d09ab12a97afa30dac62a045c4929e6df8855deb5d0d7788893e231c",
+    },
+    ("spectrum-formula", "--family", "sharp", "--svg"): {
+        "sharp-formula.csv": "282d1de7137b4f184cd473adf788e89720c7150e2a3c77aeaa318eb836694687",
+        "sharp-formula.svg": "34492c6e11eee2979cd938498a57c52e81bbbbac84c562365e08f6e43be67cad",
+    },
+    ("spectrum-formula", "--family", "fp", "--svg"): {
+        "fp-formula.csv": "498d1d887b66b4f975a2e756172672df53a14402d2993e587e366e249d3281c7",
+        "fp-formula.svg": "91e75100fee467052da79c8acdb4899f6ee740e15b1900e017d52107cf5cc5d3",
+    },
+    ("spectrum-formula", "--family", "complex-cf", "--svg"): {
+        "complex-cf-formula.csv": "96c3f973b260a0900de1e79e6180cfe559e82ef3556e9d0efa1cbec3d0f26836",
+        "complex-cf-formula.svg": "642013432aadd3a24522f5826fb797fa397b236a8047ddc75eba497b61c0e2e9",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_FORMULA_ARTIFACTS), ids=" ".join)
+def test_formula_artifacts_golden_digests(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    golden = GOLDEN_FORMULA_ARTIFACTS[argv]
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in golden}
+    assert digests == golden
+
+
+def test_report_needs_no_system_of_the_sharp_family(tmp_path, capsys):
+    # no cutoff solves the dimension equation for the three systems at
+    # h = 0.505, yet every curve is defined
+    assert main(["report", "--params", "p=1,h=0.505", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "report.svg").read_text().count("<polyline") == 3
+
+
 @pytest.mark.parametrize("params", ["p=abc", "h=abc", "p=1,2"])
 def test_report_bad_params_exit_2(tmp_path, capsys, params):
     assert main(["report", "--params", params, "--out", str(tmp_path / "out")]) == 2
@@ -647,13 +685,6 @@ class TestSvg:
         svg = emit_svg([curve])
         assert svg.count("<polyline") == 1
         assert svg.startswith("<svg")
-
-    def test_mismatched_grids_resampled(self):
-        a = SpectrumCurve(np.array([0.1, 0.5]), np.array([0.2, 0.4]), "formula")
-        b = SpectrumCurve(np.array([0.2, 0.9]), np.array([0.3, 0.8]), "estimate")
-        out = resample_to_union_grid([a, b])
-        assert np.array_equal(out[0].thetas, out[1].thetas)
-        assert out[0].value_at(0.3) == pytest.approx(0.3)
 
     def test_deterministic_bytes(self):
         curve = SpectrumCurve(np.array([0.1, 0.9]), np.array([0.5, 0.7]), "estimate")

@@ -201,6 +201,7 @@ class TestPersistence:
         with pytest.raises(OSError):
             PointCloud.from_points([0.1, 0.2, 0.9], 1e-3, 1).save(path)
         assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cloud.bin"]
 
     def test_points_are_distinct_and_sorted(self):
         cloud = PointCloud.from_points([0.5, 0.1, 0.5], 1e-3, 1)

@@ -87,6 +87,37 @@ def test_gauss_digit_list_rejects_non_integers(digits):
         spec_from_dict({"kind": "gauss_digits", "digits": digits})
 
 
+_HUGE = 10**334  # past the float range
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"kind": "renyi_parabolic", "digits": [2, _HUGE]}, "backwards continued-fraction digits"),
+    ({"kind": "gauss_digits", "digits": [2, _HUGE]}, "continued-fraction digits"),
+    ({"kind": "gauss_digits", "digits": [2, 1e300]}, "continued-fraction digits"),
+    ({"kind": "complex_gauss", "digits": [[_HUGE, 0]]}, "complex digits"),
+    ({"kind": "complex_gauss", "digits": [[2, -2**53]]}, "complex digits"),
+    ({"kind": "gauss_digits", "digits": {"set": "full", "start": 10**23}}, "full digit set start"),
+    ({"kind": "gauss_digits", "digits": {"set": "full", "start": 2**53}}, "full digit set start"),
+], ids=["renyi", "gauss", "gauss-float", "complex", "complex-negative", "full-start", "full-start-2^53"])
+def test_integers_past_2_53_are_rejected(doc, field):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be below 2\\^53 in magnitude$"):
+        spec_from_dict(doc)
+
+
+def test_integers_below_2_53_are_accepted():
+    big = 2**53 - 1
+    assert spec_from_dict({"kind": "gauss_digits", "digits": [2, big]}).meta["digits"] == [2, big]
+    assert spec_from_dict({"kind": "gauss_digits", "digits": {"set": "full", "start": big}}).tail is not None
+    assert len(spec_from_dict({"kind": "complex_gauss", "digits": [[big, -big]]}).explicit) == 1
+
+
+def test_integer_past_the_digit_limit_of_int_is_a_configuration_error(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text('{"kind": "renyi_parabolic", "digits": [2, %s]}' % ("1" * 5000))
+    with pytest.raises(ConfigurationError, match="not valid JSON"):
+        load_spec(path)
+
+
 def test_integral_float_digits_are_accepted():
     spec = spec_from_dict({"kind": "gauss_digits", "digits": [2.0, 3]})
     assert spec.meta["digits"] == [2, 3]

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import scalar_oracle
 from ifsdim import DomainError
 from ifsdim.families import make_family
 from ifsdim.spectra import (
@@ -341,6 +343,101 @@ class TestClosedForms:
         # each tail regime tends to 1 as theta -> 1
         for t in (2.8, 3.6, 3.9):
             assert sharp_family_spectrum(1.8, t, 0.5, 0.999999) == 1.0
+
+
+def _ulps(x: float, n: int = 3) -> list[float]:
+    """x and its n nearest floats on either side."""
+    out = [x]
+    for toward in (-math.inf, math.inf):
+        y = x
+        for _ in range(n):
+            y = math.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+def _outcome(fn, *args):
+    """The float returned, bit for bit and with its type, or the exception raised."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return ("raise", type(exc), str(exc))
+    return ("value", type(value), float(value).hex())
+
+
+#: theta nodes every form is read at: both ends, a uniform grid, points
+#: outside [0, 1] and NaN; each case adds its kinks and rho with their
+#: neighbouring floats
+_THETAS = [0.0, -0.0, 1.0, *np.linspace(0.0, 1.0, 41)[1:-1], GRID[0], GRID[-1],
+           -1e-300, math.nextafter(1.0, 2.0), -0.5, 1.5, math.nan, math.inf]
+
+
+def _sharp_cases():
+    # at p = 1e17, p/(1+p) rounds to 1
+    for p in (0.5, 1.0, 1.8, 3.0, 1e17, 0.0, -1.0, math.nan):
+        lo = 1.0 / (1.0 + p) if p > 0 else 0.5
+        for h in (*_ulps(lo, 1), 0.5, 0.6, 0.9, math.nextafter(1.0, 0.0), 1.0):
+            for t in (p + 1.0, p + 1.0 - 1e-13, p + 1.0 - 1e-11, 2.0 * p, *_ulps(p + 1.0 / h, 2), 3.6, 10.0):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    p_, t_ = np.float64(p), np.float64(t)
+                    kinks = [p_ / (1.0 + p_), (h + h * p_ - 1.0) / (h * (1.0 + p_)),
+                             (h + h * p_ - 1.0) * p_ / ((1.0 + p_) * (h * t_ - 1.0))]
+                yield (p, t, h), [float(k) for k in kinks]
+
+
+def _spaced_cases():
+    for p in (1.3, 1.8, 2.4, 3.0, 5.0, 1.0, 0.5):
+        # within a few ulps below 1/p, p + 1/h can round down to 2p
+        for h in (*_ulps(1.0 / (p + 1.0)), 0.5 * (1.0 / (p + 1.0) + 1.0 / p), *_ulps(1.0 / p, 40)):
+            kinks = [p / (1.0 + p)]
+            if 2.0 * p * h != 1.0:
+                kinks.append((h + h * p - 1.0) * p / ((1.0 + p) * (2.0 * p * h - 1.0)))
+            yield (p, h), kinks
+
+
+def _clustered_cases():
+    for alpha in (0.25, 0.5, 0.75, 0.0, 1.0, math.nan):
+        for h in (*_ulps(alpha / 2.0, 1), 0.5, 0.9, 1.0):
+            yield (alpha, h), [1.0 - alpha / 2.0]
+
+
+def _dense_cases():
+    for h in (*_ulps(0.5, 1), 0.6, 0.99, 1.0, math.nan):
+        yield (h,), [0.5]
+
+
+def _complex_cases():
+    for h in (*_ulps(1.0, 1), 1.5, 1.8558, *_ulps(2.0, 1), math.nan):
+        yield (h,), [0.5]
+
+
+def _parabolic_cases():
+    for q in (0.5, 1.0, 2.0, 3.0, 0.0, -1.0):
+        for h in (0.0, 1e-300, 0.3, 0.5, 0.9, math.nextafter(1.0, 0.0), 1.0, math.nan):
+            yield (q, h), [1.0 / (1.0 + q)] if q != -1.0 else []
+
+
+_CLOSED_FORMS = {
+    "sharp_family_spectrum": (sharp_family_spectrum, _sharp_cases),
+    "ctd_spaced_spectrum": (ctd_spaced_spectrum, _spaced_cases),
+    "ctd_clustered_spectrum": (ctd_clustered_spectrum, _clustered_cases),
+    "dense_cf_spectrum": (dense_cf_spectrum, _dense_cases),
+    "complex_cf_spectrum": (complex_cf_spectrum, _complex_cases),
+    "parabolic_spectrum": (parabolic_spectrum, _parabolic_cases),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORMS))
+def test_closed_forms_match_the_per_family_oracle_bit_for_bit(name):
+    form, cases = _CLOSED_FORMS[name]
+    reference = getattr(scalar_oracle, name)
+    calls = 0
+    for params, specials in cases():
+        extra = itertools.chain.from_iterable(_ulps(x, 2) for x in specials if math.isfinite(x))
+        for theta in (*_THETAS, *extra):
+            assert _outcome(form, *params, theta) == _outcome(reference, *params, theta), (params, theta)
+            calls += 1
+    assert calls > 300
 
 
 class TestCurveDiagnostics:
