@@ -383,6 +383,11 @@ def _cmd_report(args) -> int:
     # the t = p + 1 curve, evaluated first, rejects h outside (1/(1+p), 1)
     # before 1/h is taken
     curves = [labelled(p + 1.0), labelled(2.0 * p), labelled(p + 1.0 / h)]
+    labels = [c.metadata["label"] for c in curves]
+    for curve, form, label in zip(curves, ("p+1", "2p", "p+1/h"), labels):
+        # curves of one t, such as t = p+1 and t = 2p at p = 1, name their form
+        if labels.count(label) > 1:
+            curve.metadata["label"] = label.replace("t=", f"t={form}=")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     named = {c.metadata["label"]: c for c in curves}

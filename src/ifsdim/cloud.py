@@ -84,6 +84,11 @@ def atomic_write(path, data: str | bytes | Iterable[str]) -> None:
         raise
 
 
+def _check_delta(delta: float) -> None:
+    if not (math.isfinite(delta) and delta > 0):
+        raise ConfigurationError(f"point-cloud delta must be finite and positive, got {delta}")
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Finite delta-resolution sample of a set, sorted and duplicate-free."""
@@ -96,9 +101,11 @@ class PointCloud:
 
     @classmethod
     def from_points(cls, points, delta, ambient_dim=1):
+        delta = float(delta)
+        _check_delta(delta)
         arr = np.asarray(points, dtype=float)
         arr = sorted_distinct(arr.reshape(-1) if ambient_dim == 1 else arr.reshape(-1, 2))
-        return cls(arr, float(delta), ambient_dim)
+        return cls(arr, delta, ambient_dim)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -137,8 +144,7 @@ class PointCloud:
         if len(blob) != _HEADER + 8 * count * dim:
             raise ConfigurationError(f"point-cloud file holds {len(blob)} bytes, "
                                      f"its header promises {_HEADER + 8 * count * dim}")
-        if not (math.isfinite(delta) and delta > 0):
-            raise ConfigurationError(f"point-cloud delta must be finite and positive, got {delta}")
+        _check_delta(delta)
         pts = np.frombuffer(blob, dtype="<f8", offset=_HEADER).astype(float)
         if not np.isfinite(pts).all():
             raise ConfigurationError("point-cloud file holds non-finite coordinates")

@@ -22,6 +22,24 @@ sorted keys width * (n + 1) + index, so membership and rank are two
 searchsorted calls.  A window meets the canonical chain at the next
 barrier at the latest, so on clouds with gaps it finishes in few rounds.
 
+Rank-bounded extremes.  The spectrum keeps only the largest (or least)
+count over a pair's centres and the first centre reaching it, so only the
+windows that can hold it are walked.  The greedy step is monotone in i,
+since rounding is monotone, so two greedy chains interleave: with C_j the
+last canonical position at or below lo, the window's k-th position lies
+between C_(j+k) and C_(j+k+1).  A window's count is therefore K or K + 1,
+with K the canonical points of its width inside [c - R, c + R]: two
+searchsorted calls into that width's canonical values, a short array,
+with no lo or hi on the cloud.  The largest count is then K* or K* + 1,
+K* the largest K.  Only windows of K* reach K* + 1, and a window of
+K* - 1 can only reach K*, which the first window of K* already holds, so
+it is a candidate only before that window.  These candidates alone get
+lo, hi and the greedy walk, and the first largest count among them is
+the first over all centres, as np.argmax's.  The least count mirrors
+this with K_min and the windows of K_min + 1 before the first of K_min.
+A width whose canonical listing broke off (below) has K too small, so
+every window of it is a candidate.
+
 Where barriers are rare (a uniform grid has none), chains need not meet,
 so every lockstep walk stops after _LOCKSTEP_ROUNDS rounds.  A block of
 the canonical chain still walking then is listed only up to its current
@@ -97,7 +115,7 @@ import numpy as np
 from .arrays import chunks, ranges, run_starts, sort_groups
 from .cloud import PointCloud
 from .errors import DomainError
-from .spectra import SpectrumCurve
+from .spectra import SpectrumCurve, check_theta_grid
 
 
 #: the deepest scale keeps r at least this many cloud resolutions
@@ -345,10 +363,11 @@ def _jump_windows(pts, counts, live, key0, cur, end, two_r) -> None:
             cur[items] = x + base
 
 
-def _greedy_counts_1d(gaps: _Gaps, widths: np.ndarray, chain: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray) -> np.ndarray:
+def _greedy_counts_1d(pts: np.ndarray, keys: np.ndarray, breaks: np.ndarray, widths: np.ndarray,
+                      chain: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Greedy counts of the windows pts[lo[k]:hi[k]] by closed intervals of
-    length widths[chain[k]], equal to cover_count_1d window by window.
+    length widths[chain[k]], equal to cover_count_1d window by window; keys
+    and breaks are the widths' canonical listing from _canonical_keys.
 
     A window steps until it lands on its width's canonical chain or passes
     hi.  From a canonical position m on it follows that chain, so its count
@@ -356,12 +375,10 @@ def _greedy_counts_1d(gaps: _Gaps, widths: np.ndarray, chain: np.ndarray, lo: np
     break.  Windows still apart after _LOCKSTEP_ROUNDS rounds jump S steps
     at a time and finish with at most S single steps; see the module notes.
     """
-    pts = gaps.pts
     counts = np.zeros(len(lo), dtype=np.int64)
     live = np.flatnonzero(lo < hi)
     if not len(live):
         return counts
-    keys, breaks = _canonical_keys(gaps, widths)
     # sorted by chain, so that each chain's windows are one run
     live = live[np.argsort(chain[live], kind="stable")]
     windows = live, chain[live] * (len(pts) + 1), lo[live], hi[live], widths[chain[live]]
@@ -553,44 +570,83 @@ def _spectrum_scales(theta: float, delta: float, hull: float) -> list[float]:
 
 #: a batch of 1-D jobs closes before its positions pass one per cloud
 #: point, or _BATCH_FLOOR on small clouds.  Its positions are the chain
-#: bounds of its distinct widths plus _WINDOW_POSITIONS per window, since
-#: the kernel keeps about four times as many arrays per window as per
-#: chain position.  The estimate's arrays then peak at 30-40 bytes a
-#: cloud point on the compare clouds of 86-254k points, and near 1.2 MB
-#: on clouds of 3k points (tracemalloc, numpy 2.4)
+#: bounds of its distinct widths plus _WINDOW_POSITIONS per centre: on a
+#: width whose listing broke off every window is walked, and the walk
+#: keeps about four times as many arrays per window as the listing per
+#: chain position.  The estimate's arrays then peak at 19-25 bytes a cloud
+#: point on the compare clouds of 86-254k points, and at 0.6-1.2 MB on
+#: those of 3-8k points (tracemalloc, numpy 2.4)
 _BATCH_FLOOR = 1 << 15
 _WINDOW_POSITIONS = 4
 
 
-def _batched_counts_1d(pts: np.ndarray, jobs, least: float):
-    """Greedy counts for jobs (tag, two_r, lo, hi) of window arrays, none
-    narrower than least, yielded as (tag, counts).  Jobs are counted
-    together in batches of bounded size; see _BATCH_FLOOR."""
+def _batched_counts_1d(pts: np.ndarray, jobs, least: float, lower: bool):
+    """The least (lower) or largest greedy count over the windows
+    [center - R, center + R] of each job (tag, two_r, centers, R), none
+    narrower than least, yielded as (tag, count, first center reaching
+    it).  Jobs are counted together in batches of bounded size; see
+    _BATCH_FLOOR."""
     gaps = _Gaps(pts, least)
     budget = max(len(pts), _BATCH_FLOOR)
     batch, widths, size = [], {}, 0
     for job in jobs:
-        two_r, lo = job[1], job[2]
-        cost = _WINDOW_POSITIONS * len(lo) + (0 if two_r in widths else gaps.chain_bound(two_r))
+        two_r, centers = job[1], job[2]
+        cost = _WINDOW_POSITIONS * len(centers) + (0 if two_r in widths else gaps.chain_bound(two_r))
         if batch and size + cost > budget:
-            yield from _count_batch(gaps, batch, widths)
+            yield from _count_batch(gaps, batch, widths, lower)
             batch, widths, size = [], {}, 0
-            cost = _WINDOW_POSITIONS * len(lo) + gaps.chain_bound(two_r)
+            cost = _WINDOW_POSITIONS * len(centers) + gaps.chain_bound(two_r)
         widths.setdefault(two_r, len(widths))
         batch.append(job)
         size += cost
     if batch:
-        yield from _count_batch(gaps, batch, widths)
+        yield from _count_batch(gaps, batch, widths, lower)
 
 
-def _count_batch(gaps: _Gaps, batch, widths: dict):
-    sizes = [len(lo) for _, _, lo, _ in batch]
+def _candidates(score: np.ndarray) -> np.ndarray:
+    """The windows that can hold the first extreme count when each count
+    is K or K + 1, with score = K for the largest count and -K for the
+    least: those of the top score, and those one below it that come before
+    the first of them; see the module notes."""
+    top = score == score.max()
+    first = int(np.argmax(top))
+    top[:first] = score[:first] == score[first] - 1
+    return np.flatnonzero(top)
+
+
+def _count_batch(gaps: _Gaps, batch, widths: dict, lower: bool):
+    """The extremes of _batched_counts_1d for one batch of jobs, whose
+    widths are listed once; see the module notes."""
+    pts = gaps.pts
+    n = len(pts)
+    chain_widths = np.array(list(widths))
+    keys, breaks = _canonical_keys(gaps, chain_widths)
+    # each width's listed positions are one run of keys, and a width whose
+    # listing broke off has a break key in its range
+    edges = np.arange(len(widths) + 1) * (n + 1)
+    runs = np.searchsorted(keys, edges)
+    broken = np.diff(np.searchsorted(breaks, edges)) > 0
+    picks, lo, hi = [], [], []
+    for _, two_r, centers, R in batch:
+        c = widths[two_r]
+        below, above = centers - R, centers + R
+        if broken[c]:
+            pick = np.arange(len(centers))
+        else:
+            # K, the canonical points inside each window
+            canon = pts[keys[runs[c]:runs[c + 1]] - edges[c]]
+            K = np.searchsorted(canon, above, side="right") - np.searchsorted(canon, below, side="left")
+            pick = _candidates(-K if lower else K)
+        picks.append(pick)
+        lo.append(np.searchsorted(pts, below[pick], side="left"))
+        hi.append(np.searchsorted(pts, above[pick], side="right"))
+    sizes = [len(pick) for pick in picks]
     chain = np.repeat([widths[two_r] for _, two_r, _, _ in batch], sizes)
-    counts = _greedy_counts_1d(gaps, np.array(list(widths)), chain,
-                               np.concatenate([lo for _, _, lo, _ in batch]),
-                               np.concatenate([hi for _, _, _, hi in batch]))
-    for (tag, _, _, _), part in zip(batch, np.split(counts, np.cumsum(sizes)[:-1])):
-        yield tag, part
+    counts = _greedy_counts_1d(pts, keys, breaks, chain_widths, chain, np.concatenate(lo), np.concatenate(hi))
+    extreme = np.argmin if lower else np.argmax
+    for (tag, _, centers, _), pick, part in zip(batch, picks, np.split(counts, np.cumsum(sizes)[:-1])):
+        k = int(extreme(part))
+        yield tag, int(part[k]), centers[pick[k]]
 
 
 def _extreme_counts(cloud: PointCloud, pairs, lower: bool) -> list[tuple[int, object]]:
@@ -611,15 +667,11 @@ def _extreme_counts(cloud: PointCloud, pairs, lower: bool) -> list[tuple[int, ob
         # sorted by r, the pairs of one width share a batch and its chain
         for i in sorted(range(len(pairs)), key=lambda i: pairs[i][1]):
             R, r = pairs[i]
-            centers = _net_centers_1d(pts, R / 2.0)
-            lo = np.searchsorted(pts, centers - R, side="left")
-            hi = np.searchsorted(pts, centers + R, side="right")
-            yield (i, centers), 2.0 * r, lo, hi
+            yield i, 2.0 * r, _net_centers_1d(pts, R / 2.0), R
 
     if pairs:
-        for (i, centers), counts in _batched_counts_1d(pts, jobs(), 2.0 * min(r for _, r in pairs)):
-            k = int(pick(counts))
-            out[i] = int(counts[k]), centers[k]
+        for i, count, center in _batched_counts_1d(pts, jobs(), 2.0 * min(r for _, r in pairs), lower):
+            out[i] = count, center
     return out
 
 
@@ -678,9 +730,7 @@ def _estimate_node(cloud: PointCloud, theta: float, scales, lower: bool, hull: f
 def _estimate_curve(cloud: PointCloud, thetas, lower: bool):
     if len(cloud) == 0:
         raise DomainError("cannot estimate dimensions of an empty cloud")
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.size == 0:
-        raise DomainError("the theta grid is empty")
+    thetas = check_theta_grid(thetas)
     hull = cloud.hull_diameter()
     # every node's ladder, then the (R, r) pairs of all valid nodes counted
     # together, then the per-node combination rule
@@ -725,11 +775,11 @@ def _global_counts(cloud: PointCloud, radii) -> list[int]:
     """Covering counts of the whole cloud at every radius."""
     pts = cloud.points
     if cloud.ambient_dim == 1:
-        whole = (np.array([0]), np.array([len(pts)]))
+        # one window, from its first point, wider than the cloud
         counts = [0] * len(radii)
-        jobs = ((i, 2.0 * r, *whole) for i, r in enumerate(radii))
-        for i, part in _batched_counts_1d(pts, jobs, 2.0 * min(radii)):
-            counts[i] = int(part[0])
+        jobs = ((i, 2.0 * r, pts[:1], math.inf) for i, r in enumerate(radii))
+        for i, count, _ in _batched_counts_1d(pts, jobs, 2.0 * min(radii), lower=False):
+            counts[i] = count
         return counts
     return [len(_squares(pts, r)[1]) for r in radii]
 

@@ -52,6 +52,19 @@ def default_theta_grid(n: int = DEFAULT_GRID) -> np.ndarray:
     return np.linspace(GRID_CLIP, 1.0 - GRID_CLIP, n)
 
 
+def check_theta_grid(thetas) -> np.ndarray:
+    """thetas as a float array, checked to be a non-empty 1-D grid, strictly
+    increasing and inside (0, 1); a NaN node fails."""
+    th = np.asarray(thetas, dtype=float)
+    if th.ndim != 1 or th.size == 0:
+        raise DomainError("the theta grid must be a non-empty 1-D array")
+    if not np.all(th[1:] > th[:-1]):
+        raise DomainError("theta grid must be strictly increasing")
+    if not (th[0] > 0.0 and th[-1] < 1.0):
+        raise DomainError("theta grid must lie inside (0, 1)")
+    return th
+
+
 @dataclass(frozen=True)
 class SpectrumCurve:
     """Sampled map theta -> dimension value with provenance."""
@@ -66,10 +79,7 @@ class SpectrumCurve:
         vals = np.asarray(self.values, dtype=float)
         if th.shape != vals.shape or th.ndim != 1:
             raise DomainError("curve grid and values must be 1-D arrays of equal length")
-        if np.any(np.diff(th) <= 0):
-            raise DomainError("theta grid must be strictly increasing")
-        if th[0] <= 0.0 or th[-1] >= 1.0:
-            raise DomainError("theta grid must lie inside (0, 1)")
+        check_theta_grid(th)
         finite = vals[np.isfinite(vals)]
         if self.provenance == "formula" and np.any(np.diff(finite) < -1e-12):
             raise DomainError("a closed-form spectrum must be non-decreasing")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -657,6 +658,24 @@ def test_report_needs_no_system_of_the_sharp_family(tmp_path, capsys):
     # h = 0.505, yet every curve is defined
     assert main(["report", "--params", "p=1,h=0.505", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "report.svg").read_text().count("<polyline") == 3
+
+
+@pytest.mark.parametrize("params, columns", [
+    ("p=1,h=0.505", ["t=p+1=2", "t=2p=2", "t=2.9802"]),
+    ("p=1,h=0.6", ["t=p+1=2", "t=2p=2", "t=2.66667"]),
+    # h = 1/p puts t = p + 1/h on t = 2p
+    ("p=2,h=0.5", ["t=3", "t=2p=4", "t=p+1/h=4"]),
+])
+def test_report_curves_of_one_t_keep_their_columns(tmp_path, capsys, params, columns):
+    # at p = 1 the curves t = p+1 and t = 2p are both t=2; each keeps a
+    # column of the CSV and a legend entry of the SVG
+    assert main(["report", "--params", params, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "report-curves.csv").read_text().splitlines()
+    assert rows[0].split(",") == ["theta", *columns]
+    assert all(len(row.split(",")) == 4 for row in rows)
+    svg = (tmp_path / "report.svg").read_text()
+    assert svg.count("<polyline") == 3
+    assert re.findall(r">(t=[^<]*)</text>", svg) == columns
 
 
 @pytest.mark.parametrize("params", ["p=abc", "h=abc", "p=1,2"])

@@ -203,6 +203,13 @@ class TestPersistence:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cloud.bin"]
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        # as from_bytes checks a saved cloud's header; a zero delta made the
+        # estimator's scale ladder divide by zero and return NaN
+        with pytest.raises(ConfigurationError, match="delta must be finite and positive"):
+            PointCloud.from_points([0.1, 0.5], delta, 1)
+
     def test_points_are_distinct_and_sorted(self):
         cloud = PointCloud.from_points([0.5, 0.1, 0.5], 1e-3, 1)
         assert np.array_equal(cloud.points, [0.1, 0.5])

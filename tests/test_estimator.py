@@ -5,7 +5,7 @@ from ifsdim import CifsSpec, PointCloud, Similarity, build_fixed_point_cloud, bu
 from ifsdim.estimator import (
     _MIN_SCALES,
     _Gaps,
-    _batched_counts_1d,
+    _greedy_counts_1d,
     _counts_2d,
     _global_counts,
     _net_centers_1d,
@@ -78,11 +78,14 @@ def _dyadic_cloud(rng, n):
 
 
 def _batched(pts, jobs):
-    """Counts of the jobs (two_r, lo, hi), all passed to the batched kernel
-    at once."""
-    least = min(two_r for two_r, _, _ in jobs)
-    got = dict(_batched_counts_1d(pts, ((i, *job) for i, job in enumerate(jobs)), least))
-    return [got[i].tolist() for i in range(len(jobs))]
+    """Counts of every window of the jobs (two_r, lo, hi), all passed to the
+    greedy kernel at once on one canonical listing of their widths."""
+    widths = sorted({two_r for two_r, _, _ in jobs})
+    keys, breaks = estimator._canonical_keys(_Gaps(pts, widths[0]), np.array(widths))
+    chain = np.repeat([widths.index(two_r) for two_r, _, _ in jobs], [len(lo) for _, lo, _ in jobs])
+    counts = _greedy_counts_1d(pts, keys, breaks, np.array(widths), chain,
+                               np.concatenate([lo for _, lo, _ in jobs]), np.concatenate([hi for _, _, hi in jobs]))
+    return [part.tolist() for part in np.split(counts, np.cumsum([len(lo) for _, lo, _ in jobs])[:-1])]
 
 
 #: lockstep budgets the kernel is checked at: 1 and 3 rounds push the walks
@@ -224,6 +227,133 @@ class TestBatchedCounts1D:
             cells = np.floor(pts / step).astype(np.int64)
             _, first = np.unique(cells, return_index=True)
             assert np.array_equal(_net_centers_1d(pts, step), pts[np.sort(first)])
+
+
+def _canonical_values(pts, r):
+    """The points of the greedy chain from index 0 at width 2r, stepped one
+    at a time as cover_count_1d steps."""
+    chain, i = [], 0
+    while i < len(pts):
+        chain.append(pts[i])
+        i = int(np.searchsorted(pts, pts[i] + 2.0 * r, side="right"))
+    return np.array(chain)
+
+
+def _tied_cloud():
+    """One pattern of multiples of 2^-10 in [0, 1) repeated at the offsets
+    0, 2, ..., 46: the translates are exact, so many windows tie for each
+    extreme and only the first centre may be reported."""
+    pattern = np.unique(np.random.default_rng(17).integers(0, 1024, 60)) / 1024.0
+    return cloud_of((pattern + 2.0 * np.arange(24)[:, None]).ravel(), delta=2.0**-12)
+
+
+#: a grid has no barriers, so its canonical listings are the longest; x_k =
+#: 1/k accumulates at 0 like the parabolic clouds; the dyadic cloud is gap-rich
+_EXTREME_CLOUDS = {
+    "grid": lambda: cloud_of(np.arange(2500) / 1024.0, delta=2.0**-12),
+    "reciprocal": lambda: cloud_of(1.0 / np.arange(1, 2501, dtype=float), delta=1e-5),
+    "tied": _tied_cloud,
+    "dyadic": lambda: _dyadic_cloud(np.random.default_rng(4), 2500),
+}
+
+
+def _random_pairs(cloud, rng, k):
+    """k pairs (R, r) with R from hull/128 to the hull and R/r from 2 to 128."""
+    hull = cloud.hull_diameter()
+    return [(R, R * 2.0 ** -rng.uniform(1, 7)) for R in hull * 2.0 ** rng.uniform(-7, 0, k)]
+
+
+def _scalar_extremes(cloud, R, r):
+    """(count, first centre) of the largest and of the least cover_count_1d
+    over the (R/2)-net of centres."""
+    centers = _net_centers_1d(cloud.points, R / 2.0)
+    counts = [cover_count_1d(cloud, c, R, r) for c in centers]
+    return [(best, centers[counts.index(best)]) for best in (max(counts), min(counts))]
+
+
+class TestRankBound:
+    """Greedy chains interleave, so a window's count is K or K + 1, with K
+    the canonical points of its width inside it."""
+
+    @pytest.mark.parametrize("name", sorted(_EXTREME_CLOUDS))
+    def test_count_is_K_or_K_plus_one(self, name):
+        cloud = _EXTREME_CLOUDS[name]()
+        pts = cloud.points
+        rng = np.random.default_rng(len(name))
+        seen = set()
+        for R, r in _random_pairs(cloud, rng, 8):
+            canon = _canonical_values(pts, r)
+            # net centres, and centres anywhere in the hull
+            centers = np.r_[_net_centers_1d(pts, R / 2.0), rng.uniform(pts[0] - R, pts[-1] + R, 20)]
+            for c in centers:
+                K = np.count_nonzero((canon >= c - R) & (canon <= c + R))
+                excess = cover_count_1d(cloud, c, R, r) - K
+                assert excess in (0, 1), (R, r, c)
+                seen.add(excess)
+        assert seen == {0, 1}
+
+
+class TestExtremeCounts1D:
+    """The extremes counted only at the windows that can hold them against
+    the scalar sweep over every centre."""
+
+    @pytest.mark.parametrize("name", sorted(_EXTREME_CLOUDS))
+    def test_extremes_equal_the_scalar_sweep(self, name, monkeypatch):
+        # budgets of 1 and 3 rounds break the canonical listings off, and
+        # every window of a broken width is walked
+        cloud = _EXTREME_CLOUDS[name]()
+        pairs = _random_pairs(cloud, np.random.default_rng(100 + len(name)), 12)
+        expected = [_scalar_extremes(cloud, R, r) for R, r in pairs]
+        for rounds in _BUDGETS:
+            monkeypatch.setattr(estimator, "_LOCKSTEP_ROUNDS", rounds)
+            for lower in (False, True):
+                got = estimator._extreme_counts(cloud, pairs, lower)
+                assert got == [e[lower] for e in expected], (rounds, lower)
+
+    @pytest.mark.parametrize("name", ["reciprocal", "tied"])
+    def test_spectrum_diagnostics_equal_the_scalar_sweep(self, name):
+        cloud = _EXTREME_CLOUDS[name]()
+        thetas = np.linspace(0.2, 0.8, 4)
+        for estimate, lower in ((assouad_spectrum_estimate, False), (lower_spectrum_estimate, True)):
+            scales = [sd for diag in estimate(cloud, thetas).diagnostics for sd in diag.scales]
+            assert len(scales) >= 12
+            for sd in scales:
+                assert (sd.count, sd.center) == _scalar_extremes(cloud, sd.R, sd.r)[lower]
+
+    def test_ties_report_the_first_centre(self):
+        # the pattern repeats 24 times, so the largest and the least counts
+        # of a pair with R well inside one period are each reached by a
+        # centre in every period
+        cloud = _tied_cloud()
+        pairs = [(0.25, 0.25 / 2**k) for k in (2, 4, 6)]
+        for lower in (False, True):
+            for (R, r), (count, center) in zip(pairs, estimator._extreme_counts(cloud, pairs, lower)):
+                centers = _net_centers_1d(cloud.points, R / 2.0)
+                counts = np.array([cover_count_1d(cloud, c, R, r) for c in centers])
+                assert np.count_nonzero(counts == count) >= 20
+                assert center == centers[np.flatnonzero(counts == count)[0]]
+
+    def test_only_candidate_windows_are_walked(self, monkeypatch):
+        # on a gap-rich cloud few windows can hold an extreme; once the
+        # canonical listing breaks off, every window of the width is walked
+        walked = []
+        kernel = estimator._greedy_counts_1d
+
+        def spy(pts, keys, breaks, widths, chain, lo, hi):
+            walked.append(len(lo))
+            return kernel(pts, keys, breaks, widths, chain, lo, hi)
+
+        monkeypatch.setattr(estimator, "_greedy_counts_1d", spy)
+        cloud = _EXTREME_CLOUDS["dyadic"]()
+        pairs = [(R, R / 16) for R in (0.05, 0.2, 1.0)]
+        centers = sum(len(_net_centers_1d(cloud.points, R / 2.0)) for R, _ in pairs)
+        estimator._extreme_counts(cloud, pairs, False)
+        assert 0 < sum(walked) * 10 < centers
+        walked.clear()
+        grid = _EXTREME_CLOUDS["grid"]()
+        monkeypatch.setattr(estimator, "_LOCKSTEP_ROUNDS", 1)
+        estimator._extreme_counts(grid, pairs, False)
+        assert sum(walked) == sum(len(_net_centers_1d(grid.points, R / 2.0)) for R, _ in pairs)
 
 
 class TestCoverCount2D:
@@ -408,6 +538,18 @@ class TestSpectrumEstimate:
             assouad_spectrum_estimate(cloud, [])
         with pytest.raises(DomainError):
             lower_spectrum_estimate(cloud, [])
+
+    @pytest.mark.parametrize("thetas", [[0.5, np.nan], [np.nan], [0.0, 0.5], [0.5, 1.0], [0.6, 0.4],
+                                        [[0.3, 0.4]], 0.5])
+    def test_bad_theta_grid_is_rejected_before_counting(self, thetas, monkeypatch):
+        def counted(*args):
+            raise AssertionError("counted before the grid was checked")
+
+        monkeypatch.setattr(estimator, "_extreme_counts", counted)
+        cloud = cloud_of(np.linspace(0.0, 1.0, 101), delta=1e-3)
+        for estimate in (assouad_spectrum_estimate, lower_spectrum_estimate):
+            with pytest.raises(DomainError, match="theta grid"):
+                estimate(cloud, thetas)
 
     def test_reciprocal_sequence_matches_formula(self):
         pts = 1.0 / np.arange(1, 1_000_001, dtype=float)

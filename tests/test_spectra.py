@@ -544,6 +544,11 @@ class TestCurveType:
         with pytest.raises(DomainError):
             SpectrumCurve(np.array([0.0, 0.5]), np.array([0.1, 0.2]), "formula")
 
+    @pytest.mark.parametrize("thetas", [[0.5, np.nan], [np.nan, 0.5], [np.nan], [0.2, np.nan, 0.4], []])
+    def test_nan_or_empty_grid_is_rejected(self, thetas):
+        with pytest.raises(DomainError, match="theta grid"):
+            SpectrumCurve(np.array(thetas), np.full(len(thetas), 0.5), "estimate")
+
     def test_formula_curves_must_be_monotone(self):
         with pytest.raises(DomainError):
             SpectrumCurve(np.array([0.2, 0.4]), np.array([0.5, 0.3]), "formula")
