@@ -103,6 +103,8 @@ class PointCloud:
     def from_points(cls, points, delta, ambient_dim=1):
         delta = float(delta)
         _check_delta(delta)
+        if ambient_dim not in (1, 2):
+            raise ConfigurationError(f"point-cloud dimension must be 1 or 2, got {ambient_dim}")
         arr = np.asarray(points, dtype=float)
         arr = sorted_distinct(arr.reshape(-1) if ambient_dim == 1 else arr.reshape(-1, 2))
         return cls(arr, delta, ambient_dim)

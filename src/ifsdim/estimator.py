@@ -17,9 +17,9 @@ blocks whose chains are walked independently, all blocks of all widths in
 lockstep.  A window's chain that lands on a canonical position m follows
 the canonical chain from there on, so its count is the s steps taken
 before m plus rank(hi) - rank(m), with rank(x) the number of canonical
-positions below x.  The canonical positions of every width are held as
-sorted keys width * (n + 1) + index, so membership and rank are two
-searchsorted calls.  A window meets the canonical chain at the next
+positions below x.  The canonical positions of every listed chain are
+held as sorted keys chain * (n + 1) + index, so membership and rank are
+two searchsorted calls.  A window meets the canonical chain at the next
 barrier at the latest, so on clouds with gaps it finishes in few rounds.
 
 Rank-bounded extremes.  The spectrum keeps only the largest (or least)
@@ -55,10 +55,22 @@ remain, taken in one last walk without a budget.  The stride
 S = 2^round(log2(L) / 2), with L the longest count the width's windows
 can still have, and the budget only trade rounds against table passes;
 the counts equal the scalar sweep of cover_count_1d whatever they are.
-The (R, r) pairs of a call are counted in batches bounded by their
-windows plus, per width, a bound on the canonical chain's length from the
-sorted gaps, which keeps the transient arrays within a fixed multiple of
-the cloud.
+
+Shared canonical chains.  r = R^(1/theta) rounds differently at every
+theta, so the ladders' deepest rungs ask for widths that differ only in
+the last bits, which nearly always share their canonical chain.  A
+listed chain P, complete rather than broken off, is the greedy chain
+from index 0 at a width w exactly when, with reach = pts[P] + w in float
+arithmetic, pts[P[k+1] - 1] <= reach[k] < pts[P[k+1]] for every k and
+reach[-1] >= pts[-1]: one vectorised pass, with no searchsorted.  A
+batch groups its widths by the key (sorted gaps below 2r, chain bound),
+lists the first width of each group, and gives every later one the
+group's chain once this certificate holds; a width it fails is listed
+on its own in a second lockstep pass.  The checks are exact, so no count
+changes.  A call's (R, r) pairs are counted in batches bounded by their
+windows plus, per group, the chain bound from the sorted gaps, which
+keeps the transient arrays within a fixed multiple of the cloud unless
+a certificate fails.
 
 Planar counts.  In the plane a window's count is the number of occupied
 r-mesh squares holding a cloud point within R of the centre, with the
@@ -253,12 +265,14 @@ class _Gaps:
         b.sort()
         return b
 
-    def chain_bound(self, two_r: float) -> int:
-        """About the longest the chain from index 0 can be: one position
-        per block between barriers plus the blocks' spans over 2r."""
+    def chain_key(self, two_r: float) -> tuple[int, int]:
+        """The number of sorted gaps below two_r, which fixes the width's
+        barrier candidates, and about the longest the chain from index 0
+        can be: one position per block between barriers plus the blocks'
+        spans over 2r."""
         k = int(np.searchsorted(self.sorted, two_r, side="left"))
         blocks = len(self.sorted) - k + 1
-        return min(len(self.pts), blocks + int(max(float(self.inner[k]), 0.0) / two_r))
+        return k, min(len(self.pts), blocks + int(max(float(self.inner[k]), 0.0) / two_r))
 
 
 def _canonical_keys(gaps: _Gaps, widths: np.ndarray):
@@ -299,6 +313,51 @@ def _canonical_keys(gaps: _Gaps, widths: np.ndarray):
     return keys, np.append(np.sort(chain + cur), np.iinfo(np.int64).max)
 
 
+def _chain_runs(keys: np.ndarray, breaks: np.ndarray, chains: int, n: int):
+    """The key bounds c * (n + 1) of the chains c of a listing, the start of
+    each chain's run of listed keys, and whether its listing broke off,
+    which puts a break key in its range."""
+    edges = np.arange(chains + 1) * (n + 1)
+    return edges, np.searchsorted(keys, edges), np.diff(np.searchsorted(breaks, edges)) > 0
+
+
+def _certifies(pts: np.ndarray, chain: np.ndarray, two_r: float) -> bool:
+    """Whether chain, the positions of a complete canonical listing, is
+    also the greedy chain from index 0 at the width two_r: the step from
+    each position lands on the next, and the step from the last passes
+    the cloud's end.  Tested in the float arithmetic of the step."""
+    reach = pts[chain] + two_r
+    after = chain[1:]
+    return bool(reach[-1] >= pts[-1] and (pts[after - 1] <= reach[:-1]).all() and (reach[:-1] < pts[after]).all())
+
+
+def _shared_chains(gaps: _Gaps, widths: dict):
+    """The canonical listing of a batch's widths, with widths[two_r] the
+    group of two_r: keys and breaks as from _canonical_keys, and the chain
+    of each width.  The first width of group g is listed as chain g; a
+    later width takes the chain of its group when that listing is complete
+    and certifies it, and is listed on its own in a second pass otherwise;
+    see the module notes."""
+    pts = gaps.pts
+    leaders = {}
+    for two_r, group in widths.items():
+        leaders.setdefault(group, two_r)
+    keys, breaks = _canonical_keys(gaps, np.array(list(leaders.values())))
+    edges, runs, broken = _chain_runs(keys, breaks, len(leaders), len(pts))
+    chain_of, unlisted = {}, []
+    for two_r, g in widths.items():
+        if leaders[g] == two_r or not broken[g] and _certifies(pts, keys[runs[g]:runs[g + 1]] - edges[g], two_r):
+            chain_of[two_r] = g
+        else:
+            chain_of[two_r] = len(leaders) + len(unlisted)
+            unlisted.append(two_r)
+    if unlisted:
+        more, stops = _canonical_keys(gaps, np.array(unlisted))
+        keys = np.concatenate((keys, more + edges[-1]))
+        breaks = np.concatenate((breaks[:-1], stops[:-1] + edges[-1], breaks[-1:]))
+    return keys, breaks, chain_of
+
+
 def _walk_windows(pts, keys, breaks, counts, rounds: int, live, key0, cur, end, two_r):
     """Step the windows live (chain key offset key0, position cur, end,
     width two_r) in lockstep for at most rounds rounds, adding their
@@ -335,10 +394,10 @@ def _walk_windows(pts, keys, breaks, counts, rounds: int, live, key0, cur, end, 
 
 
 def _jump_windows(pts, counts, live, key0, cur, end, two_r) -> None:
-    """Move the windows (sorted by chain) S steps at a time while the
+    """Move the windows (sorted by width) S steps at a time while the
     landing stays below end, adding their counts; S is per width, near the
     square root of the longest count its windows can still have."""
-    runs = np.flatnonzero(run_starts(key0))
+    runs = np.flatnonzero(run_starts(two_r))
     for a, b in zip(runs, np.r_[runs[1:], len(live)]):
         c, e = cur[a:b], end[a:b]
         # a window holds e - c points, and each step advances past 2r
@@ -363,14 +422,15 @@ def _jump_windows(pts, counts, live, key0, cur, end, two_r) -> None:
             cur[items] = x + base
 
 
-def _greedy_counts_1d(pts: np.ndarray, keys: np.ndarray, breaks: np.ndarray, widths: np.ndarray,
-                      chain: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _greedy_counts_1d(pts: np.ndarray, keys: np.ndarray, breaks: np.ndarray, chain: np.ndarray,
+                      two_r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Greedy counts of the windows pts[lo[k]:hi[k]] by closed intervals of
-    length widths[chain[k]], equal to cover_count_1d window by window; keys
-    and breaks are the widths' canonical listing from _canonical_keys.
+    length two_r[k], equal to cover_count_1d window by window; keys and
+    breaks are a canonical listing from _canonical_keys, and chain[k] is
+    the listed chain that is the greedy chain from index 0 at two_r[k].
 
-    A window steps until it lands on its width's canonical chain or passes
-    hi.  From a canonical position m on it follows that chain, so its count
+    A window steps until it lands on its canonical chain or passes hi.
+    From a canonical position m on it follows that chain, so its count
     is the steps taken plus rank(hi) - rank(m), up to the chain's next
     break.  Windows still apart after _LOCKSTEP_ROUNDS rounds jump S steps
     at a time and finish with at most S single steps; see the module notes.
@@ -379,9 +439,9 @@ def _greedy_counts_1d(pts: np.ndarray, keys: np.ndarray, breaks: np.ndarray, wid
     live = np.flatnonzero(lo < hi)
     if not len(live):
         return counts
-    # sorted by chain, so that each chain's windows are one run
-    live = live[np.argsort(chain[live], kind="stable")]
-    windows = live, chain[live] * (len(pts) + 1), lo[live], hi[live], widths[chain[live]]
+    # sorted by width, so that each width's windows are one run
+    live = live[np.argsort(two_r[live], kind="stable")]
+    windows = live, chain[live] * (len(pts) + 1), lo[live], hi[live], two_r[live]
     windows = _walk_windows(pts, keys, breaks, counts, _LOCKSTEP_ROUNDS, *windows)
     if len(windows[0]):
         _jump_windows(pts, counts, *windows)
@@ -420,9 +480,21 @@ def _net_centers_1d(pts: np.ndarray, step: float) -> np.ndarray:
 def _squares(pts: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     """The order that sorts the points by their step-square floor(p / step),
     lexicographically and stably, and the position in that order where
-    each square's points start."""
+    each square's points start.  The squares are sorted by one int64 key,
+    x cell times the rows spanned plus y cell, both from their least,
+    unless that key could overflow."""
     cells = np.floor(pts / step).astype(np.int64)
-    order, new = sort_groups((cells[:, 0], cells[:, 1]))
+    cx, cy = cells[:, 0], cells[:, 1]
+    if len(cells):
+        # per column: a reduction along axis 0 of the (n, 2) array costs
+        # ten times as much
+        x0, y0 = int(cx.min()), int(cy.min())
+        rows = int(cy.max()) - y0 + 1
+        if (int(cx.max()) - x0 + 1) * rows < 2**63:
+            key = (cx - x0) * rows + (cy - y0)
+            order = np.argsort(key, kind="stable")
+            return order, np.flatnonzero(run_starts(key[order]))
+    order, new = sort_groups((cx, cy))
     return order, np.flatnonzero(new)
 
 
@@ -570,7 +642,7 @@ def _spectrum_scales(theta: float, delta: float, hull: float) -> list[float]:
 
 #: a batch of 1-D jobs closes before its positions pass one per cloud
 #: point, or _BATCH_FLOOR on small clouds.  Its positions are the chain
-#: bounds of its distinct widths plus _WINDOW_POSITIONS per centre: on a
+#: bounds of its groups of widths plus _WINDOW_POSITIONS per centre: on a
 #: width whose listing broke off every window is walked, and the walk
 #: keeps about four times as many arrays per window as the listing per
 #: chain position.  The estimate's arrays then peak at 19-25 bytes a cloud
@@ -588,15 +660,18 @@ def _batched_counts_1d(pts: np.ndarray, jobs, least: float, lower: bool):
     _BATCH_FLOOR."""
     gaps = _Gaps(pts, least)
     budget = max(len(pts), _BATCH_FLOOR)
-    batch, widths, size = [], {}, 0
+    batch, widths, groups, size = [], {}, {}, 0
     for job in jobs:
         two_r, centers = job[1], job[2]
-        cost = _WINDOW_POSITIONS * len(centers) + (0 if two_r in widths else gaps.chain_bound(two_r))
+        # widths of one key likely share their canonical chain, which is
+        # listed and charged once
+        key = gaps.chain_key(two_r)
+        cost = _WINDOW_POSITIONS * len(centers) + (0 if key in groups else key[1])
         if batch and size + cost > budget:
             yield from _count_batch(gaps, batch, widths, lower)
-            batch, widths, size = [], {}, 0
-            cost = _WINDOW_POSITIONS * len(centers) + gaps.chain_bound(two_r)
-        widths.setdefault(two_r, len(widths))
+            batch, widths, groups, size = [], {}, {}, 0
+            cost = _WINDOW_POSITIONS * len(centers) + key[1]
+        widths[two_r] = groups.setdefault(key, len(groups))
         batch.append(job)
         size += cost
     if batch:
@@ -615,20 +690,15 @@ def _candidates(score: np.ndarray) -> np.ndarray:
 
 
 def _count_batch(gaps: _Gaps, batch, widths: dict, lower: bool):
-    """The extremes of _batched_counts_1d for one batch of jobs, whose
-    widths are listed once; see the module notes."""
+    """The extremes of _batched_counts_1d for one batch of jobs, with
+    widths[two_r] the group of each width; see the module notes."""
     pts = gaps.pts
     n = len(pts)
-    chain_widths = np.array(list(widths))
-    keys, breaks = _canonical_keys(gaps, chain_widths)
-    # each width's listed positions are one run of keys, and a width whose
-    # listing broke off has a break key in its range
-    edges = np.arange(len(widths) + 1) * (n + 1)
-    runs = np.searchsorted(keys, edges)
-    broken = np.diff(np.searchsorted(breaks, edges)) > 0
+    keys, breaks, chain_of = _shared_chains(gaps, widths)
+    edges, runs, broken = _chain_runs(keys, breaks, max(chain_of.values()) + 1, n)
     picks, lo, hi = [], [], []
     for _, two_r, centers, R in batch:
-        c = widths[two_r]
+        c = chain_of[two_r]
         below, above = centers - R, centers + R
         if broken[c]:
             pick = np.arange(len(centers))
@@ -641,8 +711,9 @@ def _count_batch(gaps: _Gaps, batch, widths: dict, lower: bool):
         lo.append(np.searchsorted(pts, below[pick], side="left"))
         hi.append(np.searchsorted(pts, above[pick], side="right"))
     sizes = [len(pick) for pick in picks]
-    chain = np.repeat([widths[two_r] for _, two_r, _, _ in batch], sizes)
-    counts = _greedy_counts_1d(pts, keys, breaks, chain_widths, chain, np.concatenate(lo), np.concatenate(hi))
+    chain = np.repeat([chain_of[two_r] for _, two_r, _, _ in batch], sizes)
+    width = np.repeat([job[1] for job in batch], sizes)
+    counts = _greedy_counts_1d(pts, keys, breaks, chain, width, np.concatenate(lo), np.concatenate(hi))
     extreme = np.argmin if lower else np.argmax
     for (tag, _, centers, _), pick, part in zip(batch, picks, np.split(counts, np.cumsum(sizes)[:-1])):
         k = int(extreme(part))

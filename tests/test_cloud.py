@@ -188,6 +188,24 @@ class TestPersistence:
         assert list(plane.csv_blocks()) == ["x,y\n", "0.0,1.0\n0.5,-0.25\n"]
         assert "".join(line.csv_blocks()) == line.to_csv()
 
+    def test_csv_blocks_equal_the_repr_of_every_point(self, monkeypatch):
+        # a 1-D block is each point's own repr, one a line, including the
+        # least subnormal, a negative zero and reprs in exponent form
+        monkeypatch.setattr(cloud_module, "_CSV_BLOCK", 4)
+        values = [5e-324, 1e-7, 0.1, 123456789.125, 1e16, 1e22]
+        pts = np.array(sorted([-v for v in values] + [-0.0] + values))
+        line = PointCloud(pts, 1e-9, 1)
+        blocks = ["\n".join(map(repr, pts[a : a + 4].tolist())) + "\n" for a in range(0, len(pts), 4)]
+        assert list(line.csv_blocks()) == ["x\n"] + blocks
+        assert {"-0.0", "5e-324", "-5e-324", "1e-07", "1e+16", "1e+22", "123456789.125"} <= set(line.to_csv().split())
+
+    @pytest.mark.parametrize("dim", [0, 3, -1, 1.5])
+    def test_ambient_dim_must_be_one_or_two(self, dim):
+        # as from_bytes checks a saved cloud's header; a 3-D cloud made the
+        # estimator raise a raw TypeError
+        with pytest.raises(ConfigurationError, match="dimension must be 1 or 2"):
+            PointCloud.from_points([1.0, 2.0, 3.0, 4.0], 1e-3, dim)
+
     def test_a_failed_save_leaves_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "cloud.bin"
         PointCloud.from_points([0.25, 0.5], 1e-3, 1).save(path)

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from ifsdim import CifsSpec, PointCloud, Similarity, build_fixed_point_cloud, build_limit_cloud
+from ifsdim.arrays import sort_groups
+from ifsdim.cli import THETA_RANGE
 from ifsdim.estimator import (
     _MIN_SCALES,
     _Gaps,
     _greedy_counts_1d,
     _counts_2d,
+    _squares,
     _global_counts,
     _net_centers_1d,
     _net_centers_2d,
@@ -19,6 +22,7 @@ from ifsdim.estimator import (
 )
 from ifsdim import estimator
 from ifsdim.errors import DomainError
+from ifsdim.families import make_family
 from ifsdim.spectra import fp_spectrum
 from ifsdim.tails import GeometricRule, PowerRule, SimilarityTail
 
@@ -83,7 +87,7 @@ def _batched(pts, jobs):
     widths = sorted({two_r for two_r, _, _ in jobs})
     keys, breaks = estimator._canonical_keys(_Gaps(pts, widths[0]), np.array(widths))
     chain = np.repeat([widths.index(two_r) for two_r, _, _ in jobs], [len(lo) for _, lo, _ in jobs])
-    counts = _greedy_counts_1d(pts, keys, breaks, np.array(widths), chain,
+    counts = _greedy_counts_1d(pts, keys, breaks, chain, np.array(widths)[chain],
                                np.concatenate([lo for _, lo, _ in jobs]), np.concatenate([hi for _, _, hi in jobs]))
     return [part.tolist() for part in np.split(counts, np.cumsum([len(lo) for _, lo, _ in jobs])[:-1])]
 
@@ -339,9 +343,9 @@ class TestExtremeCounts1D:
         walked = []
         kernel = estimator._greedy_counts_1d
 
-        def spy(pts, keys, breaks, widths, chain, lo, hi):
+        def spy(pts, keys, breaks, chain, two_r, lo, hi):
             walked.append(len(lo))
-            return kernel(pts, keys, breaks, widths, chain, lo, hi)
+            return kernel(pts, keys, breaks, chain, two_r, lo, hi)
 
         monkeypatch.setattr(estimator, "_greedy_counts_1d", spy)
         cloud = _EXTREME_CLOUDS["dyadic"]()
@@ -354,6 +358,212 @@ class TestExtremeCounts1D:
         monkeypatch.setattr(estimator, "_LOCKSTEP_ROUNDS", 1)
         estimator._extreme_counts(grid, pairs, False)
         assert sum(walked) == sum(len(_net_centers_1d(grid.points, R / 2.0)) for R, _ in pairs)
+
+
+def _chain_positions(pts, two_r):
+    """The positions of the greedy chain from index 0 at the width two_r."""
+    return np.searchsorted(pts, _canonical_values(pts, two_r / 2.0))
+
+
+def _scalar_windows(pts, two_r, lo, hi):
+    """The greedy counts of the windows pts[lo[k]:hi[k]] by intervals of
+    length two_r, stepped one position at a time."""
+    counts = []
+    for i, stop in zip(lo, hi):
+        count = 0
+        while i < stop:
+            count += 1
+            i = int(np.searchsorted(pts, pts[i] + two_r, side="right"))
+        counts.append(count)
+    return counts
+
+
+def _shared(pts, jobs):
+    """Counts of every window of the jobs (two_r, lo, hi), with the widths
+    grouped as the planner groups them and listed by _shared_chains."""
+    gaps = _Gaps(pts, min(two_r for two_r, _, _ in jobs))
+    widths, groups = {}, {}
+    for two_r in sorted({two_r for two_r, _, _ in jobs}):
+        widths[two_r] = groups.setdefault(gaps.chain_key(two_r), len(groups))
+    keys, breaks, chain_of = estimator._shared_chains(gaps, widths)
+    sizes = [len(lo) for _, lo, _ in jobs]
+    chain = np.repeat([chain_of[two_r] for two_r, _, _ in jobs], sizes)
+    two_r = np.repeat([two_r for two_r, _, _ in jobs], sizes)
+    counts = _greedy_counts_1d(pts, keys, breaks, chain, two_r,
+                               np.concatenate([lo for _, lo, _ in jobs]), np.concatenate([hi for _, _, hi in jobs]))
+    return [part.tolist() for part in np.split(counts, np.cumsum(sizes)[:-1])]
+
+
+def _twins(w, ulps=2):
+    """w and the floats up to ulps steps on either side of it."""
+    out = [w]
+    for direction in (np.inf, -np.inf):
+        x = w
+        for _ in range(ulps):
+            x = np.nextafter(x, direction)
+            out.append(float(x))
+    return out
+
+
+class TestSharedChains:
+    """Widths that share a group reuse one listed canonical chain once the
+    certificate proves it is their own."""
+
+    def test_certificate_accepts_ulp_twins_and_rejects_other_chains(self):
+        # the widths of test_widths_one_ulp_apart: at three grid steps and an
+        # ulp above, the chain from 0 takes every fourth point; an ulp
+        # below, every third.  On three points, the widths 0.5 and an ulp
+        # below differ only in the last step.  On a cloud of random floats,
+        # ulp twins of random widths and of widths that reach a point
+        # exactly from the first
+        rng = np.random.default_rng(8)
+        floats = np.r_[0.0, np.sort(rng.random(800)) ** 2]
+        cases = [(np.arange(4000) / 1024.0, [3 / 1024.0]), (np.array([0.0, 0.25, 0.5]), [0.5]),
+                 (floats, np.r_[rng.uniform(1e-3, 0.2, 20), rng.choice(floats[1:], 20)])]
+        for pts, bases in cases:
+            seen = set()
+            for w in bases:
+                twins = _twins(float(w), ulps=1)
+                for a in twins:
+                    keys, breaks = estimator._canonical_keys(_Gaps(pts, a), np.array([a]))
+                    assert len(breaks) == 1 and np.array_equal(keys, _chain_positions(pts, a))
+                    for b in twins:
+                        verdict = estimator._certifies(pts, keys, b)
+                        assert verdict == np.array_equal(keys, _chain_positions(pts, b)), (a, b)
+                        seen.add(verdict)
+            assert seen == {True, False}, len(pts)
+
+    def test_a_broken_listing_is_never_shared(self, monkeypatch):
+        # blocks 0, 1/8, 1/2 two apart: at 2r = 1/2 the chain from 0 steps
+        # over 1/2, an ulp below it lands there.  One round lists only the
+        # block starts of the narrower twin, which the certificate accepts
+        # for the wider one, but its break at 1/2 is not on the wider chain
+        pts = (np.array([0.0, 0.125, 0.5]) + 2.0 * np.arange(8)[:, None]).ravel()
+        cloud = cloud_of(pts)
+        wide = 0.5
+        narrow = float(np.nextafter(wide, -np.inf))
+        monkeypatch.setattr(estimator, "_LOCKSTEP_ROUNDS", 1)
+        keys, breaks = estimator._canonical_keys(_Gaps(pts, narrow), np.array([narrow]))
+        assert len(breaks) > 1 and estimator._certifies(pts, keys, wide)
+        lo, hi = np.arange(len(pts)), np.full(len(pts), len(pts))
+        assert _shared(pts, [(narrow, lo, hi), (wide, lo, hi)]) == [_scalar_windows(pts, two_r, lo, hi)
+                                                                   for two_r in (narrow, wide)]
+        pairs = [(R, two_r / 2.0) for R in (0.5, 1.0, 4.0) for two_r in (narrow, wide)]
+        assert estimator._extreme_counts(cloud, pairs, False) == [_scalar_extremes(cloud, R, r)[0] for R, r in pairs]
+
+    def test_twins_sharing_a_chain_jump_by_their_own_width(self, monkeypatch):
+        # near 0, x + 2r and x plus the float below 2r round apart, so on
+        # clouds across 0 the twins' next-pointer tables differ while their
+        # chains from the first point can agree.  Listed at the default
+        # budget and walked for 1-3 rounds, the windows of both twins jump
+        shared = 0
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(5, 40))
+            pts = np.unique(rng.integers(-4 * m, m, int(rng.integers(10, 60)))) / 1024.0
+            wide = m / 1024.0
+            narrow = float(np.nextafter(wide, -np.inf))
+            tables = [np.searchsorted(pts, pts + w, side="right") for w in (narrow, wide)]
+            if np.array_equal(*tables) or not np.array_equal(_chain_positions(pts, narrow), _chain_positions(pts, wide)):
+                continue
+            shared += 1
+            keys, breaks = estimator._canonical_keys(_Gaps(pts, narrow), np.array([narrow]))
+            lo = np.r_[np.arange(len(pts)), np.arange(len(pts))]
+            hi = np.full(len(lo), len(pts))
+            two_r = np.repeat([narrow, wide], len(pts))
+            expected = [n for w in (narrow, wide) for n in _scalar_windows(pts, w, lo[:len(pts)], hi[:len(pts)])]
+            for rounds in (1, 2, 3):
+                monkeypatch.setattr(estimator, "_LOCKSTEP_ROUNDS", rounds)
+                got = _greedy_counts_1d(pts, keys, breaks, np.zeros(len(lo), dtype=np.int64), two_r, lo, hi)
+                assert got.tolist() == expected, (seed, rounds)
+            monkeypatch.undo()
+        assert shared >= 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_extremes_with_twin_widths_equal_the_scalar_sweep(self, seed, monkeypatch):
+        # clusters of ulp twins around random widths, around one gap, and
+        # around the distance from the first point to another, which the
+        # chain from it reaches exactly at that width and misses an ulp
+        # below; budgets of 1 and 3 rounds break the listings off, and a
+        # broken leader's twins are listed on their own
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(300, 1200))
+        if seed % 2:
+            cloud = cloud_of(np.r_[0.0, np.sort(rng.random(n)) ** 2])
+        else:
+            dyadic = _dyadic_cloud(rng, n).points
+            cloud = cloud_of(dyadic - dyadic[0])
+        pts = cloud.points
+        hull = cloud.hull_diameter()
+        gaps = np.diff(pts)
+        bases = np.r_[hull * 2.0 ** rng.uniform(-9, -3, 2), rng.choice(gaps, 2),
+                      pts[rng.integers(1, len(pts), 3)]]
+        pairs = [(min(hull, w * 2.0 ** rng.uniform(0, 6)), w / 2.0) for b in bases for w in _twins(float(b))]
+        expected = [_scalar_extremes(cloud, R, r) for R, r in pairs]
+        verdicts = []
+        certifies = estimator._certifies
+
+        def recording(pts, chain, two_r):
+            verdicts.append(certifies(pts, chain, two_r))
+            return verdicts[-1]
+
+        monkeypatch.setattr(estimator, "_certifies", recording)
+        for rounds in _BUDGETS:
+            monkeypatch.setattr(estimator, "_LOCKSTEP_ROUNDS", rounds)
+            for lower in (False, True):
+                got = estimator._extreme_counts(cloud, pairs, lower)
+                assert got == [e[lower] for e in expected], (rounds, lower)
+        assert True in verdicts and False in verdicts
+
+    def test_default_ctd_clustered_estimate_lists_at_most_140_chains(self, monkeypatch):
+        # the 64-node compare grid asks for 257 distinct widths, which were
+        # each listed; 126 of them are ulp twins of a neighbour
+        listed = []
+        canonical_keys = estimator._canonical_keys
+
+        def counting(gaps, widths):
+            listed.append(len(widths))
+            return canonical_keys(gaps, widths)
+
+        family = make_family("ctd-clustered")
+        cloud = build_limit_cloud(family.spec, family.default_delta)
+        monkeypatch.setattr(estimator, "_canonical_keys", counting)
+        assouad_spectrum_estimate(cloud, np.linspace(*THETA_RANGE, 64))
+        assert 0 < sum(listed) <= 140
+
+
+class TestSquares:
+    """The planar square order by one int64 key against sort_groups."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_order_and_starts_equal_sort_groups(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(-3.0, 2.0, (int(rng.integers(1, 3000)), 2))
+        for step in (1e-3, 0.1, 0.7, 50.0):
+            cells = np.floor(pts / step).astype(np.int64)
+            assert (cells < 0).any()
+            order, new = sort_groups((cells[:, 0], cells[:, 1]))
+            got, first = _squares(pts, step)
+            assert np.array_equal(got, order) and np.array_equal(first, np.flatnonzero(new)), step
+
+    def test_keys_that_could_overflow_take_the_lexsort(self, monkeypatch):
+        # x cells spanning 2^32 values and y cells 2^31: the product of the
+        # spans reaches 2^63, which the guard refuses; one row fewer passes
+        calls = []
+
+        def spy(keys):
+            calls.append(len(keys[0]))
+            return sort_groups(keys)
+
+        monkeypatch.setattr(estimator, "sort_groups", spy)
+        for top, lexsorted in ((2.0**31 - 1, True), (2.0**31 - 2, False)):
+            pts = np.array([[0.0, top], [0.5, 0.0], [2.0**32 - 1, 0.25], [0.25, top + 0.5], [0.75, 0.5]])
+            cells = np.floor(pts).astype(np.int64)
+            order, new = sort_groups((cells[:, 0], cells[:, 1]))
+            calls.clear()
+            got, first = _squares(pts, 1.0)
+            assert calls == ([5] if lexsorted else [])
+            assert np.array_equal(got, order) and np.array_equal(first, np.flatnonzero(new))
 
 
 class TestCoverCount2D:
