@@ -21,6 +21,15 @@ positions below x.  The canonical positions of every listed chain are
 held as sorted keys chain * (n + 1) + index, so membership and rank are
 two searchsorted calls.  A window meets the canonical chain at the next
 barrier at the latest, so on clouds with gaps it finishes in few rounds.
+The last _FEW chains or windows of a walk are stepped one at a time, by
+bisect on a memoryview of the points, and list and count what the rounds
+would have.
+
+Batches.  A batch of pairs (see _BATCH_FLOOR) makes its array calls for
+all its pairs at once: one pass for the (R/2)-nets of all (see
+_net_centers_1d), one listing of its widths' canonical chains, and K,
+the candidates and each pair's first extreme by reductions over the
+pairs' runs of centres.
 
 Rank-bounded extremes.  The spectrum keeps only the largest (or least)
 count over a pair's centres and the first centre reaching it, so only the
@@ -29,16 +38,16 @@ since rounding is monotone, so two greedy chains interleave: with C_j the
 last canonical position at or below lo, the window's k-th position lies
 between C_(j+k) and C_(j+k+1).  A window's count is therefore K or K + 1,
 with K the canonical points of its width inside [c - R, c + R]: two
-searchsorted calls into that width's canonical values, a short array,
-with no lo or hi on the cloud.  The largest count is then K* or K* + 1,
-K* the largest K.  Only windows of K* reach K* + 1, and a window of
-K* - 1 can only reach K*, which the first window of K* already holds, so
-it is a candidate only before that window.  These candidates alone get
-lo, hi and the greedy walk, and the first largest count among them is
-the first over all centres, as np.argmax's.  The least count mirrors
-this with K_min and the windows of K_min + 1 before the first of K_min.
-A width whose canonical listing broke off (below) has K too small, so
-every window of it is a candidate.
+searchsorted calls per run of pairs on one chain into its canonical
+values, a short array, with no lo or hi on the cloud.  The largest count
+is then K* or K* + 1, K* the largest K of the pair.  Only windows of K*
+reach K* + 1, and a window of K* - 1 can only reach K*, which the first
+window of K* already holds, so it is a candidate only before that
+window.  These candidates alone get lo, hi and the greedy walk, and the
+first largest count among them is the first over all centres, as
+np.argmax's.  The least count mirrors this with K_min and the windows of
+K_min + 1 before the first of K_min.  A width whose canonical listing
+broke off (below) has K too small, so every window of it is a candidate.
 
 Where barriers are rare (a uniform grid has none), chains need not meet,
 so every lockstep walk stops after _LOCKSTEP_ROUNDS rounds.  A block of
@@ -67,10 +76,10 @@ batch groups its widths by the key (sorted gaps below 2r, chain bound),
 lists the first width of each group, and gives every later one the
 group's chain once this certificate holds; a width it fails is listed
 on its own in a second lockstep pass.  The checks are exact, so no count
-changes.  A call's (R, r) pairs are counted in batches bounded by their
-windows plus, per group, the chain bound from the sorted gaps, which
-keeps the transient arrays within a fixed multiple of the cloud unless
-a certificate fails.
+changes.  A batch is bounded by its pairs' net centres plus, per group,
+the chain bound, both bounded from the sorted gaps before any is
+computed, which keeps the transient arrays within a fixed multiple of
+the cloud unless a certificate fails.
 
 Planar counts.  In the plane a window's count is the number of occupied
 r-mesh squares holding a cloud point within R of the centre, with the
@@ -120,6 +129,7 @@ constants, not options.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,15 +214,15 @@ def cover_count_1d(cloud: PointCloud, center: float, R: float, r: float) -> int:
     inside [center - R, center + R]; greedy is optimal on the line."""
     if cloud.ambient_dim != 1:
         raise DomainError("cover_count_1d needs a 1-D cloud")
-    if not (r > 0 and R > 0):
-        raise DomainError(f"scales must be positive, got R={R}, r={r}")
-    pts = cloud.points
-    i = int(np.searchsorted(pts, center - R, side="left"))
-    stop = int(np.searchsorted(pts, center + R, side="right"))
+    if not (r > 0 and R > 0 and center == center):
+        raise DomainError(f"scales must be positive and the centre a number, got R={R}, r={r}, center={center}")
+    pts = memoryview(cloud.points)
+    i = bisect_left(pts, center - R)
+    stop = bisect_right(pts, center + R)
     count = 0
     while i < stop:
         count += 1
-        i = int(np.searchsorted(pts, pts[i] + 2.0 * r, side="right"))
+        i = bisect_right(pts, pts[i] + 2.0 * r, i + 1)
     return count
 
 
@@ -237,13 +247,17 @@ def cover_count_2d(cloud: PointCloud, center: complex, R: float, r: float) -> in
 #: after this many rounds.  The longest walk of the seven default compare
 #: runs takes 383; walks still going are barrier-poor and jump instead
 _LOCKSTEP_ROUNDS = 1024
+#: a lockstep round makes six to a dozen array calls however few items it
+#: steps, one step of one item one or two bisect calls, so a walk steps its
+#: last _FEW items one at a time; 4 and 16 time the same
+_FEW = 8
 
 
 class _Gaps:
     """The gaps of one sorted cloud at least as wide as the narrowest width
-    asked for, sorted once.  The barriers of a width 2r are the indices b
-    with pts[b] > pts[b - 1] + 2r; such a gap is at least 2r, so they are
-    among the gaps of a suffix of the sorted ones."""
+    or net step asked for, sorted once.  The barriers of a width 2r are the
+    indices b with pts[b] > pts[b - 1] + 2r; such a gap is at least 2r, so
+    they are among the gaps of a suffix of the sorted ones."""
 
     def __init__(self, pts: np.ndarray, least: float):
         self.pts = pts
@@ -256,23 +270,35 @@ class _Gaps:
         span = float(pts[-1] - pts[0]) if len(pts) else 0.0
         self.inner = span - np.append(np.cumsum(self.sorted[::-1])[::-1], 0.0)
 
-    def barriers(self, two_r: float) -> np.ndarray:
-        """Sorted barrier indices of the width two_r, tested in the float
-        arithmetic of the greedy step."""
-        pts = self.pts
-        b = self.index[np.searchsorted(self.sorted, two_r, side="left"):]
-        b = b[pts[b] > pts[b - 1] + two_r]
-        b.sort()
-        return b
+    def starts(self, x: np.ndarray) -> np.ndarray:
+        """Keys j * (n + 1) + b, sorted, of index 0 and the ends b of the
+        gaps of at least x[j], for every j: the starts of the blocks those
+        gaps cut the cloud into."""
+        n = len(self.pts)
+        k = np.searchsorted(self.sorted, x, side="left")
+        cuts = len(self.sorted) - k
+        base = np.arange(len(x)) * (n + 1)
+        key = np.concatenate((base, np.repeat(base, cuts) + self.index[ranges(k, cuts)]))
+        key.sort()
+        return key
 
-    def chain_key(self, two_r: float) -> tuple[int, int]:
-        """The number of sorted gaps below two_r, which fixes the width's
-        barrier candidates, and about the longest the chain from index 0
-        can be: one position per block between barriers plus the blocks'
-        spans over 2r."""
-        k = int(np.searchsorted(self.sorted, two_r, side="left"))
+    def barriers(self, widths: np.ndarray) -> np.ndarray:
+        """The keys of starts(widths) at 0 and at the barriers of each
+        width: the gap ends b with pts[b] > pts[b - 1] + widths[j], tested
+        in the float arithmetic of the greedy step."""
+        key = self.starts(widths)
+        j, b = np.divmod(key, len(self.pts) + 1)
+        return key[(b == 0) | (self.pts[b] > self.pts[b - 1] + widths[j])]
+
+    def bound(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each x: the number of sorted gaps below x, which fixes the
+        blocks that the gaps of at least x cut the cloud into, and a bound
+        on the cells of side x those blocks meet, one per block plus the
+        blocks' spans over x.  It bounds the greedy chain from index 0 at
+        the width x, whose steps each pass x, and the net at the step x."""
+        k = np.searchsorted(self.sorted, x, side="left")
         blocks = len(self.sorted) - k + 1
-        return k, min(len(self.pts), blocks + int(max(float(self.inner[k]), 0.0) / two_r))
+        return k, np.minimum(len(self.pts), blocks + (np.maximum(self.inner[k], 0.0) / x).astype(np.int64))
 
 
 def _canonical_keys(gaps: _Gaps, widths: np.ndarray):
@@ -287,18 +313,17 @@ def _canonical_keys(gaps: _Gaps, widths: np.ndarray):
     out."""
     pts = gaps.pts
     n = len(pts)
-    starts = [np.r_[0, gaps.barriers(w)] for w in widths]
-    sizes = [len(s) for s in starts]
-    chain = np.repeat(np.arange(len(widths)) * (n + 1), sizes)
-    cur = np.concatenate(starts)
+    starts = gaps.barriers(widths)
+    owner, cur = np.divmod(starts, n + 1)
+    chain = starts - cur
     end = np.append(cur[1:], n)
-    end[np.cumsum(sizes) - 1] = n
-    two_r = np.repeat(widths, sizes)
+    end[np.append(owner[1:] != owner[:-1], True)] = n
+    two_r = widths[owner]
+    del owner
     last = pts[end - 1]
     runs = []
-    for _ in range(_LOCKSTEP_ROUNDS):
-        if not len(cur):
-            break
+    rounds = 0
+    while len(cur) > _FEW and rounds < _LOCKSTEP_ROUNDS:
         runs.append(chain + cur)
         # the step from cur leaves the block exactly when its last point
         # is within reach
@@ -307,10 +332,28 @@ def _canonical_keys(gaps: _Gaps, widths: np.ndarray):
         if not keep.all():
             chain, two_r, last, reach = (v[keep] for v in (chain, two_r, last, reach))
         cur = np.searchsorted(pts, reach, side="right")
+        rounds += 1
+    if rounds == _LOCKSTEP_ROUNDS:
+        stops = chain + cur
+    else:
+        # each block ends at the next start of its chain, or at n
+        end = np.append(starts, np.iinfo(np.int64).max)[np.searchsorted(starts, chain + cur, side="right")]
+        end = np.minimum(end - chain, n)
+        x, listed, stops = memoryview(pts), [], []
+        for base, i, e, w in zip(chain.tolist(), cur.tolist(), end.tolist(), two_r.tolist()):
+            for _ in range(_LOCKSTEP_ROUNDS - rounds):
+                listed.append(base + i)
+                reach = x[i] + w
+                if not reach < x[e - 1]:
+                    break
+                i = bisect_right(x, reach, i + 1, e)
+            else:
+                stops.append(base + i)
+        runs.append(np.array(listed, dtype=np.int64))
     keys = np.concatenate(runs)
     del runs
     keys.sort()
-    return keys, np.append(np.sort(chain + cur), np.iinfo(np.int64).max)
+    return keys, np.append(np.sort(np.asarray(stops, dtype=np.int64)), np.iinfo(np.int64).max)
 
 
 def _chain_runs(keys: np.ndarray, breaks: np.ndarray, chains: int, n: int):
@@ -366,7 +409,7 @@ def _walk_windows(pts, keys, breaks, counts, rounds: int, live, key0, cur, end, 
     or the chain's next break, and steps on from a break."""
     last = pts[end - 1]
     steps = 0
-    while len(live) and steps < rounds:
+    while len(live) > _FEW and steps < rounds:
         key = key0 + cur
         at = np.searchsorted(keys, key)
         hit = np.flatnonzero(keys[np.minimum(at, len(keys) - 1)] == key)
@@ -390,7 +433,31 @@ def _walk_windows(pts, keys, breaks, counts, rounds: int, live, key0, cur, end, 
             live, key0, end, two_r, last, reach = (v[keep] for v in (live, key0, end, two_r, last, reach))
         cur = np.searchsorted(pts, reach, side="right")
     counts[live] += steps
-    return live, key0, cur, end, two_r
+    if steps == rounds:
+        return live, key0, cur, end, two_r
+    # the same steps, one window at a time
+    x, listed, stops = memoryview(pts), memoryview(keys), memoryview(breaks)
+    rest = []
+    for j, (base, i, e, w) in enumerate(zip(key0.tolist(), cur.tolist(), end.tolist(), two_r.tolist())):
+        count = 0
+        for _ in range(rounds - steps):
+            at = bisect_left(listed, base + i)
+            if at < len(listed) and listed[at] == base + i:
+                stop = min(stops[bisect_left(stops, base + i)], base + e)
+                count += bisect_left(listed, stop) - at
+                i = stop - base
+                if i == e:
+                    break
+            count += 1
+            reach = x[i] + w
+            if not reach < x[e - 1]:
+                break
+            i = bisect_right(x, reach, i + 1, e)
+        else:
+            rest.append(j)
+            cur[j] = i
+        counts[live[j]] += count
+    return live[rest], key0[rest], cur[rest], end[rest], two_r[rest]
 
 
 def _jump_windows(pts, counts, live, key0, cur, end, two_r) -> None:
@@ -450,31 +517,43 @@ def _greedy_counts_1d(pts: np.ndarray, keys: np.ndarray, breaks: np.ndarray, cha
     return counts
 
 
-def _net_centers_1d(pts: np.ndarray, step: float) -> np.ndarray:
-    """First point of every occupied step-cell.  pts is sorted, so the cell
-    id floor(x / step) is non-decreasing in the index and a new cell starts
-    where it changes.  When the cloud spans few cells, the starts are found
-    by searchsorted on the cell edges k * step instead of dividing every
-    point, then moved to where floor(x / step) reaches k: next to an edge
-    the rounded product and the rounded quotient can disagree."""
+def _net_centers_1d(gaps: _Gaps, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first point of every occupied cell floor(x / s) of each step s,
+    concatenated, and how many each step has.  The gaps of at least s cut
+    the cloud into blocks.  A cell starts at a block's first point unless
+    the point before shares its cell, and inside a block where floor(x / s)
+    reaches an edge k between the cells of its ends: searchsorted on k * s,
+    moved on or back where the rounded product and quotient disagree."""
+    pts = gaps.pts
     n = len(pts)
-    if not n:
-        return pts
-    k0, k1 = math.floor(pts[0] / step), math.floor(pts[-1] / step)
-    if k1 - k0 > n // 8:
-        return pts[run_starts(np.floor(pts / step))]
-    ks = np.arange(k0 + 1, k1 + 1, dtype=float)
-    start = np.searchsorted(pts, ks * step, side="left")
+    owner, a = np.divmod(gaps.starts(steps), n + 1)
+    first = np.flatnonzero(run_starts(owner))
+    b = np.append(a[1:], n)
+    b[first - 1] = n
+    s = steps[owner]
+    ka, kb = np.floor(pts[a] / s), np.floor(pts[b - 1] / s)
+    new = np.r_[True, ka[1:] > kb[:-1]]
+    new[first] = True
+    edges = (kb - ka).astype(np.int64)
+    ks = np.repeat(ka, edges) + ranges(1, edges)
+    s = np.repeat(s, edges)
+    start = np.searchsorted(pts, ks * s, side="left")
     while True:
-        back = (start > 0) & (np.floor(pts[start - 1] / step) >= ks)
-        ahead = (start < n) & (np.floor(pts[np.minimum(start, n - 1)] / step) < ks)
+        back = (start > 0) & (np.floor(pts[start - 1] / s) >= ks)
+        ahead = (start < n) & (np.floor(pts[np.minimum(start, n - 1)] / s) < ks)
         if not (back.any() or ahead.any()):
             break
         start += ahead.astype(np.int64) - back
-    # cells before an empty run share its end as their start; the last
-    # cell holds pts[-1], so every start is a point
-    start = np.r_[0, start]
-    return pts[start[run_starts(start)]]
+    # each block's start, then the cell starts inside it; cells before an
+    # empty run share its end as their start
+    slot = np.cumsum(edges + 1) - edges - 1
+    inside = np.ones(len(a) + len(ks), dtype=bool)
+    inside[slot] = False
+    pos = np.empty(len(inside), dtype=np.int64)
+    pos[slot], pos[inside] = a, start
+    keep = run_starts(pos)
+    keep[slot] = new
+    return pts[pos[keep]], np.bincount(np.repeat(owner, edges + 1)[keep], minlength=len(steps))
 
 
 def _squares(pts: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -640,109 +719,108 @@ def _spectrum_scales(theta: float, delta: float, hull: float) -> list[float]:
     return out
 
 
-#: a batch of 1-D jobs closes before its positions pass one per cloud
+#: a batch of 1-D pairs closes before its positions pass one per cloud
 #: point, or _BATCH_FLOOR on small clouds.  Its positions are the chain
-#: bounds of its groups of widths plus _WINDOW_POSITIONS per centre: on a
-#: width whose listing broke off every window is walked, and the walk
-#: keeps about four times as many arrays per window as the listing per
-#: chain position.  The estimate's arrays then peak at 19-25 bytes a cloud
-#: point on the compare clouds of 86-254k points, and at 0.6-1.2 MB on
-#: those of 3-8k points (tracemalloc, numpy 2.4)
+#: bounds of its groups of widths plus _WINDOW_POSITIONS per net centre,
+#: all bounded by _Gaps.bound before any is computed: on a width whose
+#: listing broke off every window is walked, and the walk keeps about four
+#: times as many arrays per window as the listing per chain position.  The
+#: estimate's arrays then peak at 19-25 bytes a cloud point on the compare
+#: clouds of 86-254k points, and at 0.6-1.2 MB on those of 3-8k points
+#: (tracemalloc, numpy 2.4)
 _BATCH_FLOOR = 1 << 15
 _WINDOW_POSITIONS = 4
 
 
-def _batched_counts_1d(pts: np.ndarray, jobs, least: float, lower: bool):
-    """The least (lower) or largest greedy count over the windows
-    [center - R, center + R] of each job (tag, two_r, centers, R), none
-    narrower than least, yielded as (tag, count, first center reaching
-    it).  Jobs are counted together in batches of bounded size; see
-    _BATCH_FLOOR."""
-    gaps = _Gaps(pts, least)
+def _batched_counts_1d(pts: np.ndarray, pairs, lower: bool) -> list[tuple[int, object]]:
+    """(count, first centre reaching it) of the least (lower) or largest
+    greedy count over the windows [c - R, c + R], c on the (R/2)-net, for
+    every (R, r) of pairs, counted in batches; see _BATCH_FLOOR."""
+    R = np.array([R for R, _ in pairs], dtype=float)
+    two_r = 2.0 * np.array([r for _, r in pairs], dtype=float)
+    gaps = _Gaps(pts, min(two_r.min(), R.min() / 2.0))
+    # widths of one key likely share their canonical chain, which is
+    # listed and charged once
+    key, chain = gaps.bound(two_r)
+    cost = _WINDOW_POSITIONS * gaps.bound(R / 2.0)[1]
     budget = max(len(pts), _BATCH_FLOOR)
-    batch, widths, groups, size = [], {}, {}, 0
-    for job in jobs:
-        two_r, centers = job[1], job[2]
-        # widths of one key likely share their canonical chain, which is
-        # listed and charged once
-        key = gaps.chain_key(two_r)
-        cost = _WINDOW_POSITIONS * len(centers) + (0 if key in groups else key[1])
-        if batch and size + cost > budget:
-            yield from _count_batch(gaps, batch, widths, lower)
-            batch, widths, groups, size = [], {}, {}, 0
-            cost = _WINDOW_POSITIONS * len(centers) + key[1]
-        widths[two_r] = groups.setdefault(key, len(groups))
-        batch.append(job)
-        size += cost
-    if batch:
-        yield from _count_batch(gaps, batch, widths, lower)
+    out = [None] * len(pairs)
+
+    def count(batch, groups):
+        best, centers = _count_batch(gaps, R[batch], two_r[batch], groups, lower)
+        for i, n, c in zip(batch, best.tolist(), centers):
+            out[i] = n, c
+
+    batch, groups, known, size = [], [], {}, 0
+    # sorted by r, the pairs of one width share a batch and its chain
+    for i in np.argsort(two_r, kind="stable").tolist():
+        g = int(key[i]), int(chain[i])
+        need = int(cost[i]) + (0 if g in known else g[1])
+        if batch and size + need > budget:
+            count(batch, groups)
+            batch, groups, known, size = [], [], {}, 0
+            need = int(cost[i]) + g[1]
+        batch.append(i)
+        groups.append(known.setdefault(g, len(known)))
+        size += need
+    count(batch, groups)
+    return out
 
 
-def _candidates(score: np.ndarray) -> np.ndarray:
-    """The windows that can hold the first extreme count when each count
-    is K or K + 1, with score = K for the largest count and -K for the
-    least: those of the top score, and those one below it that come before
-    the first of them; see the module notes."""
-    top = score == score.max()
-    first = int(np.argmax(top))
-    top[:first] = score[:first] == score[first] - 1
-    return np.flatnonzero(top)
-
-
-def _count_batch(gaps: _Gaps, batch, widths: dict, lower: bool):
-    """The extremes of _batched_counts_1d for one batch of jobs, with
-    widths[two_r] the group of each width; see the module notes."""
+def _count_batch(gaps: _Gaps, R: np.ndarray, two_r: np.ndarray, groups: list, lower: bool):
+    """The extremes of _batched_counts_1d for one batch of pairs (R, two_r),
+    groups[j] the group of the j-th width, as arrays of counts and centres."""
     pts = gaps.pts
     n = len(pts)
-    keys, breaks, chain_of = _shared_chains(gaps, widths)
-    edges, runs, broken = _chain_runs(keys, breaks, max(chain_of.values()) + 1, n)
-    picks, lo, hi = [], [], []
-    for _, two_r, centers, R in batch:
-        c = chain_of[two_r]
-        below, above = centers - R, centers + R
-        if broken[c]:
-            pick = np.arange(len(centers))
-        else:
-            # K, the canonical points inside each window
-            canon = pts[keys[runs[c]:runs[c + 1]] - edges[c]]
-            K = np.searchsorted(canon, above, side="right") - np.searchsorted(canon, below, side="left")
-            pick = _candidates(-K if lower else K)
-        picks.append(pick)
-        lo.append(np.searchsorted(pts, below[pick], side="left"))
-        hi.append(np.searchsorted(pts, above[pick], side="right"))
-    sizes = [len(pick) for pick in picks]
-    chain = np.repeat([chain_of[two_r] for _, two_r, _, _ in batch], sizes)
-    width = np.repeat([job[1] for job in batch], sizes)
-    counts = _greedy_counts_1d(pts, keys, breaks, chain, width, np.concatenate(lo), np.concatenate(hi))
-    extreme = np.argmin if lower else np.argmax
-    for (tag, _, centers, _), pick, part in zip(batch, picks, np.split(counts, np.cumsum(sizes)[:-1])):
-        k = int(extreme(part))
-        yield tag, int(part[k]), centers[pick[k]]
+    keys, breaks, chain_of = _shared_chains(gaps, dict(zip(two_r.tolist(), groups)))
+    _, runs, broken = _chain_runs(keys, breaks, max(chain_of.values()) + 1, n)
+    chain = np.array([chain_of[w] for w in two_r.tolist()])
+    centers, sizes = _net_centers_1d(gaps, R / 2.0)
+    job = np.repeat(np.arange(len(R)), sizes)
+    # K by runs of pairs on one chain: a search of the whole cloud for
+    # every window misses the cache.  A broken chain makes every window a
+    # candidate
+    score = np.zeros(len(centers), dtype=np.int64)
+    first = np.cumsum(sizes) - sizes
+    run = np.flatnonzero(run_starts(chain))
+    for c, a, b in zip(chain[run].tolist(), first[run].tolist(), np.append(first[run[1:]], len(centers)).tolist()):
+        if not broken[c]:
+            values, x, half = pts[keys[runs[c]:runs[c + 1]] % (n + 1)], centers[a:b], R[job[a:b]]
+            score[a:b] = np.searchsorted(values, x + half, side="right") - np.searchsorted(values, x - half)
+    if lower:
+        np.negative(score, out=score)
+    # the windows of each pair's top score, and those one below it before
+    # the first of them
+    top = np.maximum.reduceat(score, first)[job]
+    pick = np.flatnonzero(score == top)
+    lead = pick[run_starts(job[pick])]
+    below = np.flatnonzero(score == top - 1)
+    del score, top
+    pick = np.sort(np.r_[pick, below[below < lead[job[below]]]])
+    job = job[pick]
+    x, half = centers[pick], R[job]
+    lo = np.searchsorted(pts, x - half, side="left")
+    hi = np.searchsorted(pts, x + half, side="right")
+    counts = _greedy_counts_1d(pts, keys, breaks, chain[job], two_r[job], lo, hi)
+    # the first candidate of each pair reaching its extreme
+    best = (np.minimum if lower else np.maximum).reduceat(counts, np.flatnonzero(run_starts(job)))
+    reach = np.flatnonzero(counts == best[job])
+    return best, centers[pick[reach[run_starts(job[reach])]]]
 
 
 def _extreme_counts(cloud: PointCloud, pairs, lower: bool) -> list[tuple[int, object]]:
     """(count, center) of the least (lower) or largest covering count over
     an (R/2)-net of centers, for every (R, r) of pairs."""
-    pick = np.argmin if lower else np.argmax
     pts = cloud.points
-    out = [None] * len(pairs)
-    if cloud.ambient_dim == 2:
-        for i, (R, r) in enumerate(pairs):
-            centers = _net_centers_2d(pts, R / 2.0)
-            counts = _counts_2d(pts, centers, R, r)
-            k = int(pick(counts))
-            out[i] = int(counts[k]), tuple(centers[k])
-        return out
-
-    def jobs():
-        # sorted by r, the pairs of one width share a batch and its chain
-        for i in sorted(range(len(pairs)), key=lambda i: pairs[i][1]):
-            R, r = pairs[i]
-            yield i, 2.0 * r, _net_centers_1d(pts, R / 2.0), R
-
-    if pairs:
-        for i, count, center in _batched_counts_1d(pts, jobs(), 2.0 * min(r for _, r in pairs), lower):
-            out[i] = count, center
+    if cloud.ambient_dim == 1:
+        return _batched_counts_1d(pts, pairs, lower) if pairs else []
+    pick = np.argmin if lower else np.argmax
+    out = []
+    for R, r in pairs:
+        centers = _net_centers_2d(pts, R / 2.0)
+        counts = _counts_2d(pts, centers, R, r)
+        k = int(pick(counts))
+        out.append((int(counts[k]), tuple(centers[k])))
     return out
 
 
@@ -798,11 +876,20 @@ def _estimate_node(cloud: PointCloud, theta: float, scales, lower: bool, hull: f
     return value, ThetaDiagnostic(theta, tuple(per_scale), True, note, sup_value, slope_value)
 
 
-def _estimate_curve(cloud: PointCloud, thetas, lower: bool):
+def _hull(cloud: PointCloud) -> float:
+    """The hull diameter of a cloud with points whose cell ids floor(p / s),
+    s at least the resolution, are exact integers in float64 and int64."""
     if len(cloud) == 0:
         raise DomainError("cannot estimate dimensions of an empty cloud")
+    top = float(np.abs(cloud.points).max())
+    if not top / cloud.delta < 2.0**53:
+        raise DomainError(f"cell ids overflow: coordinates up to {top:g} at resolution {cloud.delta:g}")
+    return cloud.hull_diameter()
+
+
+def _estimate_curve(cloud: PointCloud, thetas, lower: bool):
+    hull = _hull(cloud)
     thetas = check_theta_grid(thetas)
-    hull = cloud.hull_diameter()
     # every node's ladder, then the (R, r) pairs of all valid nodes counted
     # together, then the per-node combination rule
     ladders = [[(R, R ** (1.0 / theta)) for R in _spectrum_scales(theta, cloud.delta, hull)]
@@ -847,11 +934,7 @@ def _global_counts(cloud: PointCloud, radii) -> list[int]:
     pts = cloud.points
     if cloud.ambient_dim == 1:
         # one window, from its first point, wider than the cloud
-        counts = [0] * len(radii)
-        jobs = ((i, 2.0 * r, pts[:1], math.inf) for i, r in enumerate(radii))
-        for i, count, _ in _batched_counts_1d(pts, jobs, 2.0 * min(radii), lower=False):
-            counts[i] = count
-        return counts
+        return [count for count, _ in _batched_counts_1d(pts, [(math.inf, r) for r in radii], lower=False)]
     return [len(_squares(pts, r)[1]) for r in radii]
 
 
@@ -867,9 +950,7 @@ def _dyadic_ladder(hull: float, r_min: float) -> list[float]:
 
 def box_dimension_estimate(cloud: PointCloud) -> BoxDimensionEstimate:
     """Least-squares slope of log N_r against -log r over the ladder."""
-    if len(cloud) == 0:
-        raise DomainError("cannot estimate dimensions of an empty cloud")
-    hull = cloud.hull_diameter()
+    hull = _hull(cloud)
     if hull <= 0.0:
         return BoxDimensionEstimate(0.0, (), ())
     r_min = _R_MIN_FACTOR * cloud.delta
@@ -896,9 +977,7 @@ def assouad_dimension_estimate(cloud: PointCloud) -> AssouadDimensionEstimate:
     Pairs run over the ladder with R/r at least _MIN_PAIR_RATIO; the
     estimate is upward biased by design and reports the pair and center
     achieving the supremum."""
-    if len(cloud) == 0:
-        raise DomainError("cannot estimate dimensions of an empty cloud")
-    hull = cloud.hull_diameter()
+    hull = _hull(cloud)
     if hull <= 0.0:
         return AssouadDimensionEstimate(0.0, CoverQuery(float(np.ravel(cloud.points)[0]), 1.0, 1.0, 1))
     r_min = _R_MIN_FACTOR * cloud.delta

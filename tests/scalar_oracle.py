@@ -5,7 +5,7 @@ The package handles maps only as batches (``ifsdim.mobius``,
 the per-generation maps of every tail rule here, written from their
 definitions, as the oracle the batch forms must match bit for bit.
 The exhaustive minimum 1-D cover count is the oracle of the estimator's
-greedy sweep, and the netting walk of one node, one generation at a
+greedy sweep, the per-step net centres that of its batched ones, and the netting walk of one node, one generation at a
 time, the oracle of the cloud builder's lockstep walk.  The closed-form
 spectra are kept as each family wrote its own, the oracle of the shared
 one- and two-transition forms.
@@ -185,6 +185,14 @@ def exhaustive_cover_count_1d(points: np.ndarray, r: float) -> int:
         return memo[i]
 
     return best(0) if n else 0
+
+
+def net_centers_1d(points: np.ndarray, step: float) -> np.ndarray:
+    """The first point of every occupied cell floor(x / step) of a sorted
+    cloud, one step at a time: the reference of the estimator's batched
+    net centres."""
+    cells = np.floor(points / step)
+    return points[np.r_[True, cells[1:] != cells[:-1]]] if len(points) else points
 
 
 def sharp_family_spectrum(p: float, t: float, h: float, theta: float) -> float:

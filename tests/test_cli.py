@@ -14,6 +14,7 @@ import pytest
 from ifsdim import CloudSizeError, ConfigurationError
 from ifsdim.cli import GATE_TOL, RunConfig, _build_cloud, _oracle_spot_check, _parse_params, _Stage, main, run_pipeline
 from ifsdim.cloud import PointCloud, build_limit_cloud
+from ifsdim import estimator
 from ifsdim.estimator import assouad_spectrum_estimate
 from ifsdim.families import make_family
 from ifsdim.jsonio import spec_from_dict
@@ -207,26 +208,56 @@ GOLDEN_CTD_SPACED = {
 }
 
 
-# sha256 of all five artifacts of the default `compare` of three families,
-# recorded with the netting walk that confirmed a prefix of each block per
-# round, before it followed the walk's successors through the block: the
-# walks these builds take have the longest sparse stretches
+# sha256 of all five artifacts of the seven default `compare` runs.  The
+# t=2.8 sharp, ctd-clustered and parabolic rows were recorded with the
+# netting walk that confirmed a prefix of each block per round, before it
+# followed the walk's successors through the block: the walks these builds
+# take have the longest sparse stretches.  The other four were recorded
+# with the per-pair 1-D counting path that the batched one replaced
 GOLDEN_DEFAULT_COMPARES = {
-    "sharp": (["--params", "p=1.8,t=2.8,h=0.5"], 0, {
+    "sharp-t3.6": (["sharp", "--params", "p=1.8,t=3.6,h=0.5"], 1, {
+        "cloud.bin": "2fbb909cbd842ba3d990ca8814d4b68cab77bf16dfc188613e00c8f2df5e2067",
+        "cloud.csv": "6b470517aa9fb6f8f58d1c09fbf5433fa034d7d55ab1f3d8775123b5dcb49e15",
+        "curves.csv": "c8b721a2aa11d7b4d86785fcc0a7183bacadcd075c8ae67463299dea2206ff4a",
+        "overlay.svg": "84944ce2a0bf3c3bc34dc1f745dc11eff5a1ea92429a654027019895c36732d7",
+        "summary.json": "716697e10e4de9af220c12a0a3d1e5fb974c19de8ae9003e8a6e9ecc39b8c239",
+    }),
+    "sharp": (["sharp", "--params", "p=1.8,t=2.8,h=0.5"], 0, {
         "cloud.bin": "9e486bacf69c3bb0f7b36c243674e3dfa6d171ed744c561420ba2988076343dd",
         "cloud.csv": "a509d3ab36f6635b307ab310c4c0e31994dc883b40352a2ac251da8853e62aab",
         "curves.csv": "6e1945c75df819c104f72e00548624a206c22679395719de0b9b3c337ae4fb16",
         "overlay.svg": "3e9726f327f196946df63b506221ae46d056f015a41568fd044d396e70b264af",
         "summary.json": "b4ad53f3a60a7af3dd42da254a21a859d704e022923f98ba37a7162dcb419122",
     }),
-    "ctd-clustered": ([], 1, {
+    "fp": (["fp"], 0, {
+        "cloud.bin": "d3e30543f582b07a6e79f94d4494ed6c680c3652fc4a78ce68a82d0942a1a6d4",
+        "cloud.csv": "4e40cacbf54525d8be5fc5dff208bd3f60dcadf781dea2460a8cac0fb1511ed8",
+        "curves.csv": "196499793e7c600d41abad5fd36e4bc271b966feea3864bf0031015daef3ffac",
+        "overlay.svg": "4a72f46dbea641619fe59d04e95ba2ef3be3fdd8c06d0c2e8cd8a4bf1c1ee3fb",
+        "summary.json": "9b176982d5e98f29843e4366d9134eb8e5e0ac9e48e7f8433d41ec2e8d743c0e",
+    }),
+    "ctd-spaced": (["ctd-spaced"], 1, {
+        "cloud.bin": "1902e5ea38b52a83422a09a532468c2ecf7a1bfca25afd6c58a20c312b515206",
+        "cloud.csv": "8a1eed3da2b44854de70f2abf8b2fd5e5b87152e05d823a500db3497a845f2f7",
+        "curves.csv": "aec65cec09f4850d81df2dd13b131da6af5ab639ae90b4661f6093399cb41d97",
+        "overlay.svg": "1dc2f7b2a361dc0b3dac43ea927d5573a0860b28856b0f529e83295c77647b1d",
+        "summary.json": "5073a7cd265a8da1360b042491bf272fbfbf5d275e0de6a59e2ea98e39e29232",
+    }),
+    "dense-cf": (["dense-cf"], 1, {
+        "cloud.bin": "303dda2f9701f1f5ca9fd0ac59001f1439be5ccaeb2708a83706005cac11f6cf",
+        "cloud.csv": "5506c146b1d6925b391ca83c53fe2e3ddbe561ad11f0057f643cfa973aaab6df",
+        "curves.csv": "450198eb223f4b1866faae707c4730fdfa7532cc6263634b95d13910e1b9819f",
+        "overlay.svg": "ba465d51e01a1abfa7520a4d62b2dc0a734de11dc5e54472ce78ffb13f22592e",
+        "summary.json": "fbc240cb53492dfad5e179d495295bbd34a5dd188b06abea683de71db87596ad",
+    }),
+    "ctd-clustered": (["ctd-clustered"], 1, {
         "cloud.bin": "3467a64d790341f1b6069a9e5f055d5bd8fe05b35c94354577ae0864a394434c",
         "cloud.csv": "7ab57678d0ad779610cddceb241ca94164cb93740f7d1ab247cbe3bdeafb37d8",
         "curves.csv": "9c15ede6ab6991c8a8521b913cbe873ac6f18c1024de7234deaa0c1c680414ba",
         "overlay.svg": "594867a3a23199258c464d64e0eb626106977190c5536637de867403013bd74f",
         "summary.json": "8780ab8c4bac9fc2a88c8ef6d1fca0c71f2979104fb825d70d806a39980c26b2",
     }),
-    "parabolic": ([], 0, {
+    "parabolic": (["parabolic"], 0, {
         "cloud.bin": "09b7e2d7d636fbe7c51f10aaa52fbb680f5f0dd60c5b934cae0196840af9c21e",
         "cloud.csv": "97cfa954614591938a87bbfa77691e9d594bd126b3efdfdd8dd501830ee173d0",
         "curves.csv": "04d4dddfd479f61b5ec875ddf0544a63e6a626ab01a84a0d3a0a1bbfccecf5b7",
@@ -238,8 +269,8 @@ GOLDEN_DEFAULT_COMPARES = {
 
 @pytest.mark.parametrize("family", sorted(GOLDEN_DEFAULT_COMPARES))
 def test_default_compare_golden_digests(tmp_path, capsys, family):
-    params, code, golden = GOLDEN_DEFAULT_COMPARES[family]
-    assert main(["compare", "--family", family, *params, "--out", str(tmp_path)]) == code
+    args, code, golden = GOLDEN_DEFAULT_COMPARES[family]
+    assert main(["compare", "--family", *args, "--out", str(tmp_path)]) == code
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in golden}
     assert digests == golden
 
@@ -508,6 +539,22 @@ def test_malformed_cloud_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("points, dim", [([-1e200, 0.0, 1e200], 1), ([[-1e200, 0.0], [0.0, 1.0], [1e200, 2.0]], 2)],
+                         ids=["1d", "2d"])
+def test_cell_ids_that_overflow_exit_2(tmp_path, capsys, monkeypatch, points, dim):
+    # at delta = 1e-200 the cell ids floor(p / r) of points at 1e200 are
+    # infinite: the 1-D net once raised OverflowError with exit 1, and the
+    # planar squares cast them to garbage and exited 0 with all-zero estimates
+    counted = []
+    monkeypatch.setattr(estimator, "_extreme_counts", lambda *args: counted.append(args))
+    path = tmp_path / "cloud.bin"
+    PointCloud.from_points(points, 1e-200, dim).save(path)
+    assert main(["spectrum-estimate", "--cloud", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "cell ids overflow" in captured.err
+    assert counted == [] and not (tmp_path / "out").exists()
 
 
 def test_valid_cloud_payloads_load():

@@ -3,7 +3,7 @@ import pytest
 
 from ifsdim import CifsSpec, PointCloud, Similarity, build_fixed_point_cloud, build_limit_cloud
 from ifsdim.arrays import sort_groups
-from ifsdim.cli import THETA_RANGE
+from ifsdim.cli import THETA_RANGE, _build_cloud
 from ifsdim.estimator import (
     _MIN_SCALES,
     _Gaps,
@@ -11,7 +11,6 @@ from ifsdim.estimator import (
     _counts_2d,
     _squares,
     _global_counts,
-    _net_centers_1d,
     _net_centers_2d,
     assouad_dimension_estimate,
     assouad_spectrum_estimate,
@@ -26,7 +25,7 @@ from ifsdim.families import make_family
 from ifsdim.spectra import fp_spectrum
 from ifsdim.tails import GeometricRule, PowerRule, SimilarityTail
 
-from scalar_oracle import exhaustive_cover_count_1d
+from scalar_oracle import exhaustive_cover_count_1d, net_centers_1d
 
 
 def cloud_of(points, delta=1e-9, dim=1):
@@ -54,6 +53,9 @@ class TestCoverCount1D:
     def test_scales_that_are_not_positive(self, R, r):
         with pytest.raises(DomainError):
             cover_count_1d(cloud_of([0.4]), 0.5, R, r)
+        # a NaN centre would bisect to the whole cloud
+        with pytest.raises(DomainError):
+            cover_count_1d(cloud_of([0.4]), np.nan, 0.5, 0.1)
 
     def test_greedy_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(42)
@@ -63,6 +65,30 @@ class TestCoverCount1D:
             r = float(rng.uniform(0.005, 0.4))
             cloud = cloud_of(pts)
             assert cover_count_1d(cloud, 0.5, 1.0, r) == exhaustive_cover_count_1d(pts, r)
+
+    def test_bisect_sweep_equals_a_linear_sweep(self):
+        # dense multiples of 2^-10, windows from one cloud point to another
+        # and widths 2r from the first point to another: the window's ends
+        # and the far ends of many intervals land exactly on cloud points,
+        # which the closed intervals keep
+        rng = np.random.default_rng(12)
+        landed = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 300))
+            cloud = cloud_of(np.unique(rng.integers(0, 2 * n, n)) / 1024.0)
+            pts = cloud.points
+            for _ in range(5):
+                a, b = np.sort(rng.choice(pts, 2, replace=False))
+                center, R = (a + b) / 2.0, (b - a) / 2.0
+                r = float(rng.choice(pts[1:]) - pts[0]) / 2.0
+                count, reach = 0, -np.inf
+                for x in pts[(pts >= center - R) & (pts <= center + R)]:
+                    if x > reach:
+                        count += 1
+                        reach = x + 2.0 * r
+                        landed += reach in pts
+                assert cover_count_1d(cloud, center, R, r) == count
+        assert landed > 100
 
     def test_count_monotonicity(self):
         rng = np.random.default_rng(3)
@@ -123,7 +149,11 @@ class TestBatchedCounts1D:
             expected.append([cover_count_1d(cloud, c, R, r) for c in centers])
         for rounds in _BUDGETS:
             monkeypatch.setattr(estimator, "_LOCKSTEP_ROUNDS", rounds)
-            assert _batched(pts, jobs) == expected, rounds
+            # the last walks stepped one at a time never, as shipped, or
+            # from the start
+            for few in (0, estimator._FEW, len(pts)):
+                monkeypatch.setattr(estimator, "_FEW", few)
+                assert _batched(pts, jobs) == expected, (rounds, few)
 
     def test_widths_one_ulp_apart(self):
         # the deepest rungs of a spectrum ladder share r up to the last bit.
@@ -148,7 +178,8 @@ class TestBatchedCounts1D:
         cloud = cloud_of(np.cumsum(rng.integers(1, 4, 2000)) / 1024.0)
         pts = cloud.points
         r = 1 / 1024.0
-        assert len(_Gaps(pts, 2.0 * r).barriers(2.0 * r)) == np.count_nonzero(np.diff(pts) == 3 / 1024.0)
+        # index 0 and the barriers
+        assert len(_Gaps(pts, 2.0 * r).barriers(np.array([2.0 * r]))) == 1 + np.count_nonzero(np.diff(pts) == 3 / 1024.0)
         centers = rng.choice(pts, 40)
         for R in (0.01, 0.2, 4.0):
             jobs = [(2.0 * r, *_windows(pts, centers, R))]
@@ -227,10 +258,18 @@ class TestBatchedCounts1D:
         edges = np.array([k * s for s in steps for k in range(-7, 8)])
         near = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
         pts = np.unique(np.concatenate([rng.normal(0.0, 1.0, int(rng.integers(0, 3000))), near]))
-        for step in steps:
+        got, sizes = estimator._net_centers_1d(_Gaps(pts, min(steps)), np.array(steps))
+        for step, part in zip(steps, np.split(got, np.cumsum(sizes)[:-1])):
             cells = np.floor(pts / step).astype(np.int64)
             _, first = np.unique(cells, return_index=True)
-            assert np.array_equal(_net_centers_1d(pts, step), pts[np.sort(first)])
+            assert np.array_equal(part, pts[np.sort(first)])
+            assert np.array_equal(part, net_centers_1d(pts, step))
+            # -step and the float below 0 are a step apart, so a block
+            # starts at the latter, whose quotient rounds into the cell of
+            # -step: the block starts no cell
+            pair = np.array([-step, -5e-324, 0.0])
+            got = estimator._net_centers_1d(_Gaps(pair, step), np.array([step]))[0]
+            assert np.array_equal(got, net_centers_1d(pair, step)) and len(got) == 2
 
 
 def _canonical_values(pts, r):
@@ -270,7 +309,7 @@ def _random_pairs(cloud, rng, k):
 def _scalar_extremes(cloud, R, r):
     """(count, first centre) of the largest and of the least cover_count_1d
     over the (R/2)-net of centres."""
-    centers = _net_centers_1d(cloud.points, R / 2.0)
+    centers = net_centers_1d(cloud.points, R / 2.0)
     counts = [cover_count_1d(cloud, c, R, r) for c in centers]
     return [(best, centers[counts.index(best)]) for best in (max(counts), min(counts))]
 
@@ -288,7 +327,7 @@ class TestRankBound:
         for R, r in _random_pairs(cloud, rng, 8):
             canon = _canonical_values(pts, r)
             # net centres, and centres anywhere in the hull
-            centers = np.r_[_net_centers_1d(pts, R / 2.0), rng.uniform(pts[0] - R, pts[-1] + R, 20)]
+            centers = np.r_[net_centers_1d(pts, R / 2.0), rng.uniform(pts[0] - R, pts[-1] + R, 20)]
             for c in centers:
                 K = np.count_nonzero((canon >= c - R) & (canon <= c + R))
                 excess = cover_count_1d(cloud, c, R, r) - K
@@ -332,7 +371,7 @@ class TestExtremeCounts1D:
         pairs = [(0.25, 0.25 / 2**k) for k in (2, 4, 6)]
         for lower in (False, True):
             for (R, r), (count, center) in zip(pairs, estimator._extreme_counts(cloud, pairs, lower)):
-                centers = _net_centers_1d(cloud.points, R / 2.0)
+                centers = net_centers_1d(cloud.points, R / 2.0)
                 counts = np.array([cover_count_1d(cloud, c, R, r) for c in centers])
                 assert np.count_nonzero(counts == count) >= 20
                 assert center == centers[np.flatnonzero(counts == count)[0]]
@@ -350,14 +389,14 @@ class TestExtremeCounts1D:
         monkeypatch.setattr(estimator, "_greedy_counts_1d", spy)
         cloud = _EXTREME_CLOUDS["dyadic"]()
         pairs = [(R, R / 16) for R in (0.05, 0.2, 1.0)]
-        centers = sum(len(_net_centers_1d(cloud.points, R / 2.0)) for R, _ in pairs)
+        centers = sum(len(net_centers_1d(cloud.points, R / 2.0)) for R, _ in pairs)
         estimator._extreme_counts(cloud, pairs, False)
         assert 0 < sum(walked) * 10 < centers
         walked.clear()
         grid = _EXTREME_CLOUDS["grid"]()
         monkeypatch.setattr(estimator, "_LOCKSTEP_ROUNDS", 1)
         estimator._extreme_counts(grid, pairs, False)
-        assert sum(walked) == sum(len(_net_centers_1d(grid.points, R / 2.0)) for R, _ in pairs)
+        assert sum(walked) == sum(len(net_centers_1d(grid.points, R / 2.0)) for R, _ in pairs)
 
 
 def _chain_positions(pts, two_r):
@@ -384,7 +423,8 @@ def _shared(pts, jobs):
     gaps = _Gaps(pts, min(two_r for two_r, _, _ in jobs))
     widths, groups = {}, {}
     for two_r in sorted({two_r for two_r, _, _ in jobs}):
-        widths[two_r] = groups.setdefault(gaps.chain_key(two_r), len(groups))
+        key = tuple(int(v[0]) for v in gaps.bound(np.array([two_r])))
+        widths[two_r] = groups.setdefault(key, len(groups))
     keys, breaks, chain_of = estimator._shared_chains(gaps, widths)
     sizes = [len(lo) for _, lo, _ in jobs]
     chain = np.repeat([chain_of[two_r] for two_r, _, _ in jobs], sizes)
@@ -530,6 +570,80 @@ class TestSharedChains:
         monkeypatch.setattr(estimator, "_canonical_keys", counting)
         assouad_spectrum_estimate(cloud, np.linspace(*THETA_RANGE, 64))
         assert 0 < sum(listed) <= 140
+
+
+#: the seven default compare runs, by family and parameters
+_DEFAULT_COMPARES = {
+    "sharp-t3.6": ("sharp", {"p": 1.8, "t": 3.6, "h": 0.5}),
+    "sharp-t2.8": ("sharp", {"p": 1.8, "t": 2.8, "h": 0.5}),
+    "fp": ("fp", {}),
+    "ctd-spaced": ("ctd-spaced", {}),
+    "dense-cf": ("dense-cf", {}),
+    "ctd-clustered": ("ctd-clustered", {}),
+    "parabolic": ("parabolic", {}),
+}
+
+
+class TestBatches:
+    """A batch makes its array calls for all its pairs at once: the net
+    centres, the canonical counts K and the extremes of every pair."""
+
+    @pytest.mark.parametrize("name", sorted(_EXTREME_CLOUDS))
+    def test_one_batch_equals_one_pair_per_batch(self, name, monkeypatch):
+        # both spectra; ulp twins of every width; on the tied cloud, pairs
+        # whose extremes every period reaches.  At one round the listings
+        # break off, and the last walks are stepped one at a time never,
+        # as shipped, or from the start
+        cloud = _EXTREME_CLOUDS[name]()
+        rng = np.random.default_rng(200 + len(name))
+        pairs = [(R, t) for R, r in _random_pairs(cloud, rng, 3) for t in _twins(r, 1)]
+        pairs += [(0.25, 0.25 / 2**k) for k in (2, 4)]
+        expected = [_scalar_extremes(cloud, R, r) for R, r in pairs]
+        batches = []
+        count_batch = estimator._count_batch
+
+        def counted(gaps, R, *rest):
+            batches.append(len(R))
+            return count_batch(gaps, R, *rest)
+
+        monkeypatch.setattr(estimator, "_count_batch", counted)
+        monkeypatch.setattr(estimator, "_BATCH_FLOOR", 1 << 40)
+        for rounds, few in ((estimator._LOCKSTEP_ROUNDS, estimator._FEW), (1, estimator._FEW),
+                            (estimator._LOCKSTEP_ROUNDS, 0), (estimator._LOCKSTEP_ROUNDS, len(cloud))):
+            monkeypatch.setattr(estimator, "_LOCKSTEP_ROUNDS", rounds)
+            monkeypatch.setattr(estimator, "_FEW", few)
+            for lower in (False, True):
+                want = [e[lower] for e in expected]
+                batches.clear()
+                assert estimator._extreme_counts(cloud, pairs, lower) == want, (rounds, few, lower)
+                assert batches == [len(pairs)]
+                assert [estimator._extreme_counts(cloud, [pair], lower)[0] for pair in pairs] == want
+
+    @pytest.mark.parametrize("name", sorted(_EXTREME_CLOUDS))
+    def test_listing_does_not_depend_on_who_steps_it(self, name, monkeypatch):
+        # the last chains stepped one at a time list every position the
+        # lockstep lists, and break off where it breaks off
+        pts = _EXTREME_CLOUDS[name]().points
+        widths = np.sort(np.r_[pts[-1] - pts[0], np.diff(pts)[:3]] * 2.0 ** np.random.default_rng(9).uniform(-9, 0, 4))
+        for rounds in _BUDGETS:
+            monkeypatch.setattr(estimator, "_LOCKSTEP_ROUNDS", rounds)
+            listings = []
+            for few in (0, estimator._FEW, len(pts)):
+                monkeypatch.setattr(estimator, "_FEW", few)
+                listings.append(estimator._canonical_keys(_Gaps(pts, widths[0]), widths))
+            for keys, breaks in listings[1:]:
+                assert np.array_equal(keys, listings[0][0]) and np.array_equal(breaks, listings[0][1]), rounds
+
+    @pytest.mark.parametrize("name", sorted(_DEFAULT_COMPARES))
+    def test_net_centers_at_every_default_ladder_step(self, name):
+        family, params = _DEFAULT_COMPARES[name]
+        cloud = _build_cloud(make_family(family, params), None)
+        pts, hull = cloud.points, cloud.hull_diameter()
+        steps = np.array([R / 2.0 for theta in np.linspace(*THETA_RANGE, 64)
+                          for R in estimator._spectrum_scales(theta, cloud.delta, hull)])
+        got, sizes = estimator._net_centers_1d(_Gaps(pts, steps.min()), steps)
+        for step, part in zip(steps, np.split(got, np.cumsum(sizes)[:-1])):
+            assert np.array_equal(part, net_centers_1d(pts, step)), step
 
 
 class TestSquares:
@@ -871,7 +985,7 @@ class TestLowerSpectrum:
         assert sum(len(diag.scales) for diag in rep.diagnostics) >= 9
         for diag in rep.diagnostics:
             for sd in diag.scales:
-                centers = _net_centers_1d(cloud.points, sd.R / 2.0)
+                centers = net_centers_1d(cloud.points, sd.R / 2.0)
                 counts = [cover_count_1d(cloud, c, sd.R, sd.r) for c in centers]
                 assert sd.count == min(counts)
                 assert sd.center == centers[counts.index(sd.count)]
