@@ -51,6 +51,16 @@ the seed domain into itself, so a branch of the explicit list or of the
 head whose image leaves the domain (``validate_cifs``'s containment
 test) is a configuration error, as is a pole.
 
+A word table is formed depth first, in blocks of at most
+``WORD_BLOCK`` words: each block of the head's prefixes of length
+n - m, with k^m <= ``WORD_BLOCK`` for k head maps, is extended by m
+letters, and its derivative extremes go straight into the table.  So
+the engine holds the table, the prefixes and one block, never all the
+words: the depth-9 table of the four complex maps of ``complex-finite``
+keeps 4.2 MB of bounds at a traced peak of 6.3 MB over the whole of
+``hausdorff_dimension`` (16.2 MB when its words were formed at once),
+and the tables of a 192-map head at 1.4-1.7 MB (3.6-4.8 MB).
+
 The explicit branches and the head are read from one batch,
 ``CifsSpec.first_maps``, whose tail part comes from the tail's
 ``generation_arrays``.  Word tables hold float64 entries on the line
@@ -80,6 +90,11 @@ from .transfer import certified_root
 MAX_DEPTH_FINITE = 12
 WORD_BUDGET = 300_000
 HEAD_SIZE = 192
+# words formed and bounded at once in a word table (_Tables.word_bounds).
+# On complex-finite's depth-9 table, blocks of 2^11 to 2^14 words hold a
+# dimension run's peak RSS at 41.2-41.8 MB, 2^15 at 43.4 and 2^16 at
+# 48.0 MB, at times within run-to-run noise of each other (40-54 ms)
+WORD_BLOCK = 8192
 
 SIMILARITY_TOL = 1e-9
 CONFORMAL_TOL = 1e-4
@@ -119,11 +134,10 @@ def _deriv_bounds_arrays(spec: CifsSpec, m: Mobius, det: np.ndarray) -> tuple[np
     """Extremes of |m'| = det / |c x + d|^2 over the seed domain per map,
     given det = |ad - bc| per map; a pole on the domain is an error.
 
-    A word's det is the product of its letters' (_word_dets): from the
-    entries of a long word, ad - bc cancels to 0 once they pass 2^53.
-    The squares are numpy's, not the float_power of mobius.deriv_ranges_*:
-    the two differ in the last bit on some inputs, which would move
-    every enclosure."""
+    A word's det is the product of its letters' (_extend).  The squares
+    are numpy's, not the float_power of mobius.deriv_ranges_*: the two
+    differ in the last bit on some inputs, which would move every
+    enclosure."""
     if spec.ambient_dim == 1:
         q0, q1, poles = line_denominators(m, spec.domain)
         if np.any(poles):
@@ -142,23 +156,14 @@ def _deriv_bounds_arrays(spec: CifsSpec, m: Mobius, det: np.ndarray) -> tuple[np
     return det / qmax**2, det / qmin**2
 
 
-def _extend(words: Mobius, head: Mobius) -> Mobius:
-    """Every word followed by every head map: w o h, word-major."""
+def _extend(words: Mobius, dets: np.ndarray, head: Mobius, head_det: np.ndarray) -> tuple[Mobius, np.ndarray]:
+    """Every word followed by every head map, w o h, word-major, with its
+    |ad - bc|: the product of its letters' |det|, first letter first.  From
+    the entries of a long word, ad - bc cancels to 0 once they pass 2^53."""
     wide = Mobius(*(x[:, None] for x in (words.a, words.b, words.c, words.d)))
     long = Mobius(*(x[None, :] for x in (head.a, head.b, head.c, head.d)))
     out = wide.compose(long)
-    return Mobius(out.a.ravel(), out.b.ravel(), out.c.ravel(), out.d.ravel())
-
-
-def _word_dets(letter_dets: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
-    """|ad - bc| of the head words lo..hi-1 of length n, in the order of
-    _extend: the product of their letters' |det|, first letter first."""
-    if n == 1:
-        return letter_dets[lo:hi]
-    k = len(letter_dets)
-    first = lo // k
-    prefixes = _word_dets(letter_dets, n - 1, first, -(-hi // k))
-    return np.outer(prefixes, letter_dets).ravel()[lo - first * k : hi - first * k]
+    return Mobius(out.a.ravel(), out.b.ravel(), out.c.ravel(), out.d.ravel()), np.outer(dets, head_det).ravel()
 
 
 def _numeric(m: Mobius) -> Mobius:
@@ -198,29 +203,35 @@ class _Tables:
         require_inside(spec, first)
 
     def word_bounds(self, spec: CifsSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Derivative extremes over the head words of length n.
+        """Derivative extremes over the head words of length n, word-major.
 
-        Words of length n >= 2 are formed and bounded one block of their
-        prefixes at a time, each block of at most a quarter of
-        WORD_BUDGET words, and the blocks are joined in word order.  The
-        whole batch of words and the temporaries of their bounds would
-        take twice the memory of the table, and the peak RSS would move
-        by 4 MB with the heap's layout."""
+        The words are formed depth first, one block of at most
+        WORD_BLOCK words at a time: a block of prefixes of length n - m,
+        where k^m <= WORD_BLOCK for k head maps, is extended by m letters
+        and its bounds written into the table in place.  So the engine
+        holds the table, one block and the table of prefixes, never all
+        the words at once."""
         if n not in self.words:
             if n == 1:
                 self.words[n] = _deriv_bounds_arrays(spec, self.head, self.head_det)
             else:
-                prefixes = self.head
-                for _ in range(n - 2):
-                    prefixes = _extend(prefixes, self.head)
                 k = len(self.head.a)
-                step = max(1, WORD_BUDGET // (4 * k))
-                blocks = []
-                for i in range(0, len(prefixes.a), step):
-                    words = take_mobius(prefixes, slice(i, i + step))
-                    dets = _word_dets(self.head_det, n, i * k, (i + len(words.a)) * k)
-                    blocks.append(_deriv_bounds_arrays(spec, _extend(words, self.head), dets))
-                self.words[n] = tuple(np.concatenate(ends) for ends in zip(*blocks))
+                m = 1
+                while m < n - 1 and k ** (m + 1) <= WORD_BLOCK:
+                    m += 1
+                prefixes, dets = self.head, self.head_det
+                for _ in range(n - m - 1):
+                    prefixes, dets = _extend(prefixes, dets, self.head, self.head_det)
+                span = k**m  # the words of one prefix
+                step = max(1, WORD_BLOCK // span)
+                lo, hi = np.empty(k**n), np.empty(k**n)
+                for i in range(0, len(dets), step):
+                    words, block_dets = take_mobius(prefixes, slice(i, i + step)), dets[i : i + step]
+                    for _ in range(m):
+                        words, block_dets = _extend(words, block_dets, self.head, self.head_det)
+                    at = slice(i * span, (i + step) * span)
+                    lo[at], hi[at] = _deriv_bounds_arrays(spec, words, block_dets)
+                self.words[n] = lo, hi
         return self.words[n]
 
 

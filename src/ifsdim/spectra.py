@@ -32,6 +32,9 @@ GRID_CLIP = 1e-3
 #: kink maximiser costs less than 1e-12 in value
 PHI_GRID = 512
 PHI_TOL = 1e-12
+#: theta rows of the phi grid evaluated at once: the whole grid of a
+#: 64-node compare would raise its peak RSS by about 1 MB
+ENVELOPE_ROWS = 16
 
 #: curve diagnostics: phase_transition takes the first node within PT_TOL
 #: of the last value; slope_discontinuities flags a slope jump above
@@ -173,18 +176,22 @@ def f_value(theta, phi, spectrum_p: SpectrumLike, ubox_f: float) -> "float | np.
 def upper_envelope(thetas: Sequence[float], spectrum_p: SpectrumLike, ubox_f: float) -> SpectrumCurve:
     """Pointwise maximum of f over phi in [theta, 1].
 
-    For every theta at once: the best of PHI_GRID nodes on [theta, 1],
-    then a golden-section polish on the two grid steps around it until
-    the bracket is PHI_TOL wide.
+    The best of PHI_GRID nodes on [theta, 1], ENVELOPE_ROWS thetas at a
+    time, then a golden-section polish on the two grid steps around it,
+    for every theta at once, until the bracket is PHI_TOL wide.
     """
     th = np.asarray(thetas, dtype=float)
     rows = np.arange(len(th))
-    phis = np.linspace(th, 1.0, PHI_GRID, axis=1)
-    vals = f_value(th[:, None], phis, spectrum_p, ubox_f)
-    k = np.argmax(vals, axis=1)
-    best = vals[rows, k]
-    a = phis[rows, np.maximum(k - 1, 0)]
-    b = phis[rows, np.minimum(k + 1, PHI_GRID - 1)]
+    best, a, b = np.empty(len(th)), np.empty(len(th)), np.empty(len(th))
+    for i in range(0, len(th), ENVELOPE_ROWS):
+        block = slice(i, i + ENVELOPE_ROWS)
+        phis = np.linspace(th[block], 1.0, PHI_GRID, axis=1)
+        vals = f_value(th[block, None], phis, spectrum_p, ubox_f)
+        k = np.argmax(vals, axis=1)
+        at = rows[: len(k)]
+        best[block] = vals[at, k]
+        a[block] = phis[at, np.maximum(k - 1, 0)]
+        b[block] = phis[at, np.minimum(k + 1, PHI_GRID - 1)]
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc = f_value(th, c, spectrum_p, ubox_f)

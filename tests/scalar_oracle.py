@@ -5,10 +5,13 @@ The package handles maps only as batches (``ifsdim.mobius``,
 the per-generation maps of every tail rule here, written from their
 definitions, as the oracle the batch forms must match bit for bit.
 The exhaustive minimum 1-D cover count is the oracle of the estimator's
-greedy sweep, the per-step net centres that of its batched ones, and the netting walk of one node, one generation at a
-time, the oracle of the cloud builder's lockstep walk.  The closed-form
-spectra are kept as each family wrote its own, the oracle of the shared
-one- and two-transition forms.
+greedy sweep, the per-step net centres that of its batched ones, and the
+netting walk of one node, one generation at a time, the oracle of the
+cloud builder's lockstep walk.  The word-sum engine's head words, all
+formed at once, are the oracle of its streamed word tables, and the
+clustered digit sums over whole blocks that of their segments.  The
+closed-form spectra are kept as each family wrote its own, the oracle of
+the shared one- and two-transition forms.
 """
 
 import math
@@ -193,6 +196,59 @@ def net_centers_1d(points: np.ndarray, step: float) -> np.ndarray:
     net centres."""
     cells = np.floor(points / step)
     return points[np.r_[True, cells[1:] != cells[:-1]]] if len(points) else points
+
+
+def head_word_bounds(spec, head: Mobius, head_det: np.ndarray, n: int):
+    """Derivative extremes of every head word of length n at once: the
+    word-sum engine's construction before it streamed its words.
+
+    Every word is the left fold ((h_1 o h_2) o ...) o h_n, word-major,
+    and its |det| the product of its letters' first letter first; the
+    extremes are det / |c x + d|^2 with numpy's squares, the oracle of
+    ``pressure._Tables.word_bounds``."""
+    words, dets = head, head_det
+    for _ in range(n - 1):
+        wide = Mobius(*(x[:, None] for x in (words.a, words.b, words.c, words.d)))
+        long = Mobius(*(x[None, :] for x in (head.a, head.b, head.c, head.d)))
+        out = wide.compose(long)
+        words = Mobius(out.a.ravel(), out.b.ravel(), out.c.ravel(), out.d.ravel())
+        dets = np.outer(dets, head_det).ravel()
+    if spec.ambient_dim == 1:
+        lo, hi = spec.domain
+        q0, q1 = np.abs(words.c * lo + words.d), np.abs(words.c * hi + words.d)
+        qmin, qmax = np.minimum(q0, q1), np.maximum(q0, q1)
+    else:
+        u = np.abs(words.c * spec.domain.center + words.d)
+        spread = np.abs(words.c) * spec.domain.radius
+        qmin, qmax = u - spread, u + spread
+    return dets / qmax**2, dets / qmin**2
+
+
+def clustered_block_sums(digits, s: float, shift: int) -> list:
+    """The sum of (b + shift)^-s over each explicit block of a clustered
+    digit set, every block's digits summed as one array."""
+    sums = []
+    for k in range(1, digits.k_explicit + 1):
+        lo, hi = 2**k, math.floor(2**k + 2 ** (k * digits.alpha))
+        bs = np.arange(lo, hi + 1, dtype=float) + shift
+        sums.append(float(np.sum(bs ** (-s))))
+    return sums
+
+
+def clustered_sup_sum_bounds(digits, s: float, shift: int):
+    """ClusteredDigits.sup_sum_bounds over clustered_block_sums: the
+    oracle of its segmented sums."""
+    if s <= digits.alpha:
+        return math.inf, math.inf
+    head = 0.0
+    for block in clustered_block_sums(digits, s, shift):
+        head += block
+    k0 = digits.k_explicit + 1
+    qa = 2.0 ** (digits.alpha - s)
+    qs = 2.0**-s
+    hi_tail = (qa**k0 / (1.0 - qa)) + (qs**k0 / (1.0 - qs))
+    lo_tail = (4.0**-s) * qa**k0 / (1.0 - qa)
+    return head + lo_tail, head + hi_tail
 
 
 def sharp_family_spectrum(p: float, t: float, h: float, theta: float) -> float:

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,6 +29,7 @@ from ifsdim.tails import (
     SimilarityTail,
     SpacedDigits,
 )
+from scalar_oracle import head_word_bounds
 
 
 def similarity_spec(ratios, offsets):
@@ -255,6 +257,50 @@ def test_golden_enclosures(name):
     result = hausdorff_dimension(golden_system(name))
     enclosure = tuple(float(x) for x in result.enclosure)
     assert (repr(enclosure), result.method, result.converged) == GOLDEN_ENCLOSURES[name]
+
+
+def assert_tables_equal_the_oracle(spec, n):
+    tab = pressure._tables(spec)
+    got = tab.word_bounds(spec, n)
+    want = head_word_bounds(spec, tab.head, tab.head_det, n)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64)), n
+
+
+# e12, e23 and e2345 go to the transfer operator; theirs are the tables of
+# the word-sum fallback
+@pytest.mark.parametrize("name", ["complex-finite", "complex-full", "renyi23", "ctd-spaced",
+                                  "ctd-clustered", "dense-cf", "e12", "e23", "e2345"])
+def test_streamed_word_tables_equal_the_words_formed_at_once(name):
+    spec = golden_system(name)
+    for n in sorted({2, pressure._tables(spec).depth}):
+        assert_tables_equal_the_oracle(spec, n)
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, 243, 10**6])
+def test_word_tables_do_not_depend_on_the_block_size(monkeypatch, block):
+    # blocks of one prefix, of a prefix and a part, of whole powers of the
+    # head size (243 = 3^5 words of e12) and of the whole table
+    monkeypatch.setattr(pressure, "WORD_BLOCK", block)
+    for name in ("e12", "complex-finite", "dense-cf"):
+        spec = golden_system(name)
+        assert_tables_equal_the_oracle(spec, min(pressure._tables(spec).depth, 6))
+
+
+def test_word_table_peak_stays_near_the_table():
+    # complex-finite keeps 2 x 4^9 bounds (4.2 MB); forming all its depth-9
+    # words at once took 3.9 times that in traced memory
+    spec = golden_system("complex-finite")
+    tracemalloc.start()
+    try:
+        hausdorff_dimension(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tab = pressure._tables(spec)
+    kept = sum(ends.nbytes for ends in tab.word_bounds(spec, tab.depth))
+    assert kept == 2 * 8 * 4**9
+    assert peak < 2 * kept
 
 
 def exponent_grid(spec):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle
-from ifsdim import DomainError
+from ifsdim import DomainError, spectra
 from ifsdim.families import make_family
 from ifsdim.spectra import (
     SpectrumCurve,
@@ -215,6 +215,17 @@ class TestEnvelopeBitIdentity:
     def test_family_spectra_on_default_grid(self, family_inputs):
         for spectrum_p, ubox_f in family_inputs.values():
             _assert_envelope_matches_scalar_search(GRID, spectrum_p, ubox_f, rows=slice(5, None, 64))
+
+    def test_row_blocks_equal_one_block(self, monkeypatch, family_inputs):
+        # the phi grid in blocks of 7 theta rows, a part block last, against
+        # the whole grid at once
+        for spectrum_p, ubox_f in [*_basic_inputs().values(), *family_inputs.values()]:
+            for thetas in (COMPARE_GRID, GRID):
+                monkeypatch.setattr(spectra, "ENVELOPE_ROWS", len(thetas))
+                whole = upper_envelope(thetas, spectrum_p, ubox_f).values
+                monkeypatch.setattr(spectra, "ENVELOPE_ROWS", 7)
+                blocks = upper_envelope(thetas, spectrum_p, ubox_f).values
+                assert np.array_equal(blocks.view(np.int64), whole.view(np.int64))
 
     def test_nan_nodes_reach_the_envelope(self):
         # a NaN at the grid maximum stays, as Python's max keeps its first argument

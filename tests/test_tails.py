@@ -29,11 +29,15 @@ from ifsdim.tails import (
     GeometricRule,
     PowerRule,
     SimilarityTail,
+    SUM_SEGMENT,
     SpacedDigits,
     _induced_deriv_table,
+    _power_sum,
     generation_reaching,
 )
 from scalar_oracle import (
+    clustered_block_sums,
+    clustered_sup_sum_bounds,
     deriv_range_disc,
     deriv_range_interval,
     digit_loop,
@@ -178,6 +182,34 @@ def test_complex_generation_arrays_memory_follows_output():
     output = sum(a.nbytes for a in {id(a): a for a in arrays}.values())
     assert len(owner) == 205347
     assert peak <= 2 * output
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.7, 0.8])
+def test_clustered_sums_in_segments_equal_whole_block_sums(alpha):
+    # blocks past SUM_SEGMENT digits (k >= 20 at alpha 0.8) are summed in
+    # segments split as numpy's pairwise summation splits them
+    digits = ClusteredDigits(alpha)
+    for s, shift in ((alpha + 0.05, 0), (alpha + 0.3, 1), (2.0, 1)):
+        got = digits.sup_sum_bounds(s, shift)
+        want = clustered_sup_sum_bounds(digits, s, shift)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (s, shift)
+        # each block alone, where a last-bit slip would not hide in the total
+        blocks = [digits._block(k) for k in range(1, digits.k_explicit + 1)]
+        got = [_power_sum(lo + shift, hi - lo + 1, s).hex() for lo, hi in blocks]
+        assert got == [x.hex() for x in clustered_block_sums(digits, s, shift)], (s, shift)
+
+
+def test_clustered_sums_hold_one_segment_at_a_time():
+    # at alpha 0.8 the block k = 28 holds about 5.5 million digits, which
+    # a whole-block sum held at 16 bytes each: 88.6 MB traced
+    digits = ClusteredDigits(0.8)
+    tracemalloc.start()
+    try:
+        digits.sup_sum_bounds(1.1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 16 * SUM_SEGMENT
 
 
 def test_complex_tail_has_empty_generations():
