@@ -1,5 +1,5 @@
 """Array idioms shared by the builder, the estimator, the geometry, the
-tails and the plots, each written once.
+tails, the pressure engine and the plots, each written once.
 
 The module imports nothing from the package, so every other module can
 import it.  None of these functions calls ``np.unique``: its first call
@@ -8,7 +8,15 @@ imports ``numpy.ma``, about 14 ms in a fresh interpreter.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
+
+#: numpy sums a float64 array pairwise, splitting n > 128 terms at n // 2
+#: rounded down to a multiple of 8; segmented_sum splits a longer run the
+#: same way, so its sum is the whole run's bit for bit while it forms at
+#: most this many terms at a time (at least 128, where numpy stops splitting)
+SUM_SEGMENT = 2**16
 
 
 def ranges(starts, lens: np.ndarray) -> np.ndarray:
@@ -58,3 +66,16 @@ def chunks(sizes: np.ndarray, budget: int):
         b = max(a + 1, int(np.searchsorted(total, base + budget, side="right")))
         yield a, b
         a = b
+
+
+def segmented_sum(n: int, terms: Callable[[int, int], np.ndarray]) -> float:
+    """np.sum(terms(0, n)) bit for bit, where terms(a, b) gives terms a to
+    b - 1 as a float64 array, asked for at most SUM_SEGMENT at a time."""
+
+    def total(a: int, count: int) -> float:
+        if count <= SUM_SEGMENT:
+            return float(np.sum(terms(a, a + count)))
+        half = count // 2 - (count // 2) % 8
+        return total(a, half) + total(a + half, count - half)
+
+    return total(0, n)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .cifs import require_inside, validate_cifs
-from .cloud import PointCloud, atomic_write, build_fixed_point_cloud, build_limit_cloud
+from .cloud import PointCloud, WriteBehind, atomic_write, build_fixed_point_cloud, build_limit_cloud
 from .errors import ConfigurationError, DomainError
 from .estimator import (
     EstimateReport,
@@ -194,8 +194,10 @@ class _Stage:
 def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
     """Build the cloud, evaluate formulas and bounds, estimate, compare.
 
-    Writes cloud.bin, curves.csv, overlay.svg and summary.json into the
-    output directory and returns the comparison table plus the summary.
+    Writes cloud.bin, cloud.csv, curves.csv, overlay.svg and summary.json
+    into the output directory and returns the comparison table plus the
+    summary.  A large cloud's cloud.csv is formatted by a forked child
+    while the estimate runs (cloud.WriteBehind).
     """
     config.validate()
 
@@ -212,46 +214,47 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
 
     with _Stage("build"):
         cloud = _build_cloud(family, config.delta)
-    with _Stage("estimate"):
-        report = assouad_spectrum_estimate(cloud, thetas)
-    estimate = report.curve
-
-    # the paper's sandwich from h and the fixed points' spectrum, whose
-    # theta -> 0 end is their upper box dimension
-    spectrum_p = spec.fixed_point_spectrum
-    lower = lower_bound_curve(thetas, spectrum_p, h_lo)
-    upper = upper_envelope(thetas, spectrum_p, max(h_hi, spectrum_p(0.0)))
-
-    formula = None
-    if family.formula is not None:
-        try:
-            formula = curve_from_formula(lambda th: family.formula(h_mid, th), thetas)
-        except DomainError:
-            formula = None  # measured dimension outside the formula's domain
-
-    rows = []
-    devs = []
-    for i, theta in enumerate(thetas):
-        est = float(estimate.values[i])
-        f_val = float(formula.values[i]) if formula is not None else float("nan")
-        sandwich = lower.values[i] - GATE_TOL <= est <= upper.values[i] + GATE_TOL
-        dev_ok = True
-        if formula is not None and np.isfinite(est):
-            devs.append(abs(est - f_val))
-            dev_ok = abs(est - f_val) <= GATE_TOL
-        rows.append(ComparisonRow(float(theta), float(lower.values[i]), float(upper.values[i]),
-                                  f_val, est, bool(sandwich and dev_ok)))
-    max_dev = float(max(devs)) if devs else float("nan")
-
-    transitions = [phase_transition(estimate).theta]
-    if formula is not None:
-        transitions.append(phase_transition(formula).theta)
-    table = ComparisonTable(tuple(rows), max_dev, tuple(transitions), all(r.passed for r in rows))
-
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cloud.save(out / "cloud.bin")
-    atomic_write(out / "cloud.csv", cloud.csv_blocks())
+    with WriteBehind(out / "cloud.csv", cloud.csv_blocks, len(cloud)) as cloud_csv:
+        with _Stage("estimate"):
+            report = assouad_spectrum_estimate(cloud, thetas)
+        estimate = report.curve
+
+        # the paper's sandwich from h and the fixed points' spectrum, whose
+        # theta -> 0 end is their upper box dimension
+        spectrum_p = spec.fixed_point_spectrum
+        lower = lower_bound_curve(thetas, spectrum_p, h_lo)
+        upper = upper_envelope(thetas, spectrum_p, max(h_hi, spectrum_p(0.0)))
+
+        formula = None
+        if family.formula is not None:
+            try:
+                formula = curve_from_formula(lambda th: family.formula(h_mid, th), thetas)
+            except DomainError:
+                formula = None  # measured dimension outside the formula's domain
+
+        rows = []
+        devs = []
+        for i, theta in enumerate(thetas):
+            est = float(estimate.values[i])
+            f_val = float(formula.values[i]) if formula is not None else float("nan")
+            sandwich = lower.values[i] - GATE_TOL <= est <= upper.values[i] + GATE_TOL
+            dev_ok = True
+            if formula is not None and np.isfinite(est):
+                devs.append(abs(est - f_val))
+                dev_ok = abs(est - f_val) <= GATE_TOL
+            rows.append(ComparisonRow(float(theta), float(lower.values[i]), float(upper.values[i]),
+                                      f_val, est, bool(sandwich and dev_ok)))
+        max_dev = float(max(devs)) if devs else float("nan")
+
+        transitions = [phase_transition(estimate).theta]
+        if formula is not None:
+            transitions.append(phase_transition(formula).theta)
+        table = ComparisonTable(tuple(rows), max_dev, tuple(transitions), all(r.passed for r in rows))
+
+        cloud_csv.make_dirs()
+        cloud.save(out / "cloud.bin")
+        cloud_csv.publish()
     curves = {"lower": lower, "upper": upper, "estimate": estimate}
     if formula is not None:
         curves = {"formula": formula, **curves}

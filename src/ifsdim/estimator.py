@@ -671,24 +671,24 @@ def _counts_2d(pts: np.ndarray, centers: np.ndarray, R: float, r: float) -> np.n
 # scale ladders
 
 
-def _spectrum_scales(theta: float, delta: float, hull: float) -> list[float]:
-    """Geometric ladder of R values for the tied scales r = R^(1/theta).
+def _ladder_ends(theta: float, r_min: float, hull: float) -> tuple[float, ...]:
+    """The shallow and deep ends of a geometric ladder of R values for the
+    tied scales r = R^(1/theta); one end when the ladder is its deepest
+    scale alone, none when the node has no ladder.
 
     Built in log(R/r) space so the informative range is sampled evenly
-    at every theta.  The deepest scale sits at r = _R_MIN_FACTOR * delta;
-    the shallow end prefers to stay below hull/_R0_DIVISOR but may climb
-    towards the full set (a ball of radius past the hull is still a
-    legitimate scale pair by the definition's sup) when the tied scales
-    leave no local window, which happens for small theta at coarse
-    resolution.
+    at every theta.  The deepest scale sits at r = r_min; the shallow end
+    prefers to stay below hull/_R0_DIVISOR but may climb towards the full
+    set (a ball of radius past the hull is still a legitimate scale pair
+    by the definition's sup) when the tied scales leave no local window,
+    which happens for small theta at coarse resolution.
     """
-    r_min = _R_MIN_FACTOR * delta
     if theta <= 0.0 or theta >= 1.0 or hull <= 0.0 or r_min >= 1.0:
-        return []
+        return ()
     cap = 0.98 * max(1.0, hull)
     r_deep = r_min**theta
     if r_deep > cap:
-        return []
+        return ()
     slope = (1.0 - theta) / theta  # d log(ratio) / d log(1/R)
 
     def log_ratio(R: float) -> float:
@@ -699,7 +699,7 @@ def _spectrum_scales(theta: float, delta: float, hull: float) -> list[float]:
 
     lr_deep = log_ratio(r_deep)
     if lr_deep < math.log(_MIN_RATIO):
-        return []
+        return ()
     lr_shallow = min(max(math.log(_MIN_RATIO), _RATIO_FRACTION * lr_deep), lr_deep)
     r_shallow = radius_for(lr_shallow)
     # stay local (below hull/_R0_DIVISOR) unless that starves the ladder
@@ -708,15 +708,33 @@ def _spectrum_scales(theta: float, delta: float, hull: float) -> list[float]:
     local_top = max(hull / _R0_DIVISOR, radius_for(max(lr_deep - span_need, lr_shallow)))
     r_shallow = max(min(r_shallow, local_top, cap), r_deep)
     if r_shallow <= r_deep * (1.0 + 1e-12):
-        scales = [r_deep]
-    else:
-        scales = list(np.geomspace(r_shallow, r_deep, _MAX_SCALES))
-    out = []
-    for R in scales:
-        r = R ** (1.0 / theta)
-        if r >= r_min * (1.0 - 1e-12) and R / r >= _MIN_RATIO:
-            out.append(float(R))
-    return out
+        return (r_deep,)
+    return (r_shallow, r_deep)
+
+
+def _spectrum_scales(thetas, delta: float, hull: float) -> list[list[float]]:
+    """Per theta, the R values of its ladder (_ladder_ends) whose tied
+    scale r = R^(1/theta) is at least _R_MIN_FACTOR * delta, with R/r at
+    least _MIN_RATIO.
+
+    The ladders with two ends come from one np.geomspace call with array
+    ends, which gives each ladder the rungs of a call of its own bit for
+    bit.  No ladder has equal ends, which would switch numpy's linspace
+    to another rounding for every ladder of the call.
+    """
+    r_min = _R_MIN_FACTOR * delta
+    ends = [_ladder_ends(theta, r_min, hull) for theta in thetas]
+    spans = np.array([pair for pair in ends if len(pair) == 2]).reshape(-1, 2)
+    rungs = iter(np.geomspace(spans[:, 0], spans[:, 1], _MAX_SCALES, axis=1))
+    ladders = []
+    for theta, pair in zip(thetas, ends):
+        out = []
+        for R in next(rungs) if len(pair) == 2 else pair:
+            r = R ** (1.0 / theta)
+            if r >= r_min * (1.0 - 1e-12) and R / r >= _MIN_RATIO:
+                out.append(float(R))
+        ladders.append(out)
+    return ladders
 
 
 #: a batch of 1-D pairs closes before its positions pass one per cloud
@@ -892,8 +910,8 @@ def _estimate_curve(cloud: PointCloud, thetas, lower: bool):
     thetas = check_theta_grid(thetas)
     # every node's ladder, then the (R, r) pairs of all valid nodes counted
     # together, then the per-node combination rule
-    ladders = [[(R, R ** (1.0 / theta)) for R in _spectrum_scales(theta, cloud.delta, hull)]
-               for theta in thetas]
+    ladders = [[(R, R ** (1.0 / theta)) for R in scales]
+               for theta, scales in zip(thetas, _spectrum_scales(thetas, cloud.delta, hull))]
     counted = [ladder for ladder in ladders if len(ladder) >= _MIN_SCALES]
     extremes = iter(_extreme_counts(cloud, [pair for ladder in counted for pair in ladder], lower))
     results = [_estimate_node(cloud, theta, ladder, lower, hull, extremes)

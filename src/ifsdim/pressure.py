@@ -56,10 +56,13 @@ A word table is formed depth first, in blocks of at most
 n - m, with k^m <= ``WORD_BLOCK`` for k head maps, is extended by m
 letters, and its derivative extremes go straight into the table.  So
 the engine holds the table, the prefixes and one block, never all the
-words: the depth-9 table of the four complex maps of ``complex-finite``
-keeps 4.2 MB of bounds at a traced peak of 6.3 MB over the whole of
-``hausdorff_dimension`` (16.2 MB when its words were formed at once),
-and the tables of a 192-map head at 1.4-1.7 MB (3.6-4.8 MB).
+words.  ``psi`` sums a table's powers ``arrays.SUM_SEGMENT`` words at
+a time, split as numpy's pairwise sum splits the table, so the sums are
+the whole table's bit for bit: the depth-9 table of the four complex
+maps of ``complex-finite`` keeps 4.2 MB of bounds at a traced peak of
+5.3 MB over the whole of ``hausdorff_dimension`` (16.2 MB when its
+words were formed at once, 6.3 MB when each sum powered the whole
+table), and the tables of a 192-map head at 1.4-1.7 MB (3.6-4.8 MB).
 
 The explicit branches and the head are read from one batch,
 ``CifsSpec.first_maps``, whose tail part comes from the tail's
@@ -79,6 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import segmented_sum
 from .cifs import CifsSpec, require_inside
 from .errors import ConfigurationError, DomainError
 from .maps import Similarity
@@ -289,11 +293,11 @@ def psi(spec: CifsSpec, t: float, n: int = 1, end: str | None = None) -> Pressur
         head_sup = float(np.sum(tab.word_bounds(spec, 1)[1] ** t))
         rest = max(hi1 - head_sup, 0.0)
         whi = tab.word_bounds(spec, depth)[1]
-        hi_n = float(np.sum(whi**t)) + _cross_terms(head_sup, rest, depth)
+        hi_n = segmented_sum(len(whi), lambda a, b: whi[a:b] ** t) + _cross_terms(head_sup, rest, depth)
         upper = min(upper, _safe_log(hi_n) / depth)
     if depth > 1 and end != "upper":
         wlo = tab.word_bounds(spec, depth)[0]
-        lower = max(lower, _safe_log(float(np.sum(wlo**t))) / depth)
+        lower = max(lower, _safe_log(segmented_sum(len(wlo), lambda a, b: wlo[a:b] ** t)) / depth)
     return PressureProfile(t, depth, lower, upper)
 
 

@@ -67,7 +67,7 @@ from typing import Union
 
 import numpy as np
 
-from .arrays import chunks, ranges
+from .arrays import chunks, ranges, segmented_sum
 from .errors import ConfigurationError
 from .maps import ComplexGaussBranch, MapKind
 from .mobius import (
@@ -285,19 +285,10 @@ class SpacedDigits:
         return fp_spectrum(self.p, theta)
 
 
-# numpy sums a float64 array pairwise, splitting n terms at n // 2 rounded
-# down to a multiple of 8; a run longer than this is split the same way,
-# so the sum is the whole run's bit for bit at 16 bytes a term of the
-# segment, not of the run (a block at alpha = 0.9 holds 2^25 digits)
-SUM_SEGMENT = 2**16
-
-
 def _power_sum(first: int, n: int, s: float) -> float:
-    """np.sum(b ** -s) over the n integers b from first on, as floats."""
-    if n <= SUM_SEGMENT:
-        return float(np.sum((np.arange(n, dtype=float) + first) ** (-s)))
-    half = n // 2 - (n // 2) % 8
-    return _power_sum(first, half, s) + _power_sum(first + half, n - half, s)
+    """np.sum(b ** -s) over the n integers b from first on, as floats, in
+    segments: a block at alpha = 0.9 holds 2^25 digits."""
+    return segmented_sum(n, lambda a, b: (np.arange(a, b, dtype=float) + first) ** (-s))
 
 
 @dataclass(frozen=True)

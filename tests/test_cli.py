@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -6,14 +7,16 @@ import re
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ifsdim import CloudSizeError, ConfigurationError
+from ifsdim import CloudSizeError, ConfigurationError, DomainError, cli
+from ifsdim import cloud as cloud_module
 from ifsdim.cli import GATE_TOL, RunConfig, _build_cloud, _oracle_spot_check, _parse_params, _Stage, main, run_pipeline
-from ifsdim.cloud import PointCloud, build_limit_cloud
+from ifsdim.cloud import PointCloud, WriteBehind, build_limit_cloud
 from ifsdim import estimator
 from ifsdim.estimator import assouad_spectrum_estimate
 from ifsdim.families import make_family
@@ -273,6 +276,124 @@ def test_default_compare_golden_digests(tmp_path, capsys, family):
     assert main(["compare", "--family", *args, "--out", str(tmp_path)]) == code
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in golden}
     assert digests == golden
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Every WriteBehind forks, on any machine that has os.fork; the pids
+    of the children forked are collected in the list returned."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(cloud_module, "WRITE_BEHIND_POINTS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_csv_keeps_the_golden_digests(tmp_path, capsys, forked):
+    args, code, golden = GOLDEN_DEFAULT_COMPARES["fp"]
+    assert main(["compare", "--family", *args, "--out", str(tmp_path)]) == code
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in golden}
+    assert digests == golden
+    assert len(forked) == 1 and sorted(p.name for p in tmp_path.iterdir()) == sorted(golden)
+    _assert_no_child_left()
+
+
+def test_large_compare_clouds_fork_and_small_ones_do_not():
+    sizes = {"fp": 2827, "sharp-t3.6": 6480, "sharp": 8487, "ctd-spaced": 5383, "dense-cf": 3140,
+             "ctd-clustered": 253698, "parabolic": 86461}
+    assert sorted(GOLDEN_DEFAULT_COMPARES) == sorted(sizes)
+    assert {name for name, n in sizes.items() if n >= cloud_module.WRITE_BEHIND_POINTS} == {"ctd-clustered",
+                                                                                        "parabolic"}
+
+
+@pytest.mark.parametrize("failure", [DomainError, KeyboardInterrupt])
+def test_run_failing_after_the_fork_leaves_nothing(tmp_path, capsys, monkeypatch, forked, failure):
+    out = tmp_path / "new" / "out"
+
+    def estimate(cloud, thetas):
+        # fail once the child has begun its file, or after ten seconds
+        deadline = time.monotonic() + 10.0
+        while not (out / "cloud.csv.tmp").exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        raise failure("estimate failed")
+
+    monkeypatch.setattr(cli, "assouad_spectrum_estimate", estimate)
+    if failure is DomainError:
+        assert main(["compare", "--family", "fp", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "configuration error: [stage estimate] estimate failed\n"
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", "--family", "fp", "--out", str(out)])
+    assert len(forked) == 1
+    assert list(tmp_path.iterdir()) == []
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fork", [False, True], ids=["inline", "forked"])
+def test_csv_that_cannot_be_opened_exits_2(tmp_path, capsys, request, fork):
+    # a directory in the way fails the open even for root
+    tmp = tmp_path / "out" / "cloud.csv.tmp"
+    tmp.mkdir(parents=True)
+    pids = request.getfixturevalue("forked") if fork else []
+    assert main(["compare", "--family", "fp", "--out", str(tmp_path / "out")]) == 2
+    # the line of the open in atomic_write, without a child as with one
+    assert capsys.readouterr().err == f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp}'\n"
+    assert len(pids) == fork and tmp.is_dir() and not (tmp_path / "out" / "cloud.csv").exists()
+    _assert_no_child_left()
+
+
+def test_write_behind_writes_inline_when_its_child_fails(tmp_path, forked):
+    parent = os.getpid()
+
+    def pieces():
+        if os.getpid() != parent:
+            raise MemoryError("the child fails")
+        yield from ("x\n", "0.25\n")
+
+    with WriteBehind(tmp_path / "a" / "b.csv", pieces, 1) as behind:
+        behind.make_dirs()
+        behind.publish()
+    assert len(forked) == 1 and (tmp_path / "a" / "b.csv").read_text() == "x\n0.25\n"
+    assert [p.name for p in (tmp_path / "a").iterdir()] == ["b.csv"]
+    _assert_no_child_left()
+
+
+def test_write_behind_writes_inline_when_fork_fails(tmp_path, monkeypatch, forked):
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(DomainError):
+        with WriteBehind(tmp_path / "a" / "b.csv", lambda: iter(["x\n"]), 1):
+            raise DomainError("the estimate failed")
+    assert list(tmp_path.iterdir()) == []
+    with WriteBehind(tmp_path / "a" / "b.csv", lambda: iter(["x\n"]), 1) as behind:
+        behind.make_dirs()
+        behind.publish()
+    assert (tmp_path / "a" / "b.csv").read_text() == "x\n"
+
+
+def test_write_behind_left_after_make_dirs_keeps_them(tmp_path, forked):
+    with pytest.raises(OSError):
+        with WriteBehind(tmp_path / "a" / "b.csv", lambda: iter(["x\n"]), 1) as behind:
+            behind.make_dirs()
+            raise OSError("a write before this file's failed")
+    assert len(forked) == 1 and list((tmp_path / "a").iterdir()) == []
+    _assert_no_child_left()
 
 
 def _imports_numpy_ma(work: str) -> bool:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,48 @@ def test_golden_cloud_digest(name):
     cloud = build()
     assert cloud.complete
     assert hashlib.sha256(cloud.to_bytes()).hexdigest() == digest
+
+
+def _planar_build(delta):
+    spec = spec_from_dict({"kind": "complex_gauss", "digits": [[2, 0], [2, 1], [2, -1], [3, 0]]})
+    return cloud_module._build(spec, delta, None, cloud_module.DEFAULT_CAP, False)
+
+
+def _discs_hit_one_at_a_time(pts, expanded):
+    """Per expanded disc, whether a point lies within its reach, by
+    testing every point of the cloud against it."""
+    reach = expanded[:, 2] + 1e-12
+    return np.array([bool(np.any(np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) <= r))
+                     for (cx, cy, _), r in zip(expanded, reach)])
+
+
+def test_planar_completeness_equals_a_test_of_every_pair():
+    # the planar workload's cloud, then with the points of one disc, and
+    # of every third disc, taken away
+    pts, expanded = _planar_build(1e-5)
+    assert len(pts) == 7078 and len(expanded) == 2358
+    rng = np.random.default_rng(4)
+    for drop in ([], [int(rng.integers(len(expanded)))], list(range(0, len(expanded), 3))):
+        keep = np.ones(len(pts), dtype=bool)
+        for k in drop:
+            cx, cy, radius = expanded[k]
+            keep &= np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) > radius + 1e-12
+        want = bool(_discs_hit_one_at_a_time(pts[keep], expanded).all())
+        assert cloud_module._check_complete(2, pts[keep], expanded) is want
+        assert want is (not drop)
+
+
+def test_planar_completeness_holds_a_few_times_the_cloud():
+    # the check held all 207 596 (disc, point) pairs at once: 8.4 MB
+    # traced for a cloud of 113 KB
+    pts, expanded = _planar_build(1e-5)
+    tracemalloc.start()
+    try:
+        assert cloud_module._check_complete(2, pts, expanded)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * pts.nbytes
 
 
 class _CountingTail:

@@ -639,8 +639,9 @@ class TestBatches:
         family, params = _DEFAULT_COMPARES[name]
         cloud = _build_cloud(make_family(family, params), None)
         pts, hull = cloud.points, cloud.hull_diameter()
-        steps = np.array([R / 2.0 for theta in np.linspace(*THETA_RANGE, 64)
-                          for R in estimator._spectrum_scales(theta, cloud.delta, hull)])
+        steps = np.array([R / 2.0 for ladder in estimator._spectrum_scales(np.linspace(*THETA_RANGE, 64),
+                                                                            cloud.delta, hull)
+                          for R in ladder])
         got, sizes = estimator._net_centers_1d(_Gaps(pts, steps.min()), steps)
         for step, part in zip(steps, np.split(got, np.cumsum(sizes)[:-1])):
             assert np.array_equal(part, net_centers_1d(pts, step)), step
@@ -794,8 +795,9 @@ class TestCounts2D:
 
         cloud = F.build_limit_cloud(spec_from_dict({"kind": "complex_gauss", "digits": "full"}), 0.01)
         pts, hull = cloud.points, cloud.hull_diameter()
-        pairs = [(R, R ** (1.0 / theta)) for theta in np.linspace(0.05, 0.9, 8)
-                 for R in estimator._spectrum_scales(theta, cloud.delta, hull)]
+        thetas = np.linspace(0.05, 0.9, 8)
+        pairs = [(R, R ** (1.0 / theta)) for theta, ladder in zip(thetas, estimator._spectrum_scales(
+                 thetas, cloud.delta, hull)) for R in ladder]
         assert len(pairs) >= 40
         rng = np.random.default_rng(20)
         for R, r in pairs:
@@ -874,6 +876,29 @@ class TestSpectrumEstimate:
         for estimate in (assouad_spectrum_estimate, lower_spectrum_estimate):
             with pytest.raises(DomainError, match="theta grid"):
                 estimate(cloud, thetas)
+
+    @pytest.mark.parametrize("delta, hull", [(1e-5, 1.0), (1e-3, 0.5), (0.05, 1.0), (1e-12, 3.0), (0.01, 0.05)])
+    def test_ladders_equal_a_geomspace_call_per_node(self, delta, hull):
+        # the ladders' rungs bit for bit as each node's own np.geomspace
+        # call gave them, with the nodes that have no ladder among them
+        thetas = np.concatenate([np.linspace(0.01, 0.99, 99), np.linspace(*THETA_RANGE, 64)])
+        r_min = estimator._R_MIN_FACTOR * delta
+        got = estimator._spectrum_scales(thetas, delta, hull)
+        assert len(got) == len(thetas) and any(got) and not all(got)
+        for theta, ladder in zip(thetas, got):
+            ends = estimator._ladder_ends(theta, r_min, hull)
+            rungs = np.geomspace(*ends, estimator._MAX_SCALES) if len(ends) == 2 else ends
+            want = [float(R) for R in rungs
+                    if R ** (1.0 / theta) >= r_min * (1.0 - 1e-12) and R / R ** (1.0 / theta) >= 2.0]
+            assert [R.hex() for R in ladder] == [R.hex() for R in want], theta
+
+    def test_geomspace_with_array_ends_equals_one_call_per_pair(self):
+        rng = np.random.default_rng(12)
+        starts = 10.0 ** rng.uniform(-6.0, 1.0, 20000)
+        stops = starts * 10.0 ** rng.uniform(-8.0, -1e-9, 20000)
+        rungs = np.geomspace(starts, stops, estimator._MAX_SCALES, axis=1)
+        for k in range(0, 20000, 7):
+            assert np.array_equal(rungs[k], np.geomspace(starts[k], stops[k], estimator._MAX_SCALES)), k
 
     def test_reciprocal_sequence_matches_formula(self):
         pts = 1.0 / np.arange(1, 1_000_001, dtype=float)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ifsdim import pressure, transfer
+from ifsdim import arrays, pressure, transfer
 from ifsdim import (
     CifsSpec,
     ConfigurationError,
@@ -301,6 +301,33 @@ def test_word_table_peak_stays_near_the_table():
     kept = sum(ends.nbytes for ends in tab.word_bounds(spec, tab.depth))
     assert kept == 2 * 8 * 4**9
     assert peak < 2 * kept
+
+
+@pytest.mark.parametrize("segment", [128, 4099])
+def test_psi_in_segments_equals_whole_table_sums(monkeypatch, segment):
+    # the depth-9 table of complex-finite holds 4^9 words, four default
+    # segments; both ends of the bracket bit for bit against one np.sum
+    spec = golden_system("complex-finite")
+    ts = (0.5, 0.7, 1.3)
+    monkeypatch.setattr(arrays, "SUM_SEGMENT", 4**9)
+    whole = [psi(spec, t, 9) for t in ts]
+    for size in (segment, 2**16):
+        monkeypatch.setattr(arrays, "SUM_SEGMENT", size)
+        got = [psi(spec, t, 9) for t in ts]
+        assert [(p.lower.hex(), p.upper.hex()) for p in got] == [(p.lower.hex(), p.upper.hex()) for p in whole]
+
+
+def test_psi_holds_one_segment_of_powers():
+    # a whole-table power took 2.1 MB on complex-finite, beside its table
+    spec = golden_system("complex-finite")
+    psi(spec, 0.7, 9)
+    tracemalloc.start()
+    try:
+        psi(spec, 0.7, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * arrays.SUM_SEGMENT
 
 
 def exponent_grid(spec):

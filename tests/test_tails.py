@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from ifsdim.cifs import CifsSpec, renyi_parabolic_spec
+from ifsdim.arrays import SUM_SEGMENT
 from ifsdim.errors import ConfigurationError
 from ifsdim.jsonio import spec_from_dict
 from ifsdim.maps import ComplexGaussBranch
@@ -29,7 +30,6 @@ from ifsdim.tails import (
     GeometricRule,
     PowerRule,
     SimilarityTail,
-    SUM_SEGMENT,
     SpacedDigits,
     _induced_deriv_table,
     _power_sum,
@@ -99,6 +99,35 @@ def _assert_reaching_contract(tail, xs):
     assert np.all(tail.envelope_reach(g) < xs)
     assert np.all((g == 0) | (tail.envelope_reach(np.maximum(g - 1, 0)) >= xs))
     return g
+
+
+class _GuessedTail:
+    """A tail whose guesses are its answers moved by shift generations,
+    and which counts its envelope calls."""
+
+    def __init__(self, tail, xs, shift):
+        self.tail, self.calls = tail, 0
+        self.guesses = dict(zip(xs.tolist(), (generation_reaching(tail, xs) + shift).tolist()))
+
+    def reaching_guess(self, xs):
+        return np.array([self.guesses[x] for x in xs.tolist()])
+
+    def envelope_reach(self, gs):
+        self.calls += 1
+        return self.tail.envelope_reach(gs)
+
+
+@pytest.mark.parametrize("tail", REACHING_TAILS, ids=lambda t: type(t).__name__)
+def test_reaching_from_guesses_off_by_a_few_generations(tail):
+    rng = np.random.default_rng(9)
+    xs = 10.0 ** rng.uniform(-6.0, 0.0, 200)
+    want = generation_reaching(tail, xs)
+    for shift in (0, 1, 3, -1, -3):
+        guessed = _GuessedTail(tail, xs, shift)
+        assert np.array_equal(generation_reaching(guessed, xs), want), shift
+        # one call up and one down from an exact guess, and one more per
+        # generation off, or fewer where generation 0 stops the walk down
+        assert guessed.calls <= 2 + abs(shift) and (shift != 0 or guessed.calls == 2), shift
 
 
 @pytest.mark.parametrize("digits", DIGIT_SETS, ids=repr)
