@@ -34,16 +34,12 @@ from .estimator import (  # noqa: E402
 )
 from .jsonio import load_spec, spec_from_dict  # noqa: E402
 from .spectra import (  # noqa: E402
-    BoundEnvelope,
     SpectrumCurve,
-    ThreeParamForm,
-    bound_envelope,
     default_theta_grid,
     f_value,
     fit_three_param,
     lower_bound_curve,
     phase_transition,
     slope_discontinuities,
-    three_param_eval,
     upper_envelope,
 )

@@ -1,4 +1,4 @@
-"""Covering-count estimators for box, Assouad and lower dimensions.
+"""Covering-count estimators: box and Assouad dimensions, Assouad and lower spectra.
 
 Counts are exact in one dimension: the greedy left-to-right sweep is the
 minimal cover of a finite point set by closed intervals.  In the plane,
@@ -202,7 +202,6 @@ class ThetaDiagnostic:
 class EstimateReport:
     curve: SpectrumCurve
     diagnostics: tuple[ThetaDiagnostic, ...]
-    guard_ratio: float
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +918,7 @@ def _estimate_curve(cloud: PointCloud, thetas, lower: bool):
     values = np.array([v for v, _ in results])
     diags = tuple(d for _, d in results)
     curve = SpectrumCurve(thetas, values, "estimate", {"lower": lower, "delta": cloud.delta})
-    return EstimateReport(curve, diags, _R_MIN_FACTOR)
+    return EstimateReport(curve, diags)
 
 
 def assouad_spectrum_estimate(cloud: PointCloud, thetas) -> EstimateReport:

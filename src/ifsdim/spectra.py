@@ -89,38 +89,8 @@ class SpectrumCurve:
         object.__setattr__(self, "thetas", th)
         object.__setattr__(self, "values", vals)
 
-    def value_at(self, theta: float) -> float:
-        return float(np.interp(theta, self.thetas, self.values))
-
     def valid_mask(self) -> np.ndarray:
         return np.isfinite(self.values)
-
-
-@dataclass(frozen=True)
-class ThreeParamForm:
-    """Spectrum determined by box dimension, quasi-Assouad dimension and rho."""
-
-    ubox: float
-    qa: float
-    rho: float
-
-    def __post_init__(self):
-        if self.ubox > self.qa + 1e-12:
-            raise DomainError("box dimension cannot exceed the quasi-Assouad dimension")
-        if self.qa > 0 and not (1.0 - self.ubox / self.qa - 1e-9 <= self.rho <= 1.0 + 1e-12):
-            raise DomainError(f"phase transition {self.rho} outside [1 - ubox/qa, 1]")
-
-
-@dataclass(frozen=True)
-class BoundEnvelope:
-    lower: SpectrumCurve
-    upper: SpectrumCurve
-
-    def __post_init__(self):
-        if not np.array_equal(self.lower.thetas, self.upper.thetas):
-            raise DomainError("envelope curves must share a grid")
-        if np.any(self.lower.values > self.upper.values + 1e-9):
-            raise DomainError("lower envelope exceeds upper envelope")
 
 
 SpectrumLike = Callable[[np.ndarray], "np.ndarray | float"]
@@ -223,50 +193,28 @@ def lower_bound_curve(thetas: Sequence[float], spectrum_p: SpectrumLike, h: floa
     return SpectrumCurve(th, np.where(s > h, s, h), "lower_bound", {"h": h})
 
 
-def bound_envelope(thetas: Sequence[float], spectrum_p: SpectrumLike, h: float) -> BoundEnvelope:
-    """Sandwich bounds for a limit set with fixed-point spectrum spectrum_p.
-
-    The box term is the larger of h and spectrum_p(0.0), the upper box
-    dimension of the fixed points.
-    """
-    return BoundEnvelope(
-        lower_bound_curve(thetas, spectrum_p, h),
-        upper_envelope(thetas, spectrum_p, max(h, spectrum_p(0.0))),
-    )
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 
 
-def three_param_eval(form: ThreeParamForm, theta) -> "float | np.ndarray":
-    """Value of the three-parameter spectrum at theta (a float or an array)."""
+def capped_spectrum(num: float, den: float, top: float, theta) -> "float | np.ndarray":
+    """The capped form min(num / (den (1 - theta)), top), at a float or an
+    array of theta in [0, 1]."""
     th = _unit_thetas(theta)
-    if form.ubox == form.qa or form.rho == 0.0:
-        return float_or_array(np.full(th.shape, form.ubox if form.ubox == form.qa else form.qa))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rise = (1.0 - form.rho) * th / ((1.0 - th) * form.rho) * (form.qa - form.ubox)
-        vals = np.where(th >= 1.0, form.qa, np.minimum(form.ubox + rise, form.qa))
-    return float_or_array(vals)
+    with np.errstate(divide="ignore"):  # theta = 1 gives num/0 = inf, capped to top
+        return float_or_array(np.minimum(num / (den * (1.0 - th)), top))
 
 
 def fp_spectrum(p: float, theta) -> "float | np.ndarray":
     """Spectrum of the decreasing sequence i^(-p), at a float or an array of theta."""
     if p <= 0:
         raise DomainError(f"p must be positive, got {p}")
-    th = _unit_thetas(theta)
-    with np.errstate(divide="ignore"):  # theta = 1 gives 1/0 = inf, capped to 1
-        return float_or_array(np.minimum(1.0 / ((1.0 + p) * (1.0 - th)), 1.0))
+    return capped_spectrum(1.0, 1.0 + p, 1.0, theta)
 
 
 def null_spectrum(theta) -> "float | np.ndarray":
     """Spectrum of a finite set or a geometric sequence: 0 at every theta."""
     return float_or_array(np.zeros_like(_unit_thetas(theta)))
-
-
-def _check_theta(theta: float) -> None:
-    if not (0.0 <= theta <= 1.0):
-        raise DomainError(f"theta must be in [0,1], got {theta}")
 
 
 def _one_transition(h: float, top: float, num: float, den: float, rho: float, theta: float) -> float:
@@ -296,7 +244,7 @@ def sharp_family_spectrum(p: float, t: float, h: float, theta: float) -> float:
 def _sharp_regimes(p: float, t: float, h: float, theta: float, lower: bool) -> float:
     """The sharp family's spectrum at checked parameters; lower marks the
     case t >= p + 1/h."""
-    _check_theta(theta)
+    _unit_thetas(theta)
     if theta >= 1.0:
         return 1.0
     rho = p / (1.0 + p)
@@ -336,7 +284,7 @@ def ctd_clustered_spectrum(alpha: float, h: float, theta: float) -> float:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
     if h < alpha / 2.0:
         raise DomainError(f"h must be at least the finiteness parameter alpha/2 = {alpha/2.0}, got {h}")
-    _check_theta(theta)
+    _unit_thetas(theta)
     return _one_transition(h, 1.0, alpha, 2.0 - alpha, 1.0 - alpha / 2.0, theta)
 
 
@@ -344,7 +292,7 @@ def dense_cf_spectrum(h: float, theta: float) -> float:
     """Spectrum of continued-fraction sets with full-density digit sets."""
     if h < 0.5:
         raise DomainError(f"full-density digit sets force h >= 1/2, got {h}")
-    _check_theta(theta)
+    _unit_thetas(theta)
     return _one_transition(h, 1.0, 1.0, 1.0, 0.5, theta)
 
 
@@ -352,7 +300,7 @@ def complex_cf_spectrum(h: float, theta: float) -> float:
     """Spectrum of the full complex continued-fraction set, h supplied by the caller."""
     if not (1.0 <= h <= 2.0):
         raise DomainError(f"h must lie in [1, 2], got {h}")
-    _check_theta(theta)
+    _unit_thetas(theta)
     return _one_transition(h, 2.0, 1.0, 1.0, 0.5, theta)
 
 
@@ -362,28 +310,13 @@ def parabolic_spectrum(q: float, h: float, theta: float) -> float:
         raise DomainError(f"q must be positive, got {q}")
     if not (0.0 < h < 1.0):
         raise DomainError(f"h must be in (0,1), got {h}")
-    _check_theta(theta)
+    _unit_thetas(theta)
     return _one_transition(h, 1.0, q, 1.0, 1.0 / (1.0 + q), theta)
 
 
 def backwards_cf_spectrum(h: float, theta: float) -> float:
     """Spectrum of backwards continued-fraction sets (parabolic with q = 1)."""
     return parabolic_spectrum(1.0, h, theta)
-
-
-def assouad_dimension_formula(h: float, dim_a_p: float) -> float:
-    """Assouad dimension of the limit set from h and the fixed-point set."""
-    return max(h, dim_a_p)
-
-
-def quasi_assouad_formula(h: float, qa_p: float) -> float:
-    """Quasi-Assouad dimension of the limit set from h and the fixed-point set."""
-    return max(h, qa_p)
-
-
-def porosity_threshold_check(value: float, ambient_dim: int) -> bool:
-    """A set is porous exactly when its Assouad dimension is below the ambient one."""
-    return value < ambient_dim
 
 
 def curve_from_formula(fn: Callable[[float], float], thetas: Sequence[float] | None = None) -> SpectrumCurve:
@@ -429,6 +362,13 @@ def phase_transition(curve: SpectrumCurve) -> PhaseTransition:
     return PhaseTransition(float(t0 + frac * (t1 - t0)), qa, ambiguous)
 
 
+def _two_nodes(curve: SpectrumCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The curve's nodes and values, for a diagnostic that reads slopes."""
+    if len(curve.thetas) < 2:
+        raise DomainError(f"a curve diagnostic needs at least two nodes, got {len(curve.thetas)}")
+    return curve.thetas, curve.values
+
+
 def _refine_kink(th: np.ndarray, vals: np.ndarray, k: int) -> float:
     """Pin a kink near node k+1 by intersecting quadratic fits of the flanks."""
     n = len(th)
@@ -453,7 +393,7 @@ def slope_discontinuities(curve: SpectrumCurve) -> list[float]:
     Flags nodes where the one-sided slope difference exceeds KINK_JUMP
     and KINK_PROMINENCE times the local curvature baseline.
     """
-    th, vals = curve.thetas, curve.values
+    th, vals = _two_nodes(curve)
     slopes = np.diff(vals) / np.diff(th)
     jumps = np.abs(np.diff(slopes))
     out = []
@@ -477,15 +417,21 @@ def slope_discontinuities(curve: SpectrumCurve) -> list[float]:
 
 @dataclass(frozen=True)
 class ThreeParamFit:
-    form: ThreeParamForm
+    """The one-transition form with box dimension ubox, quasi-Assouad value
+    qa and phase transition rho that best follows a curve."""
+
+    ubox: float
+    qa: float
+    rho: float
     max_deviation: float
     ok: bool
 
 
-def _max_deviation(form: ThreeParamForm, th: np.ndarray, vals: np.ndarray) -> float:
+def _max_deviation(ubox: float, qa: float, rho: float, nodes: list[float], vals: np.ndarray) -> float:
     """Largest |form - vals| over the nodes, taken as Python's max takes it:
     a NaN at the first node wins, a NaN at a later node is passed over."""
-    devs = np.abs(three_param_eval(form, th) - vals)
+    form = np.fromiter((_one_transition(ubox, qa, 1.0 - rho, rho, rho, t) for t in nodes), float, len(nodes))
+    devs = np.abs(form - vals)
     return float(devs[0]) if np.isnan(devs[0]) else float(np.nanmax(devs))
 
 
@@ -497,27 +443,31 @@ def fit_three_param(curve: SpectrumCurve) -> ThreeParamFit:
     scanned for the smallest maximum deviation.  ok is set when the
     curve follows the fitted form within FIT_TOL.
     """
-    th, vals = curve.thetas, curve.values
+    th, vals = _two_nodes(curve)
     qa = float(vals[-1])
     # linear extrapolation to theta = 0
     ubox = float(vals[0] - th[0] * (vals[1] - vals[0]) / (th[1] - th[0]))
     ubox = min(max(ubox, 0.0), qa)
     if abs(qa - ubox) < 1e-12:
         dev = float(np.max(np.abs(vals - ubox)))
-        return ThreeParamFit(ThreeParamForm(ubox, qa, 1.0), dev, dev <= FIT_TOL)
+        return ThreeParamFit(ubox, qa, 1.0, dev, dev <= FIT_TOL)
     rho_min = max(1.0 - ubox / qa, 1e-6)
-    candidates = list(np.linspace(rho_min, 1.0 - 1e-6, 256))
+    # a form's rho lies in [1 - ubox/qa, 1], and the scan reaches down to 1 - 1e-6
+    if qa > 0 and not 1.0 - ubox / qa - 1e-9 <= 1.0 - 1e-6:
+        raise DomainError(f"phase transitions [1 - ubox/qa, 1] = [{1.0 - ubox / qa}, 1] lie above the scan's 1 - 1e-6")
+    nodes = th.tolist()
+    candidates = np.linspace(rho_min, 1.0 - 1e-6, 256).tolist()
     candidates.append(min(max(phase_transition(curve).theta, rho_min), 1.0 - 1e-6))
     best_rho, best_dev = candidates[0], math.inf
     for rho in candidates:
-        dev = _max_deviation(ThreeParamForm(ubox, qa, rho), th, vals)
+        dev = _max_deviation(ubox, qa, rho, nodes, vals)
         if dev < best_dev:
             best_rho, best_dev = rho, dev
     # local refinement around the best candidate
     lo = max(best_rho - 0.01, rho_min)
     hi = min(best_rho + 0.01, 1.0 - 1e-6)
-    for rho in np.linspace(lo, hi, 128):
-        dev = _max_deviation(ThreeParamForm(ubox, qa, rho), th, vals)
+    for rho in np.linspace(lo, hi, 128).tolist():
+        dev = _max_deviation(ubox, qa, rho, nodes, vals)
         if dev < best_dev:
             best_rho, best_dev = rho, dev
-    return ThreeParamFit(ThreeParamForm(ubox, qa, best_rho), float(best_dev), best_dev <= FIT_TOL)
+    return ThreeParamFit(ubox, qa, best_rho, best_dev, best_dev <= FIT_TOL)

@@ -34,13 +34,15 @@ Next to ``finiteness_parameter``, every rule answers
 ``fixed_point_spectrum(theta)`` from its own parameters: the Assouad
 spectrum of the fixed points of its branches, at a float or an array of
 theta, a float for a float and an array for an array.  Its value at
-theta = 0 is their upper box dimension.  A similarity tail reads its
-offsets rule (a power rule i^(-p) gives ``fp_spectrum(p, .)``, a
-geometric one 0); a continued-fraction tail reads its digit set (spaced
-n^p gives ``fp_spectrum(p, .)``, full ``fp_spectrum(1, .)``, clustered
+theta = 0 is their upper box dimension, and a theta outside [0, 1] (or
+NaN) raises DomainError.  A similarity tail reads its offsets rule (a
+power rule i^(-p) gives ``fp_spectrum(p, .)``, a geometric one 0); a
+continued-fraction tail reads its digit set (spaced n^p gives
+``fp_spectrum(p, .)``, full ``fp_spectrum(1, .)``, clustered
 min(alpha / (2 (1 - theta)), 1)); the complex alphabet gives
 min(1 / (1 - theta), 2); the induced parabolic family with tangency
 exponent q gives ``fp_spectrum(1/q, .)``, since P^n(x) ~ n^(-1/q).
+All three capped forms are ``capped_spectrum``.
 
 The rules with a non-trivial ``psi1_bounds`` bracket (the complex
 continued-fraction alphabet and the induced parabolic family) read it
@@ -83,7 +85,7 @@ from .mobius import (
     take_mobius,
 )
 from .series import geometric_tail_bounds, power_sum_bounds, power_tail_bounds
-from .spectra import float_or_array, fp_spectrum, null_spectrum
+from .spectra import capped_spectrum, fp_spectrum, null_spectrum
 
 Label = Union[int, tuple]
 
@@ -353,9 +355,7 @@ class ClusteredDigits:
         return self.alpha / 2.0
 
     def fixed_point_spectrum(self, theta):
-        th = np.asarray(theta, dtype=float)
-        with np.errstate(divide="ignore"):
-            return float_or_array(np.where(th < 1.0, np.minimum(self.alpha / (2.0 * (1.0 - th)), 1.0), 1.0))
+        return capped_spectrum(self.alpha, 2.0, 1.0, theta)
 
 
 @dataclass(frozen=True)
@@ -494,9 +494,7 @@ class ComplexGaussTail:
         return 1.0
 
     def fixed_point_spectrum(self, theta):
-        th = np.asarray(theta, dtype=float)
-        with np.errstate(divide="ignore"):
-            return float_or_array(np.where(th < 1.0, np.minimum(1.0 / (1.0 - th), 2.0), 2.0))
+        return capped_spectrum(1.0, 1.0, 2.0, theta)
 
 
 # ---------------------------------------------------------------------------

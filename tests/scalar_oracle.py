@@ -11,7 +11,8 @@ cloud builder's lockstep walk.  The word-sum engine's head words, all
 formed at once, are the oracle of its streamed word tables, and the
 clustered digit sums over whole blocks that of their segments.  The
 closed-form spectra are kept as each family wrote its own, the oracle of
-the shared one- and two-transition forms.
+the shared one- and two-transition forms, and so are the three capped
+fixed-point spectra, the oracle of ``capped_spectrum``.
 """
 
 import math
@@ -354,3 +355,25 @@ def parabolic_spectrum(q: float, h: float, theta: float) -> float:
     if theta >= 1.0 / (1.0 + q):
         return 1.0
     return h + q * theta / (1.0 - theta) * (1.0 - h)
+
+
+# the capped fixed-point spectra min(num / (den (1 - theta)), top), each as
+# its own caller wrote it before they shared ``capped_spectrum``
+
+
+def fp_capped(p: float, th: np.ndarray) -> np.ndarray:
+    """``fp_spectrum(p, .)``."""
+    with np.errstate(divide="ignore"):
+        return np.minimum(1.0 / ((1.0 + p) * (1.0 - th)), 1.0)
+
+
+def clustered_capped(alpha: float, th: np.ndarray) -> np.ndarray:
+    """``ClusteredDigits(alpha).fixed_point_spectrum``."""
+    with np.errstate(divide="ignore"):
+        return np.where(th < 1.0, np.minimum(alpha / (2.0 * (1.0 - th)), 1.0), 1.0)
+
+
+def complex_capped(th: np.ndarray) -> np.ndarray:
+    """``ComplexGaussTail().fixed_point_spectrum``."""
+    with np.errstate(divide="ignore"):
+        return np.where(th < 1.0, np.minimum(1.0 / (1.0 - th), 2.0), 2.0)

@@ -934,7 +934,7 @@ class TestSpectrumEstimate:
             if diag.valid and diag.scales:
                 assert len(diag.scales) >= _MIN_SCALES
                 for sd in diag.scales:
-                    assert sd.r >= rep.guard_ratio * cloud.delta * (1 - 1e-12)
+                    assert sd.r >= estimator._R_MIN_FACTOR * cloud.delta * (1 - 1e-12)
 
     def test_anchor_choice_does_not_move_the_spectrum(self):
         tail = SimilarityTail(PowerRule(1.0, 3.0), PowerRule(1.0, 1.0), start=2)

@@ -9,10 +9,7 @@ from ifsdim import DomainError, spectra
 from ifsdim.families import make_family
 from ifsdim.spectra import (
     SpectrumCurve,
-    ThreeParamForm,
-    assouad_dimension_formula,
     backwards_cf_spectrum,
-    bound_envelope,
     complex_cf_spectrum,
     ctd_clustered_spectrum,
     ctd_spaced_spectrum,
@@ -25,13 +22,11 @@ from ifsdim.spectra import (
     lower_bound_curve,
     parabolic_spectrum,
     phase_transition,
-    porosity_threshold_check,
-    quasi_assouad_formula,
     sharp_family_spectrum,
     slope_discontinuities,
-    three_param_eval,
     upper_envelope,
 )
+from ifsdim.tails import ClusteredDigits
 
 GRID = default_theta_grid()
 COMPARE_GRID = np.linspace(0.05, 0.9, 64)  # compare's default theta grid
@@ -85,14 +80,6 @@ class TestEnvelopes:
         for h in (0.3, 0.9):
             low = lower_bound_curve([1.0 - 1e-9], lambda t: fp_spectrum(1.0, t), h)
             assert low.values[0] == pytest.approx(max(h, 1.0), abs=1e-6)
-
-    def test_envelope_object_checks_order(self):
-        env = bound_envelope(GRID[::64], lambda t: fp_spectrum(1.0, t), 0.6)
-        assert np.all(env.lower.values <= env.upper.values + 1e-9)
-        # the box term is the larger of h and the spectrum at theta = 0, here 0.5
-        for h, ubox_f in ((0.6, 0.6), (0.4, 0.5)):
-            env = bound_envelope(GRID[::64], lambda t: fp_spectrum(1.0, t), h)
-            assert env.upper.metadata["ubox_f"] == ubox_f
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +226,7 @@ class TestEnvelopeBitIdentity:
         lambda t: fp_spectrum(1.8, t),
         pytest.param(make_family("ctd-clustered").fixed_point_spectrum, id="clustered_p"),
         pytest.param(make_family("complex-cf").fixed_point_spectrum, id="complex_p"),
-        lambda t: three_param_eval(ThreeParamForm(0.25, 1.0, 0.75), t),
+        lambda t: ClusteredDigits(0.5).fixed_point_spectrum(t),
     ])
     def test_fixed_point_spectra_on_arrays_equal_scalars(self, spectrum_p):
         thetas = np.concatenate([np.linspace(0.0, 1.0, 1001), GRID, [1.0 - 1e-16, 1.0]])
@@ -258,19 +245,14 @@ class TestEnvelopeBitIdentity:
 
 class TestClosedForms:
     def test_three_param_examples(self):
-        form = ThreeParamForm(0.5, 1.0, 0.5)
-        assert three_param_eval(form, 0.0) == pytest.approx(0.5)
-        assert three_param_eval(form, 0.5) == pytest.approx(1.0)
-        assert three_param_eval(form, 0.25) == pytest.approx(0.5 + (0.5 * 0.25 / (0.75 * 0.5)) * 0.5)
+        # the fit's form: box 0.5, quasi-Assouad 1, transition 0.5, as fit_three_param reads it
+        form = lambda t: spectra._one_transition(0.5, 1.0, 1.0 - 0.5, 0.5, 0.5, t)
+        assert form(0.0) == pytest.approx(0.5)
+        assert form(0.5) == pytest.approx(1.0)
+        assert form(0.25) == pytest.approx(0.5 + (0.5 * 0.25 / (0.75 * 0.5)) * 0.5)
 
     def test_three_param_equal_endpoints(self):
-        assert three_param_eval(ThreeParamForm(0.4, 0.4, 1.0), 0.7) == 0.4
-
-    def test_three_param_invariants(self):
-        with pytest.raises(DomainError):
-            ThreeParamForm(1.0, 0.5, 0.8)
-        with pytest.raises(DomainError):
-            ThreeParamForm(0.5, 1.0, 0.2)  # below 1 - ubox/qa
+        assert spectra._one_transition(0.4, 0.4, 0.0, 1.0, 1.0, 0.7) == 0.4
 
     def test_fp_spectrum_examples(self):
         assert fp_spectrum(1.0, 0.5) == 1.0
@@ -342,13 +324,6 @@ class TestClosedForms:
         for t in GRID[::64]:
             assert parabolic_spectrum(1.0, 0.5, t) == backwards_cf_spectrum(0.5, t)
             assert parabolic_spectrum(1.0, 0.6, t) == pytest.approx(dense_cf_spectrum(0.6, t), abs=1e-12)
-
-    def test_max_formulas_and_porosity(self):
-        assert assouad_dimension_formula(0.5, 1.0) == 1.0
-        assert assouad_dimension_formula(0.9, 0.3) == 0.9
-        assert quasi_assouad_formula(0.5, 1.0) == 1.0
-        assert porosity_threshold_check(0.8, 1)
-        assert not porosity_threshold_check(1.0, 1)
 
     def test_fp_limit_matches_sharp_qa(self):
         # each tail regime tends to 1 as theta -> 1
@@ -502,6 +477,30 @@ class TestCurveDiagnostics:
         curve = curve_from_formula(lambda t: sharp_family_spectrum(1.8, 3.9, 0.5, t))
         assert not fit_three_param(curve).ok
 
+    def test_acceptance_fits_keep_their_values(self):
+        # criterion 5's two fits, recorded with the fit's own copy of the form
+        # that the one-transition form replaced
+        pinned = {2.8: "(0.6428411029478052, 3.4791548090495894e-05, True)",
+                  3.6: "(0.683533748766467, 0.08319920410472015, False)"}
+        for t, want in pinned.items():
+            fit = fit_three_param(curve_from_formula(lambda th: sharp_family_spectrum(1.8, t, 0.5, th)))
+            assert repr((fit.rho, fit.max_deviation, fit.ok)) == want
+            assert all(type(x) is float for x in (fit.ubox, fit.qa, fit.rho))
+
+    @pytest.mark.parametrize("vals", [[0.0, 0.0, 0.5, 1.0], [np.nan, 0.5, 0.7, 1.0]])
+    def test_three_param_fit_needs_rho_to_scan(self, vals):
+        # a box value of 0, or NaN, against qa = 1 puts every phase
+        # transition above the scanned range
+        curve = SpectrumCurve(np.array([0.2, 0.4, 0.6, 0.8]), np.array(vals), "estimate")
+        with pytest.raises(DomainError, match="phase transitions"):
+            fit_three_param(curve)
+
+    @pytest.mark.parametrize("diagnostic", [slope_discontinuities, fit_three_param])
+    def test_diagnostics_need_two_nodes(self, diagnostic):
+        curve = SpectrumCurve(np.array([0.5]), np.array([0.7]), "estimate")
+        with pytest.raises(DomainError, match="at least two nodes"):
+            diagnostic(curve)
+
 
 class TestSandwich:
     @pytest.mark.parametrize(
@@ -512,7 +511,7 @@ class TestSandwich:
             (lambda t: sharp_family_spectrum(1.8, 3.9, 0.5, t), lambda t: fp_spectrum(1.8, t), 0.5, 1 / 2.8),
             (lambda t: ctd_spaced_spectrum(1.8, 0.5, t), lambda t: fp_spectrum(1.8, t), 0.5, 1 / 2.8),
             (lambda t: ctd_clustered_spectrum(0.5, 0.6, t),
-             lambda t: three_param_eval(ThreeParamForm(0.25, 1.0, 0.75), t), 0.6, 0.25),
+             lambda t: ClusteredDigits(0.5).fixed_point_spectrum(t), 0.6, 0.25),
             (lambda t: dense_cf_spectrum(0.7, t), lambda t: fp_spectrum(1.0, t), 0.7, 0.5),
             (lambda t: backwards_cf_spectrum(0.75, t), lambda t: fp_spectrum(1.0, t), 0.75, 0.5),
         ],
@@ -522,6 +521,7 @@ class TestSandwich:
         lower = lower_bound_curve(grid, p_spec, h)
         upper = upper_envelope(grid, p_spec, max(h, ubox_p))
         vals = np.array([formula(t) for t in grid])
+        assert np.all(lower.values <= upper.values + 1e-9)
         assert np.all(vals >= lower.values - 1e-10)
         assert np.all(vals <= upper.values + 1e-10)
 
@@ -565,6 +565,3 @@ class TestCurveType:
             SpectrumCurve(np.array([0.2, 0.4]), np.array([0.5, 0.3]), "formula")
         SpectrumCurve(np.array([0.2, 0.4]), np.array([0.5, 0.3]), "estimate")
 
-    def test_interpolation(self):
-        curve = SpectrumCurve(np.array([0.2, 0.6]), np.array([0.2, 0.6]), "formula")
-        assert curve.value_at(0.4) == pytest.approx(0.4)

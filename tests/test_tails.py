@@ -16,12 +16,12 @@ import pytest
 
 from ifsdim.cifs import CifsSpec, renyi_parabolic_spec
 from ifsdim.arrays import SUM_SEGMENT
-from ifsdim.errors import ConfigurationError
+from ifsdim.errors import ConfigurationError, DomainError
 from ifsdim.jsonio import spec_from_dict
 from ifsdim.maps import ComplexGaussBranch
 from ifsdim.mobius import CArray, Disc, Mobius
 from ifsdim.series import power_tail_bounds
-from ifsdim.spectra import fp_spectrum
+from ifsdim.spectra import capped_spectrum, fp_spectrum
 from ifsdim.tails import (
     ClusteredDigits,
     ComplexGaussTail,
@@ -37,11 +37,14 @@ from ifsdim.tails import (
 )
 from scalar_oracle import (
     clustered_block_sums,
+    clustered_capped,
     clustered_sup_sum_bounds,
+    complex_capped,
     deriv_range_disc,
     deriv_range_interval,
     digit_loop,
     disc_image,
+    fp_capped,
     generation_maps,
     interval_image,
     shell_loop,
@@ -310,6 +313,26 @@ def test_fixed_point_spectrum_follows_each_rule():
     ]
     for tail, want in expected:
         assert np.allclose(tail.fixed_point_spectrum(th), want, rtol=1e-15, atol=0.0), tail
+
+
+def test_capped_spectra_keep_their_bits():
+    th = SPECTRUM_THETAS
+    for p in (0.3, 1.0, 1.8, 1e17):
+        assert np.array_equal(capped_spectrum(1.0, 1.0 + p, 1.0, th), fp_capped(p, th))
+        assert np.array_equal(fp_spectrum(p, th), fp_capped(p, th))
+    for alpha in (0.1, 0.5, 0.9):
+        assert np.array_equal(capped_spectrum(alpha, 2.0, 1.0, th), clustered_capped(alpha, th))
+        assert np.array_equal(ClusteredDigits(alpha).fixed_point_spectrum(th), clustered_capped(alpha, th))
+    assert np.array_equal(capped_spectrum(1.0, 1.0, 2.0, th), complex_capped(th))
+    assert np.array_equal(ComplexGaussTail().fixed_point_spectrum(th), complex_capped(th))
+
+
+@pytest.mark.parametrize("tail", TAILS, ids=lambda t: type(t).__name__)
+@pytest.mark.parametrize("theta", [math.nan, -0.5, -1e-300, math.nextafter(1.0, 2.0), 1.5, math.inf])
+def test_fixed_point_spectrum_rejects_theta_outside_unit_interval(tail, theta):
+    for bad in (theta, np.array([0.5, theta])):
+        with pytest.raises(DomainError, match=r"theta must be in \[0,1\]"):
+            tail.fixed_point_spectrum(bad)
 
 
 @pytest.mark.parametrize("doc", [
