@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -109,7 +109,6 @@ class CifsSpec:
     explicit: tuple[tuple[Label, MapKind], ...]
     tail: TailRule | None = None
     anchor: complex | float | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.ambient_dim not in (1, 2):
@@ -460,8 +459,7 @@ def induce_parabolic(q: float, parabolic: MapKind, branches: Sequence[tuple[Labe
         raise ConfigurationError(
             f"branch {branches[weak[0]][0]!r} is not uniformly contracting; only one parabolic branch is supported"
         )
-    return CifsSpec(ambient_dim=1, domain=domain, explicit=(), tail=tail,
-                    meta={"family": "parabolic_induced", "q": q})
+    return CifsSpec(ambient_dim=1, domain=domain, explicit=(), tail=tail)
 
 
 def renyi_parabolic_spec(digits: Sequence[int]) -> CifsSpec:
@@ -477,8 +475,6 @@ def renyi_parabolic_spec(digits: Sequence[int]) -> CifsSpec:
         rest = [(b, RenyiBranch(b)) for b in digits if b != 2]
         if not rest:
             raise ConfigurationError("a parabolic branch alone generates only its fixed point")
-        spec = induce_parabolic(1.0, RenyiBranch(2), rest)
-        spec.meta["digits"] = digits
-        return spec
+        return induce_parabolic(1.0, RenyiBranch(2), rest)
     maps = tuple((b, RenyiBranch(b)) for b in digits)
-    return CifsSpec(1, (0.0, 1.0), maps, meta={"family": "renyi", "digits": digits})
+    return CifsSpec(1, (0.0, 1.0), maps)

@@ -197,7 +197,9 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
     Writes cloud.bin, cloud.csv, curves.csv, overlay.svg and summary.json
     into the output directory and returns the comparison table plus the
     summary.  A large cloud's cloud.csv is formatted by a forked child
-    while the estimate runs (cloud.WriteBehind).
+    into an unnamed temporary file while the estimate runs, and copied
+    into place with the other files (cloud.WriteBehind); until then the
+    run has named no file, so a run killed before it leaves nothing.
     """
     config.validate()
 
@@ -252,7 +254,7 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
             transitions.append(phase_transition(formula).theta)
         table = ComparisonTable(tuple(rows), max_dev, tuple(transitions), all(r.passed for r in rows))
 
-        cloud_csv.make_dirs()
+        out.mkdir(parents=True, exist_ok=True)
         cloud.save(out / "cloud.bin")
         cloud_csv.publish()
     curves = {"lower": lower, "upper": upper, "estimate": estimate}

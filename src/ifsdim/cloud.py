@@ -38,7 +38,6 @@ import os
 import struct
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -74,19 +73,30 @@ _WRITE_CHUNK = 1 << 20
 WRITE_BEHIND_POINTS = 2**15
 
 
-def _write_pieces(tmp: str, data: str | bytes | Iterable[str]) -> None:
-    pieces = [data] if isinstance(data, (str, bytes)) else data
-    with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+def _write_pieces(target, data: str | bytes | int | Iterable[str]) -> None:
+    """Write data to the file named (or the descriptor given) by target.
+    An int data is the descriptor of a whole file to copy."""
+    copy = isinstance(data, int)
+    with open(target, "wb" if copy or isinstance(data, bytes) else "w") as fh:
+        if copy:
+            # in the kernel, from explicit offsets: the file's own offset
+            # is wherever its writer left it
+            offset, size = 0, os.fstat(data).st_size
+            while offset < size:
+                offset += os.sendfile(fh.fileno(), data, offset, size - offset)
+            return
+        pieces = [data] if isinstance(data, (str, bytes)) else data
         # a slice at a time: writing text whole encodes a full copy of it
         for piece in pieces:
             for start in range(0, len(piece), _WRITE_CHUNK):
                 fh.write(piece[start : start + _WRITE_CHUNK])
 
 
-def atomic_write(path, data: str | bytes | Iterable[str]) -> None:
-    """Write text, bytes or text pieces to path through a temporary file,
-    renamed over path once complete, so that a failed write leaves the
-    previous file whole and removes the temporary one."""
+def atomic_write(path, data: str | bytes | int | Iterable[str]) -> None:
+    """Write text, bytes, text pieces or a copy of the open file with
+    descriptor data to path through a temporary file, renamed over path
+    once complete, so that a failed write leaves the previous file whole
+    and removes the temporary one."""
     tmp = os.fspath(path) + ".tmp"
     try:
         _write_pieces(tmp, data)
@@ -97,58 +107,43 @@ def atomic_write(path, data: str | bytes | Iterable[str]) -> None:
         raise
 
 
-def _missing_dirs(path: Path) -> list[Path]:
-    """The directories that creating path would create, deepest first."""
-    missing = []
-    while not path.exists() and path != path.parent:
-        missing.append(path)
-        path = path.parent
-    return missing
-
-
 class WriteBehind:
     """A file whose text a forked child writes while the caller computes.
 
     Used as a context manager around the computation.  When a fork pays
     (``items`` at least WRITE_BEHIND_POINTS, ``os.fork`` available and
-    two CPUs to run on), the constructor creates the file's directory
-    and forks a child that writes ``pieces()`` to path + ".tmp" and
-    exits.  ``make_dirs`` and ``publish`` then stand where the caller
-    would create the directory and write the file: ``publish`` reaps the
-    child and renames its file into place.  When no child was forked, or
-    it did not exit 0, ``publish`` writes the file with atomic_write, so
-    an error is raised there as without a child.  Leaving the block
-    before ``publish`` kills and reaps the child and removes its
-    temporary file, and before ``make_dirs`` also the directories the
-    constructor created: a failed run leaves what it leaves without one.
+    two CPUs to run on), the constructor opens an unnamed temporary file
+    and forks a child that writes ``pieces()`` into it and exits.
+    ``publish`` stands where the caller would write the file: it reaps
+    the child and copies the unnamed file into place with atomic_write.
+    When no child was forked (the temporary file or the fork failed), or
+    it did not exit 0, ``publish`` writes ``pieces()`` with atomic_write
+    instead, so an error is raised there as without a child.  Nothing is
+    named under path before ``publish``, so a run killed in the block
+    leaves no file; leaving the block kills and reaps the child and
+    closes the unnamed file.
     """
 
     def __init__(self, path, pieces: Callable[[], Iterable[str]], items: int):
         self.path, self.pieces = path, pieces
-        self.tmp = os.fspath(path) + ".tmp"
-        self.pid = None
-        self.forked = self.published = False
-        self.made: list[Path] = []
+        self.pid = self.file = None
         if not (items >= WRITE_BEHIND_POINTS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
                 and len(os.sched_getaffinity(0)) >= 2):
             return
-        folder = Path(path).parent
-        self.made = _missing_dirs(folder)
+        import tempfile  # only a run that forks needs it
+
         try:
-            folder.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            return  # make_dirs raises it where the caller would
-        try:
+            self.file = tempfile.TemporaryFile()
             self.pid = os.fork()
         except OSError:
             return  # publish writes the file inline
-        self.forked = True
         if self.pid == 0:
             # the child: no cleanup, handler or buffered output of the
-            # parent's runs here, and its exit status is all it reports
+            # parent's runs here, and its exit status is all it reports;
+            # closing its copy of the descriptor flushes the text
             status = 1
             try:
-                _write_pieces(self.tmp, pieces())
+                _write_pieces(self.file.fileno(), pieces())
                 status = 0
             finally:
                 os._exit(status)
@@ -164,13 +159,8 @@ class WriteBehind:
 
             os.kill(self.pid, signal.SIGKILL)
             self._reap()
-        if not self.published:
-            if self.forked:
-                with contextlib.suppress(OSError):
-                    os.remove(self.tmp)
-            for folder in self.made:
-                with contextlib.suppress(OSError):
-                    folder.rmdir()
+        if self.file is not None:
+            self.file.close()
         return False
 
     def _reap(self) -> int:
@@ -178,23 +168,12 @@ class WriteBehind:
         self.pid = None
         return os.waitstatus_to_exitcode(status)
 
-    def make_dirs(self) -> None:
-        """Create the file's directory, as the caller's own from here on."""
-        Path(self.path).parent.mkdir(parents=True, exist_ok=True)
-        self.made = []
-
     def publish(self) -> None:
-        """Put the file in place: the child's, or one written here."""
+        """Put the file in place: the child's copied, or one written here."""
         if self.pid is not None and self._reap() == 0:
-            try:
-                os.replace(self.tmp, self.path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.remove(self.tmp)
-                raise
+            atomic_write(self.path, self.file.fileno())
         else:
             atomic_write(self.path, self.pieces())
-        self.published = True
 
 
 def _check_delta(delta: float) -> None:
@@ -209,7 +188,6 @@ class PointCloud:
     points: np.ndarray
     delta: float
     ambient_dim: int
-    label: str = "limit_set"
     complete: bool = True
 
     @classmethod
@@ -619,7 +597,7 @@ def build_limit_cloud(spec: CifsSpec, delta: float, window: Region | None = None
         raise ConfigurationError("resolution delta must be below the seed-domain size")
     pts, expanded = _build(spec, delta, window, cap, False)
     complete = _check_complete(spec.ambient_dim, pts, expanded)
-    return PointCloud(pts, delta, spec.ambient_dim, "limit_set", complete)
+    return PointCloud(pts, delta, spec.ambient_dim, complete)
 
 
 def build_fixed_point_cloud(spec: CifsSpec, delta: float, cap: int = DEFAULT_CAP) -> PointCloud:
@@ -627,4 +605,4 @@ def build_fixed_point_cloud(spec: CifsSpec, delta: float, cap: int = DEFAULT_CAP
     if not 0.0 < delta < math.inf:
         raise ConfigurationError(f"resolution delta must be positive and finite, got {delta}")
     pts, _ = _build(spec, delta, None, cap, True)
-    return PointCloud(pts, delta, spec.ambient_dim, "fixed_points")
+    return PointCloud(pts, delta, spec.ambient_dim)

@@ -5,7 +5,9 @@ closed-form limit-set spectrum (where one exists), and a sensible
 default resolution.  The fixed-point spectrum is not stored here: it is
 read from the system (``CifsSpec.fixed_point_spectrum``, answered by its
 tail rule), so a family and a spec document for the same system get the
-same bounds.  ``complex-cf`` has no system yet and reads the complex
+same bounds.  Each system is built from a spec document by
+``spec_from_dict``, the constructor a spec file goes through.
+``complex-cf`` has no system yet and reads the complex
 continued-fraction tail's spectrum directly.  The command line reads a
 spec file into the same record: ``Family(None, spec, None)``, with no
 name and no closed form.
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .cifs import CifsSpec
+from .cifs import CifsSpec  # the type of Family.spec
 from .errors import ConfigurationError
 from .jsonio import spec_from_dict
-from .pressure import build_sharp_family, hausdorff_dimension
+from .pressure import hausdorff_dimension
 from .spectra import (
     SpectrumLike,
     backwards_cf_spectrum,
@@ -32,7 +34,7 @@ from .spectra import (
     fp_spectrum,
     sharp_family_spectrum,
 )
-from .tails import ClusteredDigits, ComplexGaussTail, FullDigits, GaussDigitTail, SpacedDigits
+from .tails import ComplexGaussTail
 
 
 @dataclass(frozen=True)
@@ -76,30 +78,29 @@ def make_family(name: str, params: dict | None = None) -> Family:
         p = _get(params, "p", 1.8)
         t = _get(params, "t", 2.8)
         h = _get(params, "h", 0.5)
-        return Family(name, build_sharp_family(p, t, h), partial(sharp_family_spectrum, p, t),
-                      h_known=h, default_delta=1e-7)
+        return Family(name, spec_from_dict({"kind": "polynomial_tail", "p": p, "t": t, "h": h}),
+                      partial(sharp_family_spectrum, p, t), h_known=h, default_delta=1e-7)
     if name == "fp":
         p = _get(params, "p", 1.0)
         t = max(p + 2.0, 3.0)
         h_aux = 0.5 * (1.0 / t + 1.0)
         return Family(
             name,
-            build_sharp_family(p, t, h_aux),
+            spec_from_dict({"kind": "polynomial_tail", "p": p, "t": t, "h": h_aux}),
             lambda hh, th: fp_spectrum(p, th),
             h_known=1.0 / (1.0 + p),  # box dimension of the sequence itself
             cloud_kind="fixed_points",
         )
     if name == "ctd-spaced":
         p = _get(params, "p", 1.8)
-        spec = CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(SpacedDigits(p)), meta={"family": name, "p": p})
+        spec = spec_from_dict({"kind": "gauss_digits", "digits": {"set": "spaced", "p": p}})
         return Family(name, spec, partial(ctd_spaced_spectrum, p), default_delta=1e-7)
     if name == "ctd-clustered":
         alpha = _get(params, "alpha", 0.5)
-        spec = CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(ClusteredDigits(alpha)),
-                        meta={"family": name, "alpha": alpha})
+        spec = spec_from_dict({"kind": "gauss_digits", "digits": {"set": "clustered", "alpha": alpha}})
         return Family(name, spec, partial(ctd_clustered_spectrum, alpha), default_delta=1e-7)
     if name == "dense-cf":
-        spec = CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(FullDigits(2)), meta={"family": name})
+        spec = spec_from_dict({"kind": "gauss_digits", "digits": {"set": "full", "start": 2}})
         return Family(name, spec, dense_cf_spectrum, default_delta=1e-4)
     if name == "complex-cf":
         h = _get(params, "h", 1.8558)

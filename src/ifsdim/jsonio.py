@@ -87,8 +87,7 @@ def _similarity_list(doc: dict) -> CifsSpec:
     anchor = doc.get("anchor")
     if anchor is not None:
         _number(anchor, "anchor")
-    return CifsSpec(1, (lo, hi), tuple(explicit), anchor=anchor,
-                    meta={"family": "similarity_list"})
+    return CifsSpec(1, (lo, hi), tuple(explicit), anchor=anchor)
 
 
 def _polynomial_tail(doc: dict) -> CifsSpec:
@@ -114,7 +113,7 @@ def _gauss_digits(doc: dict) -> CifsSpec:
             tail = GaussDigitTail(FullDigits(int(start)))
         else:
             raise ConfigurationError(f"unknown digit set kind {kind!r}")
-        return CifsSpec(1, (0.0, 1.0), (), tail, meta={"family": "gauss", "digits": dict(digits)})
+        return CifsSpec(1, (0.0, 1.0), (), tail)
     if not isinstance(digits, (list, tuple)) or not digits or not all(_is_integral(b) and b >= 1 for b in digits):
         raise ConfigurationError(f"continued-fraction digits are positive integers, got {digits!r}")
     _bounded(digits, "continued-fraction digits")
@@ -130,14 +129,14 @@ def _gauss_digits(doc: dict) -> CifsSpec:
             explicit.append(((1, b), Composite((GaussBranch(1), GaussBranch(b)))))
     else:
         explicit = [(b, GaussBranch(b)) for b in digits]
-    return CifsSpec(1, (0.0, 1.0), tuple(explicit), meta={"family": "gauss", "digits": digits})
+    return CifsSpec(1, (0.0, 1.0), tuple(explicit))
 
 
 def _complex_gauss(doc: dict) -> CifsSpec:
     domain = Disc(0.5 + 0j, 0.5)
     digits = _require(doc, "digits")
     if digits == "full":
-        return CifsSpec(2, domain, (), ComplexGaussTail(), meta={"family": "complex_gauss"})
+        return CifsSpec(2, domain, (), ComplexGaussTail())
     explicit = []
     for pair in _array(digits, "complex digits"):
         m, n = _array(pair, "complex digit", 2)
@@ -147,7 +146,7 @@ def _complex_gauss(doc: dict) -> CifsSpec:
         if (m, n) == (1, 0):
             raise ConfigurationError("complex digit 1 needs the recoded full system")
         explicit.append(((int(m), int(n)), ComplexGaussBranch(complex(int(m), int(n)))))
-    return CifsSpec(2, domain, tuple(explicit), meta={"family": "complex_gauss", "digits": list(digits)})
+    return CifsSpec(2, domain, tuple(explicit))
 
 
 def _renyi_parabolic(doc: dict) -> CifsSpec:

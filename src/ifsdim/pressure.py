@@ -487,10 +487,4 @@ def build_sharp_family(p: float, t: float, h: float) -> CifsSpec:
         (int(j), Similarity(float(lam * g), float(j) ** (-p))) for j, g in zip(js, gaps)
     )
     tail = SimilarityTail(PowerRule(p, t), PowerRule(1.0, p), start=n + 1)
-    return CifsSpec(
-        1,
-        (0.0, 1.0),
-        explicit,
-        tail,
-        meta={"family": "sharp", "p": p, "t": t, "h": h, "cutoff": n, "scale": lam},
-    )
+    return CifsSpec(1, (0.0, 1.0), explicit, tail)

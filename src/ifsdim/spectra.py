@@ -428,11 +428,9 @@ class ThreeParamFit:
 
 
 def _max_deviation(ubox: float, qa: float, rho: float, nodes: list[float], vals: np.ndarray) -> float:
-    """Largest |form - vals| over the nodes, taken as Python's max takes it:
-    a NaN at the first node wins, a NaN at a later node is passed over."""
+    """Largest |form - vals| over the nodes, passing over NaN values."""
     form = np.fromiter((_one_transition(ubox, qa, 1.0 - rho, rho, rho, t) for t in nodes), float, len(nodes))
-    devs = np.abs(form - vals)
-    return float(devs[0]) if np.isnan(devs[0]) else float(np.nanmax(devs))
+    return float(np.nanmax(np.abs(form - vals)))
 
 
 def fit_three_param(curve: SpectrumCurve) -> ThreeParamFit:
@@ -444,6 +442,9 @@ def fit_three_param(curve: SpectrumCurve) -> ThreeParamFit:
     curve follows the fitted form within FIT_TOL.
     """
     th, vals = _two_nodes(curve)
+    for k in (0, 1, len(vals) - 1):
+        if math.isnan(vals[k]):
+            raise DomainError(f"the fit reads node {k} (theta = {th[k]}), which is NaN")
     qa = float(vals[-1])
     # linear extrapolation to theta = 0
     ubox = float(vals[0] - th[0] * (vals[1] - vals[0]) / (th[1] - th[0]))

@@ -4,10 +4,11 @@ import hashlib
 import json
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
-import time
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -325,10 +326,8 @@ def test_run_failing_after_the_fork_leaves_nothing(tmp_path, capsys, monkeypatch
     out = tmp_path / "new" / "out"
 
     def estimate(cloud, thetas):
-        # fail once the child has begun its file, or after ten seconds
-        deadline = time.monotonic() + 10.0
-        while not (out / "cloud.csv.tmp").exists() and time.monotonic() < deadline:
-            time.sleep(0.001)
+        # fail once the child has written its file and exited, unreaped
+        os.waitid(os.P_PID, forked[0], os.WEXITED | os.WNOWAIT)
         raise failure("estimate failed")
 
     monkeypatch.setattr(cli, "assouad_spectrum_estimate", estimate)
@@ -341,6 +340,47 @@ def test_run_failing_after_the_fork_leaves_nothing(tmp_path, capsys, monkeypatch
     assert len(forked) == 1
     assert list(tmp_path.iterdir()) == []
     _assert_no_child_left()
+
+
+_KILLED_IN_THE_BLOCK = """
+import os, sys
+from ifsdim import cli, cloud
+
+# every WriteBehind forks, as under the forked fixture
+cloud.WRITE_BEHIND_POINTS = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+fork, children = os.fork, []
+
+def forking():
+    pid = fork()
+    if pid:
+        children.append(pid)
+    return pid
+
+def estimate(cloud, thetas):
+    # once the child has written its file and exited, say so and wait
+    os.waitid(os.P_PID, children[0], os.WEXITED | os.WNOWAIT)
+    print("written", flush=True)
+    sys.stdin.read()
+
+os.fork = forking
+cli.assouad_spectrum_estimate = estimate
+cli.main(["compare", "--family", "fp", "--out", sys.argv[1]])
+"""
+
+
+def test_compare_killed_in_the_write_behind_block_leaves_nothing(tmp_path):
+    out, tmp = tmp_path / "new" / "out", tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmp),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen([sys.executable, "-c", _KILLED_IN_THE_BLOCK, str(out)], env=env, text=True,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE) as run:
+        assert run.stdout.readline() == "written\n"
+        run.kill()
+    assert run.returncode == -signal.SIGKILL
+    # neither the out directory nor a named temporary file anywhere
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tmp"] and list(tmp.iterdir()) == []
 
 
 @pytest.mark.parametrize("fork", [False, True], ids=["inline", "forked"])
@@ -364,11 +404,10 @@ def test_write_behind_writes_inline_when_its_child_fails(tmp_path, forked):
             raise MemoryError("the child fails")
         yield from ("x\n", "0.25\n")
 
-    with WriteBehind(tmp_path / "a" / "b.csv", pieces, 1) as behind:
-        behind.make_dirs()
+    with WriteBehind(tmp_path / "b.csv", pieces, 1) as behind:
         behind.publish()
-    assert len(forked) == 1 and (tmp_path / "a" / "b.csv").read_text() == "x\n0.25\n"
-    assert [p.name for p in (tmp_path / "a").iterdir()] == ["b.csv"]
+    assert len(forked) == 1 and (tmp_path / "b.csv").read_text() == "x\n0.25\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["b.csv"]
     _assert_no_child_left()
 
 
@@ -378,21 +417,30 @@ def test_write_behind_writes_inline_when_fork_fails(tmp_path, monkeypatch, forke
 
     monkeypatch.setattr(os, "fork", fork)
     with pytest.raises(DomainError):
-        with WriteBehind(tmp_path / "a" / "b.csv", lambda: iter(["x\n"]), 1):
+        with WriteBehind(tmp_path / "b.csv", lambda: iter(["x\n"]), 1) as behind:
             raise DomainError("the estimate failed")
-    assert list(tmp_path.iterdir()) == []
-    with WriteBehind(tmp_path / "a" / "b.csv", lambda: iter(["x\n"]), 1) as behind:
-        behind.make_dirs()
+    assert list(tmp_path.iterdir()) == [] and behind.file.closed
+    with WriteBehind(tmp_path / "b.csv", lambda: iter(["x\n"]), 1) as behind:
         behind.publish()
-    assert (tmp_path / "a" / "b.csv").read_text() == "x\n"
+    assert (tmp_path / "b.csv").read_text() == "x\n"
 
 
-def test_write_behind_left_after_make_dirs_keeps_them(tmp_path, forked):
+def test_write_behind_writes_inline_when_its_temporary_file_fails(tmp_path, capsys, monkeypatch, forked):
+    def temporary_file():
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    args, code, golden = GOLDEN_DEFAULT_COMPARES["fp"]
+    assert main(["compare", "--family", *args, "--out", str(tmp_path)]) == code
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in golden}
+    assert digests == golden and forked == []
+
+
+def test_write_behind_left_early_leaves_nothing(tmp_path, forked):
     with pytest.raises(OSError):
-        with WriteBehind(tmp_path / "a" / "b.csv", lambda: iter(["x\n"]), 1) as behind:
-            behind.make_dirs()
+        with WriteBehind(tmp_path / "b.csv", lambda: iter(["x\n"]), 1) as behind:
             raise OSError("a write before this file's failed")
-    assert len(forked) == 1 and list((tmp_path / "a").iterdir()) == []
+    assert len(forked) == 1 and list(tmp_path.iterdir()) == [] and behind.file.closed
     _assert_no_child_left()
 
 
@@ -523,8 +571,9 @@ def test_parabolic_digits_exit_2(tmp_path, capsys, digits, message):
 def test_parabolic_digits_in_the_library():
     from ifsdim.families import make_family
 
-    assert make_family("parabolic", {"digits": (2.0, 3)}).spec.meta["digits"] == [2, 3]
-    assert make_family("backwards-cf", {"digits": [5, 2, 3]}).spec.meta["digits"] == [2, 3, 5]
+    # the parabolic digit 2 induces the tail; the others are its branches
+    assert [b for b, _ in make_family("parabolic", {"digits": (2.0, 3)}).spec.tail.branches] == [3]
+    assert [b for b, _ in make_family("backwards-cf", {"digits": [5, 2, 3]}).spec.tail.branches] == [3, 5]
     for digits in ((2,), (3, 4), (2, 3.5), ("2", 3), (True, 3), ()):
         with pytest.raises(ConfigurationError):
             make_family("parabolic", {"digits": digits})

@@ -112,7 +112,7 @@ class TestFixedPointCloud:
     def test_one_point_per_branch(self):
         spec = CifsSpec(1, (0.0, 1.0), ((2, GaussBranch(2)), (3, GaussBranch(3))))
         cloud = build_fixed_point_cloud(spec, 1e-3)
-        assert cloud.label == "fixed_points"
+        assert len(cloud) == len(spec.explicit)
         assert np.allclose(cloud.points, [1.0 / 3.0, 1.0 / 2.0])
 
     def test_one_point_per_occupied_cell(self):

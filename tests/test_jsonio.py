@@ -3,8 +3,12 @@ import json
 import pytest
 
 from ifsdim import ConfigurationError, hausdorff_dimension, validate_cifs
+from ifsdim.cifs import CifsSpec
+from ifsdim.families import make_family
 from ifsdim.jsonio import load_spec, spec_from_dict
 from ifsdim.maps import Composite
+from ifsdim.pressure import build_sharp_family
+from ifsdim.tails import ClusteredDigits, FullDigits, GaussDigitTail, SpacedDigits
 
 
 def test_similarity_list():
@@ -18,8 +22,24 @@ def test_similarity_list():
 
 def test_polynomial_tail_builds_sharp_family():
     spec = spec_from_dict({"kind": "polynomial_tail", "p": 1.8, "t": 2.8, "h": 0.5})
-    assert spec.meta["family"] == "sharp"
+    assert spec.digest() == build_sharp_family(1.8, 2.8, 0.5).digest()
     assert hausdorff_dimension(spec).value == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("name, direct", [
+    ("sharp", lambda: build_sharp_family(1.8, 2.8, 0.5)),
+    ("fp", lambda: build_sharp_family(1.0, 3.0, 0.5 * (1.0 / 3.0 + 1.0))),
+    ("ctd-spaced", lambda: CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(SpacedDigits(1.8)))),
+    ("ctd-clustered", lambda: CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(ClusteredDigits(0.5)))),
+    ("dense-cf", lambda: CifsSpec(1, (0.0, 1.0), (), GaussDigitTail(FullDigits(2)))),
+])
+def test_families_build_their_systems_from_documents(name, direct):
+    # a family's spec comes from a spec document, and is the system its
+    # classes build directly
+    spec, want = make_family(name).spec, direct()
+    assert spec.digest() == want.digest()
+    assert repr(spec.tail) == repr(want.tail)
+    assert [(b, repr(m)) for b, m in spec.explicit] == [(b, repr(m)) for b, m in want.explicit]
 
 
 def test_gauss_digit_list_and_parametric_sets():
@@ -106,7 +126,7 @@ def test_integers_past_2_53_are_rejected(doc, field):
 
 def test_integers_below_2_53_are_accepted():
     big = 2**53 - 1
-    assert spec_from_dict({"kind": "gauss_digits", "digits": [2, big]}).meta["digits"] == [2, big]
+    assert [b for b, _ in spec_from_dict({"kind": "gauss_digits", "digits": [2, big]}).explicit] == [2, big]
     assert spec_from_dict({"kind": "gauss_digits", "digits": {"set": "full", "start": big}}).tail is not None
     assert len(spec_from_dict({"kind": "complex_gauss", "digits": [[big, -big]]}).explicit) == 1
 
@@ -120,7 +140,7 @@ def test_integer_past_the_digit_limit_of_int_is_a_configuration_error(tmp_path):
 
 def test_integral_float_digits_are_accepted():
     spec = spec_from_dict({"kind": "gauss_digits", "digits": [2.0, 3]})
-    assert spec.meta["digits"] == [2, 3]
+    assert [b for b, _ in spec.explicit] == [2, 3]
 
 
 def test_load_from_file(tmp_path):

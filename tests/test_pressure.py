@@ -794,7 +794,7 @@ class TestBuildSharpFamily:
     def test_figure_parameters(self):
         spec = build_sharp_family(1.8, 2.8, 0.5)
         assert validate_cifs(spec).ok
-        n = spec.meta["cutoff"]
+        n = spec.tail.start - 1
         # cutoff is minimal: both inequalities hold at n, not at n - 1
         from ifsdim.series import power_sum_bounds
 
@@ -818,7 +818,7 @@ class TestBuildSharpFamily:
         ratios = np.array([m.ratio for _, m in spec.explicit])
         from ifsdim.series import power_sum_bounds
 
-        tail_lo, tail_hi = power_sum_bounds(3.4 * 0.62, spec.meta["cutoff"] + 1)
+        tail_lo, tail_hi = power_sum_bounds(3.4 * 0.62, spec.tail.start)
         total = float(np.sum(ratios**0.62)) + 2.2**0.62 * 0.5 * (tail_lo + tail_hi)
         assert total == pytest.approx(1.0, abs=1e-12)
 

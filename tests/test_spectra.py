@@ -487,13 +487,27 @@ class TestCurveDiagnostics:
             assert repr((fit.rho, fit.max_deviation, fit.ok)) == want
             assert all(type(x) is float for x in (fit.ubox, fit.qa, fit.rho))
 
-    @pytest.mark.parametrize("vals", [[0.0, 0.0, 0.5, 1.0], [np.nan, 0.5, 0.7, 1.0]])
-    def test_three_param_fit_needs_rho_to_scan(self, vals):
-        # a box value of 0, or NaN, against qa = 1 puts every phase
-        # transition above the scanned range
-        curve = SpectrumCurve(np.array([0.2, 0.4, 0.6, 0.8]), np.array(vals), "estimate")
+    def test_three_param_fit_needs_rho_to_scan(self):
+        # a box value of 0 against qa = 1 puts every phase transition above
+        # the scanned range
+        curve = SpectrumCurve(np.array([0.2, 0.4, 0.6, 0.8]), np.array([0.0, 0.0, 0.5, 1.0]), "estimate")
         with pytest.raises(DomainError, match="phase transitions"):
             fit_three_param(curve)
+
+    @pytest.mark.parametrize("node", [0, 1, 3])
+    def test_three_param_fit_refuses_nan_at_the_nodes_it_reads(self, node):
+        # the box value comes from nodes 0 and 1 and qa from the last: a NaN
+        # there raised the scan-range message (0, 1) or fitted rho = nan (3)
+        vals = np.array([0.5, 0.6, 0.8, 1.0])
+        vals[node] = np.nan
+        curve = SpectrumCurve(np.array([0.2, 0.4, 0.6, 0.8]), vals, "estimate")
+        with pytest.raises(DomainError, match=f"node {node} \\(theta = 0.{2 * node + 2}\\), which is NaN"):
+            fit_three_param(curve)
+
+    def test_three_param_fit_passes_over_an_interior_nan(self):
+        curve = SpectrumCurve(np.array([0.2, 0.4, 0.6, 0.8]), np.array([0.5, 0.6, np.nan, 1.0]), "estimate")
+        fit = fit_three_param(curve)
+        assert math.isfinite(fit.rho) and math.isfinite(fit.max_deviation)
 
     @pytest.mark.parametrize("diagnostic", [slope_discontinuities, fit_three_param])
     def test_diagnostics_need_two_nodes(self, diagnostic):
