@@ -255,6 +255,9 @@ def run_pipeline(config: RunConfig) -> tuple[ComparisonTable, dict]:
         table = ComparisonTable(tuple(rows), max_dev, tuple(transitions), all(r.passed for r in rows))
 
         out.mkdir(parents=True, exist_ok=True)
+        # summary.json is written last: an earlier run's must not stand
+        # beside this run's files if this run stops before it
+        (out / "summary.json").unlink(missing_ok=True)
         cloud.save(out / "cloud.bin")
         cloud_csv.publish()
     curves = {"lower": lower, "upper": upper, "estimate": estimate}

@@ -23,20 +23,21 @@ the test pass at t close to h.
 2. **Certify.**  p > 0 on I, L_t p - p > 0 at t = t* - ``ETA`` and
    p - L_t p > 0 at t = t* + ``ETA``.  Each sign is shown on a partition
    of I into cells: on a cell of centre c and radius r a function q is
-   positive if q(c) - |q'(c)| r - M r^2 / 2 > 0, M a bound of |q''| on
-   the cell.  M is bounded once on each of ``COARSE_CELLS`` equal cells,
-   from the ranges of the branch factors on the cell (monotone, so read
-   at its ends) and bounds of |p|, |p'| and |p''| on the branch images
-   of the cell (Taylor bounds about a midpoint, with the global bound of
-   the next derivative).  This bound does not see the cancellation in
-   q = L_t p - p, so it is O(1) while q is O(ETA): cells of width about
-   ETA^(1/2) are needed.  The cells start as the coarse ones; a failing
-   cell is split into as many equal cells as its own q(c), q'(c) and M
-   ask for, so only the cells that fail are refined.  The test gives up
-   when a centre has q(c) <= 0 within its error, or when more than
-   ``CELL_CAP`` cells have been tried.  The ends of every branch image
-   are checked to lie in I, and the branch denominators to keep one
-   sign on I.
+   positive if q(c) - |q'(c)| r - |q''(c)| r^2 / 2 - M r^3 / 6 > 0, M a
+   bound of |q'''| on the cell (Taylor's theorem at c).  M is bounded
+   once on each of ``COARSE_CELLS`` equal cells, from the ranges of the
+   branch factors on the cell (monotone, so read at its ends) and bounds
+   of |p| to |p'''| on the branch images of the cell (Taylor bounds
+   about a midpoint, with the global bound of the next derivative).
+   This bound does not see the cancellation in q = L_t p - p, so it is
+   O(1) while q is O(ETA); but q'(c) and q''(c) do see it, so cells of
+   width about ETA^(1/3) suffice.  The cells start as the coarse ones; a
+   failing cell is split into as many equal cells as the positive root
+   of its own cubic in r asks for, so only the cells that fail are
+   refined.  The test gives up when a centre has q(c) <= 0 within its
+   error, or when more than ``CELL_CAP`` cells have been tried.  The
+   ends of every branch image are checked to lie in I, and the branch
+   denominators to keep one sign on I.
 3. **Fall back.**  If a certificate fails, ETA is doubled, up to
    ``ETA_DOUBLINGS`` times.  ``certified_root`` returns None when the
    system is out of reach (fewer than two branches, a pole on I, an
@@ -78,7 +79,7 @@ TAIL_TOL = 1e-12
 #: half-width of the first enclosure tried, and how often it may double
 ETA = 4e-9
 ETA_DOUBLINGS = 3
-#: equal cells on which the second-derivative bounds are taken
+#: equal cells on which the third-derivative bounds are taken
 COARSE_CELLS = 64
 #: cells one sign certificate may try before it gives up
 CELL_CAP = 1 << 17
@@ -189,7 +190,7 @@ def _clenshaw(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 class _Chebyshev:
     """A polynomial sum_k a_k T_k(u) on [-1, 1] with exact coefficients a_k
-    (the stored floats) and its first three derivatives in u.
+    (the stored floats) and its first four derivatives in u.
 
     Each derivative's coefficients come from the recurrence
     c_(k-1) = c_(k+1) + 2 k a_k, with a bound on their distance from the
@@ -198,7 +199,7 @@ class _Chebyshev:
 
     def __init__(self, coef: np.ndarray):
         series = [(np.asarray(coef, dtype=float), np.zeros(len(coef)))]
-        for _ in range(3):
+        for _ in range(4):
             series.append(_derivative(*series[-1]))
         self.coef = [c for c, _ in series]
         self.sup = []
@@ -336,27 +337,38 @@ class _Certifier:
 
     # -- point values ------------------------------------------------------
 
-    def residual(self, x: np.ndarray, t: float) -> tuple[_Err, _Err]:
-        """(L_t p - p)(x) and its derivative at the points x."""
+    def residual(self, x: np.ndarray, t: float) -> tuple[_Err, _Err, _Err]:
+        """(L_t p - p)(x) and its first two derivatives at the points x.
+
+        With D = c x + d, W = |det| / D^2, G = -2 c / D and S' = det / D^2:
+        (W^t)' = t W^t G, G' = G^2 / 2 and S'' = S' G, so
+        (L_t p)' = sum_b W^t (t G p(S) + S' p'(S)) and
+        (L_t p)'' = sum_b W^t (t (t + 1/2) G^2 p(S) + (2t + 1) G S' p'(S)
+        + S'^2 p''(S))."""
         den = self._denominator(x)
         u = self._to_u(self._image(x, den))
         p0 = self.p.value(0, u)
         p1 = self.p.value(1, u) * self.scale
+        p2 = self.p.value(2, u) * (self.scale * self.scale)
         den2 = den * den
         wt = (abs(self.det) / den2).power(t)
         slope = self.det / den2
+        g = self.minus_2c / den
+        exact_t = _Err(t)
         value = wt * p0
-        deriv = wt * (t * (self.minus_2c / den) * p0 + p1 * slope)
+        deriv = wt * (t * g * p0 + p1 * slope)
+        curv = wt * (exact_t * (exact_t + 0.5) * (g * g) * p0 + (exact_t * 2.0 + 1.0) * g * slope * p1
+                     + slope * slope * p2)
         branches = slice(1, None)
-        lp, dlp = _rows(value, branches).total(), _rows(deriv, branches).total()
-        return lp - _rows(p0, 0), dlp - _rows(p1, 0)
+        return tuple(_rows(branch, branches).total() - _rows(own, 0)
+                     for branch, own in ((value, p0), (deriv, p1), (curv, p2)))
 
-    def p_at(self, x: np.ndarray) -> tuple[_Err, _Err]:
-        """p(x) and p'(x)."""
+    def p_at(self, x: np.ndarray) -> tuple[_Err, _Err, _Err]:
+        """p(x), p'(x) and p''(x)."""
         u = self._to_u(_Err(x))
-        return self.p.value(0, u), self.p.value(1, u) * self.scale
+        return self.p.value(0, u), self.p.value(1, u) * self.scale, self.p.value(2, u) * (self.scale * self.scale)
 
-    # -- second-derivative bounds on cells -----------------------------------
+    # -- third-derivative bounds on cells ------------------------------------
 
     def _sup_on_image(self, j: int, ylo, yhi) -> np.ndarray:
         """Bound of |p^(j)| (x units) on [ylo, yhi], an enclosure of a set in I."""
@@ -365,17 +377,17 @@ class _Certifier:
         s = self.scale.high()
         return _UP * self.p.sup_on(j, np.clip(ulo, -1.0, 1.0), np.clip(uhi, -1.0, 1.0)) * s**j
 
-    def p_curvature(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Bound of |p''| on each cell [left, right]."""
-        return self._sup_on_image(2, left, right)
+    def p_third(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Bound of |p'''| on each cell [left, right]."""
+        return self._sup_on_image(3, left, right)
 
-    def curvature(self, left: np.ndarray, right: np.ndarray, t: float) -> np.ndarray:
-        """Bound of |(L_t p - p)''| on each cell [left, right].
+    def third(self, left: np.ndarray, right: np.ndarray, t: float) -> np.ndarray:
+        """Bound of |(L_t p - p)'''| on each cell [left, right].
 
-        With D = c x + d, W = |det| / D^2, G = -2 c / D and S' = det / D^2:
-        (W^t)' = t W^t G, (W^t)'' = t (t + 1/2) W^t G^2, S'' = S' G, so
-        (L_t p)'' = sum_b W^t (t (t + 1/2) G^2 p(S) + 2 t G S' p'(S)
-        + S'^2 p''(S) + S' G p'(S))."""
+        Differentiating (L_t p)'' (``residual``) once more,
+        (L_t p)''' = sum_b W^t ((t + 1) (t (t + 1/2) G^3 p(S)
+        + 3/2 (2t + 1) G^2 S' p'(S) + 3 G S'^2 p''(S)) + S'^3 p'''(S)),
+        bounded by the sum of the bounds of its terms' absolute values."""
         den_l, den_r = self._denominator(left), self._denominator(right)
         den_min = np.minimum(np.abs(den_l.v) - ERR_SLACK * den_l.e, np.abs(den_r.v) - ERR_SLACK * den_r.e)[1:]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -385,9 +397,10 @@ class _Certifier:
         y_l, y_r = self._image(left, den_l), self._image(right, den_r)
         ylo = np.minimum(y_l.low(), y_r.low())[1:]
         yhi = np.maximum(y_l.high(), y_r.high())[1:]
-        p0, p1, p2 = (self._sup_on_image(j, ylo, yhi) for j in range(3))
-        terms = wt * (t * (t + 0.5) * g * g * p0 + 2.0 * t * g * w * p1 + w * w * p2 + w * g * p1)
-        bound = _UP * (terms.sum(axis=0) * (1.0 + len(terms) * _U) + self.p_curvature(left, right))
+        p0, p1, p2, p3 = (self._sup_on_image(j, ylo, yhi) for j in range(4))
+        terms = wt * ((t + 1.0) * (t * (t + 0.5) * g**3 * p0 + 1.5 * (2.0 * t + 1.0) * g * g * w * p1
+                                   + 3.0 * g * w * w * p2) + w**3 * p3)
+        bound = _UP * (terms.sum(axis=0) * (1.0 + len(terms) * _U) + self.p_third(left, right))
         return np.where(np.all(den_min > 0.0, axis=0), bound, np.inf)
 
 
@@ -412,10 +425,10 @@ def _positive_on_cells(lo: float, hi: float, bound_of, test):
     """The cells of a partition of [lo, hi] on each of which a function is
     shown positive, as arrays of left and right ends, or None.
 
-    ``bound_of(left, right)`` bounds its second derivative on cells of the
-    coarse partition; ``test(x)`` gives its value and slope (``_Err``) at
-    the points x.  A failing cell is split into as many equal cells as its
-    centre's value, slope and bound ask for."""
+    ``bound_of(left, right)`` bounds its third derivative on cells of the
+    coarse partition; ``test(x)`` gives its value and first two derivatives
+    (``_Err``) at the points x.  A failing cell is split into as many equal
+    cells as its centre's value, derivatives and bound ask for."""
     edges = np.linspace(lo, hi, COARSE_CELLS + 1)
     edges[0], edges[-1] = lo, hi
     bounds = bound_of(edges[:-1], edges[1:])
@@ -428,21 +441,34 @@ def _positive_on_cells(lo: float, hi: float, bound_of, test):
             return None
         centre = 0.5 * (left + right)
         rad = np.nextafter(np.maximum(centre - left, right - centre), np.inf)
-        value, slope = test(centre)
+        value, slope, curv = test(centre)
         low = value.low()
         if np.any(low <= 0.0):
             return None
         steep = np.abs(slope.v) + ERR_SLACK * slope.e
+        bend = np.abs(curv.v) + ERR_SLACK * curv.e
         m = bounds[owner]
-        fail = ~(low > _UP * (steep * rad + 0.5 * m * rad * rad))
+        fail = ~(low > _UP * (rad * (steep + rad * (0.5 * bend + rad * m / 6.0))))
         passed.append((left[~fail], right[~fail]))
-        # the radius at which value - steep r - m r^2 / 2 reaches zero
-        low, steep, m = low[fail], steep[fail], m[fail]
-        reach = 2.0 * low / (steep + np.sqrt(steep * steep + 2.0 * m * low))
+        reach = _reach(low[fail], steep[fail], bend[fail], m[fail])
         ratio = np.divide(1.25 * rad[fail], reach, out=np.full_like(reach, np.inf), where=reach > 0.0)
         pieces = np.clip(np.ceil(ratio), 2, 1 << 12).astype(np.int64)
         left, right, owner = _split(left[fail], right[fail], owner[fail], pieces)
     return np.concatenate([l for l, _ in passed]), np.concatenate([r for _, r in passed])
+
+
+def _reach(v, s, b, m):
+    """The radius at which v - s r - b r^2 / 2 - m r^3 / 6 reaches zero, for
+    v > 0 and s, b, m >= 0, approached from above by Newton's method: the
+    cubic falls and is concave for r > 0, so no step passes the root.  The
+    start, the least of the radii at which each term alone reaches v, is
+    within a factor 3 of the root."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.minimum(np.minimum(v / s, np.sqrt(2.0 * v / b)), np.cbrt(6.0 * v / m))
+        for _ in range(4):
+            excess = r * (s + r * (0.5 * b + r * m / 6.0)) - v
+            r = r - excess / (s + r * (b + 0.5 * m * r))
+    return r
 
 
 def _split(left, right, owner, pieces):
@@ -467,7 +493,7 @@ def _blocked(fn, rows: int):
         parts = [fn(x[i:i + size]) for i in range(0, len(x), size)]
         return tuple(_Err(np.concatenate([p[k].v for p in parts]),
                           np.concatenate([np.broadcast_to(p[k].e, np.shape(p[k].v)) for p in parts]))
-                     for k in range(2))
+                     for k in range(len(parts[0])))
     return run
 
 
@@ -489,10 +515,10 @@ def _certify(cert: _Certifier, t: float, sign: float):
     """The cells on which sign (L_t p - p) > 0 is shown, tiling the seed
     interval, or None."""
     def test(x):
-        q, dq = cert.residual(x, t)
-        return (q, dq) if sign > 0 else (-q, -dq)
+        derivatives = cert.residual(x, t)
+        return derivatives if sign > 0 else tuple(-f for f in derivatives)
 
-    return _positive_on_cells(cert.lo, cert.hi, lambda l, r: cert.curvature(l, r, t), _blocked(test, len(cert.a)))
+    return _positive_on_cells(cert.lo, cert.hi, lambda l, r: cert.third(l, r, t), _blocked(test, len(cert.a)))
 
 
 def certified_root(maps: Mobius, lo: float, hi: float) -> tuple[float, float] | None:
@@ -505,7 +531,7 @@ def certified_root(maps: Mobius, lo: float, hi: float) -> tuple[float, float] | 
         return None
     t_star, coef = found
     cert = _Certifier(maps, lo, hi, coef)
-    if _positive_on_cells(lo, hi, cert.p_curvature, _blocked(cert.p_at, 1)) is None:
+    if _positive_on_cells(lo, hi, cert.p_third, _blocked(cert.p_at, 1)) is None:
         return None
     eta = ETA
     for _ in range(ETA_DOUBLINGS + 1):

@@ -396,6 +396,20 @@ def test_csv_that_cannot_be_opened_exits_2(tmp_path, capsys, request, fork):
     _assert_no_child_left()
 
 
+def test_failed_compare_leaves_no_earlier_summary(tmp_path, capsys, monkeypatch):
+    # a run that stops after cloud.bin must not pair it with an earlier
+    # run's summary.json
+    (tmp_path / "summary.json").write_text("{}\n")
+
+    def emit(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "emit_svg", emit)
+    assert main(["compare", "--family", "fp", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"i/o error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert (tmp_path / "cloud.bin").exists() and not (tmp_path / "summary.json").exists()
+
+
 def test_write_behind_writes_inline_when_its_child_fails(tmp_path, forked):
     parent = os.getpid()
 

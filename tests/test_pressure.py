@@ -436,6 +436,25 @@ def test_transfer_enclosure_is_tight_and_inside_the_word_sum(name):
     assert w_lo <= lo <= result.value <= hi <= w_hi
 
 
+@pytest.mark.parametrize("name", ["e12", "e23", "e2345"])
+def test_certificate_tries_few_cells(monkeypatch, name):
+    # the p > 0 check and both signs; the second-order cell test tried
+    # 9 004, 5 530 and 6 412 cells
+    tried = []
+    positive_on_cells = transfer._positive_on_cells
+
+    def counted(lo, hi, bound_of, test):
+        def counted_test(x):
+            tried.append(len(x))
+            return test(x)
+
+        return positive_on_cells(lo, hi, bound_of, counted_test)
+
+    monkeypatch.setattr(transfer, "_positive_on_cells", counted)
+    assert hausdorff_dimension(finite_alphabet(name)).method == "transfer_operator"
+    assert 0 < sum(tried) <= 1000
+
+
 def test_e12_enclosure_contains_the_published_constant():
     lo, hi = hausdorff_dimension(finite_alphabet("e12")).enclosure
     assert lo <= E12_DIMENSION <= hi
@@ -447,7 +466,8 @@ def test_tolerance_below_the_width_clears_converged():
 
 
 def test_failed_certificate_falls_back_on_the_word_sum(monkeypatch):
-    # the coarse cells show p > 0, but no sign of L_t p - p fits in 100 cells
+    # the 64 coarse cells show p > 0, but no sign of L_t p - p fits in 100
+    # cells: at the widest half-width, 3.2e-8, each sign tries 142
     monkeypatch.setattr(transfer, "CELL_CAP", 100)
     result = hausdorff_dimension(finite_alphabet("e12"))
     assert result.method == "bracketed_conformal" and not result.converged
@@ -455,7 +475,8 @@ def test_failed_certificate_falls_back_on_the_word_sum(monkeypatch):
 
 
 def test_smaller_cell_budget_widens_the_enclosure(monkeypatch):
-    monkeypatch.setattr(transfer, "CELL_CAP", 3000)
+    # each sign tries 274 cells at ETA = 4e-9 and 230 at 8e-9
+    monkeypatch.setattr(transfer, "CELL_CAP", 250)
     result = hausdorff_dimension(finite_alphabet("e12"))
     lo, hi = result.enclosure
     assert result.method == "transfer_operator"
@@ -474,9 +495,9 @@ def test_branch_leaving_the_seed_interval_is_rejected():
 
 
 @pytest.mark.parametrize("t", [0.3, 0.9])
-def test_curvature_bounds_the_second_derivative(t):
+def test_third_bound_dominates_the_third_derivative(t):
     # a p that is no eigenvector, so that L_t p - p has no cancellation;
-    # the second derivative by mpmath's numerical differentiation at 40 digits
+    # the third derivative by mpmath's numerical differentiation at 40 digits
     from mpmath import mp
 
     spec = finite_alphabet("mixed")
@@ -486,7 +507,7 @@ def test_curvature_bounds_the_second_derivative(t):
     coef[0] = 4.0
     cert = transfer._Certifier(maps, lo, hi, coef)
     edges = np.linspace(lo, hi, 9)
-    bound = cert.curvature(edges[:-1], edges[1:], t)
+    bound = cert.third(edges[:-1], edges[1:], t)
     rows = list(zip(*(np.asarray(v, dtype=float) for v in (maps.a, maps.b, maps.c, maps.d))))
 
     def p(x):
@@ -500,22 +521,23 @@ def test_curvature_bounds_the_second_derivative(t):
             total += (abs(a * d - b * c) / den**2) ** t * p((a * x + b) / den)
         return total
 
-    own = cert.p_curvature(edges[:-1], edges[1:])
+    own = cert.p_third(edges[:-1], edges[1:])
     with mp.workdps(40):
         for i, (left, right) in enumerate(zip(edges[:-1], edges[1:])):
             for x in map(mp.mpf, np.linspace(left, right, 4)):
                 # the bound of the branch terms alone holds as well
-                assert abs(mp.diff(p, x, 2)) <= own[i]
-                assert abs(mp.diff(lp, x, 2)) <= bound[i] - own[i]
-                assert abs(mp.diff(lambda y: lp(y) - p(y), x, 2)) <= bound[i]
+                assert abs(mp.diff(p, x, 3)) <= own[i]
+                assert abs(mp.diff(lp, x, 3)) <= bound[i] - own[i]
+                assert abs(mp.diff(lambda y: lp(y) - p(y), x, 3)) <= bound[i]
 
 
 class TestCertificateAgainstIntervalArithmetic:
     """The certified cells, sampled and checked again in mpmath.iv at 113 bits.
 
-    On each sampled cell X of centre c, q = sign (L_t p - p) is enclosed by
-    the mean-value form q(c) + q'(X) (X - c) on eight equal sub-cells, with
-    p and p' on an interval from the Taylor expansion of p at its
+    On each sampled cell of centre c, q = sign (L_t p - p) is enclosed on
+    each of eight equal sub-cells X of centre m by the second-order form
+    q(m) + q'(m) (X - m) + q''(X) (X - m)^2 / 2, with p and its first two
+    derivatives on an interval from the Taylor expansion of p at its
     midpoint."""
 
     SAMPLES = 4
@@ -555,40 +577,44 @@ class TestCertificateAgainstIntervalArithmetic:
             b1, b2 = 2 * u * b1 - b2 + coef, b1
         return u * b1 - b2 + a[0]
 
-    def p_and_slope(self, series, u):
-        """p and dp/du on the interval u, from the Taylor expansion at its midpoint."""
+    def p_derivatives(self, series, u):
+        """p, dp/du and d2p/du2 on the interval u, from the Taylor expansion
+        at its midpoint."""
         from mpmath import iv
 
         centre = iv.mpf(u.mid)
         h = u - centre
-        value, slope, factorial = iv.mpf(0), iv.mpf(0), 1
+        out, factorial = [iv.mpf(0)] * 3, 1
         for j, d in enumerate(series):
             tj = self.clenshaw(d, centre) / factorial
-            value += tj * h**j
-            if j:
-                slope += j * tj * h ** (j - 1)
+            for k in range(min(j, 2) + 1):
+                # the k-th derivative of tj h^j
+                out[k] += tj * math.perm(j, k) * h ** (j - k)
             factorial *= j + 1
-        return value, slope
+        return out
 
     def residual(self, spec, series, t, x):
-        """(L_t p - p) and its derivative on the interval x, in iv."""
+        """(L_t p - p) and its first two derivatives on the interval x, in iv."""
         from mpmath import iv
 
         lo, hi = spec.domain
         mid, scale = (iv.mpf(lo) + hi) / 2, 2 / (iv.mpf(hi) - lo)
         maps = spec.first_maps()
-        value, slope = self.p_and_slope(series, (x - mid) * scale)
-        value, slope = -value, -slope * scale
+        p0, p1, p2 = self.p_derivatives(series, (x - mid) * scale)
+        value, slope, curv = -p0, -p1 * scale, -p2 * scale**2
         for a, b, c, d in zip(*(np.asarray(v, dtype=float) for v in (maps.a, maps.b, maps.c, maps.d))):
             den = c * x + d
             det = iv.mpf(a) * d - iv.mpf(b) * c
-            p0, p1 = self.p_and_slope(series, ((a * x + b) / den - mid) * scale)
+            p0, p1, p2 = self.p_derivatives(series, ((a * x + b) / den - mid) * scale)
+            p1, p2 = p1 * scale, p2 * scale**2
             weight = (abs(det) / den**2) ** iv.mpf(t)
+            g, s1 = -2 * c / den, det / den**2
             value += weight * p0
-            slope += weight * (t * (-2 * c / den) * p0 + det / den**2 * p1 * scale)
-        return value, slope
+            slope += weight * (t * g * p0 + s1 * p1)
+            curv += weight * (t * (t + iv.mpf(0.5)) * g**2 * p0 + (2 * t + 1) * g * s1 * p1 + s1**2 * p2)
+        return value, slope, curv
 
-    @pytest.mark.parametrize("name", ["e12", "e2345"])
+    @pytest.mark.parametrize("name", ["e12", "e23", "e2345"])
     def test_sampled_cells_hold(self, name):
         from mpmath import iv
 
@@ -600,6 +626,7 @@ class TestCertificateAgainstIntervalArithmetic:
         series = self.taylor_series(coef)
         rng = np.random.default_rng(7)
         for t, sign in ((t_star - transfer.ETA, 1.0), (t_star + transfer.ETA, -1.0)):
+            t_iv = iv.mpf(t)
             left, right = transfer._certify(cert, t, sign)
             order = np.argsort(left)
             left, right = left[order], right[order]
@@ -608,18 +635,19 @@ class TestCertificateAgainstIntervalArithmetic:
             assert np.all(right[:-1] == left[1:]) and np.all(left < right)
             for i in rng.choice(len(left), self.SAMPLES, replace=False):
                 centre = 0.5 * (left[i] + right[i])
-                # the float value and its error bound enclose the exact value
-                q, dq = cert.residual(np.array([centre]), t)
-                exact, exact_slope = self.residual(spec, series, t, iv.mpf(centre))
-                assert q.v[0] - 2 * q.e[0] <= exact.a and exact.b <= q.v[0] + 2 * q.e[0]
-                assert dq.v[0] - 2 * dq.e[0] <= exact_slope.a and exact_slope.b <= dq.v[0] + 2 * dq.e[0]
+                # each float value and its error bound enclose the exact value
+                floats = cert.residual(np.array([centre]), t)
+                exact = self.residual(spec, series, t_iv, iv.mpf(centre))
+                for f, e in zip(floats, exact):
+                    assert f.v[0] - 2 * f.e[0] <= e.a and e.b <= f.v[0] + 2 * f.e[0]
                 cuts = np.linspace(left[i], right[i], self.PIECES + 1)
                 for a, b in zip(cuts[:-1], cuts[1:]):
-                    mid = iv.mpf(0.5 * (a + b))
-                    cell = iv.mpf([a, b])
-                    value = self.residual(spec, series, t, mid)[0]
-                    slope = self.residual(spec, series, t, cell)[1]
-                    enclosure = sign * (value + slope * (cell - mid))
+                    mid = 0.5 * (a + b)
+                    value, slope, _ = self.residual(spec, series, t_iv, iv.mpf(mid))
+                    curv = self.residual(spec, series, t_iv, iv.mpf([a, b]))[2]
+                    # iv squares an interval about 0 into [0, max^2]
+                    offset = iv.mpf([a, b]) - mid
+                    enclosure = sign * (value + slope * offset + curv * offset**2 / 2)
                     assert enclosure.a > 0
 
 
